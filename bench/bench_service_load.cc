@@ -55,7 +55,8 @@
 //
 // Prints one human line per phase and a final machine-readable JSON line
 // (consumed by scripts/bench_snapshot.sh → BENCH_service.json):
-//   {"bench":"service_load","closed_rps":...,"closed_p99_ms":...,...}
+//   {"bench":"service_load","closed_rps":...,"closed_p99_ms":...,...,
+//    "router_metrics":"<the router's GET /metrics text after the run>"}
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -606,6 +607,11 @@ int main(int argc, char** argv) {
   result.Set("relay_full_parse_ns", JsonValue::Number(relay.full_ns));
   result.Set("relay_speedup",
              JsonValue::Number(relay.full_ns / relay.splice_ns));
+  // The router's registry after the run, over the socket the load used.
+  StatusOr<std::string> router_metrics =
+      dpclustx::service::HttpGet(socket, "/metrics");
+  DPX_CHECK(router_metrics.ok()) << router_metrics.status().ToString();
+  result.Set("router_metrics", JsonValue::String(*router_metrics));
   std::printf("%s\n", result.Dump().c_str());
   return 0;
 }

@@ -500,9 +500,9 @@ StatusOr<JsonValue> ServiceEngine::DispatchOp(
   } else if (op == "size") {
     body = OpSize(request);
   } else if (op == "stats") {
-    body = OpStats(request);
+    body = OpStats();
   } else if (op == "metrics") {
-    body = OpMetricsDump(request);
+    body = OpMetricsDump();
   } else if (op == "trace") {
     body = OpTrace(request);
   } else if (op == "audit") {
@@ -1129,8 +1129,11 @@ StatusOr<JsonValue> ServiceEngine::OpSize(const JsonValue& request) {
   return body;
 }
 
-StatusOr<JsonValue> ServiceEngine::OpStats(const JsonValue& request) {
-  (void)request;
+// Facts that are not metrics. Every number the engine counts is a registry
+// series, read through the `metrics` op (JSON) or HTTP /metrics
+// (Prometheus text); queue_capacity and retry_after_ms are configuration
+// that has no series.
+JsonValue ServiceEngine::OpStats() {
   JsonValue datasets = JsonValue::Array();
   for (const std::string& name : registry_.Names()) {
     datasets.Append(JsonValue::String(name));
@@ -1139,114 +1142,20 @@ StatusOr<JsonValue> ServiceEngine::OpStats(const JsonValue& request) {
   for (const std::string& id : sessions_.Ids()) {
     session_ids.Append(JsonValue::String(id));
   }
-  JsonValue cache = JsonValue::Object();
-  cache.Set("hits", JsonValue::Number(static_cast<double>(cache_.hits())));
-  cache.Set("misses", JsonValue::Number(static_cast<double>(cache_.misses())));
-  cache.Set("evictions",
-            JsonValue::Number(static_cast<double>(cache_.evictions())));
-  cache.Set("size", JsonValue::Number(static_cast<double>(cache_.size())));
-  cache.Set("capacity",
-            JsonValue::Number(static_cast<double>(cache_.capacity())));
-  JsonValue pool = JsonValue::Object();
-  pool.Set("threads",
-           JsonValue::Number(static_cast<double>(pool_.num_threads())));
-  pool.Set("queue_capacity",
-           JsonValue::Number(static_cast<double>(pool_.queue_capacity())));
-  pool.Set("queue_depth",
-           JsonValue::Number(static_cast<double>(pool_.queue_depth())));
-  pool.Set("active",
-           JsonValue::Number(static_cast<double>(pool_.active_count())));
-  pool.Set("tasks_completed",
-           JsonValue::Number(static_cast<double>(pool_.tasks_completed())));
-  // The shared compute pool (ParallelFor) is process-wide and distinct from
-  // the request pool above; request workers always participate in their own
-  // ParallelFor regions, so the two compose without oversubscription
-  // deadlock.
-  JsonValue compute = JsonValue::Object();
-  compute.Set("width",
-              JsonValue::Number(static_cast<double>(ComputePoolWidth())));
-  compute.Set("parallel_for_calls",
-              JsonValue::Number(static_cast<double>(ParallelForCalls())));
-  compute.Set("parallel_for_parallel_calls",
-              JsonValue::Number(
-                  static_cast<double>(ParallelForParallelCalls())));
-  // Per-op latency/error counters, read from the pre-registered instrument
-  // handles. The JSON shape predates the registry (count/errors/
-  // deadline_exceeded/total_micros/max_micros per op) and is kept
-  // backward-compatible; like the old lazily-grown map, ops that have not
-  // been called are absent. The stats op itself is recorded only after this
-  // snapshot is taken, so its own in-progress call is absent.
-  JsonValue ops = JsonValue::Object();
-  for (const auto& [name, handles] : op_metrics_) {
-    const uint64_t count = handles.count->Value();
-    if (count == 0) continue;
-    JsonValue entry = JsonValue::Object();
-    entry.Set("count", JsonValue::Number(static_cast<double>(count)));
-    entry.Set("errors", JsonValue::Number(
-                            static_cast<double>(handles.errors->Value())));
-    entry.Set("deadline_exceeded",
-              JsonValue::Number(static_cast<double>(
-                  handles.deadline_exceeded->Value())));
-    entry.Set("total_micros",
-              JsonValue::Number(static_cast<double>(
-                  handles.latency->sum_micros())));
-    entry.Set("max_micros",
-              JsonValue::Number(static_cast<double>(
-                  handles.latency->max_micros())));
-    ops.Set(name, std::move(entry));
-  }
-  const obs::AuditLog::Totals audit_totals = audit_.GlobalTotals();
-  JsonValue audit = JsonValue::Object();
-  audit.Set("records",
-            JsonValue::Number(static_cast<double>(audit_.next_seq() - 1)));
-  audit.Set("dropped",
-            JsonValue::Number(static_cast<double>(audit_.dropped())));
-  audit.Set("epsilon_charged", JsonValue::Number(audit_totals.epsilon_charged));
-  audit.Set("epsilon_denied", JsonValue::Number(audit_totals.epsilon_denied));
-  // Trace-ring occupancy mirrors the audit block: "dropped" > 0 means the
-  // retained window the `trace` op serves is incomplete.
-  JsonValue trace_stats = JsonValue::Object();
-  {
-    std::lock_guard<std::mutex> lock(trace_mutex_);
-    trace_stats.Set("retained", JsonValue::Number(
-                                    static_cast<double>(trace_ring_.size())));
-  }
-  trace_stats.Set("capacity",
-                  JsonValue::Number(
-                      static_cast<double>(options_.trace_ring_capacity)));
-  trace_stats.Set("dropped",
-                  JsonValue::Number(static_cast<double>(
-                      trace_dropped_.load(std::memory_order_relaxed))));
   JsonValue body = JsonValue::Object();
   body.Set("datasets", std::move(datasets));
   body.Set("sessions", std::move(session_ids));
-  body.Set("cache", std::move(cache));
-  body.Set("pool", std::move(pool));
-  body.Set("compute_pool", std::move(compute));
-  body.Set("ops", std::move(ops));
-  body.Set("audit", std::move(audit));
-  body.Set("trace", std::move(trace_stats));
   body.Set("build", obs::BuildInfoJson());
-  body.Set("shed", JsonValue::Number(static_cast<double>(shed_->Value())));
+  body.Set("queue_capacity",
+           JsonValue::Number(static_cast<double>(pool_.queue_capacity())));
   body.Set("retry_after_ms",
            JsonValue::Number(static_cast<double>(options_.retry_after_ms)));
   return body;
 }
 
-StatusOr<JsonValue> ServiceEngine::OpMetricsDump(const JsonValue& request) {
-  DPX_ASSIGN_OR_RETURN(const std::string format,
-                       OptString(request, "format", "both"));
-  if (format != "json" && format != "prometheus" && format != "both") {
-    return Status::InvalidArgument(
-        "format must be 'json', 'prometheus', or 'both'");
-  }
+JsonValue ServiceEngine::OpMetricsDump() {
   JsonValue body = JsonValue::Object();
-  if (format == "json" || format == "both") {
-    body.Set("metrics", metrics_->ToJson());
-  }
-  if (format == "prometheus" || format == "both") {
-    body.Set("prometheus", JsonValue::String(metrics_->PrometheusText()));
-  }
+  body.Set("metrics", metrics_->ToJson());
   return body;
 }
 

@@ -40,9 +40,11 @@
 //                                               re-serves the paid-for bytes
 //                                               for zero ε)
 //   size           session, clustering, cluster, [epsilon]
-//   stats          (cache / pool / registry / per-op latency+error counters
-//                   / build info)
-//   metrics        [format: "json"|"prometheus"|"both"]  (registry dump)
+//   stats          (datasets, sessions, build info, queue_capacity,
+//                   retry_after_ms — facts, not counters)
+//   metrics        (the registry as JSON; every counter, gauge and
+//                   histogram the engine keeps; HTTP /metrics serves the
+//                   same registry as Prometheus text)
 //   trace          [limit]    (recent request span trees, newest last)
 //   audit          [limit]    (privacy-budget audit log tail + totals)
 //   save_snapshot  path       (durable state snapshot; DESIGN.md §11)
@@ -317,8 +319,8 @@ class ServiceEngine {
                                 const Deadline& deadline);
   StatusOr<JsonValue> OpHist(const JsonValue& request);
   StatusOr<JsonValue> OpSize(const JsonValue& request);
-  StatusOr<JsonValue> OpStats(const JsonValue& request);
-  StatusOr<JsonValue> OpMetricsDump(const JsonValue& request);
+  JsonValue OpStats();
+  JsonValue OpMetricsDump();
   StatusOr<JsonValue> OpTrace(const JsonValue& request);
   StatusOr<JsonValue> OpAudit(const JsonValue& request);
   StatusOr<JsonValue> OpSaveSnapshot(const JsonValue& request);

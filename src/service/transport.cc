@@ -373,11 +373,6 @@ size_t Transport::QueuedBytes(ConnId id) const {
   return it == conns_.end() ? 0 : it->second->out_bytes;
 }
 
-size_t Transport::ActiveConnections() const {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  return conns_.size();
-}
-
 void Transport::EventLoop() {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
@@ -729,6 +724,35 @@ StatusOr<std::string> ClientChannel::RecvLine(int timeout_ms) {
     if (n == 0) return Status::IoError("connection closed by server");
     if (errno == EINTR) continue;
     return Errno("read");
+  }
+}
+
+StatusOr<std::string> HttpGet(const std::string& spec,
+                              const std::string& path) {
+  constexpr int kTimeoutMs = 30000;
+  DPX_ASSIGN_OR_RETURN(std::unique_ptr<ClientChannel> channel,
+                       ClientChannel::Connect(spec));
+  // The framer accepts bare LF line ends, so the request is two lines.
+  DPX_RETURN_IF_ERROR(channel->SendLine("GET " + path + " HTTP/1.0"));
+  DPX_RETURN_IF_ERROR(channel->SendLine(""));
+  DPX_ASSIGN_OR_RETURN(const std::string status_line,
+                       channel->RecvLine(kTimeoutMs));
+  if (status_line.rfind("HTTP/1.1 200 ", 0) != 0) {
+    return Status::FailedPrecondition("GET " + path + ": " + status_line);
+  }
+  for (;;) {  // headers, up to the blank line
+    DPX_ASSIGN_OR_RETURN(const std::string header,
+                         channel->RecvLine(kTimeoutMs));
+    if (header.empty()) break;
+  }
+  std::string body;
+  for (;;) {  // the server closes the connection after the body
+    StatusOr<std::string> line = channel->RecvLine(kTimeoutMs);
+    if (!line.ok()) {
+      if (line.status().code() == StatusCode::kIoError) return body;
+      return line.status();
+    }
+    body += *line + "\n";
   }
 }
 

@@ -159,9 +159,6 @@ class Transport {
 
   const TransportOptions& options() const { return options_; }
 
-  /// Live connection count (for status surfaces).
-  size_t ActiveConnections() const;
-
  private:
   struct Conn;
   struct Listener;
@@ -232,6 +229,12 @@ class ClientChannel {
   int fd_ = -1;
   std::string buffer_;
 };
+
+/// Body of a one-shot HTTP GET of `path` from a Transport listener ("unix:"
+/// or "tcp:" spec; every listener answers HTTP). A status other than 200
+/// is FailedPrecondition carrying the status line.
+StatusOr<std::string> HttpGet(const std::string& spec,
+                              const std::string& path);
 
 }  // namespace dpclustx::service
 

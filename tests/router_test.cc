@@ -6,6 +6,7 @@
 
 #include "service/router_core.h"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
@@ -23,6 +24,7 @@
 
 #include "common/json.h"
 #include "gtest/gtest.h"
+#include "service/transport.h"
 
 namespace dpclustx::service {
 namespace {
@@ -328,6 +330,83 @@ class RouterProcess {
   std::map<std::string, JsonValue> received_;
 };
 
+struct ExitResult {
+  int status = -1;  // waitpid status
+  std::string err;  // everything the process wrote to stderr
+};
+
+/// Runs `args` with stdin and stdout on /dev/null until it exits; SIGKILLs
+/// it (and fails the test) after 30 s.
+ExitResult RunToExit(const std::vector<std::string>& args) {
+  int err_pipe[2];
+  EXPECT_EQ(::pipe(err_pipe), 0);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int null_fd = ::open("/dev/null", O_RDWR);
+    ::dup2(null_fd, STDIN_FILENO);
+    ::dup2(null_fd, STDOUT_FILENO);
+    ::dup2(err_pipe[1], STDERR_FILENO);
+    ::close(err_pipe[0]);
+    ::close(err_pipe[1]);
+    std::vector<char*> argv;
+    for (const std::string& a : args) {
+      argv.push_back(const_cast<char*>(a.c_str()));
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  ::close(err_pipe[1]);
+  ExitResult result;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  char chunk[4096];
+  while (std::chrono::steady_clock::now() < deadline) {
+    struct pollfd pfd = {err_pipe[0], POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    const ssize_t n = ::read(err_pipe[0], chunk, sizeof(chunk));
+    if (n <= 0) break;
+    result.err.append(chunk, static_cast<size_t>(n));
+  }
+  if (std::chrono::steady_clock::now() >= deadline) {
+    ADD_FAILURE() << args[0] << " did not exit within 30 s";
+    ::kill(pid, SIGKILL);
+  }
+  ::close(err_pipe[0]);
+  ::waitpid(pid, &result.status, 0);
+  return result;
+}
+
+TEST(ToolFlagsTest, BadNumericValuesExitTwoWithTheFlagName) {
+  // A numeric flag takes the whole token: no abort on letters, no silent
+  // truncation of trailing characters, no wrap-around of negative values.
+  const std::string build = BuildDir();
+  const std::string state = FreshStateDir("flags");
+  // The router gets a state dir so that, were the value accepted, its
+  // workers would not write snapshots into the working directory.
+  const std::vector<std::vector<std::string>> commands = {
+      {build + "/tools/dpclustx_serve", "--threads"},
+      {build + "/tools/dpclustx_router", "--health-misses", "--state-dir",
+       state},
+  };
+  for (const std::vector<std::string>& command : commands) {
+    const std::string& binary = command[0];
+    const std::string& flag = command[1];
+    for (const std::string value : {"abc", "12x", "-1"}) {
+      std::vector<std::string> args = {binary, flag, value};
+      args.insert(args.end(), command.begin() + 2, command.end());
+      const ExitResult result = RunToExit(args);
+      EXPECT_TRUE(WIFEXITED(result.status) && WEXITSTATUS(result.status) == 2)
+          << binary << " " << flag << " " << value
+          << ": status " << result.status << ", stderr: " << result.err;
+      EXPECT_NE(result.err.find(flag + " needs a non-negative integer, got '" +
+                                value + "'"),
+                std::string::npos)
+          << binary << " stderr: " << result.err;
+    }
+  }
+}
+
 void ExpectOk(const JsonValue& response) {
   ASSERT_TRUE(response.Has("ok")) << response.Dump();
   EXPECT_TRUE(response.at("ok").AsBool()) << response.Dump();
@@ -566,11 +645,13 @@ TEST(RouterE2eTest, GarbageWorkerLinesFailTheRequestNotTheRouter) {
   ::chmod(fake.c_str(), 0755);
 
   const std::string build = BuildDir();
+  const std::string socket = "unix:" + state + "/router.sock";
   RouterProcess router({build + "/tools/dpclustx_router",
                         "--workers", "1",
                         "--replicas", "0",
                         "--serve", fake,
                         "--state-dir", state,
+                        "--listen", socket,
                         // No health pings during the test window: a ping
                         // would also get a garbage reply and eventually
                         // respawn the worker, which is not what we probe.
@@ -588,12 +669,13 @@ TEST(RouterE2eTest, GarbageWorkerLinesFailTheRequestNotTheRouter) {
             std::string::npos)
       << response.Dump();
 
-  // The drop is visible in the router's own status surface.
-  const JsonValue status =
-      router.Call("c2", R"({"op":"_router_status","id":"c2"})");
-  ExpectOk(status);
-  EXPECT_GE(status.at("dropped_lines_total").AsNumber(), 1.0)
-      << status.Dump();
+  // The drop is counted in the router's registry. (A `metrics` broadcast
+  // would reach the garbage worker, so read the router's own /metrics.)
+  const StatusOr<std::string> metrics = HttpGet(socket, "/metrics");
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_NE(metrics->find("\ndpclustx_router_dropped_lines_total 1\n"),
+            std::string::npos)
+      << *metrics;
 }
 
 // ---- observability: trace propagation, fleet rollup (DESIGN.md §15) --
@@ -765,12 +847,10 @@ TEST(RouterE2eTest, MetricsBroadcastReturnsFleetRollup) {
   const JsonValue response = router.Call("f2", R"({"op":"metrics","id":"f2"})");
   ExpectOk(response);
 
-  // Back-compat: the per-worker concatenation is still there.
-  ASSERT_TRUE(response.Has("workers")) << response.Dump();
-  EXPECT_TRUE(response.at("workers").Has("shard-0"));
-
-  // The rollup merges every worker's registry into one namespace, each
-  // series tagged with its worker label, alongside the router's own series.
+  // The rollup is the whole answer: it merges every worker's registry into
+  // one namespace, each series tagged with its worker label, alongside the
+  // router's own series. No per-worker concatenation rides along.
+  EXPECT_FALSE(response.Has("workers")) << response.Dump();
   ASSERT_TRUE(response.Has("fleet")) << response.Dump();
   const JsonValue& fleet = response.at("fleet");
   const JsonValue& histograms = fleet.at("histograms");

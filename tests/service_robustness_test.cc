@@ -42,6 +42,11 @@ void ExpectError(const JsonValue& response, const std::string& code) {
       << response.Dump();
 }
 
+/// The engine's registry as the `metrics` op returns it.
+JsonValue Registry(ServiceEngine& engine) {
+  return Call(engine, R"({"op":"metrics"})").at("metrics");
+}
+
 /// True when the fault point belongs to a request from `session`.
 bool FromSession(const FaultPoint& fault, const std::string& session) {
   if (!fault.request->Has("session")) return false;
@@ -143,10 +148,13 @@ TEST(ServiceRobustnessTest, SlowComputeHitsDeadlineWithoutRefund) {
   EXPECT_NEAR(SpentEpsilon(engine, "alice"), 0.3, 1e-9);
 
   // The failure is visible in the per-op counters.
-  const JsonValue stats = Call(engine, R"({"op":"stats"})");
-  const JsonValue& explain_ops = stats.at("ops").at("explain");
-  EXPECT_GE(explain_ops.at("deadline_exceeded").AsNumber(), 1.0);
-  EXPECT_GE(explain_ops.at("errors").AsNumber(), 1.0);
+  const JsonValue counters = Registry(engine).at("counters");
+  EXPECT_GE(counters.at(R"(dpclustx_op_deadline_exceeded_total{op="explain"})")
+                .AsNumber(),
+            1.0);
+  EXPECT_GE(
+      counters.at(R"(dpclustx_op_errors_total{op="explain"})").AsNumber(),
+      1.0);
 }
 
 // A request whose deadline expired before the handler ran (stalled at the
@@ -304,14 +312,18 @@ TEST(ServiceRobustnessTest, ShedRequestsCarryRetryAfterHint) {
   gate_cv.notify_all();
   engine.Shutdown();  // drains the accepted requests
   EXPECT_EQ(completed.load(), accepted);
-  // Handle() does not use the pool, so stats stay reachable after Shutdown.
+  // Handle() does not use the pool, so metrics and stats stay reachable
+  // after Shutdown.
+  EXPECT_GE(
+      Registry(engine).at("counters").at("dpclustx_requests_shed_total")
+          .AsNumber(),
+      1.0);
   const JsonValue stats = Call(engine, R"({"op":"stats"})");
-  EXPECT_GE(stats.at("shed").AsNumber(), 1.0);
   EXPECT_EQ(stats.at("retry_after_ms").AsNumber(), 75.0);
 }
 
 // Per-op counters accumulate across a mixed workload.
-TEST(ServiceRobustnessTest, OpStatsTracksLatencyAndErrors) {
+TEST(ServiceRobustnessTest, OpMetricsTrackLatencyAndErrors) {
   ServiceEngine engine;
   ExpectOk(Call(engine, R"({"op":"ping"})"));
   ExpectOk(Call(engine, R"({"op":"ping"})"));
@@ -321,14 +333,25 @@ TEST(ServiceRobustnessTest, OpStatsTracksLatencyAndErrors) {
   // invent unboundedly many).
   ExpectError(Call(engine, R"({"op":"zzz_not_an_op"})"), "NotFound");
 
-  const JsonValue stats = Call(engine, R"({"op":"stats"})");
-  const JsonValue& ops = stats.at("ops");
-  EXPECT_EQ(ops.at("ping").at("count").AsNumber(), 2.0);
-  EXPECT_EQ(ops.at("ping").at("errors").AsNumber(), 0.0);
-  EXPECT_EQ(ops.at("budget").at("count").AsNumber(), 1.0);
-  EXPECT_EQ(ops.at("budget").at("errors").AsNumber(), 1.0);
-  EXPECT_FALSE(ops.Has("zzz_not_an_op"));
-  EXPECT_GE(ops.at("ping").at("max_micros").AsNumber(), 0.0);
+  const JsonValue registry = Registry(engine);
+  const JsonValue& counters = registry.at("counters");
+  EXPECT_EQ(
+      counters.at(R"(dpclustx_op_requests_total{op="ping"})").AsNumber(),
+      2.0);
+  EXPECT_EQ(counters.at(R"(dpclustx_op_errors_total{op="ping"})").AsNumber(),
+            0.0);
+  EXPECT_EQ(
+      counters.at(R"(dpclustx_op_requests_total{op="budget"})").AsNumber(),
+      1.0);
+  EXPECT_EQ(
+      counters.at(R"(dpclustx_op_errors_total{op="budget"})").AsNumber(),
+      1.0);
+  EXPECT_EQ(registry.Dump().find("zzz_not_an_op"), std::string::npos);
+  EXPECT_GE(registry.at("histograms")
+                .at(R"(dpclustx_op_latency_micros{op="ping"})")
+                .at("max_micros")
+                .AsNumber(),
+            0.0);
 }
 
 // The acceptance scenario: while one tenant's requests are being forced to

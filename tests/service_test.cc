@@ -486,49 +486,71 @@ TEST(ServiceTest, ReplacingDatasetDoesNotResetCap) {
                 R"({"op":"explain","session":"carol","epsilon":0.3})"));
 }
 
-TEST(ServiceTest, StatsSchemaIsBackwardCompatible) {
-  // The per-op block moved from a mutex-guarded map onto registry handles;
-  // the JSON surface must not change: count/errors/deadline_exceeded/
-  // total_micros/max_micros per op, never-called ops absent.
+/// The engine's registry as the `metrics` op returns it.
+JsonValue Registry(ServiceEngine& engine) {
+  const JsonValue response = Call(engine, R"({"op":"metrics"})");
+  EXPECT_TRUE(response.at("ok").AsBool()) << response.Dump();
+  return response.at("metrics");
+}
+
+TEST(ServiceTest, StatsCarriesOnlyNonMetricFacts) {
+  // Per-op counts live only in the registry: count/errors/deadline per op
+  // are counters, total and max latency are the histogram's sum and max,
+  // and ops never called read zero.
   ServiceEngine engine;
   SetUpDataset(engine);
   ExpectError(Call(engine, R"({"op":"schema","dataset":"ghost"})"),
               "NotFound");
+  const JsonValue registry = Registry(engine);
+  const JsonValue& counters = registry.at("counters");
+  EXPECT_EQ(counters.at(R"(dpclustx_op_requests_total{op="schema"})")
+                .AsNumber(),
+            1.0);
+  EXPECT_EQ(
+      counters.at(R"(dpclustx_op_errors_total{op="schema"})").AsNumber(),
+      1.0);
+  EXPECT_EQ(counters.at(R"(dpclustx_op_deadline_exceeded_total{op="schema"})")
+                .AsNumber(),
+            0.0);
+  EXPECT_EQ(counters.at(R"(dpclustx_op_requests_total{op="load_dataset"})")
+                .AsNumber(),
+            1.0);
+  EXPECT_EQ(counters.at(R"(dpclustx_op_requests_total{op="explain"})")
+                .AsNumber(),
+            0.0);
+  const JsonValue& schema_latency =
+      registry.at("histograms").at(R"(dpclustx_op_latency_micros{op="schema"})");
+  EXPECT_EQ(schema_latency.at("count").AsNumber(), 1.0);
+  EXPECT_TRUE(schema_latency.Has("sum_micros"));
+  EXPECT_TRUE(schema_latency.Has("max_micros"));
+  // The counters the old stats blocks copied are all series.
+  const JsonValue& gauges = registry.at("gauges");
+  for (const char* gauge :
+       {"dpclustx_cache_hits", "dpclustx_cache_evictions",
+        "dpclustx_pool_queue_depth", "dpclustx_pool_active",
+        "dpclustx_compute_pool_width", "dpclustx_audit_epsilon_charged"}) {
+    EXPECT_TRUE(gauges.Has(gauge)) << gauge;
+  }
+  EXPECT_TRUE(counters.Has("dpclustx_requests_shed_total"));
+  EXPECT_EQ(gauges.at("dpclustx_trace_dropped_total").AsNumber(), 0.0);
+
   const JsonValue stats = Call(engine, R"({"op":"stats"})");
   ExpectOk(stats);
-
-  const JsonValue& ops = stats.at("ops");
-  ASSERT_TRUE(ops.Has("load_dataset")) << stats.Dump();
-  ASSERT_TRUE(ops.Has("schema"));
-  EXPECT_FALSE(ops.Has("explain")) << "never-called ops must be absent";
-  const JsonValue& schema_op = ops.at("schema");
-  EXPECT_EQ(schema_op.at("count").AsNumber(), 1.0);
-  EXPECT_EQ(schema_op.at("errors").AsNumber(), 1.0);
-  EXPECT_EQ(schema_op.at("deadline_exceeded").AsNumber(), 0.0);
-  EXPECT_TRUE(schema_op.Has("total_micros"));
-  EXPECT_TRUE(schema_op.Has("max_micros"));
-
-  // Pre-registry fields survive, and the new blocks are present.
-  EXPECT_TRUE(stats.at("cache").Has("hits"));
-  EXPECT_TRUE(stats.at("cache").Has("evictions"));
-  EXPECT_TRUE(stats.at("pool").Has("queue_depth"));
-  EXPECT_TRUE(stats.at("pool").Has("active"));
-  EXPECT_TRUE(stats.Has("shed"));
-  EXPECT_TRUE(stats.at("audit").Has("epsilon_charged"));
-  // Trace-ring occupancy mirrors the audit block's bounded-drop surface.
-  EXPECT_TRUE(stats.at("trace").Has("retained"));
-  EXPECT_TRUE(stats.at("trace").Has("capacity"));
-  EXPECT_EQ(stats.at("trace").at("dropped").AsNumber(), 0.0);
+  const std::vector<std::string> keys = stats.ObjectKeys();
+  EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()),
+            (std::set<std::string>{"ok", "datasets", "sessions", "build",
+                                   "queue_capacity", "retry_after_ms"}))
+      << stats.Dump();
+  EXPECT_EQ(stats.at("datasets").at(size_t{0}).AsString(), "d");
+  EXPECT_EQ(stats.at("queue_capacity").AsNumber(), 256.0);
   EXPECT_FALSE(stats.at("build").at("compiler").AsString().empty());
 }
 
 TEST(ServiceTest, MetricsOpExposesPrometheusAndJson) {
   ServiceEngine engine;
   ExpectOk(Call(engine, R"({"op":"ping"})"));
-  const JsonValue both = Call(engine, R"({"op":"metrics"})");
-  ExpectOk(both);
-  EXPECT_TRUE(both.Has("metrics"));
-  const std::string text = both.at("prometheus").AsString();
+  // HTTP /metrics serves exactly this text.
+  const std::string text = engine.metrics().PrometheusText();
   EXPECT_NE(text.find("# TYPE dpclustx_op_requests_total counter"),
             std::string::npos)
       << text;
@@ -557,8 +579,9 @@ TEST(ServiceTest, MetricsOpExposesPrometheusAndJson) {
             std::string::npos)
       << text;
 
+  // The op returns the registry as JSON only; a "format" field is not read.
   const JsonValue json_only = Call(engine, R"({"op":"metrics",)"
-                                           R"("format":"json"})");
+                                           R"("format":"prometheus"})");
   ExpectOk(json_only);
   EXPECT_TRUE(json_only.Has("metrics"));
   EXPECT_FALSE(json_only.Has("prometheus"));
@@ -576,8 +599,6 @@ TEST(ServiceTest, MetricsOpExposesPrometheusAndJson) {
   EXPECT_EQ(ping_hist.at("bounds_micros").size(),
             ping_hist.at("buckets").size() - 1)
       << "buckets must keep the trailing +Inf cell";
-  ExpectError(Call(engine, R"({"op":"metrics","format":"xml"})"),
-              "InvalidArgument");
 }
 
 TEST(ServiceTest, TraceContextActivatesTracingAndEchoesTraceId) {
@@ -617,11 +638,7 @@ TEST(ServiceTest, TraceRingCountsEvictionsInsteadOfSilentOverwrite) {
   ExpectOk(trace_op);
   EXPECT_EQ(trace_op.at("retained").AsNumber(), 2.0);
   EXPECT_EQ(trace_op.at("dropped").AsNumber(), 3.0);
-  const JsonValue stats = Call(engine, R"({"op":"stats"})");
-  ExpectOk(stats);
-  EXPECT_EQ(stats.at("trace").at("retained").AsNumber(), 2.0);
-  EXPECT_EQ(stats.at("trace").at("dropped").AsNumber(), 3.0);
-  EXPECT_EQ(stats.at("trace").at("capacity").AsNumber(), 2.0);
+  EXPECT_EQ(trace_op.at("ring_capacity").AsNumber(), 2.0);
 }
 
 /// Flattens a span tree into {name -> wall_micros}.

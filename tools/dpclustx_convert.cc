@@ -36,6 +36,7 @@
 #include "data/columnar_format.h"
 #include "data/csv.h"
 #include "data/dataset.h"
+#include "flags.h"
 #include "obs/build_info.h"
 
 namespace {
@@ -48,6 +49,7 @@ using dpclustx::MappedColumnar;
 using dpclustx::Status;
 using dpclustx::StatusCodeName;
 using dpclustx::StatusOr;
+using dpclustx::tools::ParseSizeFlag;
 
 constexpr const char kUsage[] =
     "usage: dpclustx_convert <mode> [flags]\n"
@@ -147,16 +149,8 @@ int main(int argc, char** argv) {
       verify = true;
       continue;
     }
-    if (std::strcmp(argv[i], "--capacity-rows") == 0 ||
-        std::strcmp(argv[i], "--max-csv-bytes") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << argv[i] << " needs a value\n";
-        return 2;
-      }
-      size_t* out = std::strcmp(argv[i], "--capacity-rows") == 0
-                        ? &capacity_rows
-                        : &max_csv_bytes;
-      *out = static_cast<size_t>(std::stoull(argv[++i]));
+    if (ParseSizeFlag(argc, argv, &i, "--capacity-rows", &capacity_rows) ||
+        ParseSizeFlag(argc, argv, &i, "--max-csv-bytes", &max_csv_bytes)) {
       continue;
     }
     if (argv[i][0] == '-') {

@@ -67,12 +67,11 @@
 // round-trip latency histograms, in-flight depth, restarts, respawn
 // backoff, liveness, and replica staleness, all labeled {worker="..."} —
 // and the `metrics` op returns a "fleet" rollup that merges every worker's
-// registry into one namespace with the worker label injected, alongside
-// the per-worker raw responses. On --listen sockets the router also
-// answers plain HTTP GETs for /metrics (Prometheus text 0.0.4), /healthz,
-// and /ready on the same port the line protocol uses, so a stock
-// Prometheus scrapes it with no sidecar; --worker-listen-base gives each
-// worker its own scrape port too.
+// registry into one namespace with the worker label injected. On --listen
+// sockets the router also answers plain HTTP GETs for /metrics (Prometheus
+// text 0.0.4), /healthz, and /ready on the same port the line protocol
+// uses, so a stock Prometheus scrapes it with no sidecar;
+// --worker-listen-base gives each worker its own scrape port too.
 //
 // Flags:
 //
@@ -118,16 +117,17 @@
 //
 // Router-level ops (handled here, never forwarded):
 //
-//   {"op":"_router_status"}          topology, worker liveness, restarts,
-//                                    bound sessions, dropped worker lines
-//                                    (dpclustx_router_dropped_lines_total)
+//   {"op":"_router_status"}          topology, worker liveness, bound
+//                                    sessions, per-worker pending depth and
+//                                    age (counts live in `metrics`)
 //   {"op":"_router_sync_replicas"}   save_snapshot on every shard, then
 //                                    respawn replicas from the fresh files
 //
 // save_snapshot / load_snapshot from clients are refused: the router owns
 // snapshot scheduling (per-shard files under --state-dir). ping / stats /
 // audit broadcast to every shard and return the per-shard responses under
-// "workers"; metrics broadcasts too and adds the labeled "fleet" rollup.
+// "workers"; metrics broadcasts too and returns only the labeled "fleet"
+// rollup (a dead worker shows as dpclustx_router_worker_alive 0 there).
 // trace is answered by the router itself with its ring of stitched
 // end-to-end timelines (per-worker rings stay reachable by scraping a
 // worker's own port with --worker-listen-base).
@@ -156,6 +156,7 @@
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/status.h"
+#include "flags.h"
 #include "obs/build_info.h"
 #include "obs/metrics.h"
 #include "service/json_relay.h"
@@ -181,6 +182,8 @@ using dpclustx::service::SpliceId;
 using dpclustx::service::SpliceTraceContext;
 using dpclustx::service::Transport;
 using dpclustx::service::TransportOptions;
+using dpclustx::tools::ParseSizeFlag;
+using dpclustx::tools::ParseStringFlag;
 
 /// The stdin/stdout compatibility client. Real socket connections get ids
 /// >= dpclustx::service::kFirstConnId from the transport.
@@ -342,7 +345,6 @@ struct WorkerProc {
   pid_t pid = -1;
   std::thread reader;
   std::atomic<bool> alive{false};
-  std::atomic<uint64_t> restarts{0};  // crash respawns (not deliberate ones)
   int misses = 0;              // consecutive health-check misses
 
   // Per-worker labeled instruments ({worker="<name>"}), registered once at
@@ -1014,7 +1016,6 @@ class Router {
       MaybeSlowLog(*completed_single, replied);
     }
     if (unparseable_victim != nullptr) {
-      dropped_lines_.fetch_add(1, std::memory_order_relaxed);
       dropped_lines_counter_->Increment();
       JsonValue response = ErrorBody(
           StatusCode::kInternal,
@@ -1043,9 +1044,8 @@ class Router {
   /// is pipelined per worker), so the garbage overwhelmingly belongs to the
   /// oldest single-shot request the worker still owes: that request is
   /// failed with a structured Internal error and the breach is counted in
-  /// dpclustx_router_dropped_lines_total (exposed via _router_status).
+  /// dpclustx_router_dropped_lines_total.
   void DropMalformedLine(WorkerProc& w, const std::string& line) {
-    dropped_lines_.fetch_add(1, std::memory_order_relaxed);
     dropped_lines_counter_->Increment();
     std::cerr << "[router] " << w.name << " emitted a malformed line ("
               << line.size() << " bytes); failing its oldest pending"
@@ -1301,8 +1301,8 @@ class Router {
       }
     }
     if (w.reader.joinable()) w.reader.join();
-    const uint64_t attempt = w.restarts.fetch_add(1) + 1;
-    w.restarts_counter->Increment();
+    w.restarts_counter->Increment();  // crash respawns, not deliberate ones
+    const uint64_t attempt = w.restarts_counter->Value();
     // Jittered so N workers felled by a common cause (bad snapshot, OOM
     // sweep) fan back in over a window instead of re-stampeding in
     // lockstep. rng is guarded by restart_mutex_, held here.
@@ -1586,17 +1586,18 @@ class Router {
     }
   }
 
-  /// The completed-broadcast response: per-worker pieces under "workers",
-  /// and for `metrics` additionally the labeled "fleet" rollup. NEVER call
-  /// under pending_mutex_ (FleetRollup reads the registry, whose callbacks
-  /// take pending_mutex_).
+  /// The completed-broadcast response: for `metrics` the labeled "fleet"
+  /// rollup, for every other op the per-worker pieces under "workers".
+  /// NEVER call under pending_mutex_ (FleetRollup reads the registry, whose
+  /// callbacks take pending_mutex_).
   JsonValue BroadcastResponse(const PendingEntry& entry) {
     JsonValue response = JsonValue::Object();
     response.Set("ok", JsonValue::Bool(true));
     if (entry.op == "metrics") {
       response.Set("fleet", FleetRollup(entry.merged));
+    } else {
+      response.Set("workers", entry.merged);
     }
-    response.Set("workers", entry.merged);
     if (entry.has_client_id) response.Set("id", entry.client_id);
     return response;
   }
@@ -1613,7 +1614,7 @@ class Router {
       if (piece.type() != JsonValue::Type::kObject ||
           !piece.Has("metrics") ||
           piece.at("metrics").type() != JsonValue::Type::kObject) {
-        continue;  // dead worker (error object) or format:"prometheus"
+        continue;  // dead worker: an error object, no registry
       }
       const JsonValue& metrics = piece.at("metrics");
       for (const char* section : {"counters", "gauges", "histograms"}) {
@@ -1753,8 +1754,6 @@ class Router {
       entry.Set("shard", JsonValue::Number(static_cast<double>(w->shard)));
       entry.Set("alive", JsonValue::Bool(w->alive.load()));
       entry.Set("pid", JsonValue::Number(static_cast<double>(w->pid)));
-      entry.Set("restarts",
-                JsonValue::Number(static_cast<double>(w->restarts.load())));
       const auto stat_it = per_worker.find(w->name);
       const size_t depth =
           stat_it == per_worker.end() ? 0 : stat_it->second.depth;
@@ -1772,13 +1771,6 @@ class Router {
     JsonValue response = JsonValue::Object();
     response.Set("pending_broadcasts",
                  JsonValue::Number(static_cast<double>(pending_broadcasts)));
-    if (transport_ != nullptr) {
-      JsonValue transport = JsonValue::Object();
-      transport.Set("active_connections",
-                    JsonValue::Number(static_cast<double>(
-                        transport_->ActiveConnections())));
-      response.Set("transport", std::move(transport));
-    }
     response.Set("ok", JsonValue::Bool(true));
     response.Set("workers", std::move(workers));
     response.Set("shards", JsonValue::Number(static_cast<double>(num_shards_)));
@@ -1786,9 +1778,6 @@ class Router {
                  JsonValue::Number(
                      static_cast<double>(core_.sessions().size())));
     response.Set("state_dir", JsonValue::String(state_dir_));
-    response.Set("dropped_lines_total",
-                 JsonValue::Number(static_cast<double>(
-                     dropped_lines_.load(std::memory_order_relaxed))));
     if (has_id) response.Set("id", client_id);
     Reply(conn, response.Dump());
   }
@@ -1863,10 +1852,7 @@ class Router {
   int64_t health_deadline_ms_;
   int health_misses_;
 
-  // Malformed worker output lines. The atomic feeds _router_status; the
-  // registry counter keeps the metric name dpclustx_router_dropped_lines_total
-  // in the process registry alongside every other instrument.
-  std::atomic<uint64_t> dropped_lines_{0};
+  // Malformed worker output lines (dpclustx_router_dropped_lines_total).
   dpclustx::obs::Counter* dropped_lines_counter_;
   dpclustx::obs::Counter* relay_spliced_counter_;
   dpclustx::obs::Counter* relay_full_parse_counter_;
@@ -1899,28 +1885,6 @@ std::string DefaultServeBinary() {
   const size_t slash = path.rfind('/');
   if (slash == std::string::npos) return "dpclustx_serve";
   return path.substr(0, slash) + "/dpclustx_serve";
-}
-
-bool ParseSizeFlag(int argc, char** argv, int* i, const char* name,
-                   size_t* out) {
-  if (std::strcmp(argv[*i], name) != 0) return false;
-  if (*i + 1 >= argc) {
-    std::cerr << name << " needs a value\n";
-    std::exit(2);
-  }
-  *out = static_cast<size_t>(std::stoull(argv[++*i]));
-  return true;
-}
-
-bool ParseStringFlag(int argc, char** argv, int* i, const char* name,
-                     std::string* out) {
-  if (std::strcmp(argv[*i], name) != 0) return false;
-  if (*i + 1 >= argc) {
-    std::cerr << name << " needs a value\n";
-    std::exit(2);
-  }
-  *out = argv[++*i];
-  return true;
 }
 
 }  // namespace

@@ -49,10 +49,6 @@
 //                            order (deterministic scripted sessions)
 //   --trace-all              trace every request into the engine's trace
 //                            ring (retrieve with the "trace" op)
-//   --metrics-dump FILE      periodically write the Prometheus text
-//                            exposition to FILE (atomic tmp+rename); also
-//                            written once at shutdown
-//   --metrics-interval-ms N  metrics dump period in ms (default 5000)
 //   --snapshot FILE          durable state snapshot: restored (with the
 //                            journal, if any) at startup, then saved every
 //                            --snapshot-interval-ms and at shutdown
@@ -66,15 +62,14 @@
 //   --version                print build provenance and exit
 //   --help                   print this flag table and exit
 //
-// On EOF the server drains queued requests, writes a final metrics dump and
-// snapshot, flushes, and exits 0. See README.md for a quickstart transcript.
+// On EOF the server drains queued requests, writes a final snapshot,
+// flushes, and exits 0. See README.md for a quickstart transcript.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -82,6 +77,7 @@
 #include <string>
 #include <thread>
 
+#include "flags.h"
 #include "obs/build_info.h"
 #include "obs/metrics.h"
 #include "service/service_engine.h"
@@ -96,6 +92,8 @@ using dpclustx::StatusCodeName;
 using dpclustx::StatusOr;
 using dpclustx::service::ServiceEngine;
 using dpclustx::service::ServiceEngineOptions;
+using dpclustx::tools::ParseSizeFlag;
+using dpclustx::tools::ParseStringFlag;
 
 std::mutex stdout_mutex;
 
@@ -125,9 +123,6 @@ constexpr const char kUsage[] =
     "  --sync                   serve each request on the reader thread, in\n"
     "                           order (deterministic scripted sessions)\n"
     "  --trace-all              trace every request into the trace ring\n"
-    "  --metrics-dump FILE      periodic Prometheus exposition to FILE\n"
-    "                           (atomic tmp+rename; final dump at shutdown)\n"
-    "  --metrics-interval-ms N  metrics dump period in ms (default 5000)\n"
     "  --snapshot FILE          durable state snapshot: restored at startup,\n"
     "                           saved every --snapshot-interval-ms and at\n"
     "                           shutdown\n"
@@ -140,46 +135,6 @@ constexpr const char kUsage[] =
     "  --version                print build provenance and exit\n"
     "  --help                   print this flag table and exit\n";
 
-bool ParseSizeFlag(int argc, char** argv, int* i, const char* name,
-                   size_t* out) {
-  if (std::strcmp(argv[*i], name) != 0) return false;
-  if (*i + 1 >= argc) {
-    std::cerr << name << " needs a value\n";
-    std::exit(2);
-  }
-  *out = static_cast<size_t>(std::stoull(argv[++*i]));
-  return true;
-}
-
-bool ParseStringFlag(int argc, char** argv, int* i, const char* name,
-                     std::string* out) {
-  if (std::strcmp(argv[*i], name) != 0) return false;
-  if (*i + 1 >= argc) {
-    std::cerr << name << " needs a value\n";
-    std::exit(2);
-  }
-  *out = argv[++*i];
-  return true;
-}
-
-// Writes the Prometheus exposition atomically: scrapers that read `path`
-// see either the previous complete dump or the new one, never a torn file.
-void DumpMetrics(dpclustx::service::ServiceEngine& engine,
-                 const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot write metrics dump '" << tmp << "'\n";
-      return;
-    }
-    out << engine.metrics().PrometheusText();
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::cerr << "cannot rename metrics dump to '" << path << "'\n";
-  }
-}
-
 void SaveSnapshot(ServiceEngine& engine, const std::string& path) {
   const Status saved = engine.SaveSnapshotToFile(path);
   if (!saved.ok()) {
@@ -191,7 +146,7 @@ void SaveSnapshot(ServiceEngine& engine, const std::string& path) {
 
 /// Background thread running `work` every `interval_ms`, parked on a
 /// condition variable so Stop is immediate instead of waiting out the
-/// interval. Used for both the metrics dump and the periodic snapshot.
+/// interval. Runs the periodic snapshot.
 class PeriodicWorker {
  public:
   PeriodicWorker(size_t interval_ms, std::function<void()> work)
@@ -228,8 +183,6 @@ int main(int argc, char** argv) {
   ServiceEngineOptions options;
   bool sync = false;
   size_t deadline_ms = 0;
-  std::string metrics_dump;
-  size_t metrics_interval_ms = 5000;
   std::string snapshot_path;
   size_t snapshot_interval_ms = 10000;
   std::string audit_journal;
@@ -246,11 +199,8 @@ int main(int argc, char** argv) {
         ParseSizeFlag(argc, argv, &i, "--deadline-ms", &deadline_ms) ||
         ParseSizeFlag(argc, argv, &i, "--max-csv-bytes",
                       &options.max_csv_bytes) ||
-        ParseSizeFlag(argc, argv, &i, "--metrics-interval-ms",
-                      &metrics_interval_ms) ||
         ParseSizeFlag(argc, argv, &i, "--snapshot-interval-ms",
                       &snapshot_interval_ms) ||
-        ParseStringFlag(argc, argv, &i, "--metrics-dump", &metrics_dump) ||
         ParseStringFlag(argc, argv, &i, "--snapshot", &snapshot_path) ||
         ParseStringFlag(argc, argv, &i, "--audit-journal", &audit_journal)) {
       continue;
@@ -283,7 +233,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   options.default_deadline_ms = static_cast<int64_t>(deadline_ms);
-  if (metrics_interval_ms == 0) metrics_interval_ms = 5000;
 
   // One process, one scrape: the engine registers its instruments in the
   // process-global registry so GET /metrics exposes engine ops, transport
@@ -338,11 +287,6 @@ int main(int argc, char** argv) {
   }
   ready.store(true, std::memory_order_release);
 
-  std::unique_ptr<PeriodicWorker> metrics_writer;
-  if (!metrics_dump.empty()) {
-    metrics_writer = std::make_unique<PeriodicWorker>(
-        metrics_interval_ms, [&] { DumpMetrics(engine, metrics_dump); });
-  }
   std::unique_ptr<PeriodicWorker> snapshot_writer;
   if (!snapshot_path.empty() && snapshot_interval_ms > 0 &&
       !options.read_only) {
@@ -438,10 +382,6 @@ int main(int argc, char** argv) {
   if (snapshot_writer != nullptr) snapshot_writer->Stop();
   if (!snapshot_path.empty() && !options.read_only) {
     SaveSnapshot(engine, snapshot_path);  // final post-drain snapshot
-  }
-  if (metrics_writer != nullptr) {
-    metrics_writer->Stop();
-    DumpMetrics(engine, metrics_dump);  // final post-drain snapshot
   }
   return 0;
 }
