@@ -75,6 +75,7 @@
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/status.h"
+#include "flags.h"
 #include "obs/metrics.h"
 #include "service/json_relay.h"
 #include "service/transport.h"
@@ -90,6 +91,9 @@ using dpclustx::service::ClientChannel;
 using dpclustx::service::RelayScan;
 using dpclustx::service::ScanTopLevelId;
 using dpclustx::service::SpliceId;
+using dpclustx::tools::ParseDoubleFlag;
+using dpclustx::tools::ParseSizeFlag;
+using dpclustx::tools::ParseStringFlag;
 
 struct BenchConfig {
   size_t workers = 2;
@@ -465,33 +469,18 @@ RelayBench RunRelayMicrobench() {
 int main(int argc, char** argv) {
   BenchConfig config;
   for (int i = 1; i < argc; ++i) {
-    auto size_flag = [&](const char* name, size_t* out) {
-      if (std::strcmp(argv[i], name) != 0) return false;
-      DPX_CHECK(i + 1 < argc) << name << " needs a value";
-      *out = static_cast<size_t>(std::stoull(argv[++i]));
-      return true;
-    };
-    auto double_flag = [&](const char* name, double* out) {
-      if (std::strcmp(argv[i], name) != 0) return false;
-      DPX_CHECK(i + 1 < argc) << name << " needs a value";
-      *out = std::stod(argv[++i]);
-      return true;
-    };
-    if (size_flag("--workers", &config.workers) ||
-        size_flag("--clients", &config.clients) ||
-        size_flag("--datasets", &config.datasets) ||
-        size_flag("--rows", &config.rows) ||
-        size_flag("--requests-per-client", &config.requests_per_client) ||
-        double_flag("--open-qps", &config.open_qps) ||
-        double_flag("--open-seconds", &config.open_seconds)) {
-      continue;
-    }
-    if (std::strcmp(argv[i], "--state-dir") == 0 && i + 1 < argc) {
-      config.state_dir = argv[++i];
-      continue;
-    }
-    if (std::strcmp(argv[i], "--observability") == 0 && i + 1 < argc) {
-      config.observability = argv[++i];
+    if (ParseSizeFlag(argc, argv, &i, "--workers", &config.workers) ||
+        ParseSizeFlag(argc, argv, &i, "--clients", &config.clients) ||
+        ParseSizeFlag(argc, argv, &i, "--datasets", &config.datasets) ||
+        ParseSizeFlag(argc, argv, &i, "--rows", &config.rows) ||
+        ParseSizeFlag(argc, argv, &i, "--requests-per-client",
+                      &config.requests_per_client) ||
+        ParseDoubleFlag(argc, argv, &i, "--open-qps", &config.open_qps) ||
+        ParseDoubleFlag(argc, argv, &i, "--open-seconds",
+                        &config.open_seconds) ||
+        ParseStringFlag(argc, argv, &i, "--state-dir", &config.state_dir) ||
+        ParseStringFlag(argc, argv, &i, "--observability",
+                        &config.observability)) {
       continue;
     }
     std::cerr << "unknown flag '" << argv[i] << "'\n";

@@ -19,7 +19,10 @@
 # --worker-listen-base port, exposition checked line by line). The
 # width-dispatched data-plane kernels run in both sanitizer passes
 # (dataset_layout_test); the transport event loop and its e2e socket
-# tests run under TSan (transport_test), and the zero-reparse relay
+# tests run under TSan (transport_test), as does the Router library
+# in-process plus its forked TSan-built binaries (router_test, with
+# halt_on_error so a race in a child router fails the test instead of
+# only printing to the child's stderr), and the zero-reparse relay
 # scanner runs under ASan (json_relay_test) — worker output is untrusted
 # once a worker has crashed mid-write.
 #
@@ -365,15 +368,19 @@ else
   cmake --build build-tsan -j --target \
     thread_pool_test service_test privacy_budget_test eda_session_test \
     parallel_equivalence_test dataset_layout_test obs_test \
-    transport_test \
+    transport_test router_test \
     >/dev/null
   # DPCLUSTX_THREADS=8 widens the shared compute pool so the ParallelFor
   # kernels genuinely interleave under TSan even on narrow CI hosts.
   # transport_test races the epoll loop against concurrent ClientChannel
-  # threads (and forks the TSan-built router for the socket e2e cases).
+  # threads (and forks the TSan-built router for the socket e2e cases);
+  # router_test drives the Router library in-process and forks the
+  # TSan-built router for the respawn and replica cases. halt_on_error
+  # reaches those children through the environment: a race there kills
+  # the child, which fails the test that drives it.
   (cd build-tsan &&
-   DPCLUSTX_THREADS=8 ctest --output-on-failure \
-     -R '^(thread_pool_test|service_test|privacy_budget_test|eda_session_test|parallel_equivalence_test|dataset_layout_test|obs_test|transport_test)$')
+   DPCLUSTX_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
+     -R '^(thread_pool_test|service_test|privacy_budget_test|eda_session_test|parallel_equivalence_test|dataset_layout_test|obs_test|transport_test|router_test)$')
 fi
 
 echo "==> all checks passed"

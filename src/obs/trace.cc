@@ -27,14 +27,6 @@ uint64_t ThreadCpuMicros() {
 #endif
 }
 
-// Rounds a steady_clock duration up to whole microseconds, minimum 1, so a
-// closed span always reports that it ran.
-uint64_t CeilWallMicros(std::chrono::steady_clock::duration d) {
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(d);
-  if (ns.count() <= 0) return 1;
-  return static_cast<uint64_t>((ns.count() + 999) / 1000);
-}
-
 uint64_t CeilOffsetMicros(std::chrono::steady_clock::duration d) {
   // Offsets (start_micros) round up too but may legitimately be 0 (a span
   // starting in the same microsecond as the root).
@@ -108,7 +100,7 @@ void Trace::Finish() {
   if (finished_) return;
   finished_ = true;
   root_.wall_micros =
-      CeilWallMicros(std::chrono::steady_clock::now() - wall_start_);
+      CeilMicros(std::chrono::steady_clock::now() - wall_start_);
   const uint64_t cpu_now = ThreadCpuMicros();
   root_.cpu_micros = cpu_now > cpu_start_ ? cpu_now - cpu_start_ : 0;
 }
@@ -150,7 +142,7 @@ SpanScope::SpanScope(const char* name) {
 SpanScope::~SpanScope() {
   if (span_ == nullptr) return;
   span_->wall_micros =
-      CeilWallMicros(std::chrono::steady_clock::now() - wall_start_);
+      CeilMicros(std::chrono::steady_clock::now() - wall_start_);
   const uint64_t cpu_now = ThreadCpuMicros();
   span_->cpu_micros = cpu_now > cpu_start_ ? cpu_now - cpu_start_ : 0;
   tls_current_span = parent_;
@@ -171,6 +163,39 @@ std::string RenderTraceText(const TraceSpan& span) {
   std::string out;
   AppendSpanText(span, 0, &out);
   return out;
+}
+
+uint64_t CeilMicros(std::chrono::steady_clock::duration d) {
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(d);
+  if (ns.count() <= 0) return 1;
+  return static_cast<uint64_t>((ns.count() + 999) / 1000);
+}
+
+void TraceRing::Push(JsonValue record) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  records_.push_back(std::move(record));
+  while (records_.size() > capacity_) {
+    records_.pop_front();
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+JsonValue TraceRing::ToJson(size_t limit) const {
+  JsonValue traces = JsonValue::Array();
+  size_t retained = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    retained = records_.size();
+    const size_t start =
+        limit != 0 && retained > limit ? retained - limit : 0;
+    for (size_t i = start; i < retained; ++i) traces.Append(records_[i]);
+  }
+  JsonValue body = JsonValue::Object();
+  body.Set("traces", std::move(traces));
+  body.Set("ring_capacity", JsonValue::Number(static_cast<double>(capacity_)));
+  body.Set("retained", JsonValue::Number(static_cast<double>(retained)));
+  body.Set("dropped", JsonValue::Number(static_cast<double>(dropped())));
+  return body;
 }
 
 }  // namespace dpclustx::obs

@@ -30,9 +30,12 @@
 #ifndef DPCLUSTX_OBS_TRACE_H_
 #define DPCLUSTX_OBS_TRACE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -115,6 +118,33 @@ bool TracingActive();
 /// before the trace could be constructed (e.g. request parsing, which must
 /// happen before the "trace" flag is readable).
 void AddPrerecordedSpan(Trace& trace, const char* name, uint64_t wall_micros);
+
+/// A steady_clock duration in whole microseconds, rounded UP with a floor
+/// of 1 — the convention every closed span follows ("ran" is never 0 µs).
+uint64_t CeilMicros(std::chrono::steady_clock::duration d);
+
+/// Bounded drop-oldest ring of finished trace records — one per process
+/// role, served by the engine's and the router's `trace` ops. Evictions
+/// are counted, never silent. Thread-safe.
+class TraceRing {
+ public:
+  explicit TraceRing(size_t capacity) : capacity_(capacity) {}
+
+  void Push(JsonValue record);
+
+  /// {"traces": the newest `limit` records (0 = all), oldest first,
+  ///  "ring_capacity", "retained", "dropped"}.
+  JsonValue ToJson(size_t limit) const;
+
+  /// Records evicted so far; lock-free, for exposition-time gauges.
+  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+
+ private:
+  const size_t capacity_;
+  mutable std::mutex mutex_;
+  std::deque<JsonValue> records_;  // guarded by mutex_
+  std::atomic<uint64_t> dropped_{0};
+};
 
 /// Indented human-readable rendering ("name  wall=12µs cpu=9µs"); open
 /// spans render as "(open)". Used by dpclustx_cli --trace and the crash

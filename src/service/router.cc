@@ -1,0 +1,1391 @@
+#include "service/router.h"
+
+#include <fcntl.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <iostream>
+#include <map>
+#include <mutex>
+#include <random>
+#include <thread>
+
+#include "common/json.h"
+#include "common/logging.h"
+#include "obs/trace.h"
+#include "service/json_relay.h"
+#include "service/router_core.h"
+#include "service/service_engine.h"
+
+namespace dpclustx::service {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+using Reply = std::function<void(std::string)>;
+using obs::CeilMicros;
+
+/// Virtual nodes per shard on the hash ring — part of the placement
+/// contract, so a constant: changing it moves datasets between shards.
+constexpr size_t kVnodes = 64;
+/// Stitched timelines the router's `trace` op retains.
+constexpr size_t kTraceRingCapacity = 64;
+/// How long a replica-refresh save_snapshot may take per shard.
+constexpr size_t kSnapshotSaveDeadlineMs = 10000;
+
+int64_t NowSteadyMs() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             Clock::now().time_since_epoch())
+      .count();
+}
+
+/// Sets `id` (when the client sent one) and hands the line to `done`.
+void Answer(const Reply& done, JsonValue response, bool has_id,
+            const JsonValue& id) {
+  if (has_id) response.Set("id", id);
+  done(response.Dump());
+}
+
+/// One span in the stitched timeline, shaped exactly like obs::Trace's
+/// ToJson nodes so clients render router and worker spans uniformly. The
+/// router has no per-span CPU clock; cpu_micros is 0 for router spans.
+/// `name` comes from the fixed span vocabulary below — never client data.
+JsonValue SpanJson(const char* name, uint64_t start_micros,
+                   uint64_t wall_micros) {
+  JsonValue span = JsonValue::Object();
+  span.Set("name", JsonValue::String(name));
+  span.Set("start_micros",
+           JsonValue::Number(static_cast<double>(start_micros)));
+  span.Set("wall_micros", JsonValue::Number(static_cast<double>(wall_micros)));
+  span.Set("cpu_micros", JsonValue::Number(0));
+  span.Set("children", JsonValue::Array());
+  return span;
+}
+
+/// "name" → "name{worker=\"shard-0\"}", "name{op=\"x\"}" →
+/// "name{op=\"x\",worker=\"shard-0\"}" — how the fleet rollup folds every
+/// worker's registry into one namespace without key collisions.
+std::string InjectWorkerLabel(const std::string& key,
+                              const std::string& worker) {
+  const std::string label = "worker=\"" + worker + "\"";
+  if (!key.empty() && key.back() == '}') {
+    return key.substr(0, key.size() - 1) + "," + label + "}";
+  }
+  return key + "{" + label + "}";
+}
+
+/// One in-flight forwarded request. kInternal entries (health pings, admin
+/// snapshot saves) complete a condition-variable wait instead of replying.
+struct PendingEntry {
+  enum class Kind { kSingle, kBroadcast, kInternal };
+  Kind kind = Kind::kSingle;
+
+  Reply done;  // the client owed the response
+  bool has_client_id = false;
+  JsonValue client_id;
+  std::string client_id_json;  // client_id pre-serialized: the splice path
+                               // does zero JSON work per response
+  Clock::time_point enqueued;  // receive time, for aging and timelines
+
+  std::string worker;        // who currently owes the response
+  std::string request_line;  // rewritten line (router id), for resends
+  std::string dataset;       // kSingle: owning dataset, "" for unknown-op
+  bool on_replica = false;   // kSingle: true while a replica is trying
+
+  // Timeline bookkeeping. `written` is refreshed when a replica read moves
+  // to the primary, so worker_roundtrip measures the leg that answered.
+  // Mutable fields are guarded by pending_mutex_; the stitched trace is
+  // built while the entry is still in the map or after it left it.
+  std::string op;            // for the slow log and the metrics rollup
+  bool traced = false;       // "trace":true — a stitched timeline is owed
+  std::string tid;           // propagated trace id ("t<seq>")
+  Clock::time_point written;   // send time
+  uint64_t parse_micros = 0;   // request parse
+  uint64_t route_micros = 0;   // classify + shard pick
+  uint64_t splice_micros = 0;  // _tc splice into the forwarded line
+
+  size_t awaiting = 0;       // kBroadcast: responses still outstanding
+  JsonValue merged = JsonValue::Object();
+
+  bool done_internal = false;  // kInternal
+  std::string response_line;
+};
+
+/// The stitched end-to-end timeline for one traced request:
+///
+///   router_request
+///   ├─ parse              request JSON parse
+///   ├─ shard_pick         classify + consistent-hash lookup
+///   ├─ relay_splice       _tc splice into the forwarded line
+///   ├─ worker_roundtrip   send → response line
+///   │  ├─ worker_queue_wait   roundtrip − worker-reported wall: transit +
+///   │  │                      time queued in the worker
+///   │  └─ <worker tree>       offsets relative to the WORKER's root (its
+///   │                         clock domain; only durations line up)
+///   └─ write_back         response stitch + serialize, up to the reply
+///
+/// `worker_tree` is null when the worker died or answered without a tree —
+/// the caller marks those responses "trace_partial".
+JsonValue StitchTimeline(const PendingEntry& entry, Clock::time_point replied,
+                         const JsonValue* worker_tree) {
+  JsonValue children = JsonValue::Array();
+  children.Append(SpanJson("parse", 0, entry.parse_micros));
+  uint64_t cursor = entry.parse_micros;
+  children.Append(SpanJson("shard_pick", cursor, entry.route_micros));
+  cursor += entry.route_micros;
+  children.Append(SpanJson("relay_splice", cursor, entry.splice_micros));
+  const uint64_t roundtrip_start = CeilMicros(entry.written - entry.enqueued);
+  const uint64_t roundtrip_wall = CeilMicros(replied - entry.written);
+  JsonValue roundtrip =
+      SpanJson("worker_roundtrip", roundtrip_start, roundtrip_wall);
+  if (worker_tree != nullptr) {
+    uint64_t worker_wall = 0;
+    if (worker_tree->Has("wall_micros") &&
+        worker_tree->at("wall_micros").type() == JsonValue::Type::kNumber) {
+      worker_wall =
+          static_cast<uint64_t>(worker_tree->at("wall_micros").AsNumber());
+    }
+    const uint64_t queue_wait =
+        roundtrip_wall > worker_wall ? roundtrip_wall - worker_wall : 1;
+    JsonValue nested = JsonValue::Array();
+    nested.Append(SpanJson("worker_queue_wait", roundtrip_start, queue_wait));
+    nested.Append(*worker_tree);
+    roundtrip.Set("children", std::move(nested));
+  }
+  children.Append(std::move(roundtrip));
+  const auto stitched_at = Clock::now();
+  children.Append(SpanJson("write_back", CeilMicros(replied - entry.enqueued),
+                           CeilMicros(stitched_at - replied)));
+  JsonValue root =
+      SpanJson("router_request", 0, CeilMicros(stitched_at - entry.enqueued));
+  root.Set("children", std::move(children));
+  return root;
+}
+
+/// True when a worker response is the read-only / unknown-state refusal a
+/// replica emits on a cache miss — the signal to resend to the primary.
+bool ReplicaRefusal(const JsonValue& response) {
+  if (!response.Has("ok") ||
+      response.at("ok").type() != JsonValue::Type::kBool ||
+      response.at("ok").AsBool() || !response.Has("error") ||
+      response.at("error").type() != JsonValue::Type::kObject) {
+    return false;
+  }
+  const JsonValue& error = response.at("error");
+  if (!error.Has("code") ||
+      error.at("code").type() != JsonValue::Type::kString) {
+    return false;
+  }
+  const std::string& code = error.at("code").AsString();
+  return code == StatusCodeName(StatusCode::kFailedPrecondition) ||
+         code == StatusCodeName(StatusCode::kNotFound);
+}
+
+/// The full-parse relay: decode the worker line, rewrite the id, dump. The
+/// fallback when the scanner refuses a line, and the splice's reference
+/// (verify_relay checks byte identity against it).
+std::string FullParseRelay(const JsonValue& parsed, const PendingEntry& entry) {
+  JsonValue response = parsed;
+  if (entry.has_client_id) {
+    response.Set("id", entry.client_id);
+  } else {
+    response.Remove("id");
+  }
+  return response.Dump();
+}
+
+// ---- the production link: fork/exec over pipes -------------------------
+
+class ProcessLink : public WorkerLink {
+ public:
+  explicit ProcessLink(std::vector<std::string> argv)
+      : argv_(std::move(argv)) {}
+  ~ProcessLink() override { Kill(); }
+
+  Status Start(LineFn on_line, DeathFn on_death) override {
+    // CLOEXEC keeps every worker's pipe ends out of its siblings, so
+    // closing a worker's stdin really is its EOF.
+    int to_child[2];
+    int from_child[2];
+    if (::pipe2(to_child, O_CLOEXEC) != 0) {
+      return Status::IoError(std::string("pipe: ") + std::strerror(errno));
+    }
+    if (::pipe2(from_child, O_CLOEXEC) != 0) {
+      ::close(to_child[0]);
+      ::close(to_child[1]);
+      return Status::IoError(std::string("pipe: ") + std::strerror(errno));
+    }
+    // Everything the child touches is built before fork: allocating in
+    // the child of a multi-threaded parent can deadlock.
+    std::vector<char*> argv;
+    for (const std::string& a : argv_) argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+    const std::string exec_failed = "execv " + argv_[0] + " failed\n";
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      for (const int fd : {to_child[0], to_child[1], from_child[0],
+                           from_child[1]}) {
+        ::close(fd);
+      }
+      return Status::IoError(std::string("fork: ") + std::strerror(errno));
+    }
+    if (pid == 0) {
+      ::dup2(to_child[0], STDIN_FILENO);
+      ::dup2(from_child[1], STDOUT_FILENO);
+      ::execv(argv[0], argv.data());
+      (void)!::write(STDERR_FILENO, exec_failed.data(), exec_failed.size());
+      ::_exit(127);
+    }
+    ::close(to_child[0]);
+    ::close(from_child[1]);
+    {
+      std::lock_guard<std::mutex> lock(write_mutex_);
+      stdin_fd_ = to_child[1];
+    }
+    pid_.store(pid);
+    reader_ = std::thread([fd = from_child[0], on_line = std::move(on_line),
+                           on_death = std::move(on_death)] {
+      std::string buffer;
+      char chunk[4096];
+      ssize_t n;
+      while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
+        buffer.append(chunk, static_cast<size_t>(n));
+        size_t pos;
+        while ((pos = buffer.find('\n')) != std::string::npos) {
+          std::string line = buffer.substr(0, pos);
+          buffer.erase(0, pos + 1);
+          if (!line.empty()) on_line(std::move(line));
+        }
+      }
+      ::close(fd);
+      on_death();
+    });
+    return Status::OK();
+  }
+
+  bool Send(const std::string& line) override {
+    const std::string payload = line + "\n";
+    std::lock_guard<std::mutex> lock(write_mutex_);
+    if (stdin_fd_ < 0) return false;
+    for (size_t off = 0; off < payload.size();) {
+      const ssize_t n =
+          ::write(stdin_fd_, payload.data() + off, payload.size() - off);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) return false;  // EPIPE: the health loop respawns it
+      off += static_cast<size_t>(n);
+    }
+    return true;
+  }
+
+  void Kill() override {
+    const pid_t pid = pid_.load();
+    if (pid > 0) ::kill(pid, SIGKILL);
+    Close();
+  }
+
+  void Close() override {
+    {
+      std::lock_guard<std::mutex> lock(write_mutex_);
+      if (stdin_fd_ >= 0) ::close(stdin_fd_);
+      stdin_fd_ = -1;
+    }
+    const pid_t pid = pid_.exchange(-1);
+    if (pid > 0) ::waitpid(pid, nullptr, 0);
+    if (reader_.joinable()) reader_.join();
+  }
+
+  int64_t Pid() const override { return pid_.load(); }
+
+ private:
+  const std::vector<std::string> argv_;
+  std::mutex write_mutex_;  // serializes writes into the worker's stdin
+  int stdin_fd_ = -1;       // guarded by write_mutex_
+  std::atomic<pid_t> pid_{-1};
+  std::thread reader_;  // Start / Kill / Close are serialized by the caller
+};
+
+}  // namespace
+
+std::unique_ptr<WorkerLink> SpawnProcessLink(const std::string& /*name*/,
+                                             std::vector<std::string> argv) {
+  return std::make_unique<ProcessLink>(std::move(argv));
+}
+
+class Router::Impl {
+ public:
+  Impl(RouterOptions options, obs::MetricsRegistry* metrics,
+       const WorkerLinkFactory& make_link)
+      : options_(std::move(options)),
+        core_(ShardNames(options_.workers), kVnodes),
+        metrics_(metrics),
+        dropped_lines_counter_(metrics_->RegisterCounter(
+            "dpclustx_router_dropped_lines_total",
+            "worker stdout lines the router could not parse or attribute "
+            "to a request")),
+        relay_spliced_counter_(metrics_->RegisterCounter(
+            "dpclustx_router_relay_spliced_total",
+            "worker responses relayed via the zero-reparse id splice")),
+        relay_full_parse_counter_(metrics_->RegisterCounter(
+            "dpclustx_router_relay_full_parse_total",
+            "worker responses relayed via the full parse/dump path")),
+        tc_spliced_counter_(metrics_->RegisterCounter(
+            "dpclustx_router_tc_spliced_total",
+            "trace contexts injected via the zero-reparse splice")),
+        tc_full_parse_counter_(metrics_->RegisterCounter(
+            "dpclustx_router_tc_full_parse_total",
+            "trace contexts injected via the full parse/dump fallback")) {
+    // Workers refuse to start if their journal path is unwritable, so a
+    // missing state dir would look like an instant crash loop.
+    std::error_code ignored;
+    std::filesystem::create_directories(options_.state_dir, ignored);
+    DPX_CHECK(std::filesystem::is_directory(options_.state_dir))
+        << "--state-dir '" << options_.state_dir << "' cannot be created";
+
+    // worker_listen_base P hands worker k (in spawn order: shards first,
+    // then replicas) its own tcp scrape listener on 127.0.0.1:(P+k). The
+    // port rides in the respawn args, so a respawned worker comes back on
+    // the same address (SO_REUSEADDR makes the rebind immediate).
+    size_t next_port = options_.worker_listen_base;
+    const auto add_worker = [&](std::string name, size_t shard, bool replica,
+                                std::vector<std::string> argv) {
+      if (options_.worker_listen_base != 0) {
+        argv.push_back("--listen");
+        argv.push_back("tcp:127.0.0.1:" + std::to_string(next_port++));
+      }
+      argv.insert(argv.end(), options_.worker_args.begin(),
+                  options_.worker_args.end());
+      auto w = std::make_unique<WorkerProc>();
+      w->link = make_link(name, std::move(argv));
+      w->name = std::move(name);
+      w->shard = shard;
+      w->replica = replica;
+      workers_.push_back(std::move(w));
+    };
+    for (size_t i = 0; i < options_.workers; ++i) {
+      add_worker("shard-" + std::to_string(i), i, false,
+                 {options_.serve_bin, "--snapshot", SnapshotPath(i),
+                  "--audit-journal", ShardFile(i, ".journal")});
+    }
+    // Replicas restore from the shard's snapshot but never journal or
+    // save: they are disposable caches, refreshed by respawning.
+    for (size_t i = 0; i < options_.workers; ++i) {
+      for (size_t r = 0; r < options_.replicas; ++r) {
+        add_worker("replica-" + std::to_string(i) + "." + std::to_string(r),
+                   i, true,
+                   {options_.serve_bin, "--read-only", "--snapshot",
+                    SnapshotPath(i)});
+      }
+    }
+    RegisterWorkerInstruments();
+    for (auto& w : workers_) Spawn(*w);
+    health_thread_ = std::thread([this] { HealthLoop(); });
+  }
+
+  ~Impl() {
+    Shutdown();
+    for (const uint64_t id : callback_ids_) metrics_->RemoveCallback(id);
+  }
+
+  Status HandleAsync(std::string line, Reply done) {
+    if (shutting_down_.load()) {
+      return Status::FailedPrecondition("router is shutting down");
+    }
+    RequestTiming timing;
+    timing.received = Clock::now();
+    StatusOr<JsonValue> parsed = JsonValue::Parse(line);
+    timing.parse_micros = CeilMicros(Clock::now() - timing.received);
+    if (!parsed.ok() || parsed->type() != JsonValue::Type::kObject) {
+      done(ErrorResponse(Status::InvalidArgument(
+                             "request is not a JSON object: " +
+                             parsed.status().message()))
+               .Dump());
+      return Status::OK();
+    }
+    const bool has_id = parsed->Has("id");
+    const JsonValue client_id = has_id ? parsed->at("id") : JsonValue::Null();
+
+    std::string op;
+    if (parsed->Has("op") &&
+        parsed->at("op").type() == JsonValue::Type::kString) {
+      op = parsed->at("op").AsString();
+      if (op == "_router_status") {
+        Answer(done, RouterStatus(), has_id, client_id);
+        return Status::OK();
+      }
+      if (op == "_router_sync_replicas") {
+        Answer(done, SyncReplicas(), has_id, client_id);
+        return Status::OK();
+      }
+      // Intercepted BEFORE Classify (which would broadcast it): at the
+      // router, `trace` means the ring of stitched end-to-end timelines. A
+      // worker's own ring stays reachable through its scrape port.
+      if (op == "trace") {
+        StatusOr<size_t> limit = OptCount(*parsed, "limit", 0);
+        JsonValue response = limit.ok() ? traces_.ToJson(*limit)
+                                        : ErrorResponse(limit.status());
+        if (limit.ok()) response.Set("ok", JsonValue::Bool(true));
+        Answer(done, std::move(response), has_id, client_id);
+        return Status::OK();
+      }
+    }
+
+    const auto route_start = Clock::now();
+    StatusOr<RouteDecision> decision = core_.Classify(*parsed);
+    timing.route_micros = CeilMicros(Clock::now() - route_start);
+    if (!decision.ok()) {
+      Answer(done, ErrorResponse(decision.status()), has_id, client_id);
+      return Status::OK();
+    }
+    switch (decision->kind) {
+      case RouteKind::kRefused:
+        Answer(done,
+               ErrorResponse(Status::FailedPrecondition(
+                   "the router manages snapshots: each shard saves to its "
+                   "own file under --state-dir (use _router_sync_replicas "
+                   "to refresh replicas)")),
+               has_id, client_id);
+        break;
+      case RouteKind::kBroadcast:
+        ForwardBroadcast(std::move(done), *parsed, has_id, client_id, op,
+                         timing);
+        break;
+      case RouteKind::kShard:
+      case RouteKind::kReplicaRead:
+      case RouteKind::kUnknownOp:
+        ForwardSingle(std::move(done), *parsed, *decision, has_id, client_id,
+                      op, timing);
+        break;
+    }
+    return Status::OK();
+  }
+
+  void Shutdown() {
+    if (shutting_down_.exchange(true)) return;
+    // Drain first: a replica read still in flight needs the primary to stay
+    // up until its response lands. Ten seconds bounds the wait if a worker
+    // is wedged; its entries then fail when its link closes below.
+    {
+      std::unique_lock<std::mutex> lock(pending_mutex_);
+      pending_cv_.wait_for(lock, std::chrono::seconds(10),
+                           [this] { return pending_.empty(); });
+    }
+    {
+      std::lock_guard<std::mutex> lock(health_mutex_);  // pairs with the wait
+    }
+    health_cv_.notify_all();
+    health_thread_.join();
+    // Closing a worker's stdin makes it drain, snapshot, and exit 0.
+    std::lock_guard<std::mutex> lock(restart_mutex_);
+    for (auto& w : workers_) w->link->Close();
+  }
+
+  Status Ready() const {
+    size_t down = 0;
+    for (size_t i = 0; i < options_.workers; ++i) {
+      if (!workers_[i]->alive.load()) ++down;
+    }
+    if (down == 0) return Status::OK();
+    return Status::FailedPrecondition(std::to_string(down) +
+                                      " shard(s) down, respawn pending");
+  }
+
+ private:
+  struct WorkerProc {
+    std::string name;     // "shard-0" / "replica-0.1"
+    size_t shard = 0;     // owning shard index (== own index for shards)
+    bool replica = false;
+    std::unique_ptr<WorkerLink> link;
+    std::atomic<bool> alive{false};
+    /// Bumped per spawn: the health loop resets its miss count when the
+    /// process behind the name changes, and never kills a newer one.
+    std::atomic<uint64_t> spawns{0};
+
+    // Per-worker labeled instruments ({worker="<name>"}). spawned_at_ms
+    // feeds the replica-staleness gauge: replicas only refresh by
+    // respawning, so their age IS the staleness of their snapshot.
+    obs::LatencyHistogram* latency = nullptr;
+    obs::Counter* restarts_counter = nullptr;
+    obs::Gauge* backoff_gauge = nullptr;
+    std::atomic<int64_t> spawned_at_ms{0};
+  };
+
+  /// Receive-side timings carried into the pending entry so traced
+  /// requests can render them as spans.
+  struct RequestTiming {
+    Clock::time_point received;
+    uint64_t parse_micros = 0;
+    uint64_t route_micros = 0;
+  };
+
+  /// A replica read moved to its primary, to be resent outside the lock.
+  struct Resend {
+    std::string rid;
+    std::shared_ptr<PendingEntry> entry;
+    WorkerProc* primary = nullptr;
+  };
+
+  static std::vector<std::string> ShardNames(size_t n) {
+    std::vector<std::string> names;
+    for (size_t i = 0; i < n; ++i) names.push_back("shard-" + std::to_string(i));
+    return names;
+  }
+
+  std::string ShardFile(size_t shard, const char* suffix) const {
+    return options_.state_dir + "/shard-" + std::to_string(shard) + suffix;
+  }
+  std::string SnapshotPath(size_t shard) const {
+    return ShardFile(shard, ".snap");
+  }
+
+  // ---- telemetry plane -----------------------------------------------
+
+  /// Registers the per-worker labeled instruments. The pending-depth
+  /// callback takes pending_mutex_ under the registry's exposition mutex,
+  /// which fixes the lock order registry→pending: nothing may call
+  /// PrometheusText()/ToJson() while holding pending_mutex_ (broadcast
+  /// completions build their fleet rollups outside the lock for exactly
+  /// this reason).
+  void RegisterWorkerInstruments() {
+    for (auto& owned : workers_) {
+      WorkerProc* w = owned.get();
+      const obs::MetricLabels labels = {{"worker", w->name}};
+      w->latency = metrics_->RegisterLatencyHistogram(
+          "dpclustx_router_worker_latency_micros",
+          "Round trip from pipe write to response line, per worker", labels);
+      w->restarts_counter = metrics_->RegisterCounter(
+          "dpclustx_router_worker_restarts_total",
+          "Crash respawns (deliberate replica refreshes excluded)", labels);
+      w->backoff_gauge = metrics_->RegisterGauge(
+          "dpclustx_router_worker_backoff_ms",
+          "Backoff applied to the worker's most recent crash respawn",
+          labels);
+      callback_ids_.push_back(metrics_->AddCallbackGauge(
+          "dpclustx_router_worker_alive", "1 while the worker process lives",
+          labels, [w] { return w->alive.load() ? 1.0 : 0.0; }));
+      callback_ids_.push_back(metrics_->AddCallbackGauge(
+          "dpclustx_router_worker_pending",
+          "Requests currently in flight on this worker", labels, [this, w] {
+            std::lock_guard<std::mutex> lock(pending_mutex_);
+            double depth = 0;
+            for (const auto& [id, entry] : pending_) {
+              if (entry->kind != PendingEntry::Kind::kBroadcast &&
+                  entry->worker == w->name) {
+                ++depth;
+              }
+            }
+            return depth;
+          }));
+      if (w->replica) {
+        callback_ids_.push_back(metrics_->AddCallbackGauge(
+            "dpclustx_router_replica_staleness_seconds",
+            "Seconds since the replica was (re)spawned from its shard's "
+            "snapshot — replicas only refresh by respawning, so their age "
+            "is their snapshot's staleness",
+            labels, [w] {
+              const int64_t spawned = w->spawned_at_ms.load();
+              const int64_t now_ms = NowSteadyMs();
+              return spawned != 0 && now_ms > spawned
+                         ? (now_ms - spawned) / 1000.0
+                         : 0.0;
+            }));
+      }
+    }
+    callback_ids_.push_back(metrics_->AddCallbackGauge(
+        "dpclustx_router_trace_dropped_total",
+        "Stitched timelines evicted from the bounded router trace ring", {},
+        [this] { return static_cast<double>(traces_.dropped()); }));
+  }
+
+  WorkerProc* ShardWorker(const std::string& shard_name) {
+    for (auto& w : workers_) {
+      if (w->name == shard_name) return w.get();
+    }
+    return nullptr;
+  }
+
+  /// An alive replica of `shard`, round-robin; nullptr when none.
+  WorkerProc* PickReplica(size_t shard) {
+    std::vector<WorkerProc*> candidates;
+    for (auto& w : workers_) {
+      if (w->replica && w->shard == shard && w->alive.load()) {
+        candidates.push_back(w.get());
+      }
+    }
+    if (candidates.empty()) return nullptr;
+    return candidates[replica_rr_.fetch_add(1) % candidates.size()];
+  }
+
+  // ---- worker lifecycle ----------------------------------------------
+
+  /// Starts `w` behind its link. Called from the constructor and, under
+  /// restart_mutex_, from the respawn paths.
+  void Spawn(WorkerProc& w) {
+    w.spawns.fetch_add(1);
+    w.spawned_at_ms.store(NowSteadyMs());
+    w.alive.store(true);  // before Start: an instant death must win
+    const Status started = w.link->Start(
+        [this, &w](std::string line) { HandleWorkerLine(w, line); },
+        [this, &w] {
+          w.alive.store(false);
+          FailWorkerPending(w.name);
+        });
+    DPX_CHECK(started.ok()) << w.name << ": " << started.ToString();
+  }
+
+  /// Writes one protocol line into the worker. False when it is gone.
+  bool WriteToWorker(WorkerProc& w, const std::string& line) {
+    return w.alive.load() && w.link->Send(line);
+  }
+
+  void HealthLoop() {
+    // Miss counts belong to this thread alone; a count restarts whenever
+    // the worker's spawn generation moves (a respawn by any path).
+    std::vector<size_t> misses(workers_.size(), 0);
+    std::vector<uint64_t> generation(workers_.size(), 0);
+    std::unique_lock<std::mutex> lock(health_mutex_);
+    while (!shutting_down_.load()) {
+      health_cv_.wait_for(lock,
+                          std::chrono::milliseconds(options_.health_interval_ms),
+                          [this] { return shutting_down_.load(); });
+      if (shutting_down_.load()) return;
+      lock.unlock();
+      for (size_t i = 0; i < workers_.size() && !shutting_down_.load(); ++i) {
+        WorkerProc& w = *workers_[i];
+        if (!w.alive.load()) {
+          RespawnCrashed(w);
+          continue;
+        }
+        if (w.spawns.load() != generation[i]) {
+          generation[i] = w.spawns.load();
+          misses[i] = 0;
+        }
+        JsonValue ping = JsonValue::Object();
+        ping.Set("op", JsonValue::String("ping"));
+        if (!RoundTrip(w, std::move(ping), options_.health_deadline_ms)
+                 .empty()) {
+          misses[i] = 0;
+        } else if (++misses[i] >= options_.health_misses) {
+          std::cerr << "[router] " << w.name << " missed " << misses[i]
+                    << " health checks; killing\n";
+          // Its death fails its pending work; the next tick respawns it.
+          std::lock_guard<std::mutex> restart(restart_mutex_);
+          if (w.spawns.load() == generation[i]) w.link->Kill();
+        }
+      }
+      lock.lock();
+    }
+  }
+
+  void RespawnCrashed(WorkerProc& w) {
+    std::lock_guard<std::mutex> lock(restart_mutex_);
+    if (w.alive.load() || shutting_down_.load()) return;
+    w.link->Kill();  // reap the dead process and its reader
+    w.restarts_counter->Increment();  // crash respawns, not deliberate ones
+    const uint64_t attempt = w.restarts_counter->Value();
+    // Jittered so N workers felled by a common cause (bad snapshot, OOM
+    // sweep) fan back in over a window instead of re-stampeding in
+    // lockstep. respawn_rng_ is guarded by restart_mutex_, held here.
+    const int64_t delay = backoff_.JitteredDelayMs(
+        attempt,
+        std::uniform_real_distribution<double>(0.0, 1.0)(respawn_rng_));
+    w.backoff_gauge->Set(delay);
+    std::cerr << "[router] respawning " << w.name << " (attempt " << attempt
+              << ", backoff " << delay << "ms)\n";
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay));
+    Spawn(w);
+  }
+
+  /// Kill + respawn without counting it as a crash and without backoff —
+  /// refreshes a replica from a newly saved shard snapshot.
+  void RespawnDeliberately(WorkerProc& w) {
+    std::lock_guard<std::mutex> lock(restart_mutex_);
+    if (shutting_down_.load()) return;
+    w.link->Kill();
+    Spawn(w);
+  }
+
+  /// Sends `request` under an internal id and waits up to `deadline_ms` for
+  /// the worker's answer. The response line, or "" on death or timeout.
+  std::string RoundTrip(WorkerProc& w, JsonValue request,
+                        size_t deadline_ms) {
+    const std::string rid = "hc-" + std::to_string(next_id_.fetch_add(1));
+    auto entry = std::make_shared<PendingEntry>();
+    entry->kind = PendingEntry::Kind::kInternal;
+    entry->worker = w.name;
+    entry->enqueued = Clock::now();
+    {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      pending_[rid] = entry;
+    }
+    request.Set("id", JsonValue::String(rid));
+    const bool sent = WriteToWorker(w, request.Dump());
+    std::unique_lock<std::mutex> lock(pending_mutex_);
+    if (sent) {
+      pending_cv_.wait_for(lock, std::chrono::milliseconds(deadline_ms),
+                           [&entry] { return entry->done_internal; });
+    }
+    pending_.erase(rid);
+    return entry->response_line;
+  }
+
+  // ---- response plumbing ---------------------------------------------
+
+  void HandleWorkerLine(WorkerProc& w, const std::string& line) {
+    // Hot path: one structural scan finds the router id without building a
+    // document tree. The full parser runs only for lines the scanner
+    // refuses (torn output, escaped ids) and for the cold response kinds
+    // that genuinely need a tree (broadcast merge, replica refusal check,
+    // traced responses).
+    StatusOr<RelayScan> scan = ScanTopLevelId(line);
+    StatusOr<JsonValue> parsed = Status::Internal("not parsed");
+    bool have_parsed = false;
+    const auto ensure_parsed = [&]() -> bool {
+      if (!have_parsed) {
+        parsed = JsonValue::Parse(line);
+        have_parsed = true;
+      }
+      return parsed.ok() && parsed->type() == JsonValue::Type::kObject;
+    };
+
+    std::string rid;
+    if (scan.ok()) {
+      rid = scan->id;
+    } else {
+      if (!ensure_parsed() || !parsed->Has("id") ||
+          parsed->at("id").type() != JsonValue::Type::kString) {
+        DropMalformedLine(w, line);
+        return;
+      }
+      rid = parsed->at("id").AsString();
+    }
+
+    const auto replied = Clock::now();
+    Resend resend;  // replica miss → resend to the primary
+    // A line the scanner accepted but the full parser refused (possible
+    // only off the splice fast path, where the tree is actually needed):
+    // the owed response is unrecoverable, fail that exact request.
+    std::shared_ptr<PendingEntry> unparseable_victim;
+    // Completions that still owe work the pending lock must not cover:
+    // the broadcast response build reads the metrics registry (whose
+    // callbacks take pending_mutex_), and the slow log is not its business.
+    std::shared_ptr<PendingEntry> completed_broadcast;
+    std::shared_ptr<PendingEntry> completed_single;
+
+    {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      auto it = pending_.find(rid);
+      if (it == pending_.end()) return;
+      std::shared_ptr<PendingEntry> entry = it->second;
+      switch (entry->kind) {
+        case PendingEntry::Kind::kInternal:
+          entry->response_line = line;
+          entry->done_internal = true;
+          pending_.erase(it);
+          break;
+        case PendingEntry::Kind::kBroadcast: {
+          if (!ensure_parsed()) {
+            unparseable_victim = entry;
+            pending_.erase(it);
+            break;
+          }
+          w.latency->Observe(CeilMicros(replied - entry->written));
+          JsonValue piece = *parsed;
+          piece.Remove("id");
+          entry->merged.Set(w.name, std::move(piece));
+          if (--entry->awaiting == 0) {
+            completed_broadcast = entry;
+            pending_.erase(it);
+          }
+          break;
+        }
+        case PendingEntry::Kind::kSingle: {
+          if (entry->on_replica && ensure_parsed() &&
+              ReplicaRefusal(*parsed)) {
+            // The replica's cache had no hit (or its snapshot predates the
+            // session): keep the entry and resend to the primary.
+            resend = RetargetToPrimary(rid, entry, replied);
+            break;
+          }
+          w.latency->Observe(CeilMicros(replied - entry->written));
+          std::string out;
+          if (entry->traced) {
+            // The one relay that genuinely needs the tree: the worker's
+            // span tree moves from the envelope into the stitched timeline.
+            if (!ensure_parsed()) {
+              unparseable_victim = entry;
+              pending_.erase(it);
+              break;
+            }
+            JsonValue response = *parsed;
+            const bool have_tree =
+                response.Has("trace") &&
+                response.at("trace").type() == JsonValue::Type::kObject;
+            JsonValue stitched = StitchTimeline(
+                *entry, replied, have_tree ? &response.at("trace") : nullptr);
+            response.Set("trace", stitched);
+            response.Set("trace_id", JsonValue::String(entry->tid));
+            if (!have_tree) {
+              // Answered without a tree (e.g. a pre-dispatch refusal): the
+              // timeline covers the router side only.
+              response.Set("trace_partial", JsonValue::Bool(true));
+            }
+            out = FullParseRelay(response, *entry);
+            relay_full_parse_counter_->Increment();
+            // Ring first, reply second: a client that sends `trace` the
+            // instant it sees this response must find the timeline there.
+            PushTrace(*entry, std::move(stitched), /*partial=*/false);
+          } else if (scan.ok()) {
+            out = entry->client_id_json.empty()
+                      ? EraseId(line, *scan)
+                      : SpliceId(line, *scan, entry->client_id_json);
+            relay_spliced_counter_->Increment();
+            if (options_.verify_relay) {
+              DPX_CHECK(ensure_parsed())
+                  << "verify-relay: spliced line failed the full parser";
+              const std::string expect = FullParseRelay(*parsed, *entry);
+              DPX_CHECK(out == expect)
+                  << "relay splice diverged from the full-parse path: "
+                  << out << " vs " << expect;
+            }
+          } else {
+            out = FullParseRelay(*parsed, *entry);  // parsed above
+            relay_full_parse_counter_->Increment();
+          }
+          // Under the lock: once the entry leaves pending_, Shutdown may
+          // return and the front door close, so the reply must be out.
+          entry->done(out);
+          completed_single = entry;
+          pending_.erase(it);
+          break;
+        }
+      }
+    }
+    pending_cv_.notify_all();
+    if (completed_broadcast != nullptr) {
+      completed_broadcast->done(BroadcastResponse(*completed_broadcast));
+      MaybeSlowLog(*completed_broadcast, replied);
+    }
+    if (completed_single != nullptr) MaybeSlowLog(*completed_single, replied);
+    if (unparseable_victim != nullptr) {
+      dropped_lines_counter_->Increment();
+      Answer(unparseable_victim->done,
+             ErrorResponse(Status::Internal(
+                 "worker '" + w.name +
+                 "' emitted an unparseable response line")),
+             unparseable_victim->has_client_id, unparseable_victim->client_id);
+    }
+    if (resend.primary != nullptr) ResendToPrimary(resend);
+  }
+
+  /// A malformed worker line — unparseable JSON, or missing the string
+  /// router id every forwarded request carries — means some request's
+  /// response is unrecoverable. Workers answer in request order, so the
+  /// garbage overwhelmingly belongs to the oldest single-shot request the
+  /// worker still owes: that request fails with a structured Internal
+  /// error and the breach is counted (dpclustx_router_dropped_lines_total).
+  void DropMalformedLine(WorkerProc& w, const std::string& line) {
+    dropped_lines_counter_->Increment();
+    std::cerr << "[router] " << w.name << " emitted a malformed line ("
+              << line.size() << " bytes); failing its oldest pending"
+              << " request\n";
+    std::shared_ptr<PendingEntry> victim;
+    {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      auto oldest = pending_.end();
+      uint64_t oldest_seq = 0;
+      for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+        if (it->second->kind != PendingEntry::Kind::kSingle ||
+            it->second->worker != w.name) {
+          continue;
+        }
+        // Single ids are "r<seq>"; the smallest sequence is the oldest.
+        const uint64_t seq = std::strtoull(it->first.c_str() + 1, nullptr, 10);
+        if (oldest == pending_.end() || seq < oldest_seq) {
+          oldest = it;
+          oldest_seq = seq;
+        }
+      }
+      if (oldest == pending_.end()) return;  // a stray; nobody waits on it
+      victim = oldest->second;
+      pending_.erase(oldest);
+    }
+    pending_cv_.notify_all();
+    Answer(victim->done,
+           ErrorResponse(Status::Internal(
+               "worker '" + w.name +
+               "' emitted a malformed response line; the request was "
+               "consumed but its response is unrecoverable — retry")),
+           victim->has_client_id, victim->client_id);
+  }
+
+  /// Caller holds pending_mutex_. Moves a replica read (still pending as
+  /// `rid`) to its shard's primary; the returned Resend is empty when the
+  /// entry is not on a replica any more.
+  Resend RetargetToPrimary(const std::string& rid,
+                           const std::shared_ptr<PendingEntry>& entry,
+                           Clock::time_point now) {
+    if (!entry->on_replica) return {};
+    WorkerProc* primary = ShardWorker(core_.ShardFor(entry->dataset));
+    entry->on_replica = false;
+    entry->worker = primary->name;
+    entry->written = now;  // roundtrip = the primary's leg
+    return {rid, entry, primary};
+  }
+
+  /// Outside pending_mutex_: sends a retargeted read to its primary, or
+  /// fails it when the primary is down too.
+  void ResendToPrimary(const Resend& resend) {
+    if (WriteToWorker(*resend.primary, resend.entry->request_line)) return;
+    FinishWithError(resend.rid, *resend.entry,
+                    "primary '" + resend.primary->name +
+                        "' is down; retry once it respawns");
+  }
+
+  /// Resolves (erases) pending `rid` with a router-generated error.
+  void FinishWithError(const std::string& rid, const PendingEntry& entry,
+                       const std::string& message) {
+    {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      pending_.erase(rid);
+    }
+    pending_cv_.notify_all();
+    Answer(entry.done, ErrorResponse(Status::Internal(message)),
+           entry.has_client_id, entry.client_id);
+  }
+
+  /// `worker` died: every request it still owed is resent (replica reads
+  /// move to the primary) or failed with a retryable error. The worker's
+  /// own snapshot+journal restore makes the retry safe: a charge that
+  /// reached the journal is restored and re-serves from the cache for 0 ε.
+  void FailWorkerPending(const std::string& worker) {
+    const auto now = Clock::now();
+    std::vector<Resend> resends;
+    std::vector<std::shared_ptr<PendingEntry>> completed_broadcasts;
+    std::vector<std::pair<std::shared_ptr<PendingEntry>, std::string>> failed;
+    {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      for (auto it = pending_.begin(); it != pending_.end();) {
+        std::shared_ptr<PendingEntry> entry = it->second;
+        if (entry->kind == PendingEntry::Kind::kBroadcast) {
+          // Broadcasts owe one slot per shard; a dead shard contributes an
+          // error object instead of blocking the merge forever. The Has
+          // check keeps this idempotent if the death is reported twice.
+          if (!entry->merged.Has(worker) && entry->awaiting > 0) {
+            entry->merged.Set(worker,
+                              ErrorResponse(Status::Internal(
+                                  "worker died before responding")));
+            if (--entry->awaiting == 0) {
+              completed_broadcasts.push_back(entry);
+              it = pending_.erase(it);
+              continue;
+            }
+          }
+          ++it;
+          continue;
+        }
+        if (entry->worker != worker) {
+          ++it;
+          continue;
+        }
+        if (entry->kind == PendingEntry::Kind::kInternal) {
+          entry->done_internal = true;  // empty response_line: failure
+          it = pending_.erase(it);
+          continue;
+        }
+        if (entry->on_replica) {
+          resends.push_back(RetargetToPrimary(it->first, entry, now));
+          ++it;
+          continue;
+        }
+        JsonValue response = ErrorResponse(Status::Internal(
+            "worker '" + worker +
+            "' died mid-request; it will be respawned and restored from its "
+            "snapshot and audit journal — retry (a charge that was journaled "
+            "re-serves from the cache for zero ε)"));
+        if (entry->traced) {
+          // No hang, no garbled splice: the client still gets a timeline —
+          // the router-side spans, honestly marked partial. Ring before
+          // reply, as on the completion path.
+          JsonValue partial = StitchTimeline(*entry, now, nullptr);
+          response.Set("trace", partial);
+          response.Set("trace_id", JsonValue::String(entry->tid));
+          response.Set("trace_partial", JsonValue::Bool(true));
+          PushTrace(*entry, std::move(partial), /*partial=*/true);
+        }
+        if (entry->has_client_id) response.Set("id", entry->client_id);
+        failed.emplace_back(entry, response.Dump());
+        it = pending_.erase(it);
+      }
+    }
+    pending_cv_.notify_all();
+    for (const auto& [entry, line] : failed) {
+      entry->done(line);
+      MaybeSlowLog(*entry, now);
+    }
+    for (auto& entry : completed_broadcasts) {
+      entry->done(BroadcastResponse(*entry));
+      MaybeSlowLog(*entry, now);
+    }
+    for (const Resend& resend : resends) ResendToPrimary(resend);
+  }
+
+  // ---- request forwarding --------------------------------------------
+
+  std::shared_ptr<PendingEntry> NewEntry(PendingEntry::Kind kind, Reply done,
+                                         bool has_id,
+                                         const JsonValue& client_id,
+                                         const std::string& op,
+                                         const RequestTiming& timing) {
+    auto entry = std::make_shared<PendingEntry>();
+    entry->kind = kind;
+    entry->done = std::move(done);
+    entry->has_client_id = has_id;
+    entry->client_id = client_id;
+    entry->enqueued = timing.received;
+    entry->op = op;
+    entry->parse_micros = timing.parse_micros;
+    entry->route_micros = timing.route_micros;
+    return entry;
+  }
+
+  void ForwardSingle(Reply done, JsonValue request,
+                     const RouteDecision& decision, bool has_id,
+                     const JsonValue& client_id, const std::string& op,
+                     const RequestTiming& timing) {
+    // Unknown ops go to shard 0 so the engine produces its canonical
+    // unknown-op error.
+    WorkerProc* primary = decision.kind == RouteKind::kUnknownOp
+                              ? workers_[0].get()
+                              : ShardWorker(core_.ShardFor(decision.dataset));
+    DPX_CHECK(primary != nullptr);
+    WorkerProc* target = primary;
+    if (decision.kind == RouteKind::kReplicaRead) {
+      if (WorkerProc* replica = PickReplica(primary->shard)) target = replica;
+    }
+
+    const uint64_t seq = next_id_.fetch_add(1);
+    const std::string rid = "r" + std::to_string(seq);
+    request.Set("id", JsonValue::String(rid));
+    std::string forwarded = request.Dump();
+
+    // Cross-process trace propagation: the context is spliced into the
+    // already-dumped line — zero reparse, same byte-splice contract as the
+    // response id rewrite. A refused splice (a top-level key sorting before
+    // "_tc") falls back to the full-parse path, never to silence.
+    auto entry = NewEntry(PendingEntry::Kind::kSingle, std::move(done), has_id,
+                          client_id, op, timing);
+    entry->traced = request.Has("trace") &&
+                    request.at("trace").type() == JsonValue::Type::kBool &&
+                    request.at("trace").AsBool();
+    if (entry->traced) {
+      entry->tid = "t" + std::to_string(seq);
+      StatusOr<JsonValue> tc = JsonValue::Parse(
+          "{\"pid\":\"" + rid + "\",\"tid\":\"" + entry->tid + "\"}");
+      DPX_CHECK(tc.ok());
+      const auto splice_start = Clock::now();
+      StatusOr<std::string> spliced = SpliceTraceContext(forwarded, tc->Dump());
+      if (spliced.ok()) {
+        if (options_.verify_relay) {
+          JsonValue check = request;
+          check.Set("_tc", *tc);
+          DPX_CHECK(*spliced == check.Dump())
+              << "trace-context splice diverged from the full-parse path: "
+              << *spliced << " vs " << check.Dump();
+        }
+        forwarded = std::move(*spliced);
+        tc_spliced_counter_->Increment();
+      } else {
+        request.Set("_tc", std::move(*tc));
+        forwarded = request.Dump();
+        tc_full_parse_counter_->Increment();
+      }
+      entry->splice_micros = CeilMicros(Clock::now() - splice_start);
+    }
+    // Serialized once here so the splice relay does zero JSON work when
+    // the worker's response comes back.
+    if (has_id) entry->client_id_json = client_id.Dump();
+    entry->worker = target->name;
+    entry->request_line = forwarded;
+    entry->dataset = decision.dataset;
+    entry->on_replica = target != primary;
+    entry->written = Clock::now();
+    {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      pending_[rid] = entry;
+    }
+
+    if (WriteToWorker(*target, forwarded)) return;
+    if (target != primary) {
+      // The replica was gone; the primary takes it directly (unless the
+      // replica's death already moved it there).
+      Resend resend;
+      {
+        std::lock_guard<std::mutex> lock(pending_mutex_);
+        resend = RetargetToPrimary(rid, entry, Clock::now());
+      }
+      if (resend.primary != nullptr) ResendToPrimary(resend);
+      return;
+    }
+    FinishWithError(rid, *entry,
+                    "worker '" + primary->name +
+                        "' is down; retry once it respawns");
+  }
+
+  void ForwardBroadcast(Reply done, JsonValue request, bool has_id,
+                        const JsonValue& client_id, const std::string& op,
+                        const RequestTiming& timing) {
+    const std::string rid = "r" + std::to_string(next_id_.fetch_add(1));
+    request.Set("id", JsonValue::String(rid));
+    const std::string forwarded = request.Dump();
+
+    auto entry = NewEntry(PendingEntry::Kind::kBroadcast, std::move(done),
+                          has_id, client_id, op, timing);
+    entry->awaiting = options_.workers;
+    entry->written = Clock::now();
+    {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      pending_[rid] = entry;
+    }
+    bool completed = false;
+    for (size_t i = 0; i < options_.workers; ++i) {  // shards come first
+      WorkerProc& shard = *workers_[i];
+      if (WriteToWorker(shard, forwarded)) continue;
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      if (pending_.count(rid) == 0 || entry->merged.Has(shard.name)) continue;
+      entry->merged.Set(shard.name,
+                        ErrorResponse(Status::Internal(
+                            "worker is down; respawn pending")));
+      if (--entry->awaiting == 0) {
+        completed = true;
+        pending_.erase(rid);
+      }
+    }
+    // Outside pending_mutex_: the metrics rollup reads the registry, whose
+    // exposition callbacks take pending_mutex_.
+    if (completed) {
+      pending_cv_.notify_all();
+      entry->done(BroadcastResponse(*entry));
+    }
+  }
+
+  /// The completed-broadcast response line: for `metrics` the labeled
+  /// "fleet" rollup, for every other op the per-worker pieces under
+  /// "workers". NEVER call under pending_mutex_.
+  std::string BroadcastResponse(const PendingEntry& entry) {
+    JsonValue response = JsonValue::Object();
+    response.Set("ok", JsonValue::Bool(true));
+    if (entry.op == "metrics") {
+      response.Set("fleet", FleetRollup(entry.merged));
+    } else {
+      response.Set("workers", entry.merged);
+    }
+    if (entry.has_client_id) response.Set("id", entry.client_id);
+    return response.Dump();
+  }
+
+  /// Folds every worker's metrics JSON into one registry-shaped document
+  /// ({"counters","gauges","histograms"}) with worker="<name>" injected
+  /// into each key, seeded with the router's own registry — a fleet rollup
+  /// instead of a concatenation of per-worker dumps.
+  JsonValue FleetRollup(const JsonValue& merged) {
+    JsonValue rollup = metrics_->ToJson();
+    for (const std::string& worker : merged.ObjectKeys()) {
+      const JsonValue& piece = merged.at(worker);
+      if (piece.type() != JsonValue::Type::kObject || !piece.Has("metrics") ||
+          piece.at("metrics").type() != JsonValue::Type::kObject) {
+        continue;  // dead worker: an error object, no registry
+      }
+      const JsonValue& metrics = piece.at("metrics");
+      for (const char* section : {"counters", "gauges", "histograms"}) {
+        if (!metrics.Has(section) ||
+            metrics.at(section).type() != JsonValue::Type::kObject) {
+          continue;
+        }
+        if (!rollup.Has(section)) rollup.Set(section, JsonValue::Object());
+        JsonValue merged_section = rollup.at(section);
+        const JsonValue& worker_section = metrics.at(section);
+        for (const std::string& key : worker_section.ObjectKeys()) {
+          merged_section.Set(InjectWorkerLabel(key, worker),
+                             worker_section.at(key));
+        }
+        rollup.Set(section, std::move(merged_section));
+      }
+    }
+    return rollup;
+  }
+
+  void PushTrace(const PendingEntry& entry, JsonValue trace, bool partial) {
+    JsonValue record = JsonValue::Object();
+    record.Set("op", JsonValue::String(entry.op));
+    record.Set("tid", JsonValue::String(entry.tid));
+    if (partial) record.Set("partial", JsonValue::Bool(true));
+    record.Set("trace", std::move(trace));
+    traces_.Push(std::move(record));
+  }
+
+  /// One structured line to stderr when a finished (or failed) request
+  /// took longer than slow_request_ms, carrying the trace id when the
+  /// request was traced so the operator can pull the matching timeline.
+  void MaybeSlowLog(const PendingEntry& entry, Clock::time_point finished) {
+    if (options_.slow_request_ms == 0) return;
+    const int64_t elapsed_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(finished -
+                                                              entry.enqueued)
+            .count();
+    if (elapsed_ms < static_cast<int64_t>(options_.slow_request_ms)) return;
+    JsonValue record = JsonValue::Object();
+    record.Set("event", JsonValue::String("slow_request"));
+    record.Set("op", JsonValue::String(entry.op));
+    if (!entry.worker.empty()) {
+      record.Set("worker", JsonValue::String(entry.worker));
+    }
+    if (!entry.tid.empty()) record.Set("tid", JsonValue::String(entry.tid));
+    record.Set("elapsed_ms",
+               JsonValue::Number(static_cast<double>(elapsed_ms)));
+    record.Set("threshold_ms", JsonValue::Number(static_cast<double>(
+                                   options_.slow_request_ms)));
+    std::cerr << "[router] " << record.Dump() << "\n";
+  }
+
+  // ---- router-level ops ----------------------------------------------
+
+  /// Topology plus per-worker pending depth and oldest-pending age: a
+  /// wedged worker shows up here as a growing queue and a climbing age long
+  /// before the health ping gives up on it. Broadcast entries are owed by
+  /// several workers at once and are counted in "pending_broadcasts".
+  JsonValue RouterStatus() {
+    struct PendingStat {
+      size_t depth = 0;
+      Clock::time_point oldest;
+    };
+    std::map<std::string, PendingStat> per_worker;
+    size_t pending_broadcasts = 0;
+    const auto now = Clock::now();
+    {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      for (const auto& [id, entry] : pending_) {
+        if (entry->kind == PendingEntry::Kind::kBroadcast) {
+          ++pending_broadcasts;
+          continue;
+        }
+        PendingStat& stat = per_worker[entry->worker];
+        if (stat.depth == 0 || entry->enqueued < stat.oldest) {
+          stat.oldest = entry->enqueued;
+        }
+        ++stat.depth;
+      }
+    }
+    JsonValue workers = JsonValue::Array();
+    for (auto& w : workers_) {
+      const PendingStat stat = per_worker[w->name];
+      JsonValue entry = JsonValue::Object();
+      entry.Set("name", JsonValue::String(w->name));
+      entry.Set("role", JsonValue::String(w->replica ? "replica" : "shard"));
+      entry.Set("shard", JsonValue::Number(static_cast<double>(w->shard)));
+      entry.Set("alive", JsonValue::Bool(w->alive.load()));
+      entry.Set("pid", JsonValue::Number(static_cast<double>(w->link->Pid())));
+      entry.Set("pending", JsonValue::Number(static_cast<double>(stat.depth)));
+      entry.Set("oldest_pending_ms",
+                JsonValue::Number(
+                    stat.depth == 0
+                        ? 0.0
+                        : static_cast<double>(
+                              std::chrono::duration_cast<
+                                  std::chrono::milliseconds>(now - stat.oldest)
+                                  .count())));
+      workers.Append(std::move(entry));
+    }
+    JsonValue response = JsonValue::Object();
+    response.Set("ok", JsonValue::Bool(true));
+    response.Set("pending_broadcasts",
+                 JsonValue::Number(static_cast<double>(pending_broadcasts)));
+    response.Set("workers", std::move(workers));
+    response.Set("shards",
+                 JsonValue::Number(static_cast<double>(options_.workers)));
+    response.Set("bound_sessions", JsonValue::Number(static_cast<double>(
+                                       core_.sessions().size())));
+    response.Set("state_dir", JsonValue::String(options_.state_dir));
+    return response;
+  }
+
+  /// save_snapshot on every shard (synchronously, so the files are complete
+  /// before any replica reads them), then respawn every replica from the
+  /// fresh snapshots. Deterministic replica refresh for tests and benches.
+  JsonValue SyncReplicas() {
+    size_t saved = 0;
+    for (size_t i = 0; i < options_.workers; ++i) {
+      JsonValue save = JsonValue::Object();
+      save.Set("op", JsonValue::String("save_snapshot"));
+      save.Set("path", JsonValue::String(SnapshotPath(i)));
+      if (!RoundTrip(*workers_[i], std::move(save), kSnapshotSaveDeadlineMs)
+               .empty()) {
+        ++saved;
+      }
+    }
+    size_t respawned = 0;
+    for (auto& w : workers_) {
+      if (!w->replica) continue;
+      RespawnDeliberately(*w);
+      ++respawned;
+    }
+    JsonValue response = JsonValue::Object();
+    response.Set("ok", JsonValue::Bool(true));
+    response.Set("synced_shards", JsonValue::Number(static_cast<double>(saved)));
+    response.Set("respawned_replicas",
+                 JsonValue::Number(static_cast<double>(respawned)));
+    return response;
+  }
+
+  const RouterOptions options_;
+  RouterCore core_;
+  obs::MetricsRegistry* const metrics_;
+  std::vector<std::unique_ptr<WorkerProc>> workers_;  // shards first
+  std::vector<uint64_t> callback_ids_;  // removed from *metrics_ in dtor
+
+  std::mutex pending_mutex_;
+  std::condition_variable pending_cv_;
+  std::map<std::string, std::shared_ptr<PendingEntry>> pending_;
+  std::atomic<uint64_t> next_id_{1};
+  std::atomic<uint64_t> replica_rr_{0};
+
+  Backoff backoff_;
+  // Serializes every link Start/Kill/Close: crash and deliberate respawns,
+  // the health loop's kill, and shutdown.
+  std::mutex restart_mutex_;
+  std::mt19937_64 respawn_rng_{std::random_device{}()};  // restart_mutex_
+  std::mutex health_mutex_;
+  std::condition_variable health_cv_;
+  std::atomic<bool> shutting_down_{false};
+  std::thread health_thread_;
+
+  obs::Counter* dropped_lines_counter_;
+  obs::Counter* relay_spliced_counter_;
+  obs::Counter* relay_full_parse_counter_;
+  obs::Counter* tc_spliced_counter_;
+  obs::Counter* tc_full_parse_counter_;
+
+  obs::TraceRing traces_{kTraceRingCapacity};  // stitched timelines
+};
+
+Router::Router(RouterOptions options, obs::MetricsRegistry* metrics,
+               WorkerLinkFactory make_link)
+    : impl_(std::make_unique<Impl>(std::move(options), metrics, make_link)) {}
+
+Router::~Router() = default;
+
+Status Router::HandleAsync(std::string line,
+                           std::function<void(std::string)> done) {
+  return impl_->HandleAsync(std::move(line), std::move(done));
+}
+
+void Router::Shutdown() { impl_->Shutdown(); }
+
+Status Router::Ready() const { return impl_->Ready(); }
+
+}  // namespace dpclustx::service

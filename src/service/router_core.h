@@ -1,12 +1,12 @@
 // Routing policy for the sharded multi-worker front door (dpclustx_router).
 //
-// The router process (tools/dpclustx_router.cc) supervises N dpclustx_serve
+// The Router (service/router.h) supervises N dpclustx_serve
 // shard workers (each owning a disjoint set of datasets, with its own
 // snapshot + audit journal) and optionally R read-only replicas per shard.
 // Everything that is *policy* — which worker a request belongs to, which
 // requests may be served by a replica, how a session maps to its dataset,
 // how respawn delays grow — lives here, process-free and unit-testable.
-// The tool owns only the mechanics (pipes, threads, kill/respawn).
+// The Router owns only the mechanics (worker links, threads, respawn).
 //
 // Sharding is a consistent-hash ring over dataset names with virtual nodes,
 // so dataset→shard assignments are deterministic across router restarts

@@ -30,20 +30,6 @@ namespace dpclustx::service {
 
 namespace {
 
-JsonValue ErrorResponse(const Status& status, int64_t retry_after_ms = 0) {
-  JsonValue error = JsonValue::Object();
-  error.Set("code", JsonValue::String(StatusCodeName(status.code())));
-  error.Set("message", JsonValue::String(status.message()));
-  if (retry_after_ms > 0) {
-    error.Set("retry_after_ms",
-              JsonValue::Number(static_cast<double>(retry_after_ms)));
-  }
-  JsonValue response = JsonValue::Object();
-  response.Set("ok", JsonValue::Bool(false));
-  response.Set("error", std::move(error));
-  return response;
-}
-
 /// The complete op vocabulary. Per-op instruments are pre-registered for
 /// exactly these names at engine construction, so the set here and the
 /// RecordOp fast path stay in lockstep by construction.
@@ -85,17 +71,6 @@ StatusOr<bool> OptBool(const JsonValue& request, const std::string& key,
   return request.at(key).AsBool();
 }
 
-StatusOr<size_t> OptCount(const JsonValue& request, const std::string& key,
-                          size_t fallback) {
-  DPX_ASSIGN_OR_RETURN(const double value, OptNumber(request, key,
-                                                     static_cast<double>(fallback)));
-  if (value < 0.0 || value != static_cast<double>(static_cast<size_t>(value))) {
-    return Status::InvalidArgument("field '" + key +
-                                   "' must be a non-negative integer");
-  }
-  return static_cast<size_t>(value);
-}
-
 std::string ClusteringFingerprint(const std::string& method, size_t k,
                                   uint64_t seed, double epsilon) {
   char buf[128];
@@ -117,12 +92,40 @@ JsonValue HistogramToJson(const Histogram& histogram, const Attribute& attr) {
 
 }  // namespace
 
+JsonValue ErrorResponse(const Status& status, int64_t retry_after_ms) {
+  JsonValue error = JsonValue::Object();
+  error.Set("code", JsonValue::String(StatusCodeName(status.code())));
+  error.Set("message", JsonValue::String(status.message()));
+  if (retry_after_ms > 0) {
+    error.Set("retry_after_ms",
+              JsonValue::Number(static_cast<double>(retry_after_ms)));
+  }
+  JsonValue response = JsonValue::Object();
+  response.Set("ok", JsonValue::Bool(false));
+  response.Set("error", std::move(error));
+  return response;
+}
+
+StatusOr<size_t> OptCount(const JsonValue& request, const std::string& key,
+                          size_t fallback) {
+  if (!request.Has(key)) return fallback;
+  DPX_ASSIGN_OR_RETURN(const double value, request.GetNumber(key));
+  // Range-check BEFORE the cast: converting a double at or above 2^64 (or
+  // negative) to size_t is undefined behaviour. 0x1p64 is exactly 2^64.
+  if (!(value >= 0.0 && value < 0x1p64) || value != std::floor(value)) {
+    return Status::InvalidArgument("field '" + key +
+                                   "' must be a non-negative integer");
+  }
+  return static_cast<size_t>(value);
+}
+
 ServiceEngine::ServiceEngine(const ServiceEngineOptions& options)
     : options_(options),
       cache_(options.cache_capacity),
       audit_(options.audit_capacity),
       metrics_(options.metrics_registry != nullptr ? options.metrics_registry
                                                    : &owned_metrics_),
+      traces_(options.trace_ring_capacity),
       pool_(ThreadPoolOptions{options.num_threads, options.queue_capacity}) {
   sessions_.set_audit_log(&audit_);
   RegisterMetrics();
@@ -235,10 +238,7 @@ void ServiceEngine::RegisterMetrics() {
   // op's retained window is incomplete (traces were evicted unseen).
   gauge("dpclustx_trace_dropped_total",
         "Finished request traces evicted from the bounded trace ring",
-        [this] {
-          return static_cast<double>(
-              trace_dropped_.load(std::memory_order_relaxed));
-        });
+        [this] { return static_cast<double>(traces_.dropped()); });
   gauge("dpclustx_audit_epsilon_charged",
         "Total granted epsilon across all tenants",
         [this] { return audit_.GlobalTotals().epsilon_charged; });
@@ -387,13 +387,7 @@ void ServiceEngine::PushTrace(const std::string& op,
   entry.Set("op", JsonValue::String(op));
   if (!trace_id.empty()) entry.Set("tid", JsonValue::String(trace_id));
   entry.Set("trace", std::move(trace_json));
-  std::lock_guard<std::mutex> lock(trace_mutex_);
-  trace_ring_.push_back(std::move(entry));
-  while (trace_ring_.size() > options_.trace_ring_capacity &&
-         !trace_ring_.empty()) {
-    trace_ring_.pop_front();
-    trace_dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
+  traces_.Push(std::move(entry));
 }
 
 Status ServiceEngine::HandleAsync(std::string request_json,
@@ -1161,29 +1155,8 @@ JsonValue ServiceEngine::OpMetricsDump() {
 
 StatusOr<JsonValue> ServiceEngine::OpTrace(const JsonValue& request) {
   DPX_ASSIGN_OR_RETURN(const size_t limit, OptCount(request, "limit", 0));
-  JsonValue traces = JsonValue::Array();
-  size_t retained = 0;
-  {
-    std::lock_guard<std::mutex> lock(trace_mutex_);
-    retained = trace_ring_.size();
-    size_t start = 0;
-    if (limit != 0 && trace_ring_.size() > limit) {
-      start = trace_ring_.size() - limit;
-    }
-    for (size_t i = start; i < trace_ring_.size(); ++i) {
-      traces.Append(trace_ring_[i]);
-    }
-  }
-  JsonValue body = JsonValue::Object();
-  body.Set("traces", std::move(traces));
+  JsonValue body = traces_.ToJson(limit);
   body.Set("trace_all", JsonValue::Bool(options_.trace_all));
-  body.Set("ring_capacity",
-           JsonValue::Number(
-               static_cast<double>(options_.trace_ring_capacity)));
-  body.Set("retained", JsonValue::Number(static_cast<double>(retained)));
-  body.Set("dropped",
-           JsonValue::Number(static_cast<double>(
-               trace_dropped_.load(std::memory_order_relaxed))));
   return body;
 }
 

@@ -99,7 +99,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -113,6 +112,7 @@
 #include "common/thread_pool.h"
 #include "obs/audit_log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/dataset_registry.h"
 #include "service/explanation_cache.h"
 #include "service/session_manager.h"
@@ -120,6 +120,18 @@
 #include "snapshot/snapshot.h"
 
 namespace dpclustx::service {
+
+/// The error envelope every front door answers with:
+/// {"ok":false,"error":{"code","message"[,"retry_after_ms"]}}. A positive
+/// `retry_after_ms` adds the back-off hint shed responses carry.
+JsonValue ErrorResponse(const Status& status, int64_t retry_after_ms = 0);
+
+/// Optional non-negative integer field: absent yields `fallback`; a
+/// non-number, a negative, a fraction, or a value >= 2^64 is
+/// InvalidArgument. The engine and the router read counts (e.g. the
+/// `trace` op's "limit") through this one rule.
+StatusOr<size_t> OptCount(const JsonValue& request, const std::string& key,
+                          size_t fallback);
 
 /// One interception site on the request path, handed to the test-only fault
 /// injector. `point` is "<op>:start" (before the handler runs), "<op>:finish"
@@ -396,11 +408,7 @@ class ServiceEngine {
   obs::Counter* journal_replayed_ = nullptr;  // records applied by recovery
   std::vector<uint64_t> callback_ids_;  // removed from *metrics_ in dtor
   std::atomic<uint64_t> noise_sequence_{0};
-  std::mutex trace_mutex_;
-  std::deque<JsonValue> trace_ring_;  // guarded by trace_mutex_
-  /// Ring entries evicted by capacity — atomic so the exposition-time
-  /// callback gauge reads it without taking trace_mutex_.
-  std::atomic<uint64_t> trace_dropped_{0};
+  obs::TraceRing traces_;  // finished request traces (`trace` op)
   std::mutex inflight_mutex_;
   std::map<std::string, std::shared_ptr<InflightSlot>>
       inflight_;         // guarded by inflight_mutex_

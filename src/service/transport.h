@@ -1,8 +1,8 @@
-// Socket transport for the serving front doors (dpclustx_router and
-// dpclustx_serve): a Unix-domain-socket / TCP listener behind one epoll
-// event loop that accepts many concurrent clients and frames the existing
-// newline-delimited JSON protocol, with bounded per-connection buffers and
-// explicit backpressure.
+// Socket transport for the front door dpclustx_router and dpclustx_serve
+// share (service/front_door.h): a Unix-domain-socket / TCP listener
+// behind one epoll event loop that accepts many concurrent clients and
+// frames the existing newline-delimited JSON protocol, with bounded
+// per-connection buffers and explicit backpressure.
 //
 // Model:
 //
@@ -92,9 +92,8 @@ struct TransportOptions {
   size_t write_hard_limit_bytes = 4u << 20;
 };
 
-/// Connection identity, unique for the lifetime of a Transport. Front
-/// doors may reserve their own out-of-band ids below kFirstConnId (the
-/// router uses 0 for the stdin/stdout compatibility client).
+/// Connection identity, unique for the lifetime of a Transport. Ids below
+/// kFirstConnId tag the event loop's own descriptors (wake fd, listeners).
 using ConnId = uint64_t;
 inline constexpr ConnId kFirstConnId = 1u << 10;
 

@@ -1,10 +1,12 @@
 // Tests for the sharded multi-worker front door: RouterCore policy units
-// (hash ring, classification, session table, backoff) plus end-to-end tests
-// that drive the real dpclustx_router + dpclustx_serve binaries over pipes —
-// including SIGKILLing workers mid-session and verifying that respawn +
-// snapshot/journal restore preserves every ε charge exactly once.
+// (hash ring, classification, session table, backoff); the Router library
+// end to end in-process, over ServiceEngine-backed and scripted worker
+// links (garbage output, death mid-request); and the real dpclustx_router
+// + dpclustx_serve binaries over pipes where only processes will do —
+// SIGKILLing workers mid-session to verify that respawn + snapshot/journal
+// restore preserves every ε charge exactly once, replica sync, and flags.
 
-#include "service/router_core.h"
+#include "service/router.h"
 
 #include <fcntl.h>
 #include <poll.h>
@@ -13,18 +15,20 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
-#include <cstring>
-#include <fstream>
+#include <condition_variable>
 #include <map>
-#include <set>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.h"
 #include "gtest/gtest.h"
-#include "service/transport.h"
+#include "obs/metrics.h"
+#include "service/router_core.h"
+#include "service/service_engine.h"
 
 namespace dpclustx::service {
 namespace {
@@ -191,7 +195,7 @@ TEST(BackoffTest, JitteredDelayNeverReturnsZero) {
   EXPECT_EQ(tiny.JitteredDelayMs(1, 0.0), 1);
 }
 
-// ---- end-to-end: the real binaries over pipes ------------------------
+// ---- shared helpers ----------------------------------------------------
 
 std::string BuildDir() {
   char buf[4096];
@@ -218,221 +222,239 @@ std::string FreshStateDir(const std::string& name) {
   return dir;
 }
 
-/// Drives a dpclustx_router child over pipes, correlating the out-of-order
-/// response stream by id.
-class RouterProcess {
- public:
-  explicit RouterProcess(std::vector<std::string> args) {
-    int to_child[2];
-    int from_child[2];
-    EXPECT_EQ(::pipe(to_child), 0);
-    EXPECT_EQ(::pipe(from_child), 0);
-    pid_ = ::fork();
-    if (pid_ == 0) {
-      ::dup2(to_child[0], STDIN_FILENO);
-      ::dup2(from_child[1], STDOUT_FILENO);
-      ::close(to_child[0]);
-      ::close(to_child[1]);
-      ::close(from_child[0]);
-      ::close(from_child[1]);
-      std::vector<char*> argv;
-      for (const std::string& a : args) {
-        argv.push_back(const_cast<char*>(a.c_str()));
-      }
-      argv.push_back(nullptr);
-      ::execv(argv[0], argv.data());
-      ::_exit(127);
-    }
-    ::close(to_child[0]);
-    ::close(from_child[1]);
-    stdin_fd_ = to_child[1];
-    stdout_fd_ = from_child[0];
-  }
-
-  ~RouterProcess() { Stop(); }
-
-  void Stop() {
-    if (stdin_fd_ >= 0) {
-      ::close(stdin_fd_);
-      stdin_fd_ = -1;
-    }
-    if (pid_ > 0) {
-      int status = 0;
-      ::waitpid(pid_, &status, 0);
-      pid_ = -1;
-    }
-    if (stdout_fd_ >= 0) {
-      ::close(stdout_fd_);
-      stdout_fd_ = -1;
-    }
-  }
-
-  void Send(const std::string& line) {
-    const std::string payload = line + "\n";
-    ASSERT_EQ(::write(stdin_fd_, payload.data(), payload.size()),
-              static_cast<ssize_t>(payload.size()));
-  }
-
-  /// Sends `request` (which must carry the string id `id`) and blocks until
-  /// that id's response arrives. 30s deadline: a hang here is a router bug.
-  JsonValue Call(const std::string& id, const std::string& request) {
-    Send(request);
-    return WaitFor(id);
-  }
-
-  JsonValue WaitFor(const std::string& id) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    for (;;) {
-      auto it = received_.find(id);
-      if (it != received_.end()) {
-        JsonValue response = it->second;
-        received_.erase(it);
-        return response;
-      }
-      EXPECT_LT(std::chrono::steady_clock::now(), deadline)
-          << "no response for id '" << id << "'";
-      if (std::chrono::steady_clock::now() >= deadline) {
-        return JsonValue::Null();
-      }
-      ReadSome();
-    }
-  }
-
- private:
-  void ReadSome() {
-    struct pollfd pfd = {stdout_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 1000);
-    if (ready <= 0) return;
-    char chunk[4096];
-    const ssize_t n = ::read(stdout_fd_, chunk, sizeof(chunk));
-    if (n <= 0) return;
-    buffer_.append(chunk, static_cast<size_t>(n));
-    size_t pos;
-    while ((pos = buffer_.find('\n')) != std::string::npos) {
-      const std::string line = buffer_.substr(0, pos);
-      buffer_.erase(0, pos + 1);
-      StatusOr<JsonValue> parsed = JsonValue::Parse(line);
-      if (!parsed.ok() || parsed->type() != JsonValue::Type::kObject ||
-          !parsed->Has("id")) {
-        continue;
-      }
-      const JsonValue& id = parsed->at("id");
-      if (id.type() != JsonValue::Type::kString) continue;
-      received_[id.AsString()] = *parsed;
-    }
-  }
-
-  pid_t pid_ = -1;
-  int stdin_fd_ = -1;
-  int stdout_fd_ = -1;
-  std::string buffer_;
-  std::map<std::string, JsonValue> received_;
-};
-
-struct ExitResult {
-  int status = -1;  // waitpid status
-  std::string err;  // everything the process wrote to stderr
-};
-
-/// Runs `args` with stdin and stdout on /dev/null until it exits; SIGKILLs
-/// it (and fails the test) after 30 s.
-ExitResult RunToExit(const std::vector<std::string>& args) {
-  int err_pipe[2];
-  EXPECT_EQ(::pipe(err_pipe), 0);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    const int null_fd = ::open("/dev/null", O_RDWR);
-    ::dup2(null_fd, STDIN_FILENO);
-    ::dup2(null_fd, STDOUT_FILENO);
-    ::dup2(err_pipe[1], STDERR_FILENO);
-    ::close(err_pipe[0]);
-    ::close(err_pipe[1]);
-    std::vector<char*> argv;
-    for (const std::string& a : args) {
-      argv.push_back(const_cast<char*>(a.c_str()));
-    }
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    ::_exit(127);
-  }
-  ::close(err_pipe[1]);
-  ExitResult result;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  char chunk[4096];
-  while (std::chrono::steady_clock::now() < deadline) {
-    struct pollfd pfd = {err_pipe[0], POLLIN, 0};
-    if (::poll(&pfd, 1, 100) <= 0) continue;
-    const ssize_t n = ::read(err_pipe[0], chunk, sizeof(chunk));
-    if (n <= 0) break;
-    result.err.append(chunk, static_cast<size_t>(n));
-  }
-  if (std::chrono::steady_clock::now() >= deadline) {
-    ADD_FAILURE() << args[0] << " did not exit within 30 s";
-    ::kill(pid, SIGKILL);
-  }
-  ::close(err_pipe[0]);
-  ::waitpid(pid, &result.status, 0);
-  return result;
-}
-
-TEST(ToolFlagsTest, BadNumericValuesExitTwoWithTheFlagName) {
-  // A numeric flag takes the whole token: no abort on letters, no silent
-  // truncation of trailing characters, no wrap-around of negative values.
-  const std::string build = BuildDir();
-  const std::string state = FreshStateDir("flags");
-  // The router gets a state dir so that, were the value accepted, its
-  // workers would not write snapshots into the working directory.
-  const std::vector<std::vector<std::string>> commands = {
-      {build + "/tools/dpclustx_serve", "--threads"},
-      {build + "/tools/dpclustx_router", "--health-misses", "--state-dir",
-       state},
-  };
-  for (const std::vector<std::string>& command : commands) {
-    const std::string& binary = command[0];
-    const std::string& flag = command[1];
-    for (const std::string value : {"abc", "12x", "-1"}) {
-      std::vector<std::string> args = {binary, flag, value};
-      args.insert(args.end(), command.begin() + 2, command.end());
-      const ExitResult result = RunToExit(args);
-      EXPECT_TRUE(WIFEXITED(result.status) && WEXITSTATUS(result.status) == 2)
-          << binary << " " << flag << " " << value
-          << ": status " << result.status << ", stderr: " << result.err;
-      EXPECT_NE(result.err.find(flag + " needs a non-negative integer, got '" +
-                                value + "'"),
-                std::string::npos)
-          << binary << " stderr: " << result.err;
-    }
-  }
-}
-
 void ExpectOk(const JsonValue& response) {
   ASSERT_TRUE(response.Has("ok")) << response.Dump();
   EXPECT_TRUE(response.at("ok").AsBool()) << response.Dump();
 }
 
-std::vector<std::string> RouterArgs(const std::string& state_dir,
-                                    const std::string& workers,
-                                    const std::string& replicas) {
-  const std::string build = BuildDir();
-  return {build + "/tools/dpclustx_router",
-          "--workers", workers,
-          "--replicas", replicas,
-          "--serve", build + "/tools/dpclustx_serve",
-          "--state-dir", state_dir,
-          "--health-interval-ms", "100",
-          "--health-deadline-ms", "2000",
-          "--health-misses", "3",
-          // Workers run --sync so each shard serves its stream in order
-          // (the test pipelines setup ops); snapshots every 100ms so a
-          // SIGKILL finds recent durable state.
-          "--", "--sync", "--snapshot-interval-ms", "100"};
+/// Response lines correlated by their string id, for either harness.
+class ResponseBox {
+ public:
+  void Deliver(const std::string& line) {
+    StatusOr<JsonValue> parsed = JsonValue::Parse(line);
+    if (!parsed.ok() || parsed->type() != JsonValue::Type::kObject ||
+        !parsed->Has("id") ||
+        parsed->at("id").type() != JsonValue::Type::kString) {
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    received_[parsed->at("id").AsString()] = *parsed;
+    cv_.notify_all();
+  }
+
+  /// Takes `id`'s response, waiting up to `timeout`; null when none came.
+  JsonValue Take(const std::string& id, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!cv_.wait_for(lock, timeout,
+                      [&] { return received_.count(id) != 0; })) {
+      return JsonValue::Null();
+    }
+    JsonValue response = std::move(received_[id]);
+    received_.erase(id);
+    return response;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::map<std::string, JsonValue> received_;
+};
+
+/// Pids of the live shard primaries, from _router_status.
+template <typename RouterHarness>
+std::vector<pid_t> ShardPids(RouterHarness& router, const std::string& id) {
+  const JsonValue status =
+      router.Call(id, R"({"op":"_router_status","id":")" + id + R"("})");
+  std::vector<pid_t> pids;
+  if (!status.Has("workers")) return pids;
+  const JsonValue& workers = status.at("workers");
+  for (size_t i = 0; i < workers.size(); ++i) {
+    const JsonValue& w = workers.at(i);
+    if (w.at("role").AsString() == "shard" && w.at("alive").AsBool()) {
+      pids.push_back(static_cast<pid_t>(w.at("pid").AsNumber()));
+    }
+  }
+  return pids;
 }
 
+/// Polls _router_status until every shard is alive under a pid not in
+/// `old`; returns the last pids seen.
+template <typename RouterHarness>
+std::vector<pid_t> AwaitRespawn(RouterHarness& router,
+                                const std::vector<pid_t>& old,
+                                const std::string& id_prefix) {
+  std::vector<pid_t> fresh;
+  for (int attempt = 0; attempt < 800; ++attempt) {  // 20 s
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    fresh = ShardPids(router, id_prefix + std::to_string(attempt));
+    bool all_new = fresh.size() == old.size();
+    for (const pid_t pid : fresh) {
+      for (const pid_t gone : old) all_new = all_new && pid != gone;
+    }
+    if (all_new) break;
+  }
+  return fresh;
+}
+
+/// Child span of `node` with the given name, or nullptr.
+const JsonValue* FindChild(const JsonValue& node, const std::string& name) {
+  if (!node.Has("children")) return nullptr;
+  const JsonValue& children = node.at("children");
+  for (size_t i = 0; i < children.size(); ++i) {
+    if (children.at(i).at("name").AsString() == name) return &children.at(i);
+  }
+  return nullptr;
+}
+
+// ---- in-process: the Router library over test links ------------------
+
+/// In-process stand-in for a dpclustx_serve child: one ServiceEngine
+/// behind HandleAsync. Its single engine thread serves the stream in
+/// order, like a worker started with --sync. kGarbage answers every line
+/// with non-JSON; Freeze holds lines unanswered and Crash then fires the
+/// death callback with them still owed — a SIGSTOP + SIGKILL mid-request.
+class EngineLink : public WorkerLink {
+ public:
+  enum class Script { kServe, kGarbage };
+
+  explicit EngineLink(Script script) : script_(script) {}
+  ~EngineLink() override { Kill(); }
+
+  Status Start(LineFn on_line, DeathFn on_death) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ServiceEngineOptions options;
+    options.num_threads = 1;
+    engine_ = std::make_unique<ServiceEngine>(options);
+    on_line_ = std::move(on_line);
+    on_death_ = std::move(on_death);
+    frozen_ = false;
+    died_ = false;
+    pid_.store(next_pid_.fetch_add(1));
+    return Status::OK();
+  }
+
+  bool Send(const std::string& line) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (engine_ == nullptr || died_) return false;
+    if (frozen_) return true;  // accepted, never answered
+    return engine_
+        ->HandleAsync(line,
+                      [this](std::string response) {
+                        on_line_(script_ == Script::kGarbage
+                                     ? "garbage not json"
+                                     : std::move(response));
+                      })
+        .ok();
+  }
+
+  void Kill() override { Close(); }
+
+  void Close() override {
+    std::unique_ptr<ServiceEngine> engine;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      engine = std::move(engine_);
+    }
+    if (engine == nullptr) return;
+    engine->Shutdown();  // queued responses land before the "EOF"
+    FireDeath();
+    pid_.store(-1);
+  }
+
+  int64_t Pid() const override { return pid_.load(); }
+
+  void Freeze() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    frozen_ = true;
+  }
+
+  /// Dies now, on the calling thread, owing whatever it holds.
+  void Crash() { FireDeath(); }
+
+ private:
+  void FireDeath() {
+    DeathFn on_death;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (died_) return;
+      died_ = true;
+      on_death = on_death_;
+    }
+    on_death();
+  }
+
+  static inline std::atomic<int64_t> next_pid_{1000};
+  const Script script_;
+  std::mutex mutex_;
+  std::unique_ptr<ServiceEngine> engine_;  // guarded by mutex_
+  LineFn on_line_;
+  DeathFn on_death_;
+  bool frozen_ = false;
+  bool died_ = false;
+  std::atomic<int64_t> pid_{-1};
+};
+
+/// A factory of EngineLinks; `links` (optional) collects them in spawn
+/// order so a test can script them.
+WorkerLinkFactory EngineLinks(
+    EngineLink::Script script = EngineLink::Script::kServe,
+    std::vector<EngineLink*>* links = nullptr) {
+  return [script, links](const std::string&, std::vector<std::string>)
+             -> std::unique_ptr<WorkerLink> {
+    auto link = std::make_unique<EngineLink>(script);
+    if (links != nullptr) links->push_back(link.get());
+    return link;
+  };
+}
+
+RouterOptions InProcessOptions(const std::string& state_dir, size_t workers) {
+  RouterOptions options;
+  options.workers = workers;
+  options.state_dir = state_dir;
+  options.health_interval_ms = 100;
+  return options;
+}
+
+/// Drives a Router in-process through HandleAsync, with a private metrics
+/// registry, correlating responses by id.
+class InProcessRouter {
+ public:
+  InProcessRouter(RouterOptions options, WorkerLinkFactory make_link)
+      : router_(std::move(options), &metrics_, std::move(make_link)) {}
+
+  void Send(const std::string& line) {
+    ASSERT_TRUE(router_
+                    .HandleAsync(line,
+                                 [this](std::string response) {
+                                   box_.Deliver(response);
+                                 })
+                    .ok());
+  }
+
+  JsonValue Call(const std::string& id, const std::string& request) {
+    Send(request);
+    return WaitFor(id);
+  }
+
+  /// 30s deadline: a hang here is a router bug.
+  JsonValue WaitFor(const std::string& id) {
+    JsonValue response = box_.Take(id, std::chrono::seconds(30));
+    EXPECT_TRUE(response.type() != JsonValue::Type::kNull)
+        << "no response for id '" << id << "'";
+    return response;
+  }
+
+  obs::MetricsRegistry& metrics() { return metrics_; }
+
+ private:
+  obs::MetricsRegistry metrics_;  // outlives router_
+  ResponseBox box_;
+  Router router_;  // destroyed first: no callback outlives the box
+};
+
 TEST(RouterE2eTest, ShardedSessionFlowAcrossTwoWorkers) {
-  const std::string state = FreshStateDir("flow");
-  RouterProcess router(RouterArgs(state, "2", "0"));
+  InProcessRouter router(InProcessOptions(FreshStateDir("flow"), 2),
+                         EngineLinks());
 
   // Two datasets: the ring may place them on the same shard or different
   // ones — either way every dataset-keyed op must land where its data is.
@@ -490,174 +512,17 @@ TEST(RouterE2eTest, ShardedSessionFlowAcrossTwoWorkers) {
   EXPECT_EQ(ghost.at("error").at("code").AsString(), "NotFound");
 }
 
-std::vector<pid_t> ShardPids(RouterProcess& router, const std::string& id) {
-  const JsonValue status =
-      router.Call(id, R"({"op":"_router_status","id":")" + id + R"("})");
-  std::vector<pid_t> pids;
-  if (!status.Has("workers")) return pids;
-  const JsonValue& workers = status.at("workers");
-  for (size_t i = 0; i < workers.size(); ++i) {
-    const JsonValue& w = workers.at(i);
-    if (w.at("role").AsString() == "shard" && w.at("alive").AsBool()) {
-      pids.push_back(static_cast<pid_t>(w.at("pid").AsNumber()));
-    }
-  }
-  return pids;
-}
-
-TEST(RouterE2eTest, SigkilledWorkersRespawnWithLedgersIntact) {
-  const std::string state = FreshStateDir("kill");
-  RouterProcess router(RouterArgs(state, "2", "0"));
-
-  ExpectOk(router.Call(
-      "s1",
-      R"({"op":"load_dataset","name":"d1","source":"synthetic",)"
-      R"("generator":"diabetes","rows":300,"cap_epsilon":5.0,"id":"s1"})"));
-  ExpectOk(router.Call(
-      "s2",
-      R"({"op":"load_dataset","name":"d2","source":"synthetic",)"
-      R"("generator":"diabetes","rows":300,"cap_epsilon":5.0,"id":"s2"})"));
-  ExpectOk(router.Call(
-      "s3",
-      R"({"op":"cluster","dataset":"d1","method":"k-means","k":3,"id":"s3"})"));
-  ExpectOk(router.Call(
-      "s4",
-      R"({"op":"cluster","dataset":"d2","method":"k-means","k":3,"id":"s4"})"));
-  ExpectOk(router.Call(
-      "s5",
-      R"({"op":"create_session","dataset":"d1","session":"alice",)"
-      R"("epsilon":2.0,"id":"s5"})"));
-  ExpectOk(router.Call(
-      "s6",
-      R"({"op":"create_session","dataset":"d2","session":"bob",)"
-      R"("epsilon":2.0,"id":"s6"})"));
-  ExpectOk(router.Call(
-      "s7", R"({"op":"hist","session":"alice","attribute":"diab_3",)"
-            R"("epsilon":0.1,"id":"s7"})"));
-  ExpectOk(router.Call(
-      "s8", R"({"op":"hist","session":"bob","attribute":"diab_5",)"
-            R"("epsilon":0.07,"id":"s8"})"));
-
-  // Let the periodic snapshot (100ms) capture the sessions, then SIGKILL
-  // every shard — the strongest crash the protocol must survive.
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  const std::vector<pid_t> pids = ShardPids(router, "s9");
-  ASSERT_EQ(pids.size(), 2u);
-  for (const pid_t pid : pids) ASSERT_EQ(::kill(pid, SIGKILL), 0);
-
-  // Wait until the router reports both shards respawned with NEW pids.
-  std::vector<pid_t> fresh;
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    fresh = ShardPids(router, "k" + std::to_string(attempt));
-    if (fresh.size() == 2) {
-      bool all_new = true;
-      for (const pid_t pid : fresh) {
-        for (const pid_t old : pids) all_new = all_new && pid != old;
-      }
-      if (all_new) break;
-    }
-  }
-  ASSERT_EQ(fresh.size(), 2u) << "shards never respawned";
-
-  // Restored-from-snapshot(+journal) ledgers: every pre-kill charge is
-  // there, exactly once.
-  const JsonValue alice = router.Call(
-      "v1", R"({"op":"budget","session":"alice","id":"v1"})");
-  ExpectOk(alice);
-  EXPECT_DOUBLE_EQ(alice.at("spent").AsNumber(), 0.1);
-
-  const JsonValue bob = router.Call(
-      "v2", R"({"op":"budget","session":"bob","id":"v2"})");
-  ExpectOk(bob);
-  EXPECT_DOUBLE_EQ(bob.at("spent").AsNumber(), 0.07);
-
-  // The paid-for releases survived in the restored cache: repeats are free.
-  const JsonValue repeat = router.Call(
-      "v3", R"({"op":"hist","session":"alice","attribute":"diab_3",)"
-            R"("epsilon":0.1,"id":"v3"})");
-  ExpectOk(repeat);
-  EXPECT_TRUE(repeat.at("cache_hit").AsBool());
-  EXPECT_EQ(repeat.at("epsilon_charged").AsNumber(), 0.0);
-  const JsonValue after = router.Call(
-      "v4", R"({"op":"budget","session":"alice","id":"v4"})");
-  ExpectOk(after);
-  EXPECT_DOUBLE_EQ(after.at("spent").AsNumber(), 0.1);
-}
-
-TEST(RouterE2eTest, ReplicaServesRepeatReadsAfterSync) {
-  const std::string state = FreshStateDir("replica");
-  RouterProcess router(RouterArgs(state, "1", "1"));
-
-  ExpectOk(router.Call(
-      "r1",
-      R"({"op":"load_dataset","name":"d","source":"synthetic",)"
-      R"("generator":"diabetes","rows":300,"cap_epsilon":5.0,"id":"r1"})"));
-  ExpectOk(router.Call(
-      "r2",
-      R"({"op":"cluster","dataset":"d","method":"k-means","k":3,"id":"r2"})"));
-  ExpectOk(router.Call(
-      "r3",
-      R"({"op":"create_session","dataset":"d","session":"alice",)"
-      R"("epsilon":2.0,"id":"r3"})"));
-
-  // First read: charged on the primary (the replica, whatever its state,
-  // refuses the miss and the router falls back).
-  const JsonValue first = router.Call(
-      "r4", R"({"op":"hist","session":"alice","attribute":"diab_3",)"
-            R"("epsilon":0.1,"id":"r4"})");
-  ExpectOk(first);
-  EXPECT_FALSE(first.at("cache_hit").AsBool());
-
-  // Push the charged release into the replica via snapshot sync.
-  ExpectOk(router.Call(
-      "r5", R"({"op":"_router_sync_replicas","id":"r5"})"));
-
-  // Repeat reads are now hits — served for zero ε (by the replica when it
-  // answers first, by the primary's cache on fallback; either way free and
-  // byte-identical), and the ledger must not move.
-  for (int i = 0; i < 3; ++i) {
-    const std::string id = "rr" + std::to_string(i);
-    const JsonValue repeat = router.Call(
-        id, R"({"op":"hist","session":"alice","attribute":"diab_3",)"
-            R"("epsilon":0.1,"id":")" + id + R"("})");
-    ExpectOk(repeat);
-    EXPECT_TRUE(repeat.at("cache_hit").AsBool()) << repeat.Dump();
-    EXPECT_EQ(repeat.at("epsilon_charged").AsNumber(), 0.0);
-  }
-  const JsonValue budget = router.Call(
-      "r6", R"({"op":"budget","session":"alice","id":"r6"})");
-  ExpectOk(budget);
-  EXPECT_DOUBLE_EQ(budget.at("spent").AsNumber(), 0.1);
-}
-
 TEST(RouterE2eTest, GarbageWorkerLinesFailTheRequestNotTheRouter) {
-  const std::string state = FreshStateDir("garbage");
-  // A "worker" that answers every request line with something that is not
-  // JSON. The router must not hang the client that is waiting on it, and
-  // must not crash — it fails the pending request with a structured error
-  // and counts the dropped line.
-  const std::string fake = state + "/garbage_worker.sh";
-  {
-    std::ofstream out(fake);
-    out << "#!/bin/sh\nwhile read line; do echo 'garbage not json'; done\n";
-  }
-  ::chmod(fake.c_str(), 0755);
-
-  const std::string build = BuildDir();
-  const std::string socket = "unix:" + state + "/router.sock";
-  RouterProcess router({build + "/tools/dpclustx_router",
-                        "--workers", "1",
-                        "--replicas", "0",
-                        "--serve", fake,
-                        "--state-dir", state,
-                        "--listen", socket,
-                        // No health pings during the test window: a ping
-                        // would also get a garbage reply and eventually
-                        // respawn the worker, which is not what we probe.
-                        "--health-interval-ms", "60000",
-                        "--health-deadline-ms", "2000",
-                        "--health-misses", "3"});
+  // A worker that answers every request line with something that is not
+  // JSON. The router must not hang the client waiting on it, and must not
+  // crash — it fails the pending request with a structured error and
+  // counts the dropped line.
+  RouterOptions options = InProcessOptions(FreshStateDir("garbage"), 1);
+  // No health pings during the test window: a ping would also get a
+  // garbage reply and eventually respawn the worker, which is not probed.
+  options.health_interval_ms = 60000;
+  InProcessRouter router(std::move(options),
+                         EngineLinks(EngineLink::Script::kGarbage));
 
   const JsonValue response = router.Call(
       "c1", R"({"op":"schema","dataset":"d","id":"c1"})");
@@ -669,36 +534,23 @@ TEST(RouterE2eTest, GarbageWorkerLinesFailTheRequestNotTheRouter) {
             std::string::npos)
       << response.Dump();
 
-  // The drop is counted in the router's registry. (A `metrics` broadcast
-  // would reach the garbage worker, so read the router's own /metrics.)
-  const StatusOr<std::string> metrics = HttpGet(socket, "/metrics");
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  EXPECT_NE(metrics->find("\ndpclustx_router_dropped_lines_total 1\n"),
+  // The drop is counted in the router's registry — the text its front
+  // door serves as GET /metrics.
+  const std::string metrics = router.metrics().PrometheusText();
+  EXPECT_NE(metrics.find("\ndpclustx_router_dropped_lines_total 1\n"),
             std::string::npos)
-      << *metrics;
+      << metrics;
 }
 
 // ---- observability: trace propagation, fleet rollup (DESIGN.md §15) --
 
-/// Child span of `node` with the given name, or nullptr. Spans are ordered,
-/// so tests assert both presence and position where it matters.
-const JsonValue* FindChild(const JsonValue& node, const std::string& name) {
-  if (!node.Has("children")) return nullptr;
-  const JsonValue& children = node.at("children");
-  for (size_t i = 0; i < children.size(); ++i) {
-    if (children.at(i).at("name").AsString() == name) return &children.at(i);
-  }
-  return nullptr;
-}
-
 TEST(RouterE2eTest, TracedExplainReturnsOneStitchedTimeline) {
-  const std::string state = FreshStateDir("trace");
-  // --verify-relay makes the router cross-check every _tc splice against a
+  // verify_relay makes the router cross-check every _tc splice against a
   // full parse+re-dump and abort on any byte difference — so this test
   // passing also proves splice/parse equivalence on the traced path.
-  std::vector<std::string> args = RouterArgs(state, "2", "0");
-  args.insert(args.begin() + 1, "--verify-relay");
-  RouterProcess router(std::move(args));
+  RouterOptions options = InProcessOptions(FreshStateDir("trace"), 2);
+  options.verify_relay = true;
+  InProcessRouter router(std::move(options), EngineLinks());
 
   ExpectOk(router.Call(
       "e1",
@@ -772,23 +624,25 @@ TEST(RouterE2eTest, TracedExplainReturnsOneStitchedTimeline) {
 }
 
 TEST(RouterE2eTest, WorkerDeathMidRequestYieldsPartialTimeline) {
-  const std::string state = FreshStateDir("partial");
-  RouterProcess router(RouterArgs(state, "2", "0"));
+  std::vector<EngineLink*> links;
+  InProcessRouter router(InProcessOptions(FreshStateDir("partial"), 2),
+                         EngineLinks(EngineLink::Script::kServe, &links));
+  ASSERT_EQ(links.size(), 2u);
 
   ExpectOk(router.Call(
       "w1",
       R"({"op":"load_dataset","name":"d1","source":"synthetic",)"
       R"("generator":"diabetes","rows":300,"cap_epsilon":5.0,"id":"w1"})"));
 
-  // Freeze both shards so the traced request is parked in a worker queue,
-  // then SIGKILL them: the router must fail the request promptly (no hang)
-  // with a router-side-only timeline marked partial.
+  // Freeze both shards so the traced request is parked in a worker, then
+  // kill them: the router must fail the request promptly (no hang) with a
+  // router-side-only timeline marked partial.
   const std::vector<pid_t> pids = ShardPids(router, "w2");
   ASSERT_EQ(pids.size(), 2u);
-  for (const pid_t pid : pids) ASSERT_EQ(::kill(pid, SIGSTOP), 0);
+  for (EngineLink* link : links) link->Freeze();
   router.Send(R"({"op":"schema","dataset":"d1","trace":true,"id":"w3"})");
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  for (const pid_t pid : pids) ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  for (EngineLink* link : links) link->Crash();
 
   const JsonValue failed = router.WaitFor("w3");
   ASSERT_TRUE(failed.Has("ok")) << failed.Dump();
@@ -812,18 +666,7 @@ TEST(RouterE2eTest, WorkerDeathMidRequestYieldsPartialTimeline) {
 
   // Respawn heals the fleet: wait for fresh shard pids, then a new traced
   // request completes with a full (non-partial) timeline.
-  std::vector<pid_t> fresh;
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    fresh = ShardPids(router, "w5" + std::to_string(attempt));
-    if (fresh.size() == 2) {
-      bool all_new = true;
-      for (const pid_t pid : fresh) {
-        for (const pid_t old : pids) all_new = all_new && pid != old;
-      }
-      if (all_new) break;
-    }
-  }
+  const std::vector<pid_t> fresh = AwaitRespawn(router, pids, "w5");
   ASSERT_EQ(fresh.size(), 2u) << "shards never respawned";
   const JsonValue again = router.Call(
       "w6",
@@ -836,12 +679,12 @@ TEST(RouterE2eTest, WorkerDeathMidRequestYieldsPartialTimeline) {
 }
 
 TEST(RouterE2eTest, MetricsBroadcastReturnsFleetRollup) {
-  const std::string state = FreshStateDir("fleet");
-  RouterProcess router(RouterArgs(state, "2", "0"));
+  InProcessRouter router(InProcessOptions(FreshStateDir("fleet"), 2),
+                         EngineLinks());
 
   // A ping touches every worker, so each shard's registry has op="ping"
-  // series by the time the metrics broadcast fans out (--sync workers
-  // serve their stream in order).
+  // series by the time the metrics broadcast fans out (each link serves
+  // its stream in order).
   ExpectOk(router.Call("f1", R"({"op":"ping","id":"f1"})"));
 
   const JsonValue response = router.Call("f2", R"({"op":"metrics","id":"f2"})");
@@ -866,6 +709,348 @@ TEST(RouterE2eTest, MetricsBroadcastReturnsFleetRollup) {
   const JsonValue& counters = fleet.at("counters");
   EXPECT_TRUE(counters.Has("dpclustx_router_tc_spliced_total"))
       << fleet.Dump();
+}
+
+TEST(TraceLimitTest, RouterAndEngineRejectTheSameBadLimits) {
+  // One rule on both sides of the link: "limit" is a non-negative integer
+  // below 2^64, range-checked before any cast.
+  InProcessRouter router(InProcessOptions(FreshStateDir("limit"), 1),
+                         EngineLinks());
+  ServiceEngine engine;
+  for (const std::string limit : {"-1", "\"x\"", "1.5", "1e300"}) {
+    const std::string request =
+        R"({"op":"trace","limit":)" + limit + R"(,"id":"l"})";
+    StatusOr<JsonValue> from_engine = JsonValue::Parse(engine.Handle(request));
+    ASSERT_TRUE(from_engine.ok());
+    for (const JsonValue& response : {router.Call("l", request), *from_engine}) {
+      ASSERT_TRUE(response.Has("ok")) << limit << ": " << response.Dump();
+      EXPECT_FALSE(response.at("ok").AsBool()) << limit;
+      EXPECT_EQ(response.at("error").at("code").AsString(), "InvalidArgument")
+          << limit << ": " << response.Dump();
+    }
+  }
+}
+
+// ---- the real binaries over pipes ------------------------------------
+
+/// Drives a dpclustx_router child over pipes, correlating the out-of-order
+/// response stream by id.
+class RouterProcess {
+ public:
+  explicit RouterProcess(std::vector<std::string> args) {
+    // A router that dies must fail this test, not kill the whole binary
+    // with SIGPIPE on the next write to its stdin.
+    ::signal(SIGPIPE, SIG_IGN);
+    int to_child[2];
+    int from_child[2];
+    EXPECT_EQ(::pipe(to_child), 0);
+    EXPECT_EQ(::pipe(from_child), 0);
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      ::dup2(to_child[0], STDIN_FILENO);
+      ::dup2(from_child[1], STDOUT_FILENO);
+      ::close(to_child[0]);
+      ::close(to_child[1]);
+      ::close(from_child[0]);
+      ::close(from_child[1]);
+      std::vector<char*> argv;
+      for (const std::string& a : args) {
+        argv.push_back(const_cast<char*>(a.c_str()));
+      }
+      argv.push_back(nullptr);
+      ::execv(argv[0], argv.data());
+      ::_exit(127);
+    }
+    ::close(to_child[0]);
+    ::close(from_child[1]);
+    stdin_fd_ = to_child[1];
+    stdout_fd_ = from_child[0];
+  }
+
+  ~RouterProcess() { Stop(); }
+
+  void Stop() {
+    if (stdin_fd_ >= 0) {
+      ::close(stdin_fd_);
+      stdin_fd_ = -1;
+    }
+    if (pid_ > 0) {
+      int status = 0;
+      ::waitpid(pid_, &status, 0);
+      pid_ = -1;
+    }
+    if (stdout_fd_ >= 0) {
+      ::close(stdout_fd_);
+      stdout_fd_ = -1;
+    }
+  }
+
+  void Send(const std::string& line) {
+    const std::string payload = line + "\n";
+    ASSERT_EQ(::write(stdin_fd_, payload.data(), payload.size()),
+              static_cast<ssize_t>(payload.size()));
+  }
+
+  /// Sends `request` (which must carry the string id `id`) and blocks until
+  /// that id's response arrives. 30s deadline: a hang here is a router bug.
+  JsonValue Call(const std::string& id, const std::string& request) {
+    Send(request);
+    return WaitFor(id);
+  }
+
+  JsonValue WaitFor(const std::string& id) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    for (;;) {
+      JsonValue response = box_.Take(id, std::chrono::milliseconds(0));
+      if (response.type() != JsonValue::Type::kNull) return response;
+      EXPECT_LT(std::chrono::steady_clock::now(), deadline)
+          << "no response for id '" << id << "'";
+      if (std::chrono::steady_clock::now() >= deadline) {
+        return JsonValue::Null();
+      }
+      ReadSome();
+    }
+  }
+
+ private:
+  void ReadSome() {
+    struct pollfd pfd = {stdout_fd_, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, 1000);
+    if (ready <= 0) return;
+    char chunk[4096];
+    const ssize_t n = ::read(stdout_fd_, chunk, sizeof(chunk));
+    if (n <= 0) return;
+    buffer_.append(chunk, static_cast<size_t>(n));
+    size_t pos;
+    while ((pos = buffer_.find('\n')) != std::string::npos) {
+      box_.Deliver(buffer_.substr(0, pos));
+      buffer_.erase(0, pos + 1);
+    }
+  }
+
+  pid_t pid_ = -1;
+  int stdin_fd_ = -1;
+  int stdout_fd_ = -1;
+  std::string buffer_;
+  ResponseBox box_;
+};
+
+struct ExitResult {
+  int status = -1;  // waitpid status
+  std::string err;  // everything the process wrote to stderr
+};
+
+/// Runs `args` with stdin and stdout on /dev/null until it exits; SIGKILLs
+/// it (and fails the test) after 30 s.
+ExitResult RunToExit(const std::vector<std::string>& args) {
+  int err_pipe[2];
+  EXPECT_EQ(::pipe(err_pipe), 0);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int null_fd = ::open("/dev/null", O_RDWR);
+    ::dup2(null_fd, STDIN_FILENO);
+    ::dup2(null_fd, STDOUT_FILENO);
+    ::dup2(err_pipe[1], STDERR_FILENO);
+    ::close(err_pipe[0]);
+    ::close(err_pipe[1]);
+    std::vector<char*> argv;
+    for (const std::string& a : args) {
+      argv.push_back(const_cast<char*>(a.c_str()));
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  ::close(err_pipe[1]);
+  ExitResult result;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  char chunk[4096];
+  while (std::chrono::steady_clock::now() < deadline) {
+    struct pollfd pfd = {err_pipe[0], POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    const ssize_t n = ::read(err_pipe[0], chunk, sizeof(chunk));
+    if (n <= 0) break;
+    result.err.append(chunk, static_cast<size_t>(n));
+  }
+  if (std::chrono::steady_clock::now() >= deadline) {
+    ADD_FAILURE() << args[0] << " did not exit within 30 s";
+    ::kill(pid, SIGKILL);
+  }
+  ::close(err_pipe[0]);
+  ::waitpid(pid, &result.status, 0);
+  return result;
+}
+
+TEST(ToolFlagsTest, BadNumericValuesExitTwoWithTheFlagName) {
+  // A numeric flag takes the whole token: no abort on letters, no silent
+  // truncation of trailing characters, no wrap-around of negative values.
+  const std::string build = BuildDir();
+  const std::string state = FreshStateDir("flags");
+  // The router and the load bench get a state dir so that, were the value
+  // accepted, nothing would write into the working directory.
+  const std::vector<std::vector<std::string>> commands = {
+      {build + "/tools/dpclustx_serve", "--threads"},
+      {build + "/tools/dpclustx_router", "--health-misses", "--state-dir",
+       state},
+      {build + "/bench/bench_service_load", "--workers", "--state-dir",
+       state + "/load"},
+  };
+  const auto expect_usage_error = [](const std::vector<std::string>& args,
+                                     const std::string& message) {
+    const ExitResult result = RunToExit(args);
+    EXPECT_TRUE(WIFEXITED(result.status) && WEXITSTATUS(result.status) == 2)
+        << args[0] << " " << args[1] << " " << args[2]
+        << ": status " << result.status << ", stderr: " << result.err;
+    EXPECT_NE(result.err.find(message), std::string::npos)
+        << args[0] << " stderr: " << result.err;
+  };
+  for (const std::vector<std::string>& command : commands) {
+    const std::string& flag = command[1];
+    for (const std::string value : {"abc", "12x", "-1"}) {
+      std::vector<std::string> args = {command[0], flag, value};
+      args.insert(args.end(), command.begin() + 2, command.end());
+      expect_usage_error(args, flag + " needs a non-negative integer, got '" +
+                                   value + "'");
+    }
+  }
+  expect_usage_error({build + "/bench/bench_service_load", "--open-qps", "abc",
+                      "--state-dir", state + "/load"},
+                     "--open-qps needs a non-negative number, got 'abc'");
+}
+
+std::vector<std::string> RouterArgs(const std::string& state_dir,
+                                    const std::string& workers,
+                                    const std::string& replicas) {
+  const std::string build = BuildDir();
+  return {build + "/tools/dpclustx_router",
+          "--workers", workers,
+          "--replicas", replicas,
+          "--serve", build + "/tools/dpclustx_serve",
+          "--state-dir", state_dir,
+          "--health-interval-ms", "100",
+          "--health-deadline-ms", "2000",
+          "--health-misses", "3",
+          // Workers run --sync so each shard serves its stream in order
+          // (the test pipelines setup ops); snapshots every 100ms so a
+          // SIGKILL finds recent durable state.
+          "--", "--sync", "--snapshot-interval-ms", "100"};
+}
+
+TEST(RouterE2eTest, SigkilledWorkersRespawnWithLedgersIntact) {
+  const std::string state = FreshStateDir("kill");
+  RouterProcess router(RouterArgs(state, "2", "0"));
+
+  ExpectOk(router.Call(
+      "s1",
+      R"({"op":"load_dataset","name":"d1","source":"synthetic",)"
+      R"("generator":"diabetes","rows":300,"cap_epsilon":5.0,"id":"s1"})"));
+  ExpectOk(router.Call(
+      "s2",
+      R"({"op":"load_dataset","name":"d2","source":"synthetic",)"
+      R"("generator":"diabetes","rows":300,"cap_epsilon":5.0,"id":"s2"})"));
+  ExpectOk(router.Call(
+      "s3",
+      R"({"op":"cluster","dataset":"d1","method":"k-means","k":3,"id":"s3"})"));
+  ExpectOk(router.Call(
+      "s4",
+      R"({"op":"cluster","dataset":"d2","method":"k-means","k":3,"id":"s4"})"));
+  ExpectOk(router.Call(
+      "s5",
+      R"({"op":"create_session","dataset":"d1","session":"alice",)"
+      R"("epsilon":2.0,"id":"s5"})"));
+  ExpectOk(router.Call(
+      "s6",
+      R"({"op":"create_session","dataset":"d2","session":"bob",)"
+      R"("epsilon":2.0,"id":"s6"})"));
+  ExpectOk(router.Call(
+      "s7", R"({"op":"hist","session":"alice","attribute":"diab_3",)"
+            R"("epsilon":0.1,"id":"s7"})"));
+  ExpectOk(router.Call(
+      "s8", R"({"op":"hist","session":"bob","attribute":"diab_5",)"
+            R"("epsilon":0.07,"id":"s8"})"));
+
+  // Let the periodic snapshot (100ms) capture the sessions, then SIGKILL
+  // every shard — the strongest crash the protocol must survive.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const std::vector<pid_t> pids = ShardPids(router, "s9");
+  ASSERT_EQ(pids.size(), 2u);
+  for (const pid_t pid : pids) ASSERT_EQ(::kill(pid, SIGKILL), 0);
+
+  // Wait until the router reports both shards respawned with NEW pids.
+  const std::vector<pid_t> fresh = AwaitRespawn(router, pids, "k");
+  ASSERT_EQ(fresh.size(), 2u) << "shards never respawned";
+
+  // Restored-from-snapshot(+journal) ledgers: every pre-kill charge is
+  // there, exactly once.
+  const JsonValue alice = router.Call(
+      "v1", R"({"op":"budget","session":"alice","id":"v1"})");
+  ExpectOk(alice);
+  EXPECT_DOUBLE_EQ(alice.at("spent").AsNumber(), 0.1);
+
+  const JsonValue bob = router.Call(
+      "v2", R"({"op":"budget","session":"bob","id":"v2"})");
+  ExpectOk(bob);
+  EXPECT_DOUBLE_EQ(bob.at("spent").AsNumber(), 0.07);
+
+  // The paid-for releases survived in the restored cache: repeats are free.
+  const JsonValue repeat = router.Call(
+      "v3", R"({"op":"hist","session":"alice","attribute":"diab_3",)"
+            R"("epsilon":0.1,"id":"v3"})");
+  ExpectOk(repeat);
+  EXPECT_TRUE(repeat.at("cache_hit").AsBool());
+  EXPECT_EQ(repeat.at("epsilon_charged").AsNumber(), 0.0);
+  const JsonValue after = router.Call(
+      "v4", R"({"op":"budget","session":"alice","id":"v4"})");
+  ExpectOk(after);
+  EXPECT_DOUBLE_EQ(after.at("spent").AsNumber(), 0.1);
+}
+
+TEST(RouterE2eTest, ReplicaServesRepeatReadsAfterSync) {
+  const std::string state = FreshStateDir("replica");
+  RouterProcess router(RouterArgs(state, "1", "1"));
+
+  ExpectOk(router.Call(
+      "r1",
+      R"({"op":"load_dataset","name":"d","source":"synthetic",)"
+      R"("generator":"diabetes","rows":300,"cap_epsilon":5.0,"id":"r1"})"));
+  ExpectOk(router.Call(
+      "r2",
+      R"({"op":"cluster","dataset":"d","method":"k-means","k":3,"id":"r2"})"));
+  ExpectOk(router.Call(
+      "r3",
+      R"({"op":"create_session","dataset":"d","session":"alice",)"
+      R"("epsilon":2.0,"id":"r3"})"));
+
+  // First read: charged on the primary (the replica, whatever its state,
+  // refuses the miss and the router falls back).
+  const JsonValue first = router.Call(
+      "r4", R"({"op":"hist","session":"alice","attribute":"diab_3",)"
+            R"("epsilon":0.1,"id":"r4"})");
+  ExpectOk(first);
+  EXPECT_FALSE(first.at("cache_hit").AsBool());
+
+  // Push the charged release into the replica via snapshot sync.
+  ExpectOk(router.Call(
+      "r5", R"({"op":"_router_sync_replicas","id":"r5"})"));
+
+  // Repeat reads are now hits — served for zero ε (by the replica when it
+  // answers first, by the primary's cache on fallback; either way free and
+  // byte-identical), and the ledger must not move.
+  for (int i = 0; i < 3; ++i) {
+    const std::string id = "rr" + std::to_string(i);
+    const JsonValue repeat = router.Call(
+        id, R"({"op":"hist","session":"alice","attribute":"diab_3",)"
+            R"("epsilon":0.1,"id":")" + id + R"("})");
+    ExpectOk(repeat);
+    EXPECT_TRUE(repeat.at("cache_hit").AsBool()) << repeat.Dump();
+    EXPECT_EQ(repeat.at("epsilon_charged").AsNumber(), 0.0);
+  }
+  const JsonValue budget = router.Call(
+      "r6", R"({"op":"budget","session":"alice","id":"r6"})");
+  ExpectOk(budget);
+  EXPECT_DOUBLE_EQ(budget.at("spent").AsNumber(), 0.1);
 }
 
 }  // namespace

@@ -16,19 +16,16 @@
 // other than "no snapshot yet" refuses to serve — wrong ledgers are worse
 // than downtime.
 //
-// With --listen the same engine also serves socket clients (unix:/path or
-// tcp:[host:]port, src/service/transport.h): many concurrent connections,
-// newline framing identical to stdin, per-connection backpressure, and
-// requests shed with ResourceExhausted + retry_after_ms once a client's
-// response backlog passes the transport's hard write limit. stdin remains
-// the lifecycle handle — EOF drains and shuts down.
-//
-// The same --listen sockets also answer plain HTTP GETs (DESIGN.md §15):
-// GET /metrics returns the Prometheus text exposition of the process-wide
-// registry (engine ops, transport, ISA dispatch — one scrape, no sidecar),
-// /healthz answers "ok" while the event loop runs, and /ready answers 503
-// until the snapshot restore has completed (load balancers gate on it).
-// JSON-protocol clients are unaffected: their first byte is '{', never 'G'.
+// With --listen the same engine also serves socket clients through the
+// front door it shares with dpclustx_router (src/service/front_door.h):
+// many concurrent connections, newline framing identical to stdin,
+// per-connection backpressure, and requests shed with ResourceExhausted +
+// retry_after_ms once a client's response backlog passes the transport's
+// hard write limit. stdin remains the lifecycle handle — EOF drains and
+// shuts down. The same sockets answer plain HTTP GETs (DESIGN.md §15):
+// /metrics (the process-wide registry: engine ops, transport, ISA
+// dispatch), /healthz, and /ready — listeners open only after the
+// snapshot restore has completed, so a worker that answers is ready.
 //
 // The flag table below is the single reference (printed by --help and
 // mirrored in README.md "Serving flags"):
@@ -65,10 +62,8 @@
 // On EOF the server drains queued requests, writes a final snapshot,
 // flushes, and exits 0. See README.md for a quickstart transcript.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <iostream>
@@ -80,8 +75,8 @@
 #include "flags.h"
 #include "obs/build_info.h"
 #include "obs/metrics.h"
+#include "service/front_door.h"
 #include "service/service_engine.h"
-#include "service/transport.h"
 #include "snapshot/snapshot_io.h"
 
 namespace {
@@ -94,14 +89,6 @@ using dpclustx::service::ServiceEngine;
 using dpclustx::service::ServiceEngineOptions;
 using dpclustx::tools::ParseSizeFlag;
 using dpclustx::tools::ParseStringFlag;
-
-std::mutex stdout_mutex;
-
-void WriteLine(const std::string& response) {
-  std::lock_guard<std::mutex> lock(stdout_mutex);
-  std::cout << response << "\n";
-  std::cout.flush();
-}
 
 // Keep in sync with the file comment above and README.md "Serving flags" —
 // this text IS the reference table.
@@ -145,8 +132,8 @@ void SaveSnapshot(ServiceEngine& engine, const std::string& path) {
 }
 
 /// Background thread running `work` every `interval_ms`, parked on a
-/// condition variable so Stop is immediate instead of waiting out the
-/// interval. Runs the periodic snapshot.
+/// condition variable so destruction is immediate instead of waiting out
+/// the interval. Runs the periodic snapshot.
 class PeriodicWorker {
  public:
   PeriodicWorker(size_t interval_ms, std::function<void()> work)
@@ -161,7 +148,7 @@ class PeriodicWorker {
           }
         }) {}
 
-  void Stop() {
+  ~PeriodicWorker() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       stop_ = true;
@@ -241,11 +228,6 @@ int main(int argc, char** argv) {
 
   ServiceEngine engine(options);
 
-  // Flipped once durable state is restored (or there was none to restore);
-  // /ready answers 503 before that so load balancers and the router's
-  // scrape plane never route to a worker still replaying its journal.
-  std::atomic<bool> ready{false};
-
   // Restore BEFORE the journal is opened for append and before any request
   // is read: RestoreFromFiles requires an empty engine, and the journal must
   // hold only records the restored audit cursor accounts for.
@@ -285,8 +267,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  ready.store(true, std::memory_order_release);
-
   std::unique_ptr<PeriodicWorker> snapshot_writer;
   if (!snapshot_path.empty() && snapshot_interval_ms > 0 &&
       !options.read_only) {
@@ -294,92 +274,24 @@ int main(int argc, char** argv) {
         snapshot_interval_ms, [&] { SaveSnapshot(engine, snapshot_path); });
   }
 
-  // Socket front door: same engine, many concurrent clients. The frame
-  // handler runs on the transport's event loop, so it only classifies and
+  // The frame handler runs on the transport's event loop, so it only
   // enqueues (--sync serializes socket clients too, on that loop thread).
-  std::unique_ptr<dpclustx::service::Transport> transport;
-  if (!listen_specs.empty()) {
-    transport = std::make_unique<dpclustx::service::Transport>();
-    for (const std::string& spec : listen_specs) {
-      const Status listening = transport->Listen(spec);
-      if (!listening.ok()) {
-        std::cerr << "cannot listen: " << listening.ToString() << "\n";
-        return 1;
-      }
-    }
-    transport->SetHttpHandler(
-        [&engine, &ready](const std::string& path)
-            -> dpclustx::service::HttpResponse {
-          if (path == "/metrics") {
-            return {200, "text/plain; version=0.0.4; charset=utf-8",
-                    engine.metrics().PrometheusText()};
-          }
-          if (path == "/healthz") {
-            return {200, "text/plain; charset=utf-8", "ok\n"};
-          }
-          if (path == "/ready") {
-            return ready.load(std::memory_order_acquire)
-                       ? dpclustx::service::HttpResponse{
-                             200, "text/plain; charset=utf-8", "ready\n"}
-                       : dpclustx::service::HttpResponse{
-                             503, "text/plain; charset=utf-8",
-                             "not ready: restoring durable state\n"};
-          }
-          return {404, "text/plain; charset=utf-8", "not found\n"};
-        });
-    const Status started = transport->Start(
-        [&](dpclustx::service::ConnId conn, std::string&& request) {
-          dpclustx::service::Transport* t = transport.get();
-          if (t->QueuedBytes(conn) > t->options().write_hard_limit_bytes) {
-            t->Send(conn, ServiceEngine::RejectionResponse(
-                              request,
-                              Status::ResourceExhausted(
-                                  "client response backlog exceeds the hard "
-                                  "write limit; drain responses first"),
-                              options.retry_after_ms));
-            return;
-          }
-          if (sync) {
-            t->Send(conn, engine.Handle(request));
-            return;
-          }
-          const Status submitted =
-              engine.HandleAsync(request, [t, conn](std::string response) {
-                t->Send(conn, response);
-              });
-          if (!submitted.ok()) {
-            t->Send(conn,
-                    ServiceEngine::RejectionResponse(request, submitted,
-                                                     options.retry_after_ms));
-          }
-        });
-    if (!started.ok()) {
-      std::cerr << "cannot start transport: " << started.ToString() << "\n";
-      return 1;
-    }
+  dpclustx::service::FrontDoor door;
+  door.handle = [&engine, sync](std::string line,
+                                std::function<void(std::string)> done) {
+    if (!sync) return engine.HandleAsync(std::move(line), std::move(done));
+    done(engine.Handle(line));
+    return Status::OK();
+  };
+  door.metrics = &engine.metrics();
+  door.retry_after_ms = options.retry_after_ms;
+  door.drain = [&engine] { engine.Shutdown(); };
+  const Status served = dpclustx::service::ServeFrontDoor(door, listen_specs);
+  if (!served.ok()) {
+    std::cerr << "cannot listen: " << served.ToString() << "\n";
+    return 1;
   }
-
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    if (sync) {
-      WriteLine(engine.Handle(line));
-      continue;
-    }
-    const Status submitted =
-        engine.HandleAsync(line, [](std::string response) {
-          WriteLine(response);
-        });
-    if (!submitted.ok()) {
-      WriteLine(ServiceEngine::RejectionResponse(line, submitted,
-                                                 options.retry_after_ms));
-    }
-  }
-  // Drain first so in-flight socket responses still go out, then stop the
-  // transport (late arrivals during the drain get shutdown rejections).
-  engine.Shutdown();
-  if (transport != nullptr) transport->Stop();
-  if (snapshot_writer != nullptr) snapshot_writer->Stop();
+  snapshot_writer.reset();
   if (!snapshot_path.empty() && !options.read_only) {
     SaveSnapshot(engine, snapshot_path);  // final post-drain snapshot
   }

@@ -6,6 +6,7 @@
 #define DPCLUSTX_TOOLS_FLAGS_H_
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -38,6 +39,24 @@ inline bool ParseSizeFlag(int argc, char** argv, int* i, const char* name,
   const auto [stop, error] = std::from_chars(value, end, *out);
   if (value == end || error != std::errc() || stop != end) {
     std::cerr << name << " needs a non-negative integer, got '" << value
+              << "'\n";
+    std::exit(2);
+  }
+  return true;
+}
+
+/// ParseSizeFlag's whole-token rule for a finite, non-negative decimal
+/// double: anything else exits 2 with
+/// "<flag> needs a non-negative number, got '<value>'".
+inline bool ParseDoubleFlag(int argc, char** argv, int* i, const char* name,
+                            double* out) {
+  if (std::strcmp(argv[*i], name) != 0) return false;
+  const char* value = FlagValueOrExit(argc, argv, i, name);
+  const char* end = value + std::strlen(value);
+  const auto [stop, error] = std::from_chars(value, end, *out);
+  if (value == end || error != std::errc() || stop != end ||
+      !std::isfinite(*out) || *out < 0.0) {
+    std::cerr << name << " needs a non-negative number, got '" << value
               << "'\n";
     std::exit(2);
   }
