@@ -9,14 +9,9 @@
 #include "baselines/dp_naive.h"
 #include "baselines/dp_tabee.h"
 #include "baselines/tabee.h"
-#include "cluster/agglomerative.h"
-#include "cluster/dp_kmeans.h"
-#include "cluster/gmm.h"
-#include "cluster/kmeans.h"
-#include "cluster/kmodes.h"
+#include "cluster/clustering.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "core/candidate_selection.h"
 #include "data/kernels/isa.h"
 #include "data/synthetic.h"
 
@@ -56,21 +51,12 @@ double Scale() {
 }
 
 Dataset MakeDataset(const std::string& name) {
-  const double scale = Scale();
-  if (name == "census") {
-    return std::move(*synth::Generate(
-        synth::CensusLike(static_cast<size_t>(50000 * scale))));
-  }
-  if (name == "diabetes") {
-    return std::move(*synth::Generate(
-        synth::DiabetesLike(static_cast<size_t>(30000 * scale))));
-  }
-  if (name == "stackoverflow") {
-    return std::move(*synth::Generate(
-        synth::StackOverflowLike(static_cast<size_t>(30000 * scale))));
-  }
-  DPX_CHECK(false) << "unknown dataset '" << name << "'";
-  std::abort();
+  // Census is the larger table (50k rows at scale 1; the others 30k).
+  const size_t rows = name == "census" ? 50000 : 30000;
+  StatusOr<synth::SyntheticConfig> config = synth::PresetByName(name);
+  DPX_CHECK_OK(config.status());
+  config->num_rows = static_cast<size_t>(rows * Scale());
+  return std::move(*synth::Generate(*config));
 }
 
 std::vector<std::string> MethodsFor(const std::string& dataset_name) {
@@ -84,49 +70,16 @@ std::vector<std::string> MethodsFor(const std::string& dataset_name) {
 std::vector<ClusterId> FitLabels(const Dataset& dataset,
                                  const std::string& method, size_t k,
                                  uint64_t seed) {
-  if (method == "k-means") {
-    KMeansOptions options;
-    options.num_clusters = k;
-    options.seed = seed;
-    const auto clustering = FitKMeans(dataset, options);
-    DPX_CHECK_OK(clustering.status());
-    return (*clustering)->AssignAll(dataset);
-  }
-  if (method == "dp-k-means") {
-    DpKMeansOptions options;
-    options.num_clusters = k;
-    options.epsilon = 1.0;  // the paper's clustering budget
-    options.seed = seed;
-    const auto clustering = FitDpKMeans(dataset, options);
-    DPX_CHECK_OK(clustering.status());
-    return (*clustering)->AssignAll(dataset);
-  }
-  if (method == "k-modes") {
-    KModesOptions options;
-    options.num_clusters = k;
-    options.seed = seed;
-    const auto clustering = FitKModes(dataset, options);
-    DPX_CHECK_OK(clustering.status());
-    return (*clustering)->AssignAll(dataset);
-  }
-  if (method == "agglomerative") {
-    AgglomerativeOptions options;
-    options.num_clusters = k;
-    options.seed = seed;
-    const auto clustering = FitAgglomerative(dataset, options);
-    DPX_CHECK_OK(clustering.status());
-    return (*clustering)->AssignAll(dataset);
-  }
-  if (method == "gmm") {
-    GmmOptions options;
-    options.num_components = k;
-    options.seed = seed;
-    const auto clustering = FitGmm(dataset, options);
-    DPX_CHECK_OK(clustering.status());
-    return (*clustering)->AssignAll(dataset);
-  }
-  DPX_CHECK(false) << "unknown method '" << method << "'";
-  std::abort();
+  ClusteringSpec spec;
+  const StatusOr<ClusteringMethod> parsed = ParseClusteringMethod(method);
+  DPX_CHECK_OK(parsed.status());
+  spec.method = *parsed;
+  spec.num_clusters = k;
+  spec.seed = seed;
+  spec.epsilon = 1.0;  // the paper's clustering budget (dp-k-means only)
+  const auto clustering = FitClustering(dataset, spec);
+  DPX_CHECK_OK(clustering.status());
+  return (*clustering)->AssignAll(dataset);
 }
 
 AttributeCombination RunDpClustXSelection(const StatsCache& stats,
@@ -140,23 +93,9 @@ AttributeCombination RunDpClustXSelection(const StatsCache& stats,
   options.num_candidates = k;
   options.lambda = lambda;
   options.seed = seed;
-  // Rebuild from the cached histograms to avoid re-scanning the dataset:
-  // ExplainDpClustXWithLabels needs the dataset, so we drive the internal
-  // stages directly (identical algorithm; see explainer.cc).
-  Rng rng(seed);
-  CandidateSelectionOptions stage1;
-  stage1.epsilon = options.epsilon_cand_set;
-  stage1.k = k;
-  stage1.gamma = lambda.ConditionalSingleClusterWeights();
-  const auto sets = SelectCandidates(stats, stage1, rng);
-  DPX_CHECK_OK(sets.status());
-  const auto tables =
-      core_internal::BuildLowSensitivityTables(stats, *sets, lambda);
-  const auto combo = core_internal::SearchCombination(
-      *sets, tables, options.epsilon_top_comb, kGlScoreSensitivity,
-      options.max_combinations, rng);
-  DPX_CHECK_OK(combo.status());
-  return *combo;
+  const auto explanation = ExplainDpClustXWithStats(stats, options);
+  DPX_CHECK_OK(explanation.status());
+  return explanation->combination;
 }
 
 AttributeCombination RunDpTabeeSelection(const StatsCache& stats,

@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <limits>
 
+#include "cluster/agglomerative.h"
+#include "cluster/dp_kmeans.h"
+#include "cluster/gmm.h"
+#include "cluster/kmeans.h"
+#include "cluster/kmodes.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "data/kernels/kernel_table.h"
@@ -320,6 +325,56 @@ std::vector<std::vector<uint32_t>> ClusterRowIndices(
     indices[labels[row]].push_back(static_cast<uint32_t>(row));
   }
   return indices;
+}
+
+StatusOr<ClusteringMethod> ParseClusteringMethod(const std::string& name) {
+  if (name == "k-means") return ClusteringMethod::kKMeans;
+  if (name == "dp-k-means") return ClusteringMethod::kDpKMeans;
+  if (name == "k-modes") return ClusteringMethod::kKModes;
+  if (name == "agglomerative") return ClusteringMethod::kAgglomerative;
+  if (name == "gmm") return ClusteringMethod::kGmm;
+  return Status::InvalidArgument(
+      "unknown method '" + name +
+      "' (expected k-means | dp-k-means | k-modes | agglomerative | gmm)");
+}
+
+StatusOr<std::unique_ptr<ClusteringFunction>> FitClustering(
+    const Dataset& dataset, const ClusteringSpec& spec,
+    PrivacyBudget* budget) {
+  switch (spec.method) {
+    case ClusteringMethod::kKMeans: {
+      KMeansOptions options;
+      options.num_clusters = spec.num_clusters;
+      options.seed = spec.seed;
+      return FitKMeans(dataset, options);
+    }
+    case ClusteringMethod::kDpKMeans: {
+      DpKMeansOptions options;
+      options.num_clusters = spec.num_clusters;
+      options.epsilon = spec.epsilon;
+      options.seed = spec.seed;
+      return FitDpKMeans(dataset, options, budget);
+    }
+    case ClusteringMethod::kKModes: {
+      KModesOptions options;
+      options.num_clusters = spec.num_clusters;
+      options.seed = spec.seed;
+      return FitKModes(dataset, options);
+    }
+    case ClusteringMethod::kAgglomerative: {
+      AgglomerativeOptions options;
+      options.num_clusters = spec.num_clusters;
+      options.seed = spec.seed;
+      return FitAgglomerative(dataset, options);
+    }
+    case ClusteringMethod::kGmm: {
+      GmmOptions options;
+      options.num_components = spec.num_clusters;
+      options.seed = spec.seed;
+      return FitGmm(dataset, options);
+    }
+  }
+  return Status::InvalidArgument("invalid ClusteringMethod value");
 }
 
 }  // namespace dpclustx

@@ -23,8 +23,10 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "data/dataset.h"
 #include "data/schema.h"
+#include "dp/privacy_budget.h"
 
 namespace dpclustx {
 
@@ -143,6 +145,38 @@ class ModeClustering final : public ClusteringFunction {
   std::vector<std::vector<ValueCode>> modes_;
   std::string name_;
 };
+
+/// The clustering backends: the choice of f is one decision, made here for
+/// every caller (pipeline, engine, CLI, benches).
+enum class ClusteringMethod {
+  kKMeans,
+  kDpKMeans,
+  kKModes,
+  kAgglomerative,
+  kGmm,
+};
+
+/// Parses "k-means" / "dp-k-means" / "k-modes" / "agglomerative" / "gmm";
+/// any other name is InvalidArgument listing the five.
+StatusOr<ClusteringMethod> ParseClusteringMethod(const std::string& name);
+
+/// What to fit: the backend and the values every backend shares.
+struct ClusteringSpec {
+  ClusteringMethod method = ClusteringMethod::kKMeans;
+  size_t num_clusters = 5;
+  uint64_t seed = 1;
+  /// Budget of the fit; only dp-k-means reads it (the other methods are
+  /// non-private and MUST only be used on non-sensitive data or for
+  /// evaluation).
+  double epsilon = 1.0;
+};
+
+/// Fits `spec` on `dataset` with the backend's defaults for everything
+/// else. `budget` reaches dp-k-means only, which charges it `spec.epsilon`
+/// before fitting.
+StatusOr<std::unique_ptr<ClusteringFunction>> FitClustering(
+    const Dataset& dataset, const ClusteringSpec& spec,
+    PrivacyBudget* budget = nullptr);
 
 /// Per-cluster row counts for a label vector. Requires every label <
 /// num_clusters.

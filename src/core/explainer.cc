@@ -271,31 +271,27 @@ StatusOr<AttributeCombination> SearchCombinationParallel(
 
 }  // namespace core_internal
 
-namespace {
-
-Status ValidateOptions(const DpClustXOptions& options) {
-  DPX_RETURN_IF_ERROR(options.lambda.Validate());
-  if (options.epsilon_cand_set <= 0.0 || options.epsilon_top_comb <= 0.0) {
+Status DpClustXOptions::Validate() const {
+  DPX_RETURN_IF_ERROR(lambda.Validate());
+  if (epsilon_cand_set <= 0.0 || epsilon_top_comb <= 0.0) {
     return Status::InvalidArgument(
         "epsilon_cand_set and epsilon_top_comb must be positive");
   }
-  if (options.generate_histograms && options.epsilon_hist <= 0.0) {
+  if (generate_histograms && epsilon_hist <= 0.0) {
     return Status::InvalidArgument(
         "epsilon_hist must be positive when histograms are generated");
   }
-  if (options.num_candidates == 0) {
+  if (num_candidates == 0) {
     return Status::InvalidArgument("num_candidates must be >= 1");
   }
   return Status::OK();
 }
 
-}  // namespace
-
 StatusOr<GlobalExplanation> ExplainDpClustXWithLabels(
     const Dataset& dataset, const std::vector<ClusterId>& labels,
     size_t num_clusters, const DpClustXOptions& options,
     PrivacyBudget* budget) {
-  DPX_RETURN_IF_ERROR(ValidateOptions(options));
+  DPX_RETURN_IF_ERROR(options.Validate());
   DPX_ASSIGN_OR_RETURN(const StatsCache stats,
                        StatsCache::Build(dataset, labels, num_clusters,
                                          options.num_threads));
@@ -305,7 +301,7 @@ StatusOr<GlobalExplanation> ExplainDpClustXWithLabels(
 StatusOr<GlobalExplanation> ExplainDpClustXWithStats(
     const StatsCache& stats, const DpClustXOptions& options,
     PrivacyBudget* budget) {
-  DPX_RETURN_IF_ERROR(ValidateOptions(options));
+  DPX_RETURN_IF_ERROR(options.Validate());
   // Check the deadline BEFORE reserving budget: a request that expired while
   // queued must charge nothing. Checkpoints past this point do not refund —
   // the accountant may overstate, never understate, the released ε.

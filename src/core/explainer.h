@@ -74,6 +74,12 @@ struct DpClustXOptions {
   /// overstate, never understate, the released ε (see DESIGN.md, failure
   /// semantics).
   Deadline deadline;
+
+  /// InvalidArgument for options every entry point refuses: invalid λ,
+  /// non-positive ε_CandSet/ε_TopComb (or ε_Hist when histograms are
+  /// generated), num_candidates = 0. Lets a caller refuse a run before
+  /// spending anything on it.
+  Status Validate() const;
 };
 
 /// Runs DPClustX against a black-box clustering function: labels the dataset

@@ -1,72 +1,17 @@
 #include "core/pipeline.h"
 
-#include "cluster/agglomerative.h"
-#include "cluster/dp_kmeans.h"
-#include "cluster/gmm.h"
-#include "cluster/kmeans.h"
-#include "cluster/kmodes.h"
 #include "obs/trace.h"
 
 namespace dpclustx {
 
-StatusOr<ClusteringMethod> ParseClusteringMethod(const std::string& name) {
-  if (name == "k-means") return ClusteringMethod::kKMeans;
-  if (name == "dp-k-means") return ClusteringMethod::kDpKMeans;
-  if (name == "k-modes") return ClusteringMethod::kKModes;
-  if (name == "agglomerative") return ClusteringMethod::kAgglomerative;
-  if (name == "gmm") return ClusteringMethod::kGmm;
-  return Status::InvalidArgument("unknown clustering method '" + name + "'");
-}
-
 StatusOr<PipelineResult> RunPipeline(const Dataset& dataset,
                                      const PipelineOptions& options,
                                      PrivacyBudget* budget) {
-  StatusOr<std::unique_ptr<ClusteringFunction>> clustering =
-      Status::Internal("unset");
-  {
+  DPX_RETURN_IF_ERROR(options.explain.Validate());
+  StatusOr<std::unique_ptr<ClusteringFunction>> clustering = [&] {
     DPX_SPAN("clustering_fit");
-    switch (options.method) {
-      case ClusteringMethod::kKMeans: {
-        KMeansOptions fit;
-        fit.num_clusters = options.num_clusters;
-        fit.seed = options.clustering_seed;
-        fit.num_threads = options.clustering_threads;
-        clustering = FitKMeans(dataset, fit);
-        break;
-      }
-      case ClusteringMethod::kDpKMeans: {
-        DpKMeansOptions fit;
-        fit.num_clusters = options.num_clusters;
-        fit.epsilon = options.epsilon_clustering;
-        fit.seed = options.clustering_seed;
-        clustering = FitDpKMeans(dataset, fit, budget);
-        break;
-      }
-      case ClusteringMethod::kKModes: {
-        KModesOptions fit;
-        fit.num_clusters = options.num_clusters;
-        fit.seed = options.clustering_seed;
-        fit.num_threads = options.clustering_threads;
-        clustering = FitKModes(dataset, fit);
-        break;
-      }
-      case ClusteringMethod::kAgglomerative: {
-        AgglomerativeOptions fit;
-        fit.num_clusters = options.num_clusters;
-        fit.seed = options.clustering_seed;
-        clustering = FitAgglomerative(dataset, fit);
-        break;
-      }
-      case ClusteringMethod::kGmm: {
-        GmmOptions fit;
-        fit.num_components = options.num_clusters;
-        fit.seed = options.clustering_seed;
-        fit.num_threads = options.clustering_threads;
-        clustering = FitGmm(dataset, fit);
-        break;
-      }
-    }
-  }  // DPX_SPAN("clustering_fit")
+    return FitClustering(dataset, options.clustering, budget);
+  }();
   DPX_RETURN_IF_ERROR(clustering.status());
 
   std::vector<ClusterId> labels;
@@ -76,12 +21,11 @@ StatusOr<PipelineResult> RunPipeline(const Dataset& dataset,
   }
   DPX_ASSIGN_OR_RETURN(
       StatsCache stats,
-      StatsCache::Build(dataset, labels, options.num_clusters,
+      StatsCache::Build(dataset, labels, (*clustering)->num_clusters(),
                         options.explain.num_threads));
-  DPX_ASSIGN_OR_RETURN(
-      GlobalExplanation explanation,
-      ExplainDpClustXWithLabels(dataset, labels, options.num_clusters,
-                                options.explain, budget));
+  DPX_ASSIGN_OR_RETURN(GlobalExplanation explanation,
+                       ExplainDpClustXWithStats(stats, options.explain,
+                                                budget));
   PipelineResult result{std::move(explanation), std::move(labels),
                         std::move(stats), (*clustering)->name()};
   return result;

@@ -7,6 +7,7 @@
 #define DPCLUSTX_CORE_PIPELINE_H_
 
 #include <string>
+#include <vector>
 
 #include "cluster/clustering.h"
 #include "common/status.h"
@@ -16,33 +17,11 @@
 
 namespace dpclustx {
 
-enum class ClusteringMethod {
-  kKMeans,
-  kDpKMeans,
-  kKModes,
-  kAgglomerative,
-  kGmm,
-};
-
-/// Parses "k-means" / "dp-k-means" / "k-modes" / "agglomerative" / "gmm".
-StatusOr<ClusteringMethod> ParseClusteringMethod(const std::string& name);
-
 struct PipelineOptions {
-  ClusteringMethod method = ClusteringMethod::kKMeans;
-  size_t num_clusters = 5;
-  /// Budget of the clustering step; only consumed by kDpKMeans (the other
-  /// methods are non-private and MUST only be used on non-sensitive data or
-  /// for evaluation).
-  double epsilon_clustering = 1.0;
+  /// The clustering fit; only dp-k-means consumes `clustering.epsilon`.
+  ClusteringSpec clustering;
   /// DPClustX explanation parameters (budgets, k, λ, noise, seed, threads).
   DpClustXOptions explain;
-  /// Seed for the clustering fit (the explanation uses explain.seed).
-  uint64_t clustering_seed = 1;
-  /// Parallelism cap for the clustering fit's per-row passes (k-means,
-  /// k-modes, gmm; 0 = compute-pool width). Fits are identical for a given
-  /// clustering_seed at any value, so this is a pure performance knob —
-  /// unlike explain.num_threads, which participates in the noise stream.
-  size_t clustering_threads = 0;
 };
 
 struct PipelineResult {
@@ -58,7 +37,8 @@ struct PipelineResult {
 
 /// Runs cluster-then-explain. If `budget` is non-null, both stages charge
 /// it (DP clustering first, so an insufficient budget fails before any
-/// explanation noise is drawn).
+/// explanation noise is drawn). Options the explainer would refuse are
+/// refused before the fit, so such a run charges nothing.
 StatusOr<PipelineResult> RunPipeline(const Dataset& dataset,
                                      const PipelineOptions& options,
                                      PrivacyBudget* budget = nullptr);

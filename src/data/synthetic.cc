@@ -178,6 +178,15 @@ SyntheticConfig StackOverflowLike(size_t num_rows, uint64_t seed) {
   return config;
 }
 
+StatusOr<SyntheticConfig> PresetByName(const std::string& name) {
+  if (name == "diabetes") return DiabetesLike();
+  if (name == "census") return CensusLike();
+  if (name == "stackoverflow") return StackOverflowLike();
+  return Status::InvalidArgument(
+      "unknown generator '" + name +
+      "' (expected diabetes | census | stackoverflow)");
+}
+
 StatusOr<NumericSynthetic> GenerateNumeric(
     const NumericSyntheticConfig& config) {
   if (config.num_rows == 0 || config.num_columns == 0 ||

@@ -15,6 +15,7 @@
 #define DPCLUSTX_DATA_SYNTHETIC_H_
 
 #include <cstdint>
+#include <string>
 
 #include "common/status.h"
 #include "data/dataset.h"
@@ -61,6 +62,11 @@ SyntheticConfig CensusLike(size_t num_rows = 250000, uint64_t seed = 13);
 /// StackOverflow-like preset: 60 attributes, domains 2–22.
 SyntheticConfig StackOverflowLike(size_t num_rows = 100000,
                                   uint64_t seed = 17);
+
+/// The preset named "diabetes" | "census" | "stackoverflow", with its
+/// default rows and seed (callers override num_rows / seed). Any other name
+/// is InvalidArgument listing the three.
+StatusOr<SyntheticConfig> PresetByName(const std::string& name);
 
 /// Numeric synthetic data for discretization studies (the paper's
 /// future-work item on binning strategies). Columns are real-valued with

@@ -240,18 +240,10 @@ StatusOr<std::shared_ptr<DatasetEntry>> DatasetRegistry::Register(
 StatusOr<std::shared_ptr<DatasetEntry>> DatasetRegistry::RegisterSynthetic(
     const std::string& name, const std::string& generator, size_t rows,
     uint64_t seed, double cap_epsilon, bool replace) {
-  synth::SyntheticConfig config;
-  if (generator == "diabetes") {
-    config = synth::DiabetesLike(rows, seed);
-  } else if (generator == "census") {
-    config = synth::CensusLike(rows, seed);
-  } else if (generator == "stackoverflow") {
-    config = synth::StackOverflowLike(rows, seed);
-  } else {
-    return Status::InvalidArgument(
-        "unknown generator '" + generator +
-        "' (expected diabetes | census | stackoverflow)");
-  }
+  DPX_ASSIGN_OR_RETURN(synth::SyntheticConfig config,
+                       synth::PresetByName(generator));
+  config.num_rows = rows;
+  config.seed = seed;
   DPX_ASSIGN_OR_RETURN(Dataset dataset, synth::Generate(config));
   const std::string source = "synthetic generator=" + generator +
                              " rows=" + std::to_string(rows) +

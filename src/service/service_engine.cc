@@ -9,11 +9,7 @@
 #include <random>
 #include <shared_mutex>
 
-#include "cluster/agglomerative.h"
-#include "cluster/dp_kmeans.h"
-#include "cluster/gmm.h"
-#include "cluster/kmeans.h"
-#include "cluster/kmodes.h"
+#include "cluster/clustering.h"
 #include "common/logging.h"
 #include "core/explainer.h"
 #include "core/explanation.h"
@@ -30,22 +26,11 @@ namespace dpclustx::service {
 
 namespace {
 
-/// The complete op vocabulary. Per-op instruments are pre-registered for
-/// exactly these names at engine construction, so the set here and the
-/// RecordOp fast path stay in lockstep by construction.
-constexpr const char* kOps[] = {
-    "ping",   "load_dataset",   "append_rows",   "schema",
-    "cluster", "budget",        "create_session", "close_session",
-    "explain", "hist",          "size",          "stats",
-    "metrics", "trace",         "audit",         "save_snapshot",
-    "load_snapshot"};
+/// Audit-log tail records retained (totals stay exact regardless).
+constexpr size_t kAuditCapacity = 4096;
 
-bool IsKnownOp(const std::string& op) {
-  for (const char* known : kOps) {
-    if (op == known) return true;
-  }
-  return false;
-}
+/// Base of the server-drawn seeds under insecure_deterministic_noise.
+constexpr uint64_t kDeterministicNoiseBase = 0x5eed5eedULL;
 
 /// Optional-field accessors: absent keys yield the fallback, present keys of
 /// the wrong type are InvalidArgument (never a silent default).
@@ -119,10 +104,30 @@ StatusOr<size_t> OptCount(const JsonValue& request, const std::string& key,
   return static_cast<size_t>(value);
 }
 
+const ServiceEngine::OpRoute ServiceEngine::kOpRoutes[] = {
+    {"ping", &ServiceEngine::OpPing},
+    {"load_dataset", &ServiceEngine::OpLoadDataset},
+    {"append_rows", &ServiceEngine::OpAppendRows},
+    {"schema", &ServiceEngine::OpSchema},
+    {"cluster", &ServiceEngine::OpCluster},
+    {"budget", &ServiceEngine::OpBudget},
+    {"create_session", &ServiceEngine::OpCreateSession},
+    {"close_session", &ServiceEngine::OpCloseSession},
+    {"explain", &ServiceEngine::OpExplain},
+    {"hist", &ServiceEngine::OpHist},
+    {"size", &ServiceEngine::OpSize},
+    {"stats", &ServiceEngine::OpStats},
+    {"metrics", &ServiceEngine::OpMetricsDump},
+    {"trace", &ServiceEngine::OpTrace},
+    {"audit", &ServiceEngine::OpAudit},
+    {"save_snapshot", &ServiceEngine::OpSaveSnapshot},
+    {"load_snapshot", &ServiceEngine::OpLoadSnapshot},
+};
+
 ServiceEngine::ServiceEngine(const ServiceEngineOptions& options)
     : options_(options),
       cache_(options.cache_capacity),
-      audit_(options.audit_capacity),
+      audit_(kAuditCapacity),
       metrics_(options.metrics_registry != nullptr ? options.metrics_registry
                                                    : &owned_metrics_),
       traces_(options.trace_ring_capacity),
@@ -141,8 +146,8 @@ ServiceEngine::~ServiceEngine() {
 void ServiceEngine::Shutdown() { pool_.Shutdown(); }
 
 void ServiceEngine::RegisterMetrics() {
-  for (const char* op : kOps) {
-    const obs::MetricLabels labels = {{"op", op}};
+  for (const OpRoute& route : kOpRoutes) {
+    const obs::MetricLabels labels = {{"op", route.name}};
     OpMetrics handles;
     handles.count = metrics_->RegisterCounter(
         "dpclustx_op_requests_total", "Requests handled, by op", labels);
@@ -155,7 +160,7 @@ void ServiceEngine::RegisterMetrics() {
     handles.latency = metrics_->RegisterLatencyHistogram(
         "dpclustx_op_latency_micros", "Request handling latency, by op",
         labels);
-    op_metrics_.emplace(op, handles);
+    op_metrics_.push_back(handles);
   }
   shed_ = metrics_->RegisterCounter(
       "dpclustx_requests_shed_total",
@@ -251,7 +256,7 @@ uint64_t ServiceEngine::NextNoiseSeed() {
   const uint64_t n = noise_sequence_.fetch_add(1, std::memory_order_relaxed);
   uint64_t base;
   if (options_.insecure_deterministic_noise) {
-    base = options_.noise_seed;
+    base = kDeterministicNoiseBase;
   } else {
     // Clients must not be able to predict (let alone choose) the seed:
     // mechanism noise is data-independent, so a predictable seed lets a
@@ -425,14 +430,17 @@ JsonValue ServiceEngine::Dispatch(const JsonValue& request,
                                   Deadline::Clock::time_point start) {
   StatusOr<std::string> op = request.GetString("op");
   if (!op.ok()) return ErrorResponse(op.status());
-  if (!IsKnownOp(*op)) {
+  const OpRoute* route = std::find_if(
+      std::begin(kOpRoutes), std::end(kOpRoutes),
+      [&](const OpRoute& known) { return *op == known.name; });
+  if (route == std::end(kOpRoutes)) {
     // Unknown ops bypass the metrics map so a hostile stream of invented op
     // names cannot grow it without bound.
     return ErrorResponse(Status::NotFound("unknown op '" + *op + "'"));
   }
 
   const Deadline::Clock::time_point began = Deadline::Clock::now();
-  StatusOr<JsonValue> body = DispatchOp(*op, request, start);
+  StatusOr<JsonValue> body = DispatchOp(*route, request, start);
   if (body.ok() && !body->IsFinite()) {
     // A NaN/Inf anywhere in a response means a mechanism or handler bug (or
     // an injected fault) upstream; suppress the body — a null-laden release
@@ -441,7 +449,7 @@ JsonValue ServiceEngine::Dispatch(const JsonValue& request,
                             "' produced a non-finite number; response "
                             "suppressed");
   }
-  RecordOp(*op, began, body.status());
+  RecordOp(*route, began, body.status());
   if (!body.ok()) return ErrorResponse(body.status());
   JsonValue response = std::move(*body);
   response.Set("ok", JsonValue::Bool(true));
@@ -449,7 +457,7 @@ JsonValue ServiceEngine::Dispatch(const JsonValue& request,
 }
 
 StatusOr<JsonValue> ServiceEngine::DispatchOp(
-    const std::string& op, const JsonValue& request,
+    const OpRoute& route, const JsonValue& request,
     Deadline::Clock::time_point start) {
   DPX_ASSIGN_OR_RETURN(
       const double deadline_ms,
@@ -466,50 +474,19 @@ StatusOr<JsonValue> ServiceEngine::DispatchOp(
   // Expired while queued: drop before the handler runs (and before any ε
   // could be charged).
   DPX_RETURN_IF_ERROR(deadline.Check("dispatch"));
+  const std::string op = route.name;
   DPX_RETURN_IF_ERROR(InjectFault(op + ":start", request, nullptr));
-
-  StatusOr<JsonValue> body = Status::Internal("unrouted op '" + op + "'");
-  if (op == "ping") {
-    JsonValue pong = JsonValue::Object();
-    pong.Set("pong", JsonValue::Bool(true));
-    body = std::move(pong);
-  } else if (op == "load_dataset") {
-    body = OpLoadDataset(request);
-  } else if (op == "append_rows") {
-    body = OpAppendRows(request);
-  } else if (op == "schema") {
-    body = OpSchema(request);
-  } else if (op == "cluster") {
-    body = OpCluster(request);
-  } else if (op == "create_session") {
-    body = OpCreateSession(request);
-  } else if (op == "close_session") {
-    body = OpCloseSession(request);
-  } else if (op == "budget") {
-    body = OpBudget(request);
-  } else if (op == "explain") {
-    body = OpExplain(request, deadline);
-  } else if (op == "hist") {
-    body = OpHist(request);
-  } else if (op == "size") {
-    body = OpSize(request);
-  } else if (op == "stats") {
-    body = OpStats();
-  } else if (op == "metrics") {
-    body = OpMetricsDump();
-  } else if (op == "trace") {
-    body = OpTrace(request);
-  } else if (op == "audit") {
-    body = OpAudit(request);
-  } else if (op == "save_snapshot") {
-    body = OpSaveSnapshot(request);
-  } else if (op == "load_snapshot") {
-    body = OpLoadSnapshot(request);
-  }
+  StatusOr<JsonValue> body = (this->*route.handler)(request, deadline);
   if (body.ok()) {
     DPX_RETURN_IF_ERROR(InjectFault(op + ":finish", request, &*body));
   }
   return body;
+}
+
+StatusOr<JsonValue> ServiceEngine::OpPing(const JsonValue&, const Deadline&) {
+  JsonValue pong = JsonValue::Object();
+  pong.Set("pong", JsonValue::Bool(true));
+  return pong;
 }
 
 Status ServiceEngine::InjectFault(const std::string& point,
@@ -522,21 +499,17 @@ Status ServiceEngine::InjectFault(const std::string& point,
   return options_.fault_injector(fault);
 }
 
-void ServiceEngine::RecordOp(const std::string& op,
+void ServiceEngine::RecordOp(const OpRoute& route,
                              Deadline::Clock::time_point began,
                              const Status& outcome) {
-  if (!options_.record_metrics) return;
   const auto elapsed =
       std::chrono::duration_cast<std::chrono::microseconds>(
           Deadline::Clock::now() - began)
           .count();
   const auto micros = static_cast<uint64_t>(elapsed > 0 ? elapsed : 0);
   // op_metrics_ is immutable after construction, so this lookup (and the
-  // instrument updates, which are relaxed atomics) takes no lock. Dispatch
-  // only records known ops, so the find always hits.
-  const auto it = op_metrics_.find(op);
-  if (it == op_metrics_.end()) return;
-  const OpMetrics& handles = it->second;
+  // instrument updates, which are relaxed atomics) takes no lock.
+  const OpMetrics& handles = op_metrics_[&route - kOpRoutes];
   handles.count->Increment();
   if (!outcome.ok()) handles.errors->Increment();
   if (outcome.code() == StatusCode::kDeadlineExceeded) {
@@ -545,7 +518,8 @@ void ServiceEngine::RecordOp(const std::string& op,
   handles.latency->Observe(micros);
 }
 
-StatusOr<JsonValue> ServiceEngine::OpLoadDataset(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpLoadDataset(const JsonValue& request,
+                                                 const Deadline&) {
   DPX_RETURN_IF_ERROR(RefuseIfReadOnly("load_dataset"));
   DPX_ASSIGN_OR_RETURN(const std::string name, request.GetString("name"));
   DPX_ASSIGN_OR_RETURN(const std::string source,
@@ -588,7 +562,8 @@ StatusOr<JsonValue> ServiceEngine::OpLoadDataset(const JsonValue& request) {
   return body;
 }
 
-StatusOr<JsonValue> ServiceEngine::OpAppendRows(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpAppendRows(const JsonValue& request,
+                                                const Deadline&) {
   DPX_RETURN_IF_ERROR(RefuseIfReadOnly("append_rows"));
   DPX_ASSIGN_OR_RETURN(const std::string name, request.GetString("dataset"));
   DPX_ASSIGN_OR_RETURN(const std::shared_ptr<DatasetEntry> entry,
@@ -649,7 +624,8 @@ StatusOr<JsonValue> ServiceEngine::OpAppendRows(const JsonValue& request) {
   return body;
 }
 
-StatusOr<JsonValue> ServiceEngine::OpSchema(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpSchema(const JsonValue& request,
+                                            const Deadline&) {
   DPX_ASSIGN_OR_RETURN(const std::string name, request.GetString("dataset"));
   DPX_ASSIGN_OR_RETURN(const std::shared_ptr<DatasetEntry> entry,
                        registry_.Get(name));
@@ -673,7 +649,8 @@ StatusOr<JsonValue> ServiceEngine::OpSchema(const JsonValue& request) {
   return body;
 }
 
-StatusOr<JsonValue> ServiceEngine::OpCluster(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpCluster(const JsonValue& request,
+                                             const Deadline&) {
   DPX_RETURN_IF_ERROR(RefuseIfReadOnly("cluster"));
   DPX_ASSIGN_OR_RETURN(const std::string name, request.GetString("dataset"));
   DPX_ASSIGN_OR_RETURN(const std::shared_ptr<DatasetEntry> entry,
@@ -681,15 +658,17 @@ StatusOr<JsonValue> ServiceEngine::OpCluster(const JsonValue& request) {
   DPX_ASSIGN_OR_RETURN(const std::string clustering_id,
                        OptString(request, "clustering", "default"));
   DPX_ASSIGN_OR_RETURN(const std::string method, request.GetString("method"));
-  DPX_ASSIGN_OR_RETURN(const size_t k, OptCount(request, "k", 5));
-  DPX_ASSIGN_OR_RETURN(const size_t seed, OptCount(request, "seed", 1));
-  DPX_ASSIGN_OR_RETURN(const double epsilon,
-                       OptNumber(request, "epsilon", 1.0));
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
+  ClusteringSpec spec;
+  DPX_ASSIGN_OR_RETURN(spec.method, ParseClusteringMethod(method));
+  DPX_ASSIGN_OR_RETURN(spec.num_clusters, OptCount(request, "k", 5));
+  DPX_ASSIGN_OR_RETURN(spec.seed, OptCount(request, "seed", 1));
+  DPX_ASSIGN_OR_RETURN(spec.epsilon, OptNumber(request, "epsilon", 1.0));
+  if (spec.num_clusters == 0) return Status::InvalidArgument("k must be >= 1");
 
-  const bool is_private = method == "dp-k-means";
+  const bool is_private = spec.method == ClusteringMethod::kDpKMeans;
   const std::string fingerprint =
-      ClusteringFingerprint(method, k, seed, is_private ? epsilon : 0.0);
+      ClusteringFingerprint(method, spec.num_clusters, spec.seed,
+                            is_private ? spec.epsilon : 0.0);
 
   const auto respond = [&](const std::shared_ptr<const ClusteringView>& view) {
     JsonValue body = JsonValue::Object();
@@ -716,18 +695,10 @@ StatusOr<JsonValue> ServiceEngine::OpCluster(const JsonValue& request) {
   // this snapshot, and PutClustering rejects the publish if rows were
   // appended meanwhile (the caller retries against the new generation).
   const std::shared_ptr<const Dataset> dataset = entry->dataset();
-  StatusOr<std::unique_ptr<ClusteringFunction>> clustering =
-      Status::InvalidArgument(
-          "unknown method '" + method +
-          "' (expected k-means | dp-k-means | k-modes | agglomerative | gmm)");
+  std::unique_ptr<ClusteringFunction> clustering;
   {
     DPX_SPAN("clustering_fit");
-    if (method == "k-means") {
-      KMeansOptions options;
-      options.num_clusters = k;
-      options.seed = seed;
-      clustering = FitKMeans(*dataset, options);
-    } else if (method == "dp-k-means") {
+    if (is_private) {
       // The fit is an ε-DP release: charge the requesting session (and the
       // dataset cap) before fitting.
       DPX_ASSIGN_OR_RETURN(const std::string session_id,
@@ -740,39 +711,19 @@ StatusOr<JsonValue> ServiceEngine::OpCluster(const JsonValue& request) {
                                           "'");
       }
       DPX_RETURN_IF_ERROR(
-          session->Spend(epsilon, "cluster/dp-k-means " + clustering_id));
-      DpKMeansOptions options;
-      options.num_clusters = k;
-      options.epsilon = epsilon;
-      options.seed = seed;
-      clustering = FitDpKMeans(*dataset, options, nullptr);
-    } else if (method == "k-modes") {
-      KModesOptions options;
-      options.num_clusters = k;
-      options.seed = seed;
-      clustering = FitKModes(*dataset, options);
-    } else if (method == "agglomerative") {
-      AgglomerativeOptions options;
-      options.num_clusters = k;
-      options.seed = seed;
-      clustering = FitAgglomerative(*dataset, options);
-    } else if (method == "gmm") {
-      GmmOptions options;
-      options.num_components = k;
-      options.seed = seed;
-      clustering = FitGmm(*dataset, options);
+          session->Spend(spec.epsilon, "cluster/dp-k-means " + clustering_id));
     }
-  }  // DPX_SPAN("clustering_fit")
-  DPX_RETURN_IF_ERROR(clustering.status());
+    DPX_ASSIGN_OR_RETURN(clustering, FitClustering(*dataset, spec));
+  }
 
   auto view = std::make_shared<ClusteringView>();
   view->id = clustering_id;
-  view->description = (*clustering)->name();
+  view->description = clustering->name();
   view->fingerprint = fingerprint;
-  view->num_clusters = (*clustering)->num_clusters();
+  view->num_clusters = clustering->num_clusters();
   {
     DPX_SPAN("assign_all");
-    view->labels = (*clustering)->AssignAll(*dataset);
+    view->labels = clustering->AssignAll(*dataset);
   }
   DPX_ASSIGN_OR_RETURN(StatsCache stats,
                        StatsCache::Build(*dataset, view->labels,
@@ -781,13 +732,14 @@ StatusOr<JsonValue> ServiceEngine::OpCluster(const JsonValue& request) {
   // Keep the fitted model on the view: appended rows are labeled by the
   // same model, so a tail assignment matches a cold AssignAll exactly.
   view->model = std::shared_ptr<const ClusteringFunction>(
-      std::move(*clustering));
+      std::move(clustering));
   DPX_ASSIGN_OR_RETURN(const std::shared_ptr<const ClusteringView> published,
                        entry->PutClustering(std::move(view)));
   return respond(published);
 }
 
-StatusOr<JsonValue> ServiceEngine::OpCreateSession(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpCreateSession(const JsonValue& request,
+                                                   const Deadline&) {
   DPX_RETURN_IF_ERROR(RefuseIfReadOnly("create_session"));
   DPX_ASSIGN_OR_RETURN(const std::string session_id,
                        request.GetString("session"));
@@ -804,7 +756,8 @@ StatusOr<JsonValue> ServiceEngine::OpCreateSession(const JsonValue& request) {
   return body;
 }
 
-StatusOr<JsonValue> ServiceEngine::OpCloseSession(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpCloseSession(const JsonValue& request,
+                                                  const Deadline&) {
   DPX_RETURN_IF_ERROR(RefuseIfReadOnly("close_session"));
   DPX_ASSIGN_OR_RETURN(const std::string session_id,
                        request.GetString("session"));
@@ -815,7 +768,8 @@ StatusOr<JsonValue> ServiceEngine::OpCloseSession(const JsonValue& request) {
   return body;
 }
 
-StatusOr<JsonValue> ServiceEngine::OpBudget(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpBudget(const JsonValue& request,
+                                            const Deadline&) {
   DPX_ASSIGN_OR_RETURN(const std::string session_id,
                        request.GetString("session"));
   DPX_ASSIGN_OR_RETURN(const std::shared_ptr<ServiceSession> session,
@@ -906,84 +860,36 @@ StatusOr<JsonValue> ServiceEngine::OpExplain(const JsonValue& request,
                 pinned_seed ? std::to_string(seed).c_str() : "auto",
                 options.num_threads);
 
-  JsonValue body;
-  bool cache_hit = false;
-  std::shared_ptr<const std::string> cached;
-  {
-    DPX_SPAN("cache_lookup");
-    cached = cache_.Get(key);
-  }
-  if (cached == nullptr) {
-    // Miss: serialize concurrent identical requests on a per-key lock so
-    // exactly one of them spends ε and computes; the others block here,
-    // then find the release cached below (a dual charge would silently
-    // burn double budget).
-    const std::shared_ptr<InflightSlot> slot = AcquireInflight(key);
-    struct Release {
-      ServiceEngine* engine;
-      const char* key;
-      ~Release() { engine->ReleaseInflight(key); }
-    } release{this, key};
-    std::unique_lock<std::mutex> in_flight(slot->mutex, std::defer_lock);
-    {
-      DPX_SPAN("inflight_wait");
-      in_flight.lock();
-      cached = cache_.Get(key);
-    }
-    if (cached == nullptr) {
-      // A replica serves hits above for free but must not charge ε; the
-      // router retries the miss against the primary.
-      DPX_RETURN_IF_ERROR(RefuseIfReadOnly("explain (uncached)"));
-      // The slot wait above can block behind another request's compute;
-      // re-check the deadline so a request that expired waiting charges
-      // nothing. Past the Spend below there are no refunds.
-      DPX_RETURN_IF_ERROR(deadline.Check("explain inflight wait"));
-      {
-        DPX_SPAN("budget_check");
-        DPX_RETURN_IF_ERROR(
-            session->Spend(total_epsilon, "explain " + clustering_id));
-      }
-      // Fault point between the charge and the compute: a hook that sleeps
-      // here (with the check that follows) exercises post-spend
-      // cancellation; one that returns an error simulates a compute
-      // failure after budget was committed.
-      DPX_RETURN_IF_ERROR(InjectFault("explain:compute", request, nullptr));
-      DPX_RETURN_IF_ERROR(deadline.Check("explain compute"));
-      options.seed = pinned_seed ? seed : NextNoiseSeed();
-      DPX_ASSIGN_OR_RETURN(const GlobalExplanation explanation, [&] {
-        DPX_SPAN("explain_compute");
-        return ExplainDpClustXWithStats(*view->stats, options, nullptr);
-      }());
-      const std::shared_ptr<const Dataset> dataset =
-          session->dataset()->dataset();
-      const Schema& schema = dataset->schema();
-      DPX_ASSIGN_OR_RETURN(
-          JsonValue explanation_json,
-          JsonValue::Parse(ExplanationToJson(explanation, schema)));
-      body = JsonValue::Object();
-      body.Set("explanation", std::move(explanation_json));
-      body.Set("text",
-               JsonValue::String(RenderGlobalExplanation(explanation,
-                                                         schema)));
-      cache_.Put(key, body.Dump());
-    }
-  }
-  if (cached != nullptr) {
-    // Post-processing an already-paid-for release: identical bytes, zero ε.
-    StatusOr<JsonValue> parsed = JsonValue::Parse(*cached);
-    DPX_CHECK(parsed.ok()) << "corrupt cache payload";
-    body = std::move(*parsed);
-    cache_hit = true;
-  }
-  body.Set("cache_hit", JsonValue::Bool(cache_hit));
-  body.Set("epsilon_charged",
-           JsonValue::Number(cache_hit ? 0.0 : total_epsilon));
-  body.Set("epsilon_remaining",
-           JsonValue::Number(session->budget().remaining_epsilon()));
-  return body;
+  return ReleaseOnce(
+      "explain", key, *session, total_epsilon, "explain " + clustering_id,
+      deadline, [&]() -> StatusOr<JsonValue> {
+        // Fault point between the charge and the compute: a hook that
+        // sleeps here (with the check that follows) exercises post-spend
+        // cancellation; one that returns an error simulates a compute
+        // failure after budget was committed.
+        DPX_RETURN_IF_ERROR(InjectFault("explain:compute", request, nullptr));
+        DPX_RETURN_IF_ERROR(deadline.Check("explain compute"));
+        options.seed = pinned_seed ? seed : NextNoiseSeed();
+        DPX_ASSIGN_OR_RETURN(const GlobalExplanation explanation, [&] {
+          DPX_SPAN("explain_compute");
+          return ExplainDpClustXWithStats(*view->stats, options, nullptr);
+        }());
+        const std::shared_ptr<const Dataset> dataset =
+            session->dataset()->dataset();
+        const Schema& schema = dataset->schema();
+        DPX_ASSIGN_OR_RETURN(
+            JsonValue explanation_json,
+            JsonValue::Parse(ExplanationToJson(explanation, schema)));
+        JsonValue body = JsonValue::Object();
+        body.Set("explanation", std::move(explanation_json));
+        body.Set("text", JsonValue::String(
+                             RenderGlobalExplanation(explanation, schema)));
+        return body;
+      });
 }
 
-StatusOr<JsonValue> ServiceEngine::OpHist(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpHist(const JsonValue& request,
+                                          const Deadline&) {
   DPX_ASSIGN_OR_RETURN(const std::string session_id,
                        request.GetString("session"));
   DPX_ASSIGN_OR_RETURN(const std::shared_ptr<ServiceSession> session,
@@ -1020,20 +926,54 @@ StatusOr<JsonValue> ServiceEngine::OpHist(const JsonValue& request) {
                 view->fingerprint.c_str(), attr_name.c_str(), epsilon,
                 pinned_seed ? std::to_string(seed).c_str() : "auto");
 
+  // One round of per-cluster histograms over disjoint clusters: parallel
+  // composition, a single charge of `epsilon` covers all of them.
+  return ReleaseOnce(
+      "hist", key, *session, epsilon,
+      "hist attr=" + attr_name + " [parallel x" +
+          std::to_string(view->num_clusters) + "]",
+      // Hist's only deadline checkpoint is the one at dispatch.
+      Deadline(), [&]() -> StatusOr<JsonValue> {
+        Rng rng(pinned_seed ? seed : NextNoiseSeed());
+        JsonValue clusters = JsonValue::Array();
+        for (size_t c = 0; c < view->num_clusters; ++c) {
+          DPX_ASSIGN_OR_RETURN(
+              const Histogram noisy,
+              ReleaseDpHistogram(
+                  view->stats->cluster_histogram(static_cast<ClusterId>(c),
+                                                 attr),
+                  epsilon, rng, DpHistogramOptions{}));
+          JsonValue entry = JsonValue::Object();
+          entry.Set("cluster", JsonValue::Number(static_cast<double>(c)));
+          entry.Set("bins", HistogramToJson(noisy, schema.attribute(attr)));
+          clusters.Append(std::move(entry));
+        }
+        JsonValue body = JsonValue::Object();
+        body.Set("attribute", JsonValue::String(attr_name));
+        body.Set("clusters", std::move(clusters));
+        return body;
+      });
+}
+
+StatusOr<JsonValue> ServiceEngine::ReleaseOnce(
+    const char* op, const std::string& key, ServiceSession& session,
+    double epsilon, const std::string& spend_label, const Deadline& deadline,
+    const std::function<StatusOr<JsonValue>()>& compute) {
   JsonValue body;
-  bool cache_hit = false;
   std::shared_ptr<const std::string> cached;
   {
     DPX_SPAN("cache_lookup");
     cached = cache_.Get(key);
   }
   if (cached == nullptr) {
-    // Same in-flight dedup as explain: exactly one of a burst of identical
-    // misses charges ε; the rest wait and hit the cache below.
+    // Miss: serialize concurrent identical requests on a per-key lock so
+    // exactly one of them spends ε and computes; the others block here,
+    // then find the release cached below (a dual charge would silently
+    // burn double budget).
     const std::shared_ptr<InflightSlot> slot = AcquireInflight(key);
     struct Release {
       ServiceEngine* engine;
-      const char* key;
+      const std::string& key;
       ~Release() { engine->ReleaseInflight(key); }
     } release{this, key};
     std::unique_lock<std::mutex> in_flight(slot->mutex, std::defer_lock);
@@ -1045,47 +985,37 @@ StatusOr<JsonValue> ServiceEngine::OpHist(const JsonValue& request) {
     if (cached == nullptr) {
       // A replica serves hits above for free but must not charge ε; the
       // router retries the miss against the primary.
-      DPX_RETURN_IF_ERROR(RefuseIfReadOnly("hist (uncached)"));
-      // One round of per-cluster histograms over disjoint clusters: parallel
-      // composition, a single charge of `epsilon` covers all of them.
-      DPX_RETURN_IF_ERROR(session->Spend(
-          epsilon, "hist attr=" + attr_name + " [parallel x" +
-                       std::to_string(view->num_clusters) + "]"));
-      Rng rng(pinned_seed ? seed : NextNoiseSeed());
-      JsonValue clusters = JsonValue::Array();
-      for (size_t c = 0; c < view->num_clusters; ++c) {
-        DPX_ASSIGN_OR_RETURN(
-            const Histogram noisy,
-            ReleaseDpHistogram(
-                view->stats->cluster_histogram(static_cast<ClusterId>(c),
-                                               attr),
-                epsilon, rng, DpHistogramOptions{}));
-        JsonValue entry = JsonValue::Object();
-        entry.Set("cluster", JsonValue::Number(static_cast<double>(c)));
-        entry.Set("bins", HistogramToJson(noisy, schema.attribute(attr)));
-        clusters.Append(std::move(entry));
+      DPX_RETURN_IF_ERROR(
+          RefuseIfReadOnly((std::string(op) + " (uncached)").c_str()));
+      // The slot wait above can block behind another request's compute;
+      // re-check the deadline so a request that expired waiting charges
+      // nothing. Past the Spend below there are no refunds.
+      DPX_RETURN_IF_ERROR(
+          deadline.Check((std::string(op) + " inflight wait").c_str()));
+      {
+        DPX_SPAN("budget_check");
+        DPX_RETURN_IF_ERROR(session.Spend(epsilon, spend_label));
       }
-      body = JsonValue::Object();
-      body.Set("attribute", JsonValue::String(attr_name));
-      body.Set("clusters", std::move(clusters));
+      DPX_ASSIGN_OR_RETURN(body, compute());
       cache_.Put(key, body.Dump());
     }
   }
-  if (cached != nullptr) {
+  const bool cache_hit = cached != nullptr;
+  if (cache_hit) {
     // Post-processing an already-paid-for release: identical bytes, zero ε.
     StatusOr<JsonValue> parsed = JsonValue::Parse(*cached);
     DPX_CHECK(parsed.ok()) << "corrupt cache payload";
     body = std::move(*parsed);
-    cache_hit = true;
   }
   body.Set("cache_hit", JsonValue::Bool(cache_hit));
   body.Set("epsilon_charged", JsonValue::Number(cache_hit ? 0.0 : epsilon));
   body.Set("epsilon_remaining",
-           JsonValue::Number(session->budget().remaining_epsilon()));
+           JsonValue::Number(session.budget().remaining_epsilon()));
   return body;
 }
 
-StatusOr<JsonValue> ServiceEngine::OpSize(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpSize(const JsonValue& request,
+                                          const Deadline&) {
   // Always refused on replicas: a size release is never cached, so there is
   // no free-hit path to carve out.
   DPX_RETURN_IF_ERROR(RefuseIfReadOnly("size"));
@@ -1127,7 +1057,8 @@ StatusOr<JsonValue> ServiceEngine::OpSize(const JsonValue& request) {
 // series, read through the `metrics` op (JSON) or HTTP /metrics
 // (Prometheus text); queue_capacity and retry_after_ms are configuration
 // that has no series.
-JsonValue ServiceEngine::OpStats() {
+StatusOr<JsonValue> ServiceEngine::OpStats(const JsonValue&,
+                                           const Deadline&) {
   JsonValue datasets = JsonValue::Array();
   for (const std::string& name : registry_.Names()) {
     datasets.Append(JsonValue::String(name));
@@ -1147,20 +1078,23 @@ JsonValue ServiceEngine::OpStats() {
   return body;
 }
 
-JsonValue ServiceEngine::OpMetricsDump() {
+StatusOr<JsonValue> ServiceEngine::OpMetricsDump(const JsonValue&,
+                                                 const Deadline&) {
   JsonValue body = JsonValue::Object();
   body.Set("metrics", metrics_->ToJson());
   return body;
 }
 
-StatusOr<JsonValue> ServiceEngine::OpTrace(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpTrace(const JsonValue& request,
+                                           const Deadline&) {
   DPX_ASSIGN_OR_RETURN(const size_t limit, OptCount(request, "limit", 0));
   JsonValue body = traces_.ToJson(limit);
   body.Set("trace_all", JsonValue::Bool(options_.trace_all));
   return body;
 }
 
-StatusOr<JsonValue> ServiceEngine::OpAudit(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpAudit(const JsonValue& request,
+                                           const Deadline&) {
   DPX_ASSIGN_OR_RETURN(const size_t limit, OptCount(request, "limit", 0));
   return audit_.ToJson(limit);
 }
@@ -1628,7 +1562,8 @@ StatusOr<ServiceEngine::RestoreReport> ServiceEngine::RestoreFromFiles(
   return report;
 }
 
-StatusOr<JsonValue> ServiceEngine::OpSaveSnapshot(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpSaveSnapshot(const JsonValue& request,
+                                                  const Deadline&) {
   DPX_RETURN_IF_ERROR(RefuseIfReadOnly("save_snapshot"));
   DPX_ASSIGN_OR_RETURN(const std::string path, request.GetString("path"));
   DPX_RETURN_IF_ERROR(SaveSnapshotToFile(path));
@@ -1648,7 +1583,8 @@ StatusOr<JsonValue> ServiceEngine::OpSaveSnapshot(const JsonValue& request) {
   return body;
 }
 
-StatusOr<JsonValue> ServiceEngine::OpLoadSnapshot(const JsonValue& request) {
+StatusOr<JsonValue> ServiceEngine::OpLoadSnapshot(const JsonValue& request,
+                                                  const Deadline&) {
   // Deliberately NOT refused on read-only workers: a restore is how a
   // respawned replica gets the primary's paid-for releases in the first
   // place (RestoreFromFiles itself requires the engine to be empty).

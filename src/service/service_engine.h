@@ -161,15 +161,11 @@ struct ServiceEngineOptions {
   /// Explanation-cache entries.
   size_t cache_capacity = 1024;
   /// TEST/DEBUG ONLY. When true, server-drawn noise seeds derive
-  /// deterministically from `noise_seed`, and requests may pin a "seed"
+  /// deterministically from a fixed base, and requests may pin a "seed"
   /// field on the noisy ops (explain/hist/size). NEVER enable this in a
   /// deployment: a client who knows the seed can subtract the mechanism
   /// noise from the response and recover exact counts.
   bool insecure_deterministic_noise = false;
-  /// Base for deterministic server-drawn seeds. Only consulted when
-  /// `insecure_deterministic_noise` is set; otherwise seeds come from
-  /// std::random_device.
-  uint64_t noise_seed = 0x5eed5eedULL;
   /// Deadline applied to every request that does not carry its own
   /// "deadline_ms" field. 0 = no default deadline.
   int64_t default_deadline_ms = 0;
@@ -194,17 +190,11 @@ struct ServiceEngineOptions {
   /// An injected registry must outlive the engine; the engine removes its
   /// callback gauges on destruction.
   obs::MetricsRegistry* metrics_registry = nullptr;
-  /// When false, per-op counters/latency histograms are not updated (the
-  /// `stats` op then reports no per-op data). Exists so the throughput
-  /// bench can measure instrumentation overhead; leave true in deployments.
-  bool record_metrics = true;
   /// Trace every request as if it carried "trace": true. Traces land in
   /// the trace ring (responses are not inflated).
   bool trace_all = false;
   /// Completed request traces retained for the `trace` op (drop-oldest).
   size_t trace_ring_capacity = 64;
-  /// Audit-log tail records retained (totals stay exact regardless).
-  size_t audit_capacity = 4096;
   /// Read-only replica mode: every op that would charge ε or mutate state
   /// (load_dataset, append_rows, cluster, create_session, close_session,
   /// size, save_snapshot, and cache *misses* on explain/hist) is refused with
@@ -309,34 +299,46 @@ class ServiceEngine {
                        Deadline::Clock::time_point start);
   JsonValue Dispatch(const JsonValue& request,
                      Deadline::Clock::time_point start);
-  /// Resolves the request deadline, runs the ":start" fault point, routes to
-  /// the op handler, runs ":finish"; Dispatch wraps the result (non-finite
+  /// Every op handler's type: it returns the response body (merged with
+  /// ok/id by Dispatch) or a Status that Dispatch converts to an error
+  /// response. `deadline` is the request's resolved deadline (only explain
+  /// checks it again past dispatch).
+  using OpHandler = StatusOr<JsonValue>(const JsonValue& request,
+                                        const Deadline& deadline);
+  OpHandler OpPing, OpLoadDataset, OpAppendRows, OpSchema, OpCluster,
+      OpCreateSession, OpCloseSession, OpBudget, OpExplain, OpHist, OpSize,
+      OpStats, OpMetricsDump, OpTrace, OpAudit, OpSaveSnapshot,
+      OpLoadSnapshot;
+  /// One row of the op table: DispatchOp routes `name` to `handler`, and
+  /// RegisterMetrics pre-registers the op's instruments under `name`.
+  struct OpRoute {
+    const char* name;
+    OpHandler ServiceEngine::*handler;
+  };
+  /// The complete op vocabulary; an op not named here is NotFound and never
+  /// touches the per-op instruments.
+  static const OpRoute kOpRoutes[];
+  /// Resolves the request deadline, runs the ":start" fault point, runs the
+  /// route's handler, runs ":finish"; Dispatch wraps the result (non-finite
   /// gate, metrics, error envelope).
-  StatusOr<JsonValue> DispatchOp(const std::string& op,
+  StatusOr<JsonValue> DispatchOp(const OpRoute& route,
                                  const JsonValue& request,
                                  Deadline::Clock::time_point start);
   /// Runs the configured fault injector at `point` (no-op when absent).
   Status InjectFault(const std::string& point, const JsonValue& request,
                      JsonValue* body);
-  // Per-op handlers; return the response body (merged with ok/id by
-  // Dispatch) or a Status that Dispatch converts to an error response.
-  StatusOr<JsonValue> OpLoadDataset(const JsonValue& request);
-  StatusOr<JsonValue> OpAppendRows(const JsonValue& request);
-  StatusOr<JsonValue> OpSchema(const JsonValue& request);
-  StatusOr<JsonValue> OpCluster(const JsonValue& request);
-  StatusOr<JsonValue> OpCreateSession(const JsonValue& request);
-  StatusOr<JsonValue> OpCloseSession(const JsonValue& request);
-  StatusOr<JsonValue> OpBudget(const JsonValue& request);
-  StatusOr<JsonValue> OpExplain(const JsonValue& request,
-                                const Deadline& deadline);
-  StatusOr<JsonValue> OpHist(const JsonValue& request);
-  StatusOr<JsonValue> OpSize(const JsonValue& request);
-  JsonValue OpStats();
-  JsonValue OpMetricsDump();
-  StatusOr<JsonValue> OpTrace(const JsonValue& request);
-  StatusOr<JsonValue> OpAudit(const JsonValue& request);
-  StatusOr<JsonValue> OpSaveSnapshot(const JsonValue& request);
-  StatusOr<JsonValue> OpLoadSnapshot(const JsonValue& request);
+
+  /// The release-once protocol behind explain and hist: serve `key` from
+  /// the cache, or — holding the key's in-flight slot so a burst of
+  /// identical misses charges once — refuse on a replica, check `deadline`,
+  /// charge `session` `epsilon` under `spend_label`, and cache what
+  /// `compute` returns. Either way the body gains cache_hit,
+  /// epsilon_charged and epsilon_remaining. `op` names the op in refusals.
+  StatusOr<JsonValue> ReleaseOnce(
+      const char* op, const std::string& key, ServiceSession& session,
+      double epsilon, const std::string& spend_label,
+      const Deadline& deadline,
+      const std::function<StatusOr<JsonValue>()>& compute);
 
   /// FailedPrecondition naming `what` when this worker is read-only.
   Status RefuseIfReadOnly(const char* what) const;
@@ -379,7 +381,7 @@ class ServiceEngine {
     obs::Counter* deadline_exceeded = nullptr;
     obs::LatencyHistogram* latency = nullptr;
   };
-  void RecordOp(const std::string& op, Deadline::Clock::time_point began,
+  void RecordOp(const OpRoute& route, Deadline::Clock::time_point began,
                 const Status& outcome);
   /// Registers the per-op handles and callback gauges (cache, pools,
   /// registry sizes, audit totals) in *metrics_. Called from the ctor.
@@ -398,7 +400,8 @@ class ServiceEngine {
   obs::MetricsRegistry owned_metrics_;  // used unless options injects one
   obs::MetricsRegistry* const metrics_;
   SessionManager sessions_;  // after audit_: sessions hold a pointer to it
-  std::map<std::string, OpMetrics> op_metrics_;  // immutable after ctor
+  // One per kOpRoutes row, in table order; immutable after the ctor.
+  std::vector<OpMetrics> op_metrics_;
   obs::Counter* shed_ = nullptr;     // requests rejected by the full queue
   obs::Counter* traced_ = nullptr;   // requests that ran with tracing on
   obs::Counter* snapshot_saves_ = nullptr;

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/agglomerative.h"
+#include "cluster/dp_kmeans.h"
+#include "cluster/gmm.h"
+#include "cluster/kmeans.h"
+#include "cluster/kmodes.h"
+#include "data/synthetic.h"
+
 namespace dpclustx {
 namespace {
 
@@ -87,6 +94,89 @@ TEST(ClusterRowIndicesTest, GroupsRows) {
   const auto indices = ClusterRowIndices(labels, 2);
   EXPECT_EQ(indices[0], (std::vector<uint32_t>{1}));
   EXPECT_EQ(indices[1], (std::vector<uint32_t>{0, 2}));
+}
+
+TEST(ParseClusteringMethodTest, ParsesAllNames) {
+  EXPECT_EQ(ParseClusteringMethod("k-means").value(),
+            ClusteringMethod::kKMeans);
+  EXPECT_EQ(ParseClusteringMethod("dp-k-means").value(),
+            ClusteringMethod::kDpKMeans);
+  EXPECT_EQ(ParseClusteringMethod("k-modes").value(),
+            ClusteringMethod::kKModes);
+  EXPECT_EQ(ParseClusteringMethod("agglomerative").value(),
+            ClusteringMethod::kAgglomerative);
+  EXPECT_EQ(ParseClusteringMethod("gmm").value(), ClusteringMethod::kGmm);
+  // The one unknown-name error: InvalidArgument listing the five names.
+  const StatusOr<ClusteringMethod> unknown = ParseClusteringMethod("dbscan");
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  for (const char* name :
+       {"k-means", "dp-k-means", "k-modes", "agglomerative", "gmm"}) {
+    EXPECT_NE(unknown.status().message().find(name), std::string::npos)
+        << unknown.status();
+  }
+}
+
+TEST(FitClusteringTest, LabelsMatchEachDirectFit) {
+  const StatusOr<Dataset> dataset = synth::Generate(synth::DiabetesLike(600));
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  const auto labels = [&](ClusteringMethod method) {
+    ClusteringSpec spec;
+    spec.method = method;
+    spec.num_clusters = 3;
+    spec.seed = 7;
+    spec.epsilon = 0.5;
+    const auto clustering = FitClustering(*dataset, spec);
+    EXPECT_TRUE(clustering.ok()) << clustering.status();
+    return (*clustering)->AssignAll(*dataset);
+  };
+  const auto direct = [&](const auto& clustering) {
+    EXPECT_TRUE(clustering.ok()) << clustering.status();
+    return (*clustering)->AssignAll(*dataset);
+  };
+
+  KMeansOptions kmeans;
+  kmeans.num_clusters = 3;
+  kmeans.seed = 7;
+  EXPECT_EQ(labels(ClusteringMethod::kKMeans),
+            direct(FitKMeans(*dataset, kmeans)));
+  DpKMeansOptions dp_kmeans;
+  dp_kmeans.num_clusters = 3;
+  dp_kmeans.seed = 7;
+  dp_kmeans.epsilon = 0.5;
+  EXPECT_EQ(labels(ClusteringMethod::kDpKMeans),
+            direct(FitDpKMeans(*dataset, dp_kmeans)));
+  KModesOptions kmodes;
+  kmodes.num_clusters = 3;
+  kmodes.seed = 7;
+  EXPECT_EQ(labels(ClusteringMethod::kKModes),
+            direct(FitKModes(*dataset, kmodes)));
+  AgglomerativeOptions agglomerative;
+  agglomerative.num_clusters = 3;
+  agglomerative.seed = 7;
+  EXPECT_EQ(labels(ClusteringMethod::kAgglomerative),
+            direct(FitAgglomerative(*dataset, agglomerative)));
+  GmmOptions gmm;
+  gmm.num_components = 3;
+  gmm.seed = 7;
+  EXPECT_EQ(labels(ClusteringMethod::kGmm), direct(FitGmm(*dataset, gmm)));
+}
+
+TEST(FitClusteringTest, BudgetReachesDpKMeansOnly) {
+  const StatusOr<Dataset> dataset = synth::Generate(synth::DiabetesLike(300));
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  for (const ClusteringMethod method :
+       {ClusteringMethod::kKMeans, ClusteringMethod::kDpKMeans,
+        ClusteringMethod::kKModes, ClusteringMethod::kAgglomerative,
+        ClusteringMethod::kGmm}) {
+    PrivacyBudget budget(2.0);
+    ClusteringSpec spec;
+    spec.method = method;
+    spec.num_clusters = 2;
+    spec.epsilon = 0.75;
+    ASSERT_TRUE(FitClustering(*dataset, spec, &budget).ok());
+    EXPECT_DOUBLE_EQ(budget.spent_epsilon(),
+                     method == ClusteringMethod::kDpKMeans ? 0.75 : 0.0);
+  }
 }
 
 }  // namespace

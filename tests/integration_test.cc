@@ -153,7 +153,7 @@ TEST(IntegrationTest, TextualDescriptionDetectsPlantedShift) {
 TEST(IntegrationTest, ExplanationSerializationRoundTripsThroughPipeline) {
   const Dataset dataset = MakeData(19, 4000);
   PipelineOptions options;
-  options.num_clusters = 3;
+  options.clustering.num_clusters = 3;
   const auto result = RunPipeline(dataset, options);
   ASSERT_TRUE(result.ok());
   const std::string json =

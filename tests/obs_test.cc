@@ -343,7 +343,7 @@ TEST(TraceTest, PipelineTraceCoversAllStages) {
   const StatusOr<Dataset> dataset = synth::Generate(synth::DiabetesLike(400));
   ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
   PipelineOptions options;
-  options.num_clusters = 3;
+  options.clustering.num_clusters = 3;
   options.explain.num_candidates = 2;
 
   Trace trace("pipeline");

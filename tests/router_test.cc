@@ -920,6 +920,44 @@ TEST(ToolFlagsTest, BadNumericValuesExitTwoWithTheFlagName) {
                      "--open-qps needs a non-negative number, got 'abc'");
 }
 
+TEST(ToolFlagsTest, CliRefusesBadBudgetsAndNamesBeforeAnyWork) {
+  // dpclustx_cli parses through the shared flag rules: a budget flag that
+  // is not a positive finite number, an unknown method or generator, and a
+  // malformed count are usage errors naming the flag (exit 2), never a
+  // failed CHECK later on.
+  const std::string cli = BuildDir() + "/tools/dpclustx_cli";
+  const auto expect_usage_error = [&](const std::vector<std::string>& flags,
+                                      const std::string& message) {
+    std::vector<std::string> args = {cli, "--synthetic", "diabetes", "--rows",
+                                     "200", "--clusters", "2"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const ExitResult result = RunToExit(args);
+    EXPECT_TRUE(WIFEXITED(result.status) && WEXITSTATUS(result.status) == 2)
+        << flags[0] << " " << flags[1] << ": status " << result.status
+        << ", stderr: " << result.err;
+    EXPECT_NE(result.err.find(message), std::string::npos)
+        << flags[0] << " stderr: " << result.err;
+  };
+  expect_usage_error({"--epsilon-hist", "nan"},
+                     "--epsilon-hist needs a non-negative number, got 'nan'");
+  expect_usage_error({"--epsilon-candset", "0", "--epsilon-topcomb", "0",
+                      "--epsilon-hist", "0"},
+                     "--epsilon-candset needs a positive number, got '0'");
+  expect_usage_error({"--epsilon-clust", "-1"},
+                     "--epsilon-clust needs a non-negative number, got '-1'");
+  expect_usage_error({"--seed", "12x"},
+                     "--seed needs a non-negative integer, got '12x'");
+  expect_usage_error({"--method", "dbscan"}, "unknown method 'dbscan'");
+  expect_usage_error({"--synthetic", "adult"}, "unknown generator 'adult'");
+
+  // 0 is a seed like any other.
+  const ExitResult seeded =
+      RunToExit({cli, "--synthetic", "diabetes", "--rows", "200",
+                 "--clusters", "2", "--seed", "0", "--quiet"});
+  EXPECT_TRUE(WIFEXITED(seeded.status) && WEXITSTATUS(seeded.status) == 0)
+      << "status " << seeded.status << ", stderr: " << seeded.err;
+}
+
 std::vector<std::string> RouterArgs(const std::string& state_dir,
                                     const std::string& workers,
                                     const std::string& replicas) {

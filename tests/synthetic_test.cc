@@ -77,6 +77,32 @@ TEST(SyntheticTest, PresetsMatchPaperShapes) {
   EXPECT_EQ(StackOverflowLike(1000).max_domain, 22u);
 }
 
+TEST(SyntheticTest, PresetByNameReturnsThePresetsUnchanged) {
+  const auto expect_same = [](const std::string& name,
+                              const SyntheticConfig& expected) {
+    const StatusOr<SyntheticConfig> got = PresetByName(name);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->num_rows, expected.num_rows) << name;
+    EXPECT_EQ(got->num_attributes, expected.num_attributes) << name;
+    EXPECT_EQ(got->num_latent_groups, expected.num_latent_groups) << name;
+    EXPECT_EQ(got->min_domain, expected.min_domain) << name;
+    EXPECT_EQ(got->max_domain, expected.max_domain) << name;
+    EXPECT_EQ(got->informative_fraction, expected.informative_fraction)
+        << name;
+    EXPECT_EQ(got->signal_strength, expected.signal_strength) << name;
+    EXPECT_EQ(got->group_skew, expected.group_skew) << name;
+    EXPECT_EQ(got->name_prefix, expected.name_prefix) << name;
+    EXPECT_EQ(got->seed, expected.seed) << name;
+  };
+  expect_same("diabetes", DiabetesLike());
+  expect_same("census", CensusLike());
+  expect_same("stackoverflow", StackOverflowLike());
+  for (const std::string name : {"", "Diabetes", "census ", "adult"}) {
+    const StatusOr<SyntheticConfig> got = PresetByName(name);
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument) << name;
+  }
+}
+
 TEST(CramersVTest, PerfectAssociationIsOne) {
   Schema schema({Attribute::WithAnonymousDomain("a", 3),
                  Attribute::WithAnonymousDomain("b", 3)});

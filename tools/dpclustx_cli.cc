@@ -1,27 +1,24 @@
 // dpclustx — command-line front end for the DPClustX pipeline.
 //
-// Reads a CSV table (or synthesizes one), clusters it, explains the
-// clusters under differential privacy, prints the explanation, and
-// optionally writes the JSON payload. Run with --help for usage.
+// Reads a CSV table (or synthesizes one), runs RunPipeline on it (cluster,
+// then explain the clusters under differential privacy), prints the
+// explanation, and optionally writes the JSON payload. Run with --help for
+// usage.
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
-#include "cluster/agglomerative.h"
-#include "cluster/dp_kmeans.h"
-#include "cluster/gmm.h"
-#include "cluster/kmeans.h"
-#include "cluster/kmodes.h"
-#include "core/explainer.h"
+#include "core/pipeline.h"
 #include "core/serialization.h"
-#include "eval/metrics.h"
 #include "data/csv.h"
 #include "data/synthetic.h"
 #include "dp/privacy_budget.h"
+#include "eval/metrics.h"
+#include "flags.h"
 #include "obs/build_info.h"
 #include "obs/trace.h"
 #include "service/transport.h"
@@ -29,6 +26,9 @@
 namespace {
 
 using namespace dpclustx;
+using tools::ParseDoubleFlag;
+using tools::ParseSizeFlag;
+using tools::ParseStringFlag;
 
 constexpr char kUsage[] = R"(dpclustx — differentially private cluster explanations
 
@@ -72,10 +72,10 @@ OUTPUT
   --output-json FILE  write the explanation JSON payload
   --report            print a per-cluster quality breakdown (computed from
                       EXACT counts — for evaluation on non-sensitive data)
-  --seed N            mechanism seed (default 1)
+  --seed N            clustering and mechanism seed (default 1)
   --trace             print a span-tree timing breakdown of the run to
-                      stderr (clustering fit, stats build, Stage-1,
-                      Stage-2; timings only, never data values)
+                      stderr (clustering fit, labeling, stats build,
+                      Stage-1, Stage-2; timings only, never data values)
   --quiet             suppress the rendered histograms
   --version           print build provenance and exit
   --help              this message
@@ -85,12 +85,10 @@ struct CliOptions {
   std::string connect;
   size_t timeout_ms = 30000;
   std::string input;
-  std::string synthetic;
+  std::optional<synth::SyntheticConfig> synthetic;
   size_t rows = 30000;
-  std::string method = "k-means";
-  size_t clusters = 5;
-  double epsilon_clust = 1.0;
-  DpClustXOptions explain;
+  /// The clustering seed follows --seed, like the explanation's.
+  PipelineOptions pipeline;
   std::string output_json;
   bool quiet = false;
   bool report = false;
@@ -102,102 +100,92 @@ struct CliOptions {
   std::exit(2);
 }
 
-double ParseDouble(const std::string& value, const std::string& flag) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == nullptr || *end != '\0') Fail("bad value for " + flag);
-  return parsed;
+template <typename T>
+T ValueOrFail(StatusOr<T> value) {
+  if (!value.ok()) Fail(value.status().ToString());
+  return std::move(*value);
 }
 
-size_t ParseSize(const std::string& value, const std::string& flag) {
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || parsed <= 0) {
-    Fail("bad value for " + flag);
+/// ParseDoubleFlag for a privacy budget, which must also be non-zero.
+bool ParseEpsilonFlag(int argc, char** argv, int* i, const char* name,
+                      double* out) {
+  if (!ParseDoubleFlag(argc, argv, i, name, out)) return false;
+  if (*out == 0.0) {
+    std::cerr << name << " needs a positive number, got '" << argv[*i]
+              << "'\n";
+    std::exit(2);
   }
-  return static_cast<size_t>(parsed);
+  return true;
 }
 
 CliOptions ParseArgs(int argc, char** argv) {
   CliOptions options;
-  auto next_value = [&](int& i, const char* flag) -> std::string {
-    if (i + 1 >= argc) Fail(std::string(flag) + " needs a value");
-    return argv[++i];
-  };
+  ClusteringSpec& clustering = options.pipeline.clustering;
+  DpClustXOptions& explain = options.pipeline.explain;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::string value;
+    size_t seed = 0;
     if (arg == "--help" || arg == "-h") {
       std::fputs(kUsage, stdout);
       std::exit(0);
     } else if (arg == "--version") {
       std::puts(obs::BuildInfoVersionLine().c_str());
       std::exit(0);
-    } else if (arg == "--connect") {
-      options.connect = next_value(i, "--connect");
-    } else if (arg == "--timeout-ms") {
-      options.timeout_ms =
-          ParseSize(next_value(i, "--timeout-ms"), "--timeout-ms");
-    } else if (arg == "--input") {
-      options.input = next_value(i, "--input");
-    } else if (arg == "--synthetic") {
-      options.synthetic = next_value(i, "--synthetic");
-    } else if (arg == "--rows") {
-      options.rows = ParseSize(next_value(i, "--rows"), "--rows");
-    } else if (arg == "--method") {
-      options.method = next_value(i, "--method");
-    } else if (arg == "--clusters") {
-      options.clusters =
-          ParseSize(next_value(i, "--clusters"), "--clusters");
-    } else if (arg == "--epsilon-clust") {
-      options.epsilon_clust =
-          ParseDouble(next_value(i, "--epsilon-clust"), "--epsilon-clust");
-    } else if (arg == "--epsilon-candset") {
-      options.explain.epsilon_cand_set = ParseDouble(
-          next_value(i, "--epsilon-candset"), "--epsilon-candset");
-    } else if (arg == "--epsilon-topcomb") {
-      options.explain.epsilon_top_comb = ParseDouble(
-          next_value(i, "--epsilon-topcomb"), "--epsilon-topcomb");
-    } else if (arg == "--epsilon-hist") {
-      options.explain.epsilon_hist =
-          ParseDouble(next_value(i, "--epsilon-hist"), "--epsilon-hist");
-    } else if (arg == "--candidates") {
-      options.explain.num_candidates =
-          ParseSize(next_value(i, "--candidates"), "--candidates");
-    } else if (arg == "--stage1") {
-      const std::string value = next_value(i, "--stage1");
+    } else if (ParseStringFlag(argc, argv, &i, "--connect", &options.connect) ||
+               ParseSizeFlag(argc, argv, &i, "--timeout-ms",
+                             &options.timeout_ms) ||
+               ParseStringFlag(argc, argv, &i, "--input", &options.input) ||
+               ParseSizeFlag(argc, argv, &i, "--rows", &options.rows) ||
+               ParseSizeFlag(argc, argv, &i, "--clusters",
+                             &clustering.num_clusters) ||
+               ParseEpsilonFlag(argc, argv, &i, "--epsilon-clust",
+                                &clustering.epsilon) ||
+               ParseEpsilonFlag(argc, argv, &i, "--epsilon-candset",
+                                &explain.epsilon_cand_set) ||
+               ParseEpsilonFlag(argc, argv, &i, "--epsilon-topcomb",
+                                &explain.epsilon_top_comb) ||
+               ParseEpsilonFlag(argc, argv, &i, "--epsilon-hist",
+                                &explain.epsilon_hist) ||
+               ParseSizeFlag(argc, argv, &i, "--candidates",
+                             &explain.num_candidates) ||
+               ParseDoubleFlag(argc, argv, &i, "--svt-threshold",
+                               &explain.svt_threshold_fraction) ||
+               ParseStringFlag(argc, argv, &i, "--output-json",
+                               &options.output_json)) {
+      // The flag's value is already in its field.
+    } else if (ParseSizeFlag(argc, argv, &i, "--seed", &seed)) {
+      explain.seed = seed;
+      clustering.seed = seed;
+    } else if (ParseStringFlag(argc, argv, &i, "--synthetic", &value)) {
+      options.synthetic = ValueOrFail(synth::PresetByName(value));
+    } else if (ParseStringFlag(argc, argv, &i, "--method", &value)) {
+      clustering.method = ValueOrFail(ParseClusteringMethod(value));
+    } else if (ParseStringFlag(argc, argv, &i, "--stage1", &value)) {
       if (value == "topk") {
-        options.explain.stage1 = Stage1Selector::kOneShotTopK;
+        explain.stage1 = Stage1Selector::kOneShotTopK;
       } else if (value == "svt") {
-        options.explain.stage1 = Stage1Selector::kSvt;
+        explain.stage1 = Stage1Selector::kSvt;
       } else {
         Fail("unknown --stage1 '" + value + "'");
       }
-    } else if (arg == "--svt-threshold") {
-      options.explain.svt_threshold_fraction =
-          ParseDouble(next_value(i, "--svt-threshold"), "--svt-threshold");
-    } else if (arg == "--lambda") {
-      const std::string value = next_value(i, "--lambda");
+    } else if (ParseStringFlag(argc, argv, &i, "--lambda", &value)) {
       double l_int = 0, l_suf = 0, l_div = 0;
       if (std::sscanf(value.c_str(), "%lf,%lf,%lf", &l_int, &l_suf,
                       &l_div) != 3) {
         Fail("--lambda expects I,S,D");
       }
-      options.explain.lambda = {l_int, l_suf, l_div};
-    } else if (arg == "--hist-mechanism") {
-      const std::string value = next_value(i, "--hist-mechanism");
+      explain.lambda = {l_int, l_suf, l_div};
+    } else if (ParseStringFlag(argc, argv, &i, "--hist-mechanism", &value)) {
       if (value == "geometric") {
-        options.explain.histogram.noise = HistogramNoise::kGeometric;
+        explain.histogram.noise = HistogramNoise::kGeometric;
       } else if (value == "laplace") {
-        options.explain.histogram.noise = HistogramNoise::kLaplace;
+        explain.histogram.noise = HistogramNoise::kLaplace;
       } else if (value == "hierarchical") {
-        options.explain.histogram.noise = HistogramNoise::kHierarchical;
+        explain.histogram.noise = HistogramNoise::kHierarchical;
       } else {
         Fail("unknown --hist-mechanism '" + value + "'");
       }
-    } else if (arg == "--output-json") {
-      options.output_json = next_value(i, "--output-json");
-    } else if (arg == "--seed") {
-      options.explain.seed = ParseSize(next_value(i, "--seed"), "--seed");
     } else if (arg == "--report") {
       options.report = true;
     } else if (arg == "--trace") {
@@ -209,7 +197,7 @@ CliOptions ParseArgs(int argc, char** argv) {
     }
   }
   if (options.connect.empty() &&
-      options.input.empty() == options.synthetic.empty()) {
+      options.input.empty() == !options.synthetic.has_value()) {
     Fail("exactly one of --input / --synthetic is required (see --help)");
   }
   return options;
@@ -259,61 +247,10 @@ int RunConnectMode(const CliOptions& options) {
 }
 
 Dataset LoadData(const CliOptions& options) {
-  if (!options.input.empty()) {
-    auto dataset = ReadCsv(options.input);
-    if (!dataset.ok()) Fail(dataset.status().ToString());
-    return std::move(*dataset);
-  }
-  StatusOr<Dataset> dataset = Status::Internal("unset");
-  if (options.synthetic == "diabetes") {
-    dataset = synth::Generate(synth::DiabetesLike(options.rows));
-  } else if (options.synthetic == "census") {
-    dataset = synth::Generate(synth::CensusLike(options.rows));
-  } else if (options.synthetic == "stackoverflow") {
-    dataset = synth::Generate(synth::StackOverflowLike(options.rows));
-  } else {
-    Fail("unknown --synthetic '" + options.synthetic + "'");
-  }
-  if (!dataset.ok()) Fail(dataset.status().ToString());
-  return std::move(*dataset);
-}
-
-std::unique_ptr<ClusteringFunction> Cluster(const CliOptions& options,
-                                            const Dataset& dataset,
-                                            PrivacyBudget& budget) {
-  StatusOr<std::unique_ptr<ClusteringFunction>> clustering =
-      Status::Internal("unset");
-  if (options.method == "k-means") {
-    KMeansOptions fit;
-    fit.num_clusters = options.clusters;
-    fit.seed = options.explain.seed;
-    clustering = FitKMeans(dataset, fit);
-  } else if (options.method == "dp-k-means") {
-    DpKMeansOptions fit;
-    fit.num_clusters = options.clusters;
-    fit.epsilon = options.epsilon_clust;
-    fit.seed = options.explain.seed;
-    clustering = FitDpKMeans(dataset, fit, &budget);
-  } else if (options.method == "k-modes") {
-    KModesOptions fit;
-    fit.num_clusters = options.clusters;
-    fit.seed = options.explain.seed;
-    clustering = FitKModes(dataset, fit);
-  } else if (options.method == "agglomerative") {
-    AgglomerativeOptions fit;
-    fit.num_clusters = options.clusters;
-    fit.seed = options.explain.seed;
-    clustering = FitAgglomerative(dataset, fit);
-  } else if (options.method == "gmm") {
-    GmmOptions fit;
-    fit.num_components = options.clusters;
-    fit.seed = options.explain.seed;
-    clustering = FitGmm(dataset, fit);
-  } else {
-    Fail("unknown --method '" + options.method + "'");
-  }
-  if (!clustering.ok()) Fail(clustering.status().ToString());
-  return std::move(*clustering);
+  if (!options.input.empty()) return ValueOrFail(ReadCsv(options.input));
+  synth::SyntheticConfig config = *options.synthetic;
+  config.num_rows = options.rows;
+  return ValueOrFail(synth::Generate(config));
 }
 
 }  // namespace
@@ -325,52 +262,41 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "loaded %zu rows x %zu attributes\n",
                dataset.num_rows(), dataset.num_attributes());
 
-  const double explain_budget = options.explain.epsilon_cand_set +
-                                options.explain.epsilon_top_comb +
-                                options.explain.epsilon_hist;
-  const double total =
-      explain_budget +
-      (options.method == "dp-k-means" ? options.epsilon_clust : 0.0);
-  PrivacyBudget budget(total);
+  const ClusteringSpec& clustering = options.pipeline.clustering;
+  const DpClustXOptions& explain = options.pipeline.explain;
+  PrivacyBudget budget(
+      explain.epsilon_cand_set + explain.epsilon_top_comb +
+      explain.epsilon_hist +
+      (clustering.method == ClusteringMethod::kDpKMeans ? clustering.epsilon
+                                                        : 0.0));
 
   obs::Trace trace("dpclustx_cli");
-  std::unique_ptr<ClusteringFunction> clustering;
-  StatusOr<GlobalExplanation> explanation = Status::Internal("unset");
-  {
+  const StatusOr<PipelineResult> result = [&] {
     // Spans record only when a trace is active on this thread; without
     // --trace the activation is a no-op and nothing is measured.
     obs::ScopedTraceActivation activate(options.trace ? &trace : nullptr);
-    {
-      DPX_SPAN("clustering_fit");
-      clustering = Cluster(options, dataset, budget);
-    }
-    std::fprintf(stderr, "clustered with %s\n", clustering->name().c_str());
-    explanation =
-        ExplainDpClustX(dataset, *clustering, options.explain, &budget);
-  }
+    return RunPipeline(dataset, options.pipeline, &budget);
+  }();
   trace.Finish();
   if (options.trace) std::cerr << obs::RenderTraceText(trace.root());
-  if (!explanation.ok()) Fail(explanation.status().ToString());
+  if (!result.ok()) Fail(result.status().ToString());
+  std::fprintf(stderr, "clustered with %s\n", result->clustering_name.c_str());
 
   if (!options.quiet) {
-    std::cout << RenderGlobalExplanation(*explanation, dataset.schema());
+    std::cout << RenderGlobalExplanation(result->explanation,
+                                         dataset.schema());
   }
   if (options.report) {
-    const std::vector<ClusterId> labels = clustering->AssignAll(dataset);
-    const auto stats =
-        StatsCache::Build(dataset, labels, options.clusters);
-    if (stats.ok()) {
-      std::cout << eval::QualityBreakdownReport(
-          *stats, explanation->combination, options.explain.lambda,
-          dataset.schema());
-    }
+    std::cout << eval::QualityBreakdownReport(
+        result->stats, result->explanation.combination, explain.lambda,
+        dataset.schema());
   }
   std::cout << budget.Report();
 
   if (!options.output_json.empty()) {
     std::ofstream out(options.output_json, std::ios::binary);
     if (!out) Fail("cannot write '" + options.output_json + "'");
-    out << ExplanationToJson(*explanation, dataset.schema()) << '\n';
+    out << ExplanationToJson(result->explanation, dataset.schema()) << '\n';
     std::fprintf(stderr, "wrote %s\n", options.output_json.c_str());
   }
   return 0;
