@@ -155,33 +155,63 @@ EOF
   echo "    convert round trip OK: CSV -> DPXCOL -> CSV is byte-identical"
 
   echo "==> ASan smoke: 2-worker router end-to-end"
-  build-asan/tools/dpclustx_router --workers 2 \
-      --serve build-asan/tools/dpclustx_serve \
-      --state-dir "$SMOKE_DIR/router" -- --sync \
-      > "$SMOKE_DIR/router.out" 2>"$SMOKE_DIR/router.err" <<'EOF'
-{"op":"load_dataset","name":"d1","source":"synthetic","generator":"diabetes","rows":200,"seed":1,"id":"1"}
-{"op":"load_dataset","name":"d2","source":"synthetic","generator":"diabetes","rows":200,"seed":2,"id":"2"}
-{"op":"cluster","dataset":"d1","method":"k-means","k":3,"seed":3,"id":"3"}
-{"op":"create_session","dataset":"d1","session":"s1","epsilon":1.0,"id":"4"}
-{"op":"hist","session":"s1","clustering":"default","attribute":"diab_0","epsilon":0.1,"id":"5"}
-{"op":"budget","session":"s1","id":"6"}
-{"op":"save_snapshot","path":"/tmp/nope","id":"7"}
-{"op":"ping","id":"8"}
-EOF
-  python3 - "$SMOKE_DIR/router.out" <<'PYEOF'
-import json, sys
-byid = {}
-for line in open(sys.argv[1]):
-    r = json.loads(line)
-    byid[r["id"]] = r
-for i in "12345":
-    assert byid[i]["ok"], byid[i]
-assert abs(byid["6"]["spent"] - 0.1) < 1e-12, byid["6"]
-assert not byid["7"]["ok"], byid["7"]
-assert byid["7"]["error"]["code"] == "FailedPrecondition", byid["7"]
-workers = byid["8"]["workers"]
-assert "shard-0" in workers and "shard-1" in workers, byid["8"]
-print("    router smoke OK: sharded flow, budget exact, snapshots refused")
+  # One request at a time (each reply read before the next line is sent),
+  # so a request that depends on an earlier reply sees its effect.
+  python3 - build-asan/tools/dpclustx_router build-asan/tools/dpclustx_serve \
+      "$SMOKE_DIR/router" "$SMOKE_DIR/router.err" <<'PYEOF'
+import json, subprocess, sys
+router_bin, serve_bin, state_dir, err = sys.argv[1:5]
+router = subprocess.Popen(
+    [router_bin, "--workers", "2", "--serve", serve_bin,
+     "--state-dir", state_dir, "--", "--sync"],
+    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=open(err, "w"),
+    text=True)
+def call(req):
+    router.stdin.write(json.dumps(req) + "\n")
+    router.stdin.flush()
+    r = json.loads(router.stdout.readline())
+    assert r["id"] == req["id"], (req, r)
+    return r
+def load(name, seed, i):
+    return {"op": "load_dataset", "name": name, "source": "synthetic",
+            "generator": "diabetes", "rows": 200, "seed": seed, "id": i}
+for req in (load("d1", 1, "1"), load("d2", 2, "2"),
+            {"op": "cluster", "dataset": "d1", "method": "k-means", "k": 3,
+             "seed": 3, "id": "3"},
+            {"op": "create_session", "dataset": "d1", "session": "s1",
+             "epsilon": 1.0, "id": "4"},
+            {"op": "hist", "session": "s1", "clustering": "default",
+             "attribute": "diab_0", "epsilon": 0.1, "id": "5"}):
+    r = call(req)
+    assert r["ok"], r
+r = call({"op": "budget", "session": "s1", "id": "6"})
+assert abs(r["spent"] - 0.1) < 1e-12, r
+r = call({"op": "save_snapshot", "path": "/tmp/nope", "id": "7"})
+assert not r["ok"] and r["error"]["code"] == "FailedPrecondition", r
+r = call({"op": "ping", "id": "8"})
+assert "shard-0" in r["workers"] and "shard-1" in r["workers"], r
+# A refused create_session must leave the session bound to its shard ("a"
+# and "b" sit on different shards of a 2-worker ring).
+for req in (load("a", 1, "9"), load("b", 2, "10"),
+            {"op": "cluster", "dataset": "a", "method": "k-means", "k": 3,
+             "seed": 3, "id": "11"},
+            {"op": "create_session", "dataset": "a", "session": "alice",
+             "epsilon": 1.0, "id": "12"}):
+    r = call(req)
+    assert r["ok"], r
+r = call({"op": "create_session", "dataset": "b", "session": "alice",
+          "epsilon": -1, "id": "13"})
+assert not r["ok"] and r["error"]["code"] == "InvalidArgument", r
+r = call({"op": "budget", "session": "alice", "id": "14"})
+assert r["ok"] and r["dataset"] == "a", r
+# exp(-1e-17) rounds to 1: geometric noise would be exactly 0.
+r = call({"op": "hist", "session": "alice", "attribute": "diab_0",
+          "epsilon": 1e-17, "id": "15"})
+assert not r["ok"], r
+router.stdin.close()
+assert router.wait() == 0
+print("    router smoke OK: sharded flow, budget exact, snapshots refused,"
+      " refused create_session keeps its shard, tiny-epsilon hist refused")
 PYEOF
 
   echo "==> ASan smoke: socket-mode router, concurrent clients"

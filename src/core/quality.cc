@@ -9,8 +9,12 @@
 namespace dpclustx {
 
 Status GlobalWeights::Validate() const {
-  if (interestingness < 0.0 || sufficiency < 0.0 || diversity < 0.0) {
-    return Status::InvalidArgument("global weights must be non-negative");
+  // Written so NaN fails too: every comparison against it is false.
+  for (const double weight : {interestingness, sufficiency, diversity}) {
+    if (!(std::isfinite(weight) && weight >= 0.0)) {
+      return Status::InvalidArgument(
+          "global weights must be finite and non-negative");
+    }
   }
   const double sum = interestingness + sufficiency + diversity;
   if (std::fabs(sum - 1.0) > 1e-9) {

@@ -47,7 +47,7 @@ struct GlobalWeights {
   double sufficiency = 1.0 / 3.0;
   double diversity = 1.0 / 3.0;
 
-  /// Validates non-negativity and unit sum (tolerance 1e-9).
+  /// Validates finite, non-negative weights with unit sum (tolerance 1e-9).
   Status Validate() const;
 
   /// The conditional single-cluster weights γ = λ restricted to {Int, Suf}

@@ -38,6 +38,13 @@ StatusOr<int64_t> GeometricMechanism(int64_t true_count, double sensitivity,
                                      double epsilon, Rng& rng) {
   DPX_RETURN_IF_ERROR(ValidateNoiseParams("GeometricMechanism", sensitivity,
                                           epsilon));
+  // Below about 2^-54, exp(-ε/Δ) rounds to 1: the sampler's log(alpha) is
+  // 0 and its two draws cancel to exactly 0 — an exact release.
+  if (std::exp(-epsilon / sensitivity) == 1.0) {
+    return Status::InvalidArgument(
+        "GeometricMechanism: epsilon / sensitivity is too small to sample "
+        "(exp(-epsilon / sensitivity) rounds to 1)");
+  }
   return true_count + rng.TwoSidedGeometric(epsilon / sensitivity);
 }
 

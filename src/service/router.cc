@@ -95,7 +95,7 @@ struct PendingEntry {
 
   std::string worker;        // who currently owes the response
   std::string request_line;  // rewritten line (router id), for resends
-  std::string dataset;       // kSingle: owning dataset, "" for unknown-op
+  std::string dataset;       // kSingle: owning dataset
   bool on_replica = false;   // kSingle: true while a replica is trying
 
   // Timeline bookkeeping. `written` is refreshed when a replica read moves
@@ -422,17 +422,6 @@ class Router::Impl {
         Answer(done, SyncReplicas(), has_id, client_id);
         return Status::OK();
       }
-      // Intercepted BEFORE Classify (which would broadcast it): at the
-      // router, `trace` means the ring of stitched end-to-end timelines. A
-      // worker's own ring stays reachable through its scrape port.
-      if (op == "trace") {
-        StatusOr<size_t> limit = OptCount(*parsed, "limit", 0);
-        JsonValue response = limit.ok() ? traces_.ToJson(*limit)
-                                        : ErrorResponse(limit.status());
-        if (limit.ok()) response.Set("ok", JsonValue::Bool(true));
-        Answer(done, std::move(response), has_id, client_id);
-        return Status::OK();
-      }
     }
 
     const auto route_start = Clock::now();
@@ -442,8 +431,19 @@ class Router::Impl {
       Answer(done, ErrorResponse(decision.status()), has_id, client_id);
       return Status::OK();
     }
-    switch (decision->kind) {
-      case RouteKind::kRefused:
+    switch (decision->placement) {
+      case OpPlacement::kRouter: {
+        // The one router-placed op is `trace`: at the router it means the
+        // ring of stitched end-to-end timelines. A worker's own ring stays
+        // reachable through its scrape port.
+        StatusOr<size_t> limit = OptCount(*parsed, "limit", 0);
+        JsonValue response = limit.ok() ? traces_.ToJson(*limit)
+                                        : ErrorResponse(limit.status());
+        if (limit.ok()) response.Set("ok", JsonValue::Bool(true));
+        Answer(done, std::move(response), has_id, client_id);
+        break;
+      }
+      case OpPlacement::kRefused:
         Answer(done,
                ErrorResponse(Status::FailedPrecondition(
                    "the router manages snapshots: each shard saves to its "
@@ -451,13 +451,15 @@ class Router::Impl {
                    "to refresh replicas)")),
                has_id, client_id);
         break;
-      case RouteKind::kBroadcast:
+      case OpPlacement::kBroadcast:
         ForwardBroadcast(std::move(done), *parsed, has_id, client_id, op,
                          timing);
         break;
-      case RouteKind::kShard:
-      case RouteKind::kReplicaRead:
-      case RouteKind::kUnknownOp:
+      case OpPlacement::kShard:
+      case OpPlacement::kReplicaRead:
+        if (decision->rebound) {
+          done = UndoBindingUnlessOk(*decision, std::move(done));
+        }
         ForwardSingle(std::move(done), *parsed, *decision, has_id, client_id,
                       op, timing);
         break;
@@ -1037,6 +1039,24 @@ class Router::Impl {
 
   // ---- request forwarding --------------------------------------------
 
+  /// Wraps the reply of an op whose Classify changed a session binding:
+  /// unless the reply is ok — a worker's error, or the router's own when
+  /// the worker died or was down — the session gets back the binding it
+  /// had, before the client sees the reply.
+  Reply UndoBindingUnlessOk(RouteDecision decision, Reply done) {
+    return [this, decision = std::move(decision),
+            done = std::move(done)](std::string line) {
+      StatusOr<JsonValue> reply = JsonValue::Parse(line);
+      if (!reply.ok() || reply->type() != JsonValue::Type::kObject ||
+          !reply->Has("ok") ||
+          reply->at("ok").type() != JsonValue::Type::kBool ||
+          !reply->at("ok").AsBool()) {
+        core_.UndoBinding(decision);
+      }
+      done(std::move(line));
+    };
+  }
+
   std::shared_ptr<PendingEntry> NewEntry(PendingEntry::Kind kind, Reply done,
                                          bool has_id,
                                          const JsonValue& client_id,
@@ -1058,14 +1078,10 @@ class Router::Impl {
                      const RouteDecision& decision, bool has_id,
                      const JsonValue& client_id, const std::string& op,
                      const RequestTiming& timing) {
-    // Unknown ops go to shard 0 so the engine produces its canonical
-    // unknown-op error.
-    WorkerProc* primary = decision.kind == RouteKind::kUnknownOp
-                              ? workers_[0].get()
-                              : ShardWorker(core_.ShardFor(decision.dataset));
+    WorkerProc* primary = ShardWorker(core_.ShardFor(decision.dataset));
     DPX_CHECK(primary != nullptr);
     WorkerProc* target = primary;
-    if (decision.kind == RouteKind::kReplicaRead) {
+    if (decision.placement == OpPlacement::kReplicaRead) {
       if (WorkerProc* replica = PickReplica(primary->shard)) target = replica;
     }
 

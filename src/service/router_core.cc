@@ -46,15 +46,23 @@ const std::string& HashRing::Route(const std::string& key) const {
   return nodes_[it->second];
 }
 
-void SessionTable::Bind(const std::string& session,
-                        const std::string& dataset) {
+std::optional<std::string> SessionTable::Bind(const std::string& session,
+                                              const std::string& dataset) {
   std::lock_guard<std::mutex> lock(mutex_);
+  std::optional<std::string> replaced;
+  auto it = bindings_.find(session);
+  if (it != bindings_.end()) replaced = it->second;
   bindings_[session] = dataset;
+  return replaced;
 }
 
-void SessionTable::Unbind(const std::string& session) {
+std::optional<std::string> SessionTable::Unbind(const std::string& session) {
   std::lock_guard<std::mutex> lock(mutex_);
-  bindings_.erase(session);
+  auto it = bindings_.find(session);
+  if (it == bindings_.end()) return std::nullopt;
+  std::optional<std::string> replaced = std::move(it->second);
+  bindings_.erase(it);
+  return replaced;
 }
 
 StatusOr<std::string> SessionTable::Lookup(const std::string& session) const {
@@ -100,56 +108,50 @@ const std::string& RouterCore::ShardFor(const std::string& dataset) const {
 
 StatusOr<RouteDecision> RouterCore::Classify(const JsonValue& request) {
   DPX_ASSIGN_OR_RETURN(const std::string op, request.GetString("op"));
-
+  DPX_ASSIGN_OR_RETURN(const OpSpec* spec, ServiceEngine::FindOp(op));
   RouteDecision decision;
-
-  if (op == "ping" || op == "stats" || op == "metrics" || op == "trace" ||
-      op == "audit") {
-    decision.kind = RouteKind::kBroadcast;
-    return decision;
-  }
-
-  if (op == "save_snapshot" || op == "load_snapshot") {
-    decision.kind = RouteKind::kRefused;
-    return decision;
-  }
-
-  if (op == "load_dataset") {
-    DPX_ASSIGN_OR_RETURN(decision.dataset, request.GetString("name"));
-    decision.kind = RouteKind::kShard;
-    return decision;
-  }
-
-  if (op == "schema" || op == "cluster" || op == "append_rows" ||
-      op == "create_session") {
-    DPX_ASSIGN_OR_RETURN(decision.dataset, request.GetString("dataset"));
-    decision.kind = RouteKind::kShard;
-    if (op == "create_session") {
+  decision.placement = spec->placement;
+  switch (spec->key) {
+    case OpKey::kNone:
+      break;
+    case OpKey::kName: {
+      DPX_ASSIGN_OR_RETURN(decision.dataset, request.GetString("name"));
+      break;
+    }
+    case OpKey::kDataset: {
+      DPX_ASSIGN_OR_RETURN(decision.dataset, request.GetString("dataset"));
+      break;
+    }
+    case OpKey::kDatasetBind: {
+      DPX_ASSIGN_OR_RETURN(decision.dataset, request.GetString("dataset"));
+      DPX_ASSIGN_OR_RETURN(decision.session, request.GetString("session"));
+      decision.replaced = sessions_.Bind(decision.session, decision.dataset);
+      decision.rebound = true;
+      break;
+    }
+    case OpKey::kSession:
+    case OpKey::kSessionUnbind: {
       DPX_ASSIGN_OR_RETURN(const std::string session,
                            request.GetString("session"));
-      sessions_.Bind(session, decision.dataset);
+      DPX_ASSIGN_OR_RETURN(decision.dataset, sessions_.Lookup(session));
+      if (spec->key == OpKey::kSessionUnbind) {
+        decision.session = session;
+        decision.replaced = sessions_.Unbind(session);
+        decision.rebound = true;
+      }
+      break;
     }
-    return decision;
   }
-
-  if (op == "budget" || op == "size" || op == "close_session" ||
-      op == "explain" || op == "hist") {
-    DPX_ASSIGN_OR_RETURN(const std::string session,
-                         request.GetString("session"));
-    DPX_ASSIGN_OR_RETURN(decision.dataset, sessions_.Lookup(session));
-    if (op == "close_session") {
-      sessions_.Unbind(session);
-      decision.kind = RouteKind::kShard;
-    } else if (op == "explain" || op == "hist") {
-      decision.kind = RouteKind::kReplicaRead;
-    } else {
-      decision.kind = RouteKind::kShard;
-    }
-    return decision;
-  }
-
-  decision.kind = RouteKind::kUnknownOp;
   return decision;
+}
+
+void RouterCore::UndoBinding(const RouteDecision& decision) {
+  if (!decision.rebound) return;
+  if (decision.replaced.has_value()) {
+    sessions_.Bind(decision.session, *decision.replaced);
+  } else {
+    sessions_.Unbind(decision.session);
+  }
 }
 
 }  // namespace dpclustx::service

@@ -14,32 +14,13 @@
 // it) and resharding from N to N+1 workers moves only ~1/(N+1) of the
 // datasets.
 //
-// Request classification (one entry per engine op — keep in lockstep with
-// ServiceEngine's op vocabulary):
-//
-//   load_dataset            shard by "name"
-//   schema, cluster,
-//   append_rows,
-//   create_session          shard by "dataset"   (create_session also binds
-//                                                 session→dataset here)
-//   budget, size,
-//   close_session           shard by the session's bound dataset
-//   explain, hist           same, and replica-eligible: a read-only replica
-//                           restored from the shard's snapshot can serve the
-//                           cache hit; on its FailedPrecondition/NotFound
-//                           refusal the router retries against the primary
-//   ping, stats, metrics,
-//   trace, audit            broadcast to every shard, responses merged
-//   save_snapshot,
-//   load_snapshot           refused: the router owns snapshot scheduling
-//                           (per-shard files; see _router_sync_replicas)
-//
-// Session stickiness: the router learns session→dataset bindings from the
-// create_session requests that pass through it. A session created before
-// the router started (or through another front door) is unroutable —
-// NotFound here, by design: guessing a shard could silently charge the
-// wrong ledger... it couldn't actually (shards refuse unknown sessions),
-// but the client deserves a deterministic error, not a shard-dependent one.
+// Classification reads the engine's op table (ServiceEngine::FindOp): a
+// row's key names the field that resolves to the owning dataset, and its
+// placement says where the request runs. The router learns session→dataset
+// bindings from the binding ops that pass through it and puts a binding
+// back when its op fails. A session bound elsewhere (before the router
+// started, or through another front door) is NotFound here: a deterministic
+// error, not a shard-dependent one.
 
 #ifndef DPCLUSTX_SERVICE_ROUTER_CORE_H_
 #define DPCLUSTX_SERVICE_ROUTER_CORE_H_
@@ -47,18 +28,21 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/json.h"
 #include "common/status.h"
+#include "service/service_engine.h"
 
 namespace dpclustx::service {
 
-/// FNV-1a 64-bit over the key bytes. Stable across platforms and builds —
-/// the ring layout is part of the deployment contract (snapshots name the
-/// shard that owns each dataset).
+/// FNV-1a 64-bit over the key bytes, then a splitmix64 finalizer. Stable
+/// across platforms and builds — the ring layout is part of the deployment
+/// contract (snapshots name the shard that owns each dataset), and so is
+/// the finalizer.
 uint64_t RouterHash(const std::string& key);
 
 /// Consistent-hash ring with virtual nodes. Immutable after construction
@@ -82,25 +66,25 @@ class HashRing {
 };
 
 /// What the router should do with one request.
-enum class RouteKind {
-  kShard,        // exactly one shard owns it (decision.dataset says which)
-  kReplicaRead,  // shard-keyed and replica-eligible (explain/hist)
-  kBroadcast,    // every shard answers; the router merges the responses
-  kRefused,      // the router answers with an error itself (snapshot ops)
-  kUnknownOp,    // not in the vocabulary: forward to shard 0 so the engine
-                 // produces its canonical "unknown op" error
-};
-
 struct RouteDecision {
-  RouteKind kind = RouteKind::kUnknownOp;
+  OpPlacement placement = OpPlacement::kShard;
   std::string dataset;  // set for kShard / kReplicaRead
+  /// Set when a binding op (key kDatasetBind / kSessionUnbind) changed
+  /// `session`'s binding; `replaced` is its dataset before Classify
+  /// (nullopt: unbound). RouterCore::UndoBinding puts it back when the op
+  /// fails.
+  bool rebound = false;
+  std::string session;
+  std::optional<std::string> replaced;
 };
 
 /// Thread-safe session→dataset bindings learned from create_session.
 class SessionTable {
  public:
-  void Bind(const std::string& session, const std::string& dataset);
-  void Unbind(const std::string& session);
+  /// Both return the binding they replaced (nullopt: none).
+  std::optional<std::string> Bind(const std::string& session,
+                                  const std::string& dataset);
+  std::optional<std::string> Unbind(const std::string& session);
   /// NotFound when the session was never bound through this router.
   StatusOr<std::string> Lookup(const std::string& session) const;
   size_t size() const;
@@ -131,11 +115,16 @@ class RouterCore {
  public:
   explicit RouterCore(std::vector<std::string> shards, size_t vnodes = 64);
 
-  /// Classifies `request` (a parsed engine request). Learns bindings as a
-  /// side effect: create_session binds its session, close_session unbinds.
-  /// InvalidArgument when a field the route needs is missing/mistyped;
-  /// NotFound for a session this router never saw.
+  /// Classifies `request` (a parsed engine request) by its op-table row.
+  /// Learns bindings as a side effect: kDatasetBind binds its session,
+  /// kSessionUnbind unbinds it. InvalidArgument when a field the route
+  /// needs is missing/mistyped; NotFound for an op the engine does not
+  /// serve (the engine's own response) or a session this router never saw.
   StatusOr<RouteDecision> Classify(const JsonValue& request);
+
+  /// Restores the binding `decision` replaced: the binding op it came
+  /// from failed, so the session keeps the shard it had.
+  void UndoBinding(const RouteDecision& decision);
 
   /// The shard owning `dataset` (ring lookup).
   const std::string& ShardFor(const std::string& dataset) const;

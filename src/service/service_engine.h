@@ -7,28 +7,24 @@
 // "ok"; failures add {"error": {"code", "message"}} and never crash the
 // engine or leak exact counts.
 //
-// Ops (fields beyond op/id):
+// Ops (fields beyond op/id; the op table in service_engine.cc is the
+// vocabulary and says which ops mutate and where a router places each):
 //   ping
 //   load_dataset   name, source ("synthetic"|"csv"|"dpxcol"), generator|path,
 //                  [rows], [seed], [cap_epsilon] (<=0/absent = uncapped),
-//                  [replace], [verify] (dpxcol: force the O(data) integrity
-//                                       pass; the default open is O(header))
-//   append_rows    dataset, rows (array of rows; each row an array of cells,
-//                  one per schema attribute — a value label string or a
-//                  numeric code). Extends the dataset in place (mapped
-//                  datasets extend their DPXCOL file durably), delta-updates
-//                  every clustering view's StatsCache exactly, and bumps the
-//                  dataset epoch so cached releases for older generations
-//                  stop matching. Refused while any clustering view lacks a
-//                  fitted model (snapshot-restored views: re-run cluster
-//                  first).
+//                  [replace], [verify] (dpxcol: an O(data) integrity pass
+//                  instead of the O(header) open)
+//   append_rows    dataset, rows (each an array of cells, one per attribute:
+//                  a value label string or a numeric code). Extends the
+//                  dataset in place (a mapped one durably, in its DPXCOL
+//                  file), delta-updates every view's StatsCache exactly and
+//                  bumps the epoch, so older cached releases stop matching.
+//                  Refused while a view lacks a fitted model (views restored
+//                  from a snapshot: re-run cluster first).
 //   schema         dataset                     (data-independent, free)
-//   cluster        dataset, clustering, method, k, [seed],
-//                  [epsilon], [session]        (dp-k-means charges the
-//                                               session; other methods are
-//                                               free: their output is only
-//                                               ever used inside the DP
-//                                               pipeline)
+//   cluster        dataset, clustering, method, k, [seed], [epsilon],
+//                  [session]  (dp-k-means charges the session; the other
+//                  methods are free: only the DP pipeline sees their output)
 //   create_session session, dataset, epsilon
 //   close_session  session
 //   budget         session                     (ledger report)
@@ -36,15 +32,12 @@
 //                  epsilon_top_comb, epsilon_hist], [num_candidates],
 //                  [threads]
 //   hist           session, clustering, attribute, [epsilon]  (cached like
-//                                               explain: an identical repeat
-//                                               re-serves the paid-for bytes
-//                                               for zero ε)
+//                  explain: a repeat re-serves the paid-for bytes for 0 ε)
 //   size           session, clustering, cluster, [epsilon]
 //   stats          (datasets, sessions, build info, queue_capacity,
 //                   retry_after_ms — facts, not counters)
-//   metrics        (the registry as JSON; every counter, gauge and
-//                   histogram the engine keeps; HTTP /metrics serves the
-//                   same registry as Prometheus text)
+//   metrics        (the registry as JSON; HTTP /metrics serves the same
+//                   registry as Prometheus text)
 //   trace          [limit]    (recent request span trees, newest last)
 //   audit          [limit]    (privacy-budget audit log tail + totals)
 //   save_snapshot  path       (durable state snapshot; DESIGN.md §11)
@@ -126,12 +119,50 @@ namespace dpclustx::service {
 /// `retry_after_ms` adds the back-off hint shed responses carry.
 JsonValue ErrorResponse(const Status& status, int64_t retry_after_ms = 0);
 
-/// Optional non-negative integer field: absent yields `fallback`; a
-/// non-number, a negative, a fraction, or a value >= 2^64 is
-/// InvalidArgument. The engine and the router read counts (e.g. the
-/// `trace` op's "limit") through this one rule.
+/// Optional-field accessors: an absent key yields `fallback`; a present key
+/// of the wrong type is InvalidArgument (never a silent default). OptCount
+/// also refuses a negative, a fraction, or a value >= 2^64; the engine and
+/// the router read counts (e.g. the `trace` op's "limit") through it.
 StatusOr<size_t> OptCount(const JsonValue& request, const std::string& key,
                           size_t fallback);
+StatusOr<double> OptNumber(const JsonValue& request, const std::string& key,
+                           double fallback);
+StatusOr<std::string> OptString(const JsonValue& request,
+                                const std::string& key,
+                                const std::string& fallback);
+StatusOr<bool> OptBool(const JsonValue& request, const std::string& key,
+                       bool fallback);
+
+/// The request field a router resolves to the dataset whose shard owns
+/// the request.
+enum class OpKey {
+  kNone,           // no owner (broadcast, router-answered, refused)
+  kName,           // "name" is the dataset
+  kDataset,        // "dataset"
+  kDatasetBind,    // "dataset", and "session" is bound to it
+  kSession,        // the dataset "session" is bound to
+  kSessionUnbind,  // the same, and the binding is dropped
+};
+
+/// Where a request runs in a sharded fleet.
+enum class OpPlacement {
+  kShard,        // the owning shard's primary
+  kReplicaRead,  // a replica may serve a cache hit; a miss goes to the primary
+  kBroadcast,    // every shard; the router merges the responses
+  kRouter,       // the router answers from its own state
+  kRefused,      // the router refuses: it schedules snapshots itself
+};
+
+/// The routing half of one op-table row; the engine keeps the handler
+/// beside it in the same row.
+struct OpSpec {
+  const char* name;
+  OpKey key;
+  OpPlacement placement;
+  /// Refused with FailedPrecondition on a read-only replica, before the
+  /// handler reads any field.
+  bool mutates;
+};
 
 /// One interception site on the request path, handed to the test-only fault
 /// injector. `point` is "<op>:start" (before the handler runs), "<op>:finish"
@@ -195,9 +226,8 @@ struct ServiceEngineOptions {
   bool trace_all = false;
   /// Completed request traces retained for the `trace` op (drop-oldest).
   size_t trace_ring_capacity = 64;
-  /// Read-only replica mode: every op that would charge ε or mutate state
-  /// (load_dataset, append_rows, cluster, create_session, close_session,
-  /// size, save_snapshot, and cache *misses* on explain/hist) is refused with
+  /// Read-only replica mode: the ops the table marks mutating, and cache
+  /// *misses* on the replica-read ops, are refused with
   /// FailedPrecondition. Cache hits still serve — a hit is free
   /// post-processing of an already-paid-for release — so a replica restored
   /// from the primary's snapshot can absorb repeat-read traffic. The router
@@ -212,6 +242,10 @@ class ServiceEngine {
 
   ServiceEngine(const ServiceEngine&) = delete;
   ServiceEngine& operator=(const ServiceEngine&) = delete;
+
+  /// The op table row named `op`; NotFound "unknown op '<op>'" — the
+  /// engine's own answer to an op it does not serve — otherwise.
+  static StatusOr<const OpSpec*> FindOp(const std::string& op);
 
   /// Serves one request synchronously. Never throws; malformed input yields
   /// an error response.
@@ -309,18 +343,21 @@ class ServiceEngine {
       OpCreateSession, OpCloseSession, OpBudget, OpExplain, OpHist, OpSize,
       OpStats, OpMetricsDump, OpTrace, OpAudit, OpSaveSnapshot,
       OpLoadSnapshot;
-  /// One row of the op table: DispatchOp routes `name` to `handler`, and
-  /// RegisterMetrics pre-registers the op's instruments under `name`.
+  /// One row of the op table: DispatchOp routes `spec.name` to `handler`,
+  /// RegisterMetrics pre-registers the op's instruments under it, and the
+  /// router reads `spec` through FindOp.
   struct OpRoute {
-    const char* name;
+    OpSpec spec;
     OpHandler ServiceEngine::*handler;
   };
   /// The complete op vocabulary; an op not named here is NotFound and never
   /// touches the per-op instruments.
   static const OpRoute kOpRoutes[];
-  /// Resolves the request deadline, runs the ":start" fault point, runs the
-  /// route's handler, runs ":finish"; Dispatch wraps the result (non-finite
-  /// gate, metrics, error envelope).
+  static StatusOr<const OpRoute*> FindRoute(const std::string& op);
+  /// Resolves the request deadline, runs the ":start" fault point, refuses
+  /// a mutating op on a read-only engine, runs the route's handler, runs
+  /// ":finish"; Dispatch wraps the result (non-finite gate, metrics, error
+  /// envelope).
   StatusOr<JsonValue> DispatchOp(const OpRoute& route,
                                  const JsonValue& request,
                                  Deadline::Clock::time_point start);
@@ -328,16 +365,15 @@ class ServiceEngine {
   Status InjectFault(const std::string& point, const JsonValue& request,
                      JsonValue* body);
 
-  /// The release-once protocol behind explain and hist: serve `key` from
-  /// the cache, or — holding the key's in-flight slot so a burst of
+  /// The release-once protocol behind the replica-read ops: serve `key`
+  /// from the cache, or — holding the key's in-flight slot so a burst of
   /// identical misses charges once — refuse on a replica, check `deadline`,
   /// charge `session` `epsilon` under `spend_label`, and cache what
   /// `compute` returns. Either way the body gains cache_hit,
-  /// epsilon_charged and epsilon_remaining. `op` names the op in refusals.
+  /// epsilon_charged and epsilon_remaining. Refusals name `request`'s op.
   StatusOr<JsonValue> ReleaseOnce(
-      const char* op, const std::string& key, ServiceSession& session,
-      double epsilon, const std::string& spend_label,
-      const Deadline& deadline,
+      const JsonValue& request, const std::string& key, ServiceSession& session,
+      double epsilon, const std::string& spend_label, const Deadline& deadline,
       const std::function<StatusOr<JsonValue>()>& compute);
 
   /// FailedPrecondition naming `what` when this worker is read-only.
@@ -351,6 +387,9 @@ class ServiceEngine {
   /// Replays journal records with seq >= `cursor` (see RestoreFromFiles).
   Status ReplayJournal(const std::string& journal_path, uint64_t cursor,
                        RestoreReport* report);
+
+  /// The session the request's "session" field names.
+  StatusOr<std::shared_ptr<ServiceSession>> SessionOf(const JsonValue& request);
 
   uint64_t NextNoiseSeed();
 

@@ -1,0 +1,434 @@
+// ServiceEngine durability (src/snapshot; DESIGN.md §11): snapshot harvest
+// and apply, audit-journal replay, and the save_snapshot / load_snapshot
+// ops.
+#include "service/service_engine.h"
+
+#include <algorithm>
+#include <shared_mutex>
+
+#include "core/serialization.h"
+#include "obs/trace.h"
+#include "snapshot/snapshot_io.h"
+
+namespace dpclustx::service {
+
+namespace {
+
+JsonValue Count(uint64_t n) { return JsonValue::Number(static_cast<double>(n)); }
+
+}  // namespace
+
+Status ServiceEngine::EnableAuditJournal(const std::string& path) {
+  DPX_RETURN_IF_ERROR(journal_.Open(path));
+  // The sink runs inside AuditLog::Record, under its lock, before the
+  // charge's response is built — the journal is a write-ahead log for every
+  // ε charge a client could have observed.
+  audit_.set_sink([this](const obs::AuditRecord& record) {
+    if (journal_.Append(record).ok()) {
+      journal_records_->Increment();
+    } else {
+      journal_failures_->Increment();
+    }
+  });
+  return Status::OK();
+}
+
+Status ServiceEngine::SaveSnapshotToFile(const std::string& path) {
+  // Exclusive gate: every in-flight Spend holds it shared across its whole
+  // ledger+cap+audit transaction, so once acquired, every charge is either
+  // fully in the harvested state or fully after its audit cursor.
+  DPX_SPAN("snapshot_save");
+  std::unique_lock<std::shared_mutex> gate(sessions_.spend_gate());
+  DPX_ASSIGN_OR_RETURN(const snapshot::ServiceSnapshot state,
+                       HarvestSnapshot());
+  DPX_RETURN_IF_ERROR(snapshot::SaveSnapshotFile(path, state));
+  snapshot_saves_->Increment();
+  return Status::OK();
+}
+
+StatusOr<snapshot::ServiceSnapshot> ServiceEngine::HarvestSnapshot() {
+  snapshot::ServiceSnapshot state;
+
+  const std::vector<std::shared_ptr<ServiceSession>> sessions =
+      sessions_.Sessions();
+  // A session bound to a replaced (detached) dataset entry charges a cap
+  // object the snapshot cannot name; a refused save beats a wrong restore.
+  for (const std::shared_ptr<ServiceSession>& session : sessions) {
+    StatusOr<std::shared_ptr<DatasetEntry>> current =
+        registry_.Get(session->dataset()->name());
+    if (!current.ok() || current->get() != session->dataset().get()) {
+      return Status::FailedPrecondition(
+          "session '" + session->id() + "' is bound to a replaced "
+          "registration of dataset '" + session->dataset()->name() +
+          "'; snapshots cannot represent detached entries");
+    }
+  }
+
+  for (const std::shared_ptr<DatasetEntry>& entry : registry_.Entries()) {
+    snapshot::DatasetState ds;
+    ds.name = entry->name();
+    ds.source = entry->source();
+    ds.uid = entry->uid();
+    // One locked instant: the dataset generation, its views, and the epoch
+    // must agree (an append swaps all three together).
+    std::shared_ptr<const Dataset> dataset;
+    std::vector<std::shared_ptr<const ClusteringView>> views;
+    entry->SnapshotState(&dataset, &views, &ds.epoch);
+    ds.width_policy = static_cast<uint8_t>(dataset->width_policy());
+    ds.cap_epsilon = entry->cap_epsilon();
+    if (const PrivacyBudget* cap = entry->cap()) {
+      ds.cap_ledger = cap->ledger();
+    }
+    ds.schema_json = SchemaToJson(dataset->schema());
+    if (dataset->is_mapped()) {
+      // By reference: the DPXCOL file is the durable copy of the bytes.
+      // The saved row count pins the generation — the file may legitimately
+      // grow past it before the snapshot is restored.
+      ds.columnar_path = dataset->mapped()->path();
+      ds.columnar_file_uid = dataset->mapped()->file_uid();
+      ds.columnar_rows = dataset->num_rows();
+    } else {
+      for (size_t a = 0; a < dataset->num_attributes(); ++a) {
+        const NarrowColumn& column =
+            dataset->narrow_column(static_cast<AttrIndex>(a));
+        snapshot::ColumnState cs;
+        cs.width_tag = static_cast<uint8_t>(column.width());
+        cs.rows = column.size();
+        cs.bytes.assign(static_cast<const char*>(column.raw_data()),
+                        column.raw_size_bytes());
+        ds.columns.push_back(std::move(cs));
+      }
+    }
+    for (const std::shared_ptr<const ClusteringView>& view : views) {
+      snapshot::ClusteringState cl;
+      cl.id = view->id;
+      cl.description = view->description;
+      cl.fingerprint = view->fingerprint;
+      cl.num_clusters = view->num_clusters;
+      cl.labels = view->labels;
+      ds.clusterings.push_back(std::move(cl));
+    }
+    state.datasets.push_back(std::move(ds));
+  }
+
+  for (const std::shared_ptr<ServiceSession>& session : sessions) {
+    snapshot::SessionState ss;
+    ss.id = session->id();
+    ss.dataset_name = session->dataset()->name();
+    ss.dataset_uid = session->dataset()->uid();
+    ss.total_epsilon = session->budget().total_epsilon();
+    ss.spent = session->budget().spent_epsilon();
+    // Exact comparison on purpose: recovery re-asserts the equality only
+    // where it held at save (a closed session reusing the tenant id breaks
+    // it legitimately — its charges stay in the audit totals).
+    ss.audit_matches_ledger =
+        audit_.TenantTotals(session->id()).epsilon_charged == ss.spent;
+    ss.ledger = session->budget().ledger();
+    state.sessions.push_back(std::move(ss));
+  }
+
+  for (auto& [key, payload] : cache_.Entries()) {
+    state.cache.push_back(
+        snapshot::CacheEntryState{std::move(key), std::move(payload)});
+  }
+
+  state.audit = audit_.SnapshotState();
+  return state;
+}
+
+Status ServiceEngine::ApplySnapshot(const snapshot::ServiceSnapshot& state,
+                                    RestoreReport* report) {
+  uint64_t max_uid = 0;
+  for (const snapshot::DatasetState& ds : state.datasets) {
+    DPX_ASSIGN_OR_RETURN(Schema schema, SchemaFromJson(ds.schema_json));
+    if (ds.width_policy > static_cast<uint8_t>(WidthPolicy::kForce32)) {
+      return Status::IoError("snapshot dataset '" + ds.name +
+                             "' carries an unknown width policy");
+    }
+    const WidthPolicy policy = static_cast<WidthPolicy>(ds.width_policy);
+    StatusOr<Dataset> dataset = Status::Internal("dataset not rebuilt");
+    if (!ds.columnar_path.empty()) {
+      // By-reference DPXCOL dataset: re-open the file and map exactly the
+      // saved row prefix (the file may have grown since the save — those
+      // appends belong to a later epoch than this snapshot).
+      if (!ds.columns.empty()) {
+        return Status::IoError("snapshot dataset '" + ds.name +
+                               "' carries both inline columns and a "
+                               "columnar file reference");
+      }
+      StatusOr<std::shared_ptr<const MappedColumnar>> mapped =
+          MappedColumnar::Open(ds.columnar_path);
+      if (!mapped.ok()) {
+        return Status::IoError(
+            "snapshot dataset '" + ds.name + "' references columnar file '" +
+            ds.columnar_path + "': " + mapped.status().message());
+      }
+      if ((*mapped)->file_uid() != ds.columnar_file_uid) {
+        return Status::IoError(
+            "snapshot dataset '" + ds.name + "' expects columnar file uid " +
+            std::to_string(ds.columnar_file_uid) + " but '" +
+            ds.columnar_path + "' has uid " +
+            std::to_string((*mapped)->file_uid()) +
+            " — the file was replaced since the snapshot was saved");
+      }
+      dataset = Dataset::FromMapped(std::move(*mapped), ds.columnar_rows);
+      if (dataset.ok() && SchemaToJson(dataset->schema()) != ds.schema_json) {
+        return Status::IoError("snapshot dataset '" + ds.name +
+                               "' schema does not match the columnar file's");
+      }
+    } else {
+      std::vector<NarrowColumn> columns;
+      columns.reserve(ds.columns.size());
+      for (const snapshot::ColumnState& cs : ds.columns) {
+        if (cs.width_tag > static_cast<uint8_t>(ColumnWidth::k32)) {
+          return Status::IoError("snapshot dataset '" + ds.name +
+                                 "' carries an unknown column width");
+        }
+        const ColumnWidth width = static_cast<ColumnWidth>(cs.width_tag);
+        if (cs.bytes.size() != cs.rows * ColumnWidthBytes(width)) {
+          return Status::IoError("snapshot dataset '" + ds.name +
+                                 "' has a column whose byte count does not "
+                                 "match its row count");
+        }
+        NarrowColumn column(width);
+        column.AssignRaw(width, cs.bytes.data(), cs.bytes.size());
+        columns.push_back(std::move(column));
+      }
+      dataset = Dataset::FromColumns(std::move(schema), policy,
+                                     std::move(columns));
+    }
+    DPX_RETURN_IF_ERROR(dataset.status());
+    auto entry = std::make_shared<DatasetEntry>(
+        ds.name, ds.source, std::move(*dataset), ds.cap_epsilon, ds.uid);
+    // Pinned like the uid: cached release keys embed (uid, epoch).
+    entry->PinEpoch(ds.epoch);
+    if (entry->cap() == nullptr && !ds.cap_ledger.empty()) {
+      return Status::IoError("snapshot dataset '" + ds.name +
+                             "' has cap charges but no cap");
+    }
+    for (const PrivacyBudget::LedgerEntry& charge : ds.cap_ledger) {
+      // Replaying the saved entries in order rebuilds the cap's spent total
+      // through the same floating-point additions — bit-for-bit.
+      const Status spent = entry->cap()->Spend(charge.epsilon, charge.label);
+      if (!spent.ok()) {
+        return Status::IoError("snapshot cap ledger for dataset '" + ds.name +
+                               "' does not fit its cap: " + spent.message());
+      }
+    }
+    for (const snapshot::ClusteringState& cl : ds.clusterings) {
+      auto view = std::make_shared<ClusteringView>();
+      view->id = cl.id;
+      view->description = cl.description;
+      view->fingerprint = cl.fingerprint;
+      view->num_clusters = cl.num_clusters;
+      view->labels = cl.labels;
+      // The StatsCache is rebuilt, not stored: Build is deterministic and
+      // bitwise-identical for the same (columns, labels).
+      DPX_ASSIGN_OR_RETURN(
+          StatsCache stats,
+          StatsCache::Build(*entry->dataset(), view->labels,
+                            view->num_clusters));
+      view->stats = std::make_shared<const StatsCache>(std::move(stats));
+      DPX_RETURN_IF_ERROR(entry->PutClustering(std::move(view)).status());
+    }
+    if (ds.uid > max_uid) max_uid = ds.uid;
+    DPX_RETURN_IF_ERROR(registry_.RestoreEntry(std::move(entry)));
+    ++report->datasets;
+  }
+  // Uids minted after the restore must not collide with pinned ones (release
+  // cache keys embed them).
+  if (max_uid > 0) DatasetEntry::BumpUidFloor(max_uid + 1);
+
+  for (const snapshot::SessionState& ss : state.sessions) {
+    DPX_ASSIGN_OR_RETURN(const std::shared_ptr<DatasetEntry> entry,
+                         registry_.Get(ss.dataset_name));
+    if (entry->uid() != ss.dataset_uid) {
+      return Status::IoError(
+          "snapshot session '" + ss.id + "' names dataset uid " +
+          std::to_string(ss.dataset_uid) + " but the restored dataset '" +
+          ss.dataset_name + "' has uid " + std::to_string(entry->uid()));
+    }
+    DPX_ASSIGN_OR_RETURN(const std::shared_ptr<ServiceSession> session,
+                         sessions_.Create(ss.id, entry, ss.total_epsilon));
+    for (const PrivacyBudget::LedgerEntry& charge : ss.ledger) {
+      const Status charged =
+          session->RestoreCharge(charge.epsilon, charge.label);
+      if (!charged.ok()) {
+        return Status::IoError("snapshot ledger for session '" + ss.id +
+                               "' does not fit its budget: " +
+                               charged.message());
+      }
+    }
+    if (session->budget().spent_epsilon() != ss.spent) {
+      return Status::IoError("restored ledger for session '" + ss.id +
+                             "' does not reproduce its saved spent total");
+    }
+    ++report->sessions;
+  }
+
+  for (const snapshot::CacheEntryState& entry : state.cache) {
+    cache_.Put(entry.key, entry.payload);
+    ++report->cache_entries;
+  }
+
+  audit_.RestoreState(state.audit);
+  return Status::OK();
+}
+
+Status ServiceEngine::ReplayJournal(const std::string& journal_path,
+                                    uint64_t cursor, RestoreReport* report) {
+  StatusOr<std::vector<obs::AuditRecord>> records =
+      snapshot::ReadAuditJournal(journal_path);
+  // No journal file yet is a fresh deployment, not a recovery failure.
+  if (records.status().code() == StatusCode::kNotFound) return Status::OK();
+  DPX_RETURN_IF_ERROR(records.status());
+
+  uint64_t expected = cursor;
+  for (const obs::AuditRecord& record : *records) {
+    if (record.seq < cursor) continue;  // already inside the snapshot
+    if (record.seq != expected) {
+      // A hole at or after the cursor means records were lost (truncation,
+      // a dropped write): ledgers rebuilt across it would be wrong.
+      return Status::FailedPrecondition(
+          "audit journal has a gap: expected seq " + std::to_string(expected) +
+          " after the snapshot cursor, found " + std::to_string(record.seq) +
+          " — refusing to rebuild ledgers across missing charges");
+    }
+    ++expected;
+    // RestoreRecord keeps the journaled seq and does not re-invoke the sink,
+    // so replay never double-journals.
+    audit_.RestoreRecord(record);
+    if (record.granted) {
+      StatusOr<std::shared_ptr<ServiceSession>> session =
+          sessions_.Get(record.tenant);
+      if (session.ok()) {
+        const Status charged =
+            (*session)->RestoreCharge(record.epsilon, record.label);
+        if (!charged.ok()) {
+          return Status::FailedPrecondition(
+              "journal replay overflows the ledger of session '" +
+              record.tenant + "': " + charged.message());
+        }
+        if (PrivacyBudget* cap = (*session)->dataset()->cap()) {
+          // Post-cursor charges are not in the saved cap ledger; re-apply
+          // with the same label shape ServiceSession::Spend uses.
+          DPX_RETURN_IF_ERROR(
+              cap->Spend(record.epsilon, record.tenant + "/" + record.label));
+        }
+      } else {
+        // The session was created after the snapshot: its ledger cannot be
+        // rebuilt (session creation is not journaled), but the dataset cap
+        // must never understate — charge it and report the tenant.
+        StatusOr<std::shared_ptr<DatasetEntry>> entry =
+            registry_.Get(record.dataset);
+        if (entry.ok() && (*entry)->cap() != nullptr) {
+          DPX_RETURN_IF_ERROR((*entry)->cap()->Spend(
+              record.epsilon, record.tenant + "/" + record.label));
+        }
+        if (std::find(report->unrecovered_sessions.begin(),
+                      report->unrecovered_sessions.end(),
+                      record.tenant) == report->unrecovered_sessions.end()) {
+          report->unrecovered_sessions.push_back(record.tenant);
+        }
+      }
+    }
+    journal_replayed_->Increment();
+    ++report->replayed_records;
+  }
+  return Status::OK();
+}
+
+StatusOr<ServiceEngine::RestoreReport> ServiceEngine::RestoreFromFiles(
+    const std::string& snapshot_path, const std::string& journal_path) {
+  DPX_SPAN("snapshot_restore");
+  if (registry_.size() != 0 || sessions_.size() != 0 ||
+      audit_.next_seq() != 1 || cache_.size() != 0) {
+    return Status::FailedPrecondition(
+        "restore requires an empty engine (datasets, sessions, audit, and "
+        "cache must all be untouched)");
+  }
+  StatusOr<snapshot::ServiceSnapshot> state =
+      snapshot::LoadSnapshotFile(snapshot_path);
+  if (state.status().code() == StatusCode::kNotFound) {
+    // No snapshot. An absent/empty journal is a genuinely fresh start; a
+    // non-empty journal holds charges whose session budgets and dataset
+    // contents were never snapshotted — rebuilding ledgers from the journal
+    // alone would silently undercount, so refuse loudly instead.
+    if (!journal_path.empty()) {
+      StatusOr<std::vector<obs::AuditRecord>> journaled =
+          snapshot::ReadAuditJournal(journal_path);
+      if (journaled.ok() && !journaled->empty()) {
+        return Status::FailedPrecondition(
+            "no snapshot at '" + snapshot_path + "' but the audit journal '" +
+            journal_path + "' holds " + std::to_string(journaled->size()) +
+            " records: snapshot-less recovery cannot rebuild correct ledgers "
+            "(session budgets and dataset contents are not journaled) — "
+            "restore from a snapshot or archive the journal first");
+      }
+    }
+    return state.status();
+  }
+  DPX_RETURN_IF_ERROR(state.status());
+
+  RestoreReport report;
+  report.format_version = state->format_version;
+  DPX_RETURN_IF_ERROR(ApplySnapshot(*state, &report));
+  if (!journal_path.empty()) {
+    DPX_RETURN_IF_ERROR(
+        ReplayJournal(journal_path, state->audit.next_seq, &report));
+  }
+  // Cross-check: where audit/ledger equality held at save it must hold now —
+  // both sides restarted from the same saved doubles and replay applied the
+  // same additions to both in the same order.
+  for (const snapshot::SessionState& ss : state->sessions) {
+    if (!ss.audit_matches_ledger) continue;
+    DPX_ASSIGN_OR_RETURN(const std::shared_ptr<ServiceSession> session,
+                         sessions_.Get(ss.id));
+    if (audit_.TenantTotals(ss.id).epsilon_charged !=
+        session->budget().spent_epsilon()) {
+      return Status::Internal("post-recovery audit/ledger mismatch for "
+                              "session '" + ss.id +
+                              "': the journal and snapshot disagree");
+    }
+  }
+  snapshot_restores_->Increment();
+  return report;
+}
+
+StatusOr<JsonValue> ServiceEngine::OpSaveSnapshot(const JsonValue& request,
+                                                  const Deadline&) {
+  DPX_ASSIGN_OR_RETURN(const std::string path, request.GetString("path"));
+  DPX_RETURN_IF_ERROR(SaveSnapshotToFile(path));
+  JsonValue body = JsonValue::Object();
+  body.Set("path", JsonValue::String(path));
+  body.Set("format_version", Count(snapshot::kSnapshotFormatVersion));
+  body.Set("datasets", Count(registry_.size()));
+  body.Set("sessions", Count(sessions_.size()));
+  body.Set("cache_entries", Count(cache_.size()));
+  body.Set("audit_next_seq", Count(audit_.next_seq()));
+  return body;
+}
+
+StatusOr<JsonValue> ServiceEngine::OpLoadSnapshot(const JsonValue& request,
+                                                  const Deadline&) {
+  DPX_ASSIGN_OR_RETURN(const std::string path, request.GetString("path"));
+  DPX_ASSIGN_OR_RETURN(const std::string journal,
+                       OptString(request, "journal", ""));
+  DPX_ASSIGN_OR_RETURN(const RestoreReport report,
+                       RestoreFromFiles(path, journal));
+  JsonValue unrecovered = JsonValue::Array();
+  for (const std::string& tenant : report.unrecovered_sessions) {
+    unrecovered.Append(JsonValue::String(tenant));
+  }
+  JsonValue body = JsonValue::Object();
+  body.Set("path", JsonValue::String(path));
+  body.Set("format_version", Count(report.format_version));
+  body.Set("datasets", Count(report.datasets));
+  body.Set("sessions", Count(report.sessions));
+  body.Set("cache_entries", Count(report.cache_entries));
+  body.Set("replayed_records", Count(report.replayed_records));
+  body.Set("unrecovered_sessions", std::move(unrecovered));
+  return body;
+}
+
+}  // namespace dpclustx::service

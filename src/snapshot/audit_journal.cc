@@ -30,7 +30,7 @@ bool AuditJournal::is_open() const {
   return file_ != nullptr;
 }
 
-Status AuditJournal::Append(const AuditRecordState& record) {
+Status AuditJournal::Append(const obs::AuditRecord& record) {
   const std::string line = AuditRecordToJsonLine(record) + "\n";
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) {
@@ -52,7 +52,7 @@ void AuditJournal::Close() {
   }
 }
 
-std::string AuditRecordToJsonLine(const AuditRecordState& record) {
+std::string AuditRecordToJsonLine(const obs::AuditRecord& record) {
   JsonValue obj = JsonValue::Object();
   obj.Set("seq", JsonValue::Number(static_cast<double>(record.seq)));
   obj.Set("tenant", JsonValue::String(record.tenant));
@@ -66,9 +66,9 @@ std::string AuditRecordToJsonLine(const AuditRecordState& record) {
 
 namespace {
 
-StatusOr<AuditRecordState> ParseJournalLine(const std::string& line) {
+StatusOr<obs::AuditRecord> ParseJournalLine(const std::string& line) {
   DPX_ASSIGN_OR_RETURN(const JsonValue obj, JsonValue::Parse(line));
-  AuditRecordState record;
+  obs::AuditRecord record;
   DPX_ASSIGN_OR_RETURN(const double seq, obj.GetNumber("seq"));
   record.seq = static_cast<uint64_t>(seq);
   DPX_ASSIGN_OR_RETURN(record.tenant, obj.GetString("tenant"));
@@ -86,10 +86,10 @@ StatusOr<AuditRecordState> ParseJournalLine(const std::string& line) {
 
 }  // namespace
 
-StatusOr<std::vector<AuditRecordState>> ReadAuditJournal(
+StatusOr<std::vector<obs::AuditRecord>> ReadAuditJournal(
     const std::string& path) {
   DPX_ASSIGN_OR_RETURN(const std::string contents, ReadFileToString(path));
-  std::vector<AuditRecordState> records;
+  std::vector<obs::AuditRecord> records;
   size_t pos = 0;
   while (pos < contents.size()) {
     const size_t newline = contents.find('\n', pos);
@@ -101,7 +101,7 @@ StatusOr<std::vector<AuditRecordState>> ReadAuditJournal(
     const std::string line = contents.substr(pos, newline - pos);
     pos = newline + 1;
     if (line.empty()) continue;
-    StatusOr<AuditRecordState> record = ParseJournalLine(line);
+    StatusOr<obs::AuditRecord> record = ParseJournalLine(line);
     if (!record.ok()) {
       return Status::IoError(
           "audit journal " + path + " is corrupt (not merely torn): " +

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "snapshot/snapshot.h"
+#include "obs/audit_log.h"
 
 namespace dpclustx::snapshot {
 
@@ -52,7 +52,7 @@ class AuditJournal {
   /// Serializes `record` as one JSON line, writes it, and flushes. IoError
   /// if the write or flush fails (the caller must treat that as fatal for
   /// durability: an unjournaled charge cannot be recovered).
-  Status Append(const AuditRecordState& record);
+  Status Append(const obs::AuditRecord& record);
 
   void Close();
 
@@ -64,14 +64,14 @@ class AuditJournal {
 
 /// Serializes one record to its JSON line (no trailing newline). Exposed so
 /// tests can forge journals byte-for-byte.
-std::string AuditRecordToJsonLine(const AuditRecordState& record);
+std::string AuditRecordToJsonLine(const obs::AuditRecord& record);
 
 /// Reads every record from a journal file, in file order. An empty or
 /// absent read is not an error at this layer (the caller decides whether a
 /// missing journal is fatal) — a missing file yields NotFound, an empty
 /// file yields an empty vector. A torn *final* line is skipped; a malformed
 /// line anywhere else is IoError (the journal is corrupt, not torn).
-StatusOr<std::vector<AuditRecordState>> ReadAuditJournal(
+StatusOr<std::vector<obs::AuditRecord>> ReadAuditJournal(
     const std::string& path);
 
 }  // namespace dpclustx::snapshot

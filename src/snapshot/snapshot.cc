@@ -8,20 +8,20 @@ namespace {
 
 // ---- encode helpers -------------------------------------------------------
 
-void PutLedger(ByteWriter& w, const std::vector<LedgerEntryState>& ledger) {
+void PutLedger(ByteWriter& w, const std::vector<PrivacyBudget::LedgerEntry>& ledger) {
   w.PutU64(ledger.size());
-  for (const LedgerEntryState& entry : ledger) {
+  for (const PrivacyBudget::LedgerEntry& entry : ledger) {
     w.PutString(entry.label);
     w.PutDouble(entry.epsilon);
   }
 }
 
-StatusOr<std::vector<LedgerEntryState>> GetLedger(ByteReader& r) {
+StatusOr<std::vector<PrivacyBudget::LedgerEntry>> GetLedger(ByteReader& r) {
   DPX_ASSIGN_OR_RETURN(const uint64_t count, r.GetU64());
-  std::vector<LedgerEntryState> ledger;
+  std::vector<PrivacyBudget::LedgerEntry> ledger;
   ledger.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    LedgerEntryState entry;
+    PrivacyBudget::LedgerEntry entry;
     DPX_ASSIGN_OR_RETURN(entry.label, r.GetString());
     DPX_ASSIGN_OR_RETURN(entry.epsilon, r.GetDouble());
     ledger.push_back(std::move(entry));
@@ -29,22 +29,24 @@ StatusOr<std::vector<LedgerEntryState>> GetLedger(ByteReader& r) {
   return ledger;
 }
 
-void PutTotals(ByteWriter& w, const AuditTotalsState& totals) {
-  w.PutString(totals.tenant);
+void PutTotals(ByteWriter& w, const std::string& tenant,
+               const obs::AuditLog::Totals& totals) {
+  w.PutString(tenant);
   w.PutDouble(totals.epsilon_charged);
   w.PutDouble(totals.epsilon_denied);
   w.PutU64(totals.charges);
   w.PutU64(totals.denials);
 }
 
-StatusOr<AuditTotalsState> GetTotals(ByteReader& r) {
-  AuditTotalsState totals;
-  DPX_ASSIGN_OR_RETURN(totals.tenant, r.GetString());
-  DPX_ASSIGN_OR_RETURN(totals.epsilon_charged, r.GetDouble());
-  DPX_ASSIGN_OR_RETURN(totals.epsilon_denied, r.GetDouble());
-  DPX_ASSIGN_OR_RETURN(totals.charges, r.GetU64());
-  DPX_ASSIGN_OR_RETURN(totals.denials, r.GetU64());
-  return totals;
+/// One tenant's totals; the global roll-up is stored under tenant "".
+Status GetTotals(ByteReader& r, std::string* tenant,
+                 obs::AuditLog::Totals* totals) {
+  DPX_ASSIGN_OR_RETURN(*tenant, r.GetString());
+  DPX_ASSIGN_OR_RETURN(totals->epsilon_charged, r.GetDouble());
+  DPX_ASSIGN_OR_RETURN(totals->epsilon_denied, r.GetDouble());
+  DPX_ASSIGN_OR_RETURN(totals->charges, r.GetU64());
+  DPX_ASSIGN_OR_RETURN(totals->denials, r.GetU64());
+  return Status::OK();
 }
 
 std::string EncodeMeta(const ServiceSnapshot& state) {
@@ -206,15 +208,17 @@ StatusOr<std::vector<CacheEntryState>> DecodeCache(
 }
 
 std::string EncodeAudit(const ServiceSnapshot& state) {
-  const AuditState& audit = state.audit;
+  const obs::AuditLog::State& audit = state.audit;
   ByteWriter w;
   w.PutU64(audit.next_seq);
   w.PutU64(audit.dropped);
-  PutTotals(w, audit.global);
+  PutTotals(w, "", audit.global);
   w.PutU64(audit.tenants.size());
-  for (const AuditTotalsState& totals : audit.tenants) PutTotals(w, totals);
+  for (const auto& [tenant, totals] : audit.tenants) {
+    PutTotals(w, tenant, totals);
+  }
   w.PutU64(audit.tail.size());
-  for (const AuditRecordState& record : audit.tail) {
+  for (const obs::AuditRecord& record : audit.tail) {
     w.PutU64(record.seq);
     w.PutString(record.tenant);
     w.PutString(record.dataset);
@@ -226,22 +230,26 @@ std::string EncodeAudit(const ServiceSnapshot& state) {
   return w.Take();
 }
 
-StatusOr<AuditState> DecodeAudit(const std::string& payload) {
+StatusOr<obs::AuditLog::State> DecodeAudit(const std::string& payload) {
   ByteReader r(payload);
-  AuditState audit;
+  obs::AuditLog::State audit;
   DPX_ASSIGN_OR_RETURN(audit.next_seq, r.GetU64());
   DPX_ASSIGN_OR_RETURN(audit.dropped, r.GetU64());
-  DPX_ASSIGN_OR_RETURN(audit.global, GetTotals(r));
+  std::string tenant;
+  DPX_RETURN_IF_ERROR(GetTotals(r, &tenant, &audit.global));
   DPX_ASSIGN_OR_RETURN(const uint64_t num_tenants, r.GetU64());
-  audit.tenants.reserve(num_tenants);
   for (uint64_t i = 0; i < num_tenants; ++i) {
-    DPX_ASSIGN_OR_RETURN(AuditTotalsState totals, GetTotals(r));
-    audit.tenants.push_back(std::move(totals));
+    obs::AuditLog::Totals totals;
+    DPX_RETURN_IF_ERROR(GetTotals(r, &tenant, &totals));
+    if (!audit.tenants.emplace(tenant, totals).second) {
+      return Status::IoError("snapshot audit totals list tenant '" + tenant +
+                             "' twice");
+    }
   }
   DPX_ASSIGN_OR_RETURN(const uint64_t num_records, r.GetU64());
   audit.tail.reserve(num_records);
   for (uint64_t i = 0; i < num_records; ++i) {
-    AuditRecordState record;
+    obs::AuditRecord record;
     DPX_ASSIGN_OR_RETURN(record.seq, r.GetU64());
     DPX_ASSIGN_OR_RETURN(record.tenant, r.GetString());
     DPX_ASSIGN_OR_RETURN(record.dataset, r.GetString());

@@ -1,35 +1,23 @@
 // Durable snapshot of the hot explanation-service state.
 //
-// ServiceSnapshot is a plain-data mirror of everything a dpclustx_serve
-// worker must not lose across a crash or restart:
+// ServiceSnapshot is a plain-data image of everything a dpclustx_serve
+// worker must not lose across a crash or restart: every registered dataset
+// (schema, column bytes or a DPXCOL file reference, pinned uid and epoch,
+// ε cap and its ledger, clustering labels — the StatsCache is rebuilt on
+// load, bitwise-identical), every open session's ledger in charge order (so
+// spend totals rebuild bit-for-bit), the release cache in LRU order, and
+// the audit log's own state (obs::AuditLog::State). The audit cursor is the
+// replay anchor: recovery loads the snapshot, then replays the audit
+// journal strictly after it, so every ε charge lands exactly once.
 //
-//   - every registered dataset: schema (as serialization JSON), the narrow
-//     column bytes exactly as stored (PR 4 layout) — or, for memory-mapped
-//     DPXCOL datasets, a by-reference (path, file uid, rows) triple instead
-//     of the bytes — the source fingerprint
-//     and registry uid (uids are pinned across restore so cached release
-//     keys stay valid), the cross-session ε cap and its ledger, and every
-//     published clustering view (labels only — the StatsCache is rebuilt
-//     deterministically on load, bitwise-identical per the PR 2 contract);
-//   - every open session's budget ledger, entry by entry, in charge order
-//     (so the floating-point spend total reconstructs bit-for-bit);
-//   - the release cache in LRU order (a DP release is paid-for bytes;
-//     losing it costs ε on the next identical request);
-//   - the audit-log cursor (next_seq) plus its exact per-tenant totals and
-//     retained tail. The cursor is the replay anchor: crash recovery loads
-//     the snapshot, then replays the durable audit journal strictly after
-//     the cursor, so every ε charge lands exactly once.
-//
-// This layer is deliberately below src/service: it defines the state
-// structs and the byte codec only. Harvesting live service objects into a
-// ServiceSnapshot and applying one back is the service layer's job
-// (ServiceEngine::SaveSnapshotToFile / RestoreFromFiles), which keeps the
+// This layer sits below src/service: it holds the state structs and the
+// byte codec only. ServiceEngine harvests and applies them, which keeps the
 // format testable without a running engine.
 //
-// Versioning rules (DESIGN.md §11): the file carries a format version;
-// loading refuses any version newer than this build (forward-refusing).
-// Within a version, unknown section ids are skipped — appending sections
-// is a compatible change; any other layout change bumps the version.
+// Versioning rules (DESIGN.md §11): loading refuses any format version
+// newer than this build. Within a version, unknown section ids are skipped
+// — appending sections is compatible; any other layout change bumps the
+// version.
 
 #ifndef DPCLUSTX_SNAPSHOT_SNAPSHOT_H_
 #define DPCLUSTX_SNAPSHOT_SNAPSHOT_H_
@@ -39,15 +27,11 @@
 #include <vector>
 
 #include "common/status.h"
+#include "dp/privacy_budget.h"
+#include "obs/audit_log.h"
 #include "snapshot/snapshot_io.h"
 
 namespace dpclustx::snapshot {
-
-/// One budget-ledger entry (mirrors PrivacyBudget::LedgerEntry).
-struct LedgerEntryState {
-  std::string label;
-  double epsilon = 0.0;
-};
 
 /// One published clustering view: labels only; the StatsCache is rebuilt on
 /// load from (columns, labels) and is bitwise-identical by construction.
@@ -82,7 +66,7 @@ struct DatasetState {
   uint64_t epoch = 0;
   uint8_t width_policy = 0;  // WidthPolicy as u8
   double cap_epsilon = 0.0;  // <= 0 = uncapped
-  std::vector<LedgerEntryState> cap_ledger;
+  std::vector<PrivacyBudget::LedgerEntry> cap_ledger;
   std::string schema_json;  // serialization::SchemaToJson payload
   /// Non-empty = by-reference DPXCOL dataset (format v2+): `columns` is
   /// empty and the data lives in this file.
@@ -107,7 +91,7 @@ struct SessionState {
   /// only when a closed session's records share the tenant id). Recovery
   /// re-asserts the equality after replay only when it held at save.
   bool audit_matches_ledger = true;
-  std::vector<LedgerEntryState> ledger;
+  std::vector<PrivacyBudget::LedgerEntry> ledger;
 };
 
 /// One release-cache entry. Entries are saved least- to most-recently used
@@ -115,35 +99,6 @@ struct SessionState {
 struct CacheEntryState {
   std::string key;
   std::string payload;
-};
-
-/// One audit record (mirrors obs::AuditRecord).
-struct AuditRecordState {
-  uint64_t seq = 0;
-  std::string tenant;
-  std::string dataset;
-  std::string label;
-  double epsilon = 0.0;
-  bool granted = false;
-  std::string reason;
-};
-
-/// Exact audit totals for one tenant (or the global roll-up).
-struct AuditTotalsState {
-  std::string tenant;  // empty for the global totals
-  double epsilon_charged = 0.0;
-  double epsilon_denied = 0.0;
-  uint64_t charges = 0;
-  uint64_t denials = 0;
-};
-
-/// Audit-log cursor + totals + retained tail.
-struct AuditState {
-  uint64_t next_seq = 1;  // replay anchor: journal records >= next_seq apply
-  uint64_t dropped = 0;
-  AuditTotalsState global;
-  std::vector<AuditTotalsState> tenants;
-  std::vector<AuditRecordState> tail;
 };
 
 /// The whole worker state.
@@ -155,15 +110,18 @@ struct ServiceSnapshot {
   std::vector<DatasetState> datasets;
   std::vector<SessionState> sessions;
   std::vector<CacheEntryState> cache;  // LRU order, oldest first
-  AuditState audit;
+  /// Audit-log cursor + exact totals + retained tail. The cursor
+  /// (next_seq) is the replay anchor: journal records >= it apply.
+  obs::AuditLog::State audit;
 };
 
 /// Encodes to the complete snapshot file image (magic + version + CRC'd
 /// sections). Deterministic: the same state encodes to the same bytes.
 std::string EncodeServiceSnapshot(const ServiceSnapshot& state);
 
-/// Decodes and verifies a snapshot file image. IoError on corruption or
-/// truncation, FailedPrecondition on an unsupported (newer) format version.
+/// Decodes and verifies a snapshot file image. IoError on corruption,
+/// truncation or a tenant listed twice in the audit totals,
+/// FailedPrecondition on an unsupported (newer) format version.
 StatusOr<ServiceSnapshot> DecodeServiceSnapshot(const std::string& bytes);
 
 /// Writes the snapshot atomically (tmp + rename) to `path`.

@@ -74,6 +74,25 @@ TEST(MechanismParameterTest, NonFiniteOrNonPositiveParamsRefuse) {
             StatusCode::kInvalidArgument);
 }
 
+// Below about 2^-54, exp(-ε) rounds to 1 and the geometric sampler's noise
+// collapses to exactly 0; the mechanism must refuse rather than release the
+// true count. The smallest ε that still samples keeps drawing real noise.
+TEST(MechanismParameterTest, GeometricRefusesEpsilonTooSmallToSample) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    const StatusOr<int64_t> tiny = GeometricMechanism(100, 1.0, 1e-17, rng);
+    ASSERT_FALSE(tiny.ok()) << "seed " << seed << " released " << *tiny;
+    EXPECT_EQ(tiny.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(GeometricMechanism(100, 1.0, 1e-300, rng).ok());
+    // The ratio is what matters: a large Δ shrinks ε/Δ the same way.
+    EXPECT_FALSE(GeometricMechanism(100, 1e17, 1.0, rng).ok());
+  }
+  Rng rng(1);
+  const StatusOr<int64_t> small = GeometricMechanism(100, 1.0, 1e-16, rng);
+  ASSERT_TRUE(small.ok());
+  EXPECT_NE(*small, 100);
+}
+
 // A refused call must not consume randomness: the noise stream a valid
 // caller sees is unaffected by interleaved hostile calls.
 TEST(MechanismParameterTest, RefusalDrawsNoNoise) {

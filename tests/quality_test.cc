@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.h"
 #include "eval/metrics.h"
 
@@ -39,6 +42,15 @@ TEST(GlobalWeightsTest, ValidateChecksSumAndSign) {
   EXPECT_FALSE(bad_sum.Validate().ok());
   GlobalWeights negative{-0.5, 1.0, 0.5};
   EXPECT_FALSE(negative.Validate().ok());
+}
+
+TEST(GlobalWeightsTest, ValidateRejectsNonFiniteWeights) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE((GlobalWeights{nan, 0.5, 0.5}.Validate().ok()));
+  EXPECT_FALSE((GlobalWeights{0.5, nan, 0.5}.Validate().ok()));
+  EXPECT_FALSE((GlobalWeights{0.5, 0.5, nan}.Validate().ok()));
+  EXPECT_FALSE((GlobalWeights{inf, -inf, 1.0}.Validate().ok()));
 }
 
 TEST(GlobalWeightsTest, ConditionalSingleClusterWeights) {

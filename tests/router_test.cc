@@ -20,6 +20,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,30 +76,57 @@ JsonValue ParseRequest(const std::string& text) {
 
 TEST(RouterCoreTest, ClassifiesEveryOpKind) {
   RouterCore core({"shard-0", "shard-1"});
+  // Bound first, so the session-keyed rows below resolve to its dataset.
+  ASSERT_TRUE(core.Classify(ParseRequest(
+                  R"({"op":"create_session","dataset":"census",)"
+                  R"("session":"alice"})"))
+                  .ok());
 
+  const std::string session = R"(,"session":"alice"})";
+  struct Row {
+    std::string request;
+    OpPlacement placement;
+    std::string dataset;
+  };
+  const std::vector<Row> rows = {
+      {R"({"op":"ping"})", OpPlacement::kBroadcast, ""},
+      {R"({"op":"load_dataset","name":"census"})", OpPlacement::kShard,
+       "census"},
+      {R"({"op":"append_rows","dataset":"census"})", OpPlacement::kShard,
+       "census"},
+      {R"({"op":"schema","dataset":"census"})", OpPlacement::kShard,
+       "census"},
+      {R"({"op":"cluster","dataset":"census"})", OpPlacement::kShard,
+       "census"},
+      {R"({"op":"budget")" + session, OpPlacement::kShard, "census"},
+      {R"({"op":"create_session","dataset":"census")" + session,
+       OpPlacement::kShard, "census"},
+      {R"({"op":"explain")" + session, OpPlacement::kReplicaRead, "census"},
+      {R"({"op":"hist")" + session, OpPlacement::kReplicaRead, "census"},
+      {R"({"op":"size")" + session, OpPlacement::kShard, "census"},
+      {R"({"op":"stats"})", OpPlacement::kBroadcast, ""},
+      {R"({"op":"metrics"})", OpPlacement::kBroadcast, ""},
+      {R"({"op":"trace"})", OpPlacement::kRouter, ""},
+      {R"({"op":"audit"})", OpPlacement::kBroadcast, ""},
+      {R"({"op":"save_snapshot","path":"x"})", OpPlacement::kRefused, ""},
+      {R"({"op":"load_snapshot","path":"x"})", OpPlacement::kRefused, ""},
+      // Last: it unbinds the session the rows above route by.
+      {R"({"op":"close_session")" + session, OpPlacement::kShard, "census"},
+  };
+  ASSERT_EQ(rows.size(), 17u);
+  for (const Row& row : rows) {
+    StatusOr<RouteDecision> d = core.Classify(ParseRequest(row.request));
+    ASSERT_TRUE(d.ok()) << row.request << ": " << d.status();
+    EXPECT_EQ(d->placement, row.placement) << row.request;
+    EXPECT_EQ(d->dataset, row.dataset) << row.request;
+  }
+
+  // An op the engine does not serve gets the engine's own answer.
   StatusOr<RouteDecision> d =
-      core.Classify(ParseRequest(R"({"op":"ping"})"));
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->kind, RouteKind::kBroadcast);
-
-  d = core.Classify(ParseRequest(R"({"op":"save_snapshot","path":"x"})"));
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->kind, RouteKind::kRefused);
-
-  d = core.Classify(ParseRequest(R"({"op":"load_dataset","name":"census"})"));
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->kind, RouteKind::kShard);
-  EXPECT_EQ(d->dataset, "census");
-
-  d = core.Classify(
-      ParseRequest(R"({"op":"cluster","dataset":"census","method":"k"})"));
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->kind, RouteKind::kShard);
-  EXPECT_EQ(d->dataset, "census");
-
-  d = core.Classify(ParseRequest(R"({"op":"frobnicate"})"));
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->kind, RouteKind::kUnknownOp);
+      core.Classify(ParseRequest(R"({"op":"frobnicate"})"));
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(d.status().message(), "unknown op 'frobnicate'");
 }
 
 TEST(RouterCoreTest, SessionsBindOnCreateAndUnbindOnClose) {
@@ -113,30 +141,65 @@ TEST(RouterCoreTest, SessionsBindOnCreateAndUnbindOnClose) {
   d = core.Classify(ParseRequest(
       R"({"op":"create_session","dataset":"census","session":"alice"})"));
   ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->kind, RouteKind::kShard);
+  EXPECT_EQ(d->placement, OpPlacement::kShard);
   EXPECT_EQ(core.sessions().size(), 1u);
 
   // Session-keyed ops now route to the dataset's shard; reads are
   // replica-eligible, control ops are not.
   d = core.Classify(ParseRequest(R"({"op":"budget","session":"alice"})"));
   ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->kind, RouteKind::kShard);
+  EXPECT_EQ(d->placement, OpPlacement::kShard);
   EXPECT_EQ(d->dataset, "census");
 
   d = core.Classify(ParseRequest(
       R"({"op":"hist","session":"alice","attribute":"a"})"));
   ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->kind, RouteKind::kReplicaRead);
+  EXPECT_EQ(d->placement, OpPlacement::kReplicaRead);
   EXPECT_EQ(d->dataset, "census");
 
   d = core.Classify(
       ParseRequest(R"({"op":"close_session","session":"alice"})"));
   ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->kind, RouteKind::kShard);
+  EXPECT_EQ(d->placement, OpPlacement::kShard);
   EXPECT_EQ(core.sessions().size(), 0u);
 
   d = core.Classify(ParseRequest(R"({"op":"budget","session":"alice"})"));
   EXPECT_FALSE(d.ok());
+}
+
+TEST(RouterCoreTest, UndoBindingRestoresWhatClassifyReplaced) {
+  RouterCore core({"shard-0", "shard-1"});
+  const auto classify = [&](const std::string& request) {
+    StatusOr<RouteDecision> d = core.Classify(ParseRequest(request));
+    EXPECT_TRUE(d.ok()) << request << ": " << d.status();
+    return *d;
+  };
+  const RouteDecision first = classify(
+      R"({"op":"create_session","dataset":"census","session":"alice"})");
+  EXPECT_FALSE(first.replaced.has_value());
+  const RouteDecision second = classify(
+      R"({"op":"create_session","dataset":"adult","session":"alice"})");
+  EXPECT_EQ(second.replaced, std::optional<std::string>("census"));
+
+  core.UndoBinding(second);
+  StatusOr<std::string> bound = core.sessions().Lookup("alice");
+  ASSERT_TRUE(bound.ok());
+  EXPECT_EQ(*bound, "census");
+
+  const RouteDecision close =
+      classify(R"({"op":"close_session","session":"alice"})");
+  EXPECT_FALSE(core.sessions().Lookup("alice").ok());
+  core.UndoBinding(close);
+  bound = core.sessions().Lookup("alice");
+  ASSERT_TRUE(bound.ok());
+  EXPECT_EQ(*bound, "census");
+
+  core.UndoBinding(first);  // back to never bound
+  EXPECT_FALSE(core.sessions().Lookup("alice").ok());
+
+  // Ops that bind nothing undo nothing.
+  core.UndoBinding(classify(R"({"op":"ping"})"));
+  EXPECT_EQ(core.sessions().size(), 0u);
 }
 
 TEST(RouterCoreTest, MissingFieldsAreInvalidArgument) {
@@ -510,6 +573,40 @@ TEST(RouterE2eTest, ShardedSessionFlowAcrossTwoWorkers) {
       "t11", R"({"op":"budget","session":"ghost","id":"t11"})");
   ASSERT_FALSE(ghost.at("ok").AsBool());
   EXPECT_EQ(ghost.at("error").at("code").AsString(), "NotFound");
+}
+
+TEST(RouterE2eTest, FailedCreateSessionKeepsTheSessionsShard) {
+  // Two datasets on different shards: a create_session the worker refuses
+  // must not move the session's binding to the refused dataset's shard,
+  // or its ledger on the first shard becomes unreachable.
+  const RouterCore placement({"shard-0", "shard-1"});
+  std::string a = "a";
+  std::string b = "b";
+  for (int i = 0; placement.ShardFor(a) == placement.ShardFor(b); ++i) {
+    b = "b" + std::to_string(i);
+  }
+  InProcessRouter router(InProcessOptions(FreshStateDir("rebind"), 2),
+                         EngineLinks());
+  for (const std::string& name : {a, b}) {
+    ExpectOk(router.Call(
+        "load-" + name,
+        R"({"op":"load_dataset","name":")" + name +
+            R"(","source":"synthetic","generator":"diabetes","rows":200,)"
+            R"("id":"load-)" + name + R"("})"));
+  }
+  ExpectOk(router.Call(
+      "c1", R"({"op":"create_session","dataset":")" + a +
+                R"(","session":"alice","epsilon":1.0,"id":"c1"})"));
+  const JsonValue refused = router.Call(
+      "c2", R"({"op":"create_session","dataset":")" + b +
+                R"(","session":"alice","epsilon":-1,"id":"c2"})");
+  ASSERT_FALSE(refused.at("ok").AsBool());
+  EXPECT_EQ(refused.at("error").at("code").AsString(), "InvalidArgument");
+
+  const JsonValue budget =
+      router.Call("c3", R"({"op":"budget","session":"alice","id":"c3"})");
+  ExpectOk(budget);
+  EXPECT_EQ(budget.at("dataset").AsString(), a);
 }
 
 TEST(RouterE2eTest, GarbageWorkerLinesFailTheRequestNotTheRouter) {
@@ -949,6 +1046,10 @@ TEST(ToolFlagsTest, CliRefusesBadBudgetsAndNamesBeforeAnyWork) {
                      "--seed needs a non-negative integer, got '12x'");
   expect_usage_error({"--method", "dbscan"}, "unknown method 'dbscan'");
   expect_usage_error({"--synthetic", "adult"}, "unknown generator 'adult'");
+  expect_usage_error({"--lambda", "nan,0.5,0.5"},
+                     "--lambda: global weights must be finite");
+  expect_usage_error({"--lambda", "0.5,0.5,0.5"},
+                     "--lambda: global weights must sum to 1");
 
   // 0 is a seed like any other.
   const ExitResult seeded =

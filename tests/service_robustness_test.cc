@@ -9,12 +9,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <condition_variable>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/file_util.h"
 #include "gtest/gtest.h"
 
 namespace dpclustx::service {
@@ -250,6 +252,44 @@ TEST(ServiceRobustnessTest, HostileInputsGetStructuredErrors) {
 }
 
 // Oversized payloads are rejected before the parser touches them.
+TEST(ServiceRobustnessTest, SnapshotListingATenantTwiceIsRefused) {
+  // A CRC-valid file whose audit totals name tenant "t" twice: a restore
+  // would keep one of the two totals and silently drop the other.
+  snapshot::ByteWriter none;
+  none.PutU64(0);
+  snapshot::ByteWriter audit;
+  audit.PutU64(1);  // next_seq
+  audit.PutU64(0);  // dropped
+  const auto put_totals = [&](const std::string& tenant) {
+    audit.PutString(tenant);
+    audit.PutDouble(0.5);  // epsilon_charged
+    audit.PutDouble(0.0);  // epsilon_denied
+    audit.PutU64(1);       // charges
+    audit.PutU64(0);       // denials
+  };
+  put_totals("");  // the global roll-up
+  audit.PutU64(2);
+  put_totals("t");
+  put_totals("t");
+  audit.PutU64(0);  // no tail records
+  snapshot::SectionWriter file;
+  file.AddSection(snapshot::SectionId::kDatasets, none.buffer());
+  file.AddSection(snapshot::SectionId::kSessions, none.buffer());
+  file.AddSection(snapshot::SectionId::kAudit, audit.Take());
+  const std::string path = ::testing::TempDir() + "/duplicate_tenant.snap";
+  ASSERT_TRUE(WriteFileAtomic(path, file.Take()).ok());
+
+  ServiceEngine engine;
+  const JsonValue restored = Call(
+      engine, R"({"op":"load_snapshot","path":")" + path + R"("})");
+  ExpectError(restored, "IoError");
+  EXPECT_NE(restored.at("error").at("message").AsString().find(
+                "tenant 't' twice"),
+            std::string::npos)
+      << restored.Dump();
+  std::remove(path.c_str());
+}
+
 TEST(ServiceRobustnessTest, OversizedPayloadRejectedBeforeParse) {
   ServiceEngineOptions options;
   options.max_request_bytes = 256;

@@ -937,6 +937,91 @@ TEST(ServiceTest, AppendRowsRefusedOnReadOnlyReplicas) {
               "FailedPrecondition");
 }
 
+TEST(ServiceTest, ReplicaRefusesExactlyTheOpsTheTableMarksMutating) {
+  const std::vector<std::string> ops = {
+      "ping",    "load_dataset", "append_rows", "schema",  "cluster",
+      "budget",  "create_session", "close_session", "explain", "hist",
+      "size",    "stats",        "metrics",     "trace",   "audit",
+      "save_snapshot", "load_snapshot"};
+  std::vector<std::string> mutating;
+  for (const std::string& op : ops) {
+    StatusOr<const OpSpec*> spec = ServiceEngine::FindOp(op);
+    ASSERT_TRUE(spec.ok()) << op;
+    if ((*spec)->mutates) mutating.push_back(op);
+  }
+  EXPECT_EQ(mutating,
+            (std::vector<std::string>{"load_dataset", "append_rows",
+                                      "cluster", "create_session",
+                                      "close_session", "size",
+                                      "save_snapshot"}));
+
+  // The primary pays for one explain and one hist and snapshots them.
+  ServiceEngine primary;
+  SetUpDataset(primary);
+  ExpectOk(Call(primary, R"({"op":"create_session","session":"s",)"
+                         R"("dataset":"d","epsilon":5.0})"));
+  const std::string explain =
+      R"({"op":"explain","session":"s","epsilon":0.3})";
+  const std::string hist =
+      R"({"op":"hist","session":"s","attribute":"diab_0","epsilon":0.1})";
+  ExpectOk(Call(primary, explain));
+  ExpectOk(Call(primary, hist));
+  const std::string path = ::testing::TempDir() + "/replica_refusals.snap";
+  ExpectOk(Call(primary, R"({"op":"save_snapshot","path":")" + path +
+                             R"("})"));
+
+  ServiceEngineOptions options;
+  options.read_only = true;
+  ServiceEngine replica(options);
+  // Refused before any field is read: a bare request names no dataset or
+  // session, and still gets the refusal rather than a field error.
+  for (const std::string& op : mutating) {
+    const JsonValue refused = Call(replica, R"({"op":")" + op + R"("})");
+    ExpectError(refused, "FailedPrecondition");
+    EXPECT_EQ(refused.at("error").at("message").AsString(),
+              "this worker is read-only: " + op +
+                  " is refused (retry against the primary)");
+  }
+  // A restore is how a replica gets the primary's releases.
+  ExpectOk(Call(replica,
+                R"({"op":"load_snapshot","path":")" + path + R"("})"));
+  std::remove(path.c_str());
+
+  // Replica reads serve their hits and refuse only the misses.
+  for (const std::string& hit : {explain, hist}) {
+    const JsonValue served = Call(replica, hit);
+    ExpectOk(served);
+    EXPECT_TRUE(served.at("cache_hit").AsBool());
+  }
+  const JsonValue explain_miss = Call(
+      replica, R"({"op":"explain","session":"s","epsilon":0.6})");
+  ExpectError(explain_miss, "FailedPrecondition");
+  EXPECT_EQ(explain_miss.at("error").at("message").AsString(),
+            "this worker is read-only: explain (uncached) is refused (retry "
+            "against the primary)");
+  const JsonValue hist_miss = Call(
+      replica, R"({"op":"hist","session":"s","attribute":"diab_1"})");
+  ExpectError(hist_miss, "FailedPrecondition");
+  EXPECT_EQ(hist_miss.at("error").at("message").AsString(),
+            "this worker is read-only: hist (uncached) is refused (retry "
+            "against the primary)");
+}
+
+TEST(ServiceTest, HistRefusesAnEpsilonTooSmallToSample) {
+  // exp(-1e-17) rounds to 1: the geometric noise would be exactly 0 and
+  // the bins exact counts.
+  ServiceEngine engine;
+  SetUpDataset(engine);
+  ExpectOk(Call(engine, R"({"op":"create_session","session":"s",)"
+                        R"("dataset":"d","epsilon":1.0})"));
+  ExpectError(Call(engine, R"({"op":"hist","session":"s",)"
+                           R"("attribute":"diab_0","epsilon":1e-17})"),
+              "InvalidArgument");
+  ExpectError(Call(engine, R"({"op":"size","session":"s","cluster":0,)"
+                           R"("epsilon":1e-17})"),
+              "InvalidArgument");
+}
+
 TEST(ServiceTest, ColumnarDatasetLoadsMappedAndServesExplains) {
   ServiceEngine engine(DebugNoise());
   const std::string path = WriteSmallColumnar("load", /*capacity_rows=*/0);

@@ -176,6 +176,9 @@ CliOptions ParseArgs(int argc, char** argv) {
         Fail("--lambda expects I,S,D");
       }
       explain.lambda = {l_int, l_suf, l_div};
+      if (const Status valid = explain.lambda.Validate(); !valid.ok()) {
+        Fail("--lambda: " + valid.message());
+      }
     } else if (ParseStringFlag(argc, argv, &i, "--hist-mechanism", &value)) {
       if (value == "geometric") {
         explain.histogram.noise = HistogramNoise::kGeometric;
