@@ -24,7 +24,9 @@
 # halt_on_error so a race in a child router fails the test instead of
 # only printing to the child's stderr), and the zero-reparse relay
 # scanner runs under ASan (json_relay_test) — worker output is untrusted
-# once a worker has crashed mid-write.
+# once a worker has crashed mid-write. The Stage-2 search's block decode
+# and the multi-explainer's ℓ-subset table indexing run under ASan too
+# (explainer_test, multi_explainer_test, baselines_test).
 #
 # Kernel dispatch pass: every per-ISA kernel TU (generic/sse2/avx2/avx512,
 # src/data/kernels) compiles unconditionally in the default build — a host
@@ -85,11 +87,12 @@ else
     service_test service_robustness_test json_test mechanisms_test \
     thread_pool_test dataset_layout_test obs_test snapshot_test \
     csv_test columnar_format_test json_relay_test \
+    explainer_test multi_explainer_test baselines_test \
     dpclustx_serve dpclustx_router dpclustx_convert \
     >/dev/null
   (cd build-asan &&
    ctest --output-on-failure \
-     -R '^(service_test|service_robustness_test|json_test|mechanisms_test|thread_pool_test|dataset_layout_test|obs_test|snapshot_test|csv_test|columnar_format_test|json_relay_test)$')
+     -R '^(service_test|service_robustness_test|json_test|mechanisms_test|thread_pool_test|dataset_layout_test|obs_test|snapshot_test|csv_test|columnar_format_test|json_relay_test|explainer_test|multi_explainer_test|baselines_test)$')
 
   echo "==> ASan kernel dispatch smoke (DPCLUSTX_ISA=generic startup)"
   # Starts with dispatch clamped all the way down, then the in-test

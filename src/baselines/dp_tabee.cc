@@ -1,8 +1,5 @@
 #include "baselines/dp_tabee.h"
 
-#include <set>
-
-#include "dp/dp_histogram.h"
 #include "dp/topk.h"
 #include "eval/metrics.h"
 
@@ -61,29 +58,15 @@ StatusOr<GlobalExplanation> ExplainDpTabee(const StatsCache& stats,
     return Status::InvalidArgument("epsilon_hist must be positive");
   }
 
-  // Histogram release mirrors DPClustX's Stage-2 (Algorithm 2, lines 6–15).
-  std::set<AttrIndex> distinct(combination.begin(), combination.end());
-  const double eps_hist_all =
-      options.epsilon_hist / (2.0 * static_cast<double>(distinct.size()));
-  const double eps_hist_cluster = options.epsilon_hist / 2.0;
-  std::vector<Histogram> noisy_full(stats.num_attributes());
-  for (AttrIndex attr : distinct) {
-    DPX_ASSIGN_OR_RETURN(
-        noisy_full[attr],
-        ReleaseDpHistogram(stats.full_histogram(attr), eps_hist_all, rng,
-                           options.histogram));
-  }
-  explanation.per_cluster.resize(stats.num_clusters());
-  for (size_t c = 0; c < stats.num_clusters(); ++c) {
-    const auto cluster = static_cast<ClusterId>(c);
-    SingleClusterExplanation& e = explanation.per_cluster[c];
-    e.cluster = cluster;
-    e.attribute = combination[c];
-    DPX_ASSIGN_OR_RETURN(
-        e.inside,
-        ReleaseDpHistogram(stats.cluster_histogram(cluster, combination[c]),
-                           eps_hist_cluster, rng, options.histogram));
-    e.outside = noisy_full[combination[c]].SubtractClamped(e.inside);
+  // Histogram release: DPClustX's own (Algorithm 2, lines 6–15).
+  std::vector<std::vector<AttrIndex>> selected;
+  for (AttrIndex attr : combination) selected.push_back({attr});
+  DPX_ASSIGN_OR_RETURN(auto released,
+                       core_internal::ReleaseExplanationHistograms(
+                           stats, selected, options.epsilon_hist,
+                           options.histogram, Deadline(), rng));
+  for (auto& cluster : released) {
+    explanation.per_cluster.push_back(std::move(cluster.front()));
   }
   return explanation;
 }

@@ -74,8 +74,12 @@ double Rng::Laplace(double scale) {
 
 double Rng::Gumbel(double scale) {
   DPX_CHECK_GT(scale, 0.0);
+  return GumbelFromUniform(UniformOpenDouble(), scale);
+}
+
+double Rng::GumbelFromUniform(double u, double scale) {
   // Inverse CDF of exp(-exp(-x/σ)).
-  return -scale * std::log(-std::log(UniformOpenDouble()));
+  return -scale * std::log(-std::log(u));
 }
 
 int64_t Rng::TwoSidedGeometric(double eps) {

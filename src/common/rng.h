@@ -64,6 +64,11 @@ class Rng {
   /// noise of the one-shot top-k mechanism (Durfee & Rogers 2019).
   double Gumbel(double scale);
 
+  /// The transform Gumbel() applies to its UniformOpenDouble() draw `u`:
+  /// lets a caller draw the uniforms serially and transform them on other
+  /// threads without changing a single output bit.
+  static double GumbelFromUniform(double u, double scale);
+
   /// Two-sided (discrete) geometric noise with parameter alpha = exp(-eps):
   /// P(Z = z) ∝ alpha^|z|, the distribution of the Ghosh–Roughgarden–
   /// Sundararajan universally-optimal mechanism for sensitivity-1 counts.

@@ -58,14 +58,9 @@ struct DpClustXOptions {
   size_t max_combinations = 20000000;
   /// Seed for all mechanism noise in this run.
   uint64_t seed = 1;
-  /// Threads for the Stage-2 combination enumeration (k^|C| grows
-  /// exponentially; the search shards perfectly) and parallelism cap for the
-  /// StatsCache counting pass. 1 = serial. The shard count — not the
-  /// execution width — determines Stage-2's forked noise streams, so this
-  /// value is part of the run's noise seed. The selection distribution is
-  /// identical either way (independent Gumbel draws), but runs with
-  /// different num_threads draw different noise at the same seed. The
-  /// StatsCache build is bitwise-identical at any value.
+  /// Threads for the Stage-2 combination search and the StatsCache counting
+  /// pass (1 = serial, 0 = compute-pool width). Sets speed only: every
+  /// released byte is identical at any value (DESIGN.md §8).
   size_t num_threads = 1;
   /// Cooperative cancellation bound for the whole run. Checked between
   /// Stage-1 clusters, every few thousand Stage-2 combinations, and between
@@ -80,6 +75,16 @@ struct DpClustXOptions {
   /// generated), num_candidates = 0. Lets a caller refuse a run before
   /// spending anything on it.
   Status Validate() const;
+
+  /// InvalidArgument for a run over `num_attributes` attributes and
+  /// `num_clusters` clusters that a later stage would refuse: k larger than
+  /// the schema, or (top-k selector, whose sets hold exactly k attributes) a
+  /// Stage-2 space of C(k, subset_size)^|C| combinations above
+  /// max_combinations. Depends only on the schema and |C|, so callers run
+  /// it before charging anything. `subset_size` is ℓ of the multi-explainer
+  /// and must lie in [1, k].
+  Status ValidateShape(size_t num_attributes, size_t num_clusters,
+                       size_t subset_size = 1) const;
 };
 
 /// Runs DPClustX against a black-box clustering function: labels the dataset
@@ -118,7 +123,17 @@ struct CombinationScoreTables {
   std::vector<std::vector<std::vector<double>>> pair;
 };
 
-/// Tables realizing GlScore_λ over the candidate sets.
+/// Tables realizing Appendix B's extended score (MultiGlobalScore, up to
+/// rounding) over per-cluster choices of equal-size attribute sets:
+/// choices[c][s] is cluster c's s-th choice. Pairs inside one set go into
+/// unary, pairs across two clusters' sets into pair. With singleton choices
+/// the score is GlScore_λ.
+CombinationScoreTables BuildSubsetTables(
+    const StatsCache& stats,
+    const std::vector<std::vector<std::vector<AttrIndex>>>& choices,
+    const GlobalWeights& lambda);
+
+/// Tables realizing GlScore_λ over the candidate sets (singleton choices).
 CombinationScoreTables BuildLowSensitivityTables(
     const StatsCache& stats,
     const std::vector<std::vector<AttrIndex>>& candidate_sets,
@@ -126,26 +141,30 @@ CombinationScoreTables BuildLowSensitivityTables(
 
 /// Selects an attribute combination from per-cluster candidate sets
 /// (Algorithm 2, lines 4–5): the exponential mechanism at `epsilon` over the
-/// table-defined score (Gumbel-max implementation), or the exact argmax when
-/// epsilon <= 0 (the non-private TabEE limit). Exposed for the baselines and
-/// tests.
+/// table-defined score (Gumbel-max implementation), or the exact argmax
+/// (lowest combination index on ties) when epsilon <= 0 — the non-private
+/// TabEE limit. The only combination search: DPClustX, the multi-explainer
+/// and the baselines all call it. `num_threads` (0 = compute-pool width)
+/// sets speed only — the result and the state left in `rng` are identical
+/// at every value.
 StatusOr<AttributeCombination> SearchCombination(
     const std::vector<std::vector<AttrIndex>>& candidate_sets,
     const CombinationScoreTables& tables, double epsilon, double sensitivity,
-    size_t max_combinations, Rng& rng, const Deadline& deadline = {});
+    size_t max_combinations, Rng& rng, const Deadline& deadline = {},
+    size_t num_threads = 1);
 
-/// Multithreaded variant: shards the combination space across
-/// `num_threads` workers, each with an independent noise stream forked from
-/// `rng`. Shards execute on the shared compute pool (ParallelFor); the
-/// shard structure — and thus the noise stream — is fixed by `num_threads`
-/// even when the pool runs them on fewer threads. Exact mode (epsilon <= 0)
-/// returns the same argmax as the serial search; private mode realizes the
-/// same exponential-mechanism distribution with different draws.
-StatusOr<AttributeCombination> SearchCombinationParallel(
-    const std::vector<std::vector<AttrIndex>>& candidate_sets,
-    const CombinationScoreTables& tables, double epsilon, double sensitivity,
-    size_t max_combinations, Rng& rng, size_t num_threads,
-    const Deadline& deadline = {});
+/// Algorithm 2, lines 6–15: noisy histograms for the selected attributes,
+/// where selected[c] lists cluster c's ℓ attributes (ℓ = 1 for DPClustX and
+/// DP-TabEE). Full-dataset histograms at ε_Hist/(2·|A'|) each over the
+/// distinct selected attributes A' (ascending), then each cluster's ℓ
+/// histograms at ε_Hist/(2ℓ) each (parallel composition across clusters);
+/// out-of-cluster histograms by clamped subtraction. Returns explanations
+/// indexed like `selected`.
+StatusOr<std::vector<std::vector<SingleClusterExplanation>>>
+ReleaseExplanationHistograms(
+    const StatsCache& stats,
+    const std::vector<std::vector<AttrIndex>>& selected, double epsilon_hist,
+    const DpHistogramOptions& histogram, const Deadline& deadline, Rng& rng);
 
 }  // namespace core_internal
 

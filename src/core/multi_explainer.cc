@@ -1,35 +1,14 @@
 #include "core/multi_explainer.h"
 
-#include <cmath>
-#include <limits>
-#include <set>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "core/candidate_selection.h"
-#include "dp/dp_histogram.h"
 
 namespace dpclustx {
 
 namespace {
-
-// All ℓ-subsets of {0, ..., k-1}, each sorted ascending.
-std::vector<std::vector<size_t>> Subsets(size_t k, size_t l) {
-  std::vector<std::vector<size_t>> out;
-  // Lexicographic combination enumeration.
-  std::vector<size_t> idx(l);
-  for (size_t i = 0; i < l; ++i) idx[i] = i;
-  while (true) {
-    out.push_back(idx);
-    // Rightmost position that can still be incremented.
-    size_t i = l;
-    while (i > 0 && idx[i - 1] == i - 1 + k - l) --i;
-    if (i == 0) break;
-    ++idx[i - 1];
-    for (size_t j = i; j < l; ++j) idx[j] = idx[j - 1] + 1;
-  }
-  return out;
-}
 
 // Flattened candidate list {(cluster, attribute)} of a multi-combination.
 std::vector<std::pair<ClusterId, AttrIndex>> Candidates(
@@ -41,6 +20,22 @@ std::vector<std::pair<ClusterId, AttrIndex>> Candidates(
     }
   }
   return cands;
+}
+
+// Appends to `out` every ℓ-subset of set[from..] extended from `prefix`, in
+// lexicographic order of positions.
+void AppendSubsets(const std::vector<AttrIndex>& set, size_t from, size_t l,
+                   std::vector<AttrIndex>& prefix,
+                   std::vector<std::vector<AttrIndex>>& out) {
+  if (prefix.size() == l) {
+    out.push_back(prefix);
+    return;
+  }
+  for (size_t i = from; i + l - prefix.size() <= set.size(); ++i) {
+    prefix.push_back(set[i]);
+    AppendSubsets(set, i + 1, l, prefix, out);
+    prefix.pop_back();
+  }
 }
 
 }  // namespace
@@ -81,18 +76,16 @@ StatusOr<MultiGlobalExplanation> ExplainDpClustXMultiWithLabels(
     size_t num_clusters, const MultiExplainOptions& options,
     PrivacyBudget* budget) {
   const DpClustXOptions& base = options.base;
-  DPX_RETURN_IF_ERROR(base.lambda.Validate());
-  const size_t l = options.attrs_per_cluster;
-  if (l == 0 || l > base.num_candidates) {
+  DPX_RETURN_IF_ERROR(base.Validate());
+  if (base.stage1 != Stage1Selector::kOneShotTopK) {
+    // The ℓ-subset enumeration needs sets of exactly k attributes, which
+    // only the top-k selector guarantees.
     return Status::InvalidArgument(
-        "attrs_per_cluster must lie in [1, num_candidates]");
+        "the multi-explainer supports only the top-k Stage-1 selector");
   }
-  if (base.epsilon_cand_set <= 0.0 || base.epsilon_top_comb <= 0.0) {
-    return Status::InvalidArgument("stage budgets must be positive");
-  }
-  if (base.generate_histograms && base.epsilon_hist <= 0.0) {
-    return Status::InvalidArgument("epsilon_hist must be positive");
-  }
+  const size_t l = options.attrs_per_cluster;
+  DPX_RETURN_IF_ERROR(
+      base.ValidateShape(dataset.num_attributes(), num_clusters, l));
   DPX_ASSIGN_OR_RETURN(const StatsCache stats,
                        StatsCache::Build(dataset, labels, num_clusters,
                                          base.num_threads));
@@ -115,90 +108,38 @@ StatusOr<MultiGlobalExplanation> ExplainDpClustXMultiWithLabels(
   stage1.epsilon = base.epsilon_cand_set;
   stage1.k = base.num_candidates;
   stage1.gamma = base.lambda.ConditionalSingleClusterWeights();
+  stage1.deadline = base.deadline;
   DPX_ASSIGN_OR_RETURN(auto candidate_sets,
                        SelectCandidates(stats, stage1, rng));
 
-  // Stage-2: EM over C(k, ℓ)^|C| subset combinations.
-  const std::vector<std::vector<size_t>> subsets =
-      Subsets(base.num_candidates, l);
-  size_t num_combinations = 1;
+  // Stage-2: EM over C(k, ℓ)^|C| subset combinations. choices[c][s] is
+  // cluster c's s-th ℓ-subset; the search picks one index s per cluster.
+  std::vector<std::vector<std::vector<AttrIndex>>> choices(num_clusters);
   for (size_t c = 0; c < num_clusters; ++c) {
-    if (num_combinations > base.max_combinations / subsets.size()) {
-      return Status::InvalidArgument(
-          "multi-explanation combination space exceeds max_combinations");
-    }
-    num_combinations *= subsets.size();
+    std::vector<AttrIndex> prefix;
+    AppendSubsets(candidate_sets[c], 0, l, prefix, choices[c]);
   }
-
-  auto materialize = [&](const std::vector<size_t>& choice) {
-    std::vector<std::vector<AttrIndex>> ac(num_clusters);
-    for (size_t c = 0; c < num_clusters; ++c) {
-      for (size_t position : subsets[choice[c]]) {
-        ac[c].push_back(candidate_sets[c][position]);
-      }
-    }
-    return ac;
-  };
-
-  const double scale =
-      base.epsilon_top_comb / (2.0 * kGlScoreSensitivity);
-  std::vector<size_t> choice(num_clusters, 0);
-  std::vector<size_t> best_choice(num_clusters, 0);
-  double best_value = -std::numeric_limits<double>::infinity();
-  for (size_t combo = 0; combo < num_combinations; ++combo) {
-    const double score =
-        MultiGlobalScore(stats, materialize(choice), base.lambda);
-    const double value = scale * score + rng.Gumbel(1.0);
-    if (value > best_value) {
-      best_value = value;
-      best_choice = choice;
-    }
-    for (size_t c = 0; c < num_clusters; ++c) {
-      if (++choice[c] < subsets.size()) break;
-      choice[c] = 0;
-    }
-  }
+  std::vector<AttrIndex> subset_ids(choices.front().size());
+  std::iota(subset_ids.begin(), subset_ids.end(), AttrIndex{0});
+  DPX_ASSIGN_OR_RETURN(
+      const AttributeCombination chosen,
+      core_internal::SearchCombination(
+          std::vector<std::vector<AttrIndex>>(num_clusters, subset_ids),
+          core_internal::BuildSubsetTables(stats, choices, base.lambda),
+          base.epsilon_top_comb, kGlScoreSensitivity, base.max_combinations,
+          rng, base.deadline, base.num_threads));
 
   MultiGlobalExplanation result;
-  result.combination = materialize(best_choice);
+  for (size_t c = 0; c < num_clusters; ++c) {
+    result.combination.push_back(std::move(choices[c][chosen[c]]));
+  }
   result.candidate_sets = std::move(candidate_sets);
   if (!base.generate_histograms) return result;
 
-  // Histogram release: ε_Hist/2 over the distinct selected attributes
-  // (full-dataset side), ε_Hist/2 per cluster split across its ℓ histograms
-  // (cluster side; parallel across clusters).
-  std::set<AttrIndex> distinct;
-  for (const auto& attrs : result.combination) {
-    distinct.insert(attrs.begin(), attrs.end());
-  }
-  const double eps_hist_all =
-      base.epsilon_hist / (2.0 * static_cast<double>(distinct.size()));
-  const double eps_hist_cluster =
-      base.epsilon_hist / (2.0 * static_cast<double>(l));
-
-  std::vector<Histogram> noisy_full(stats.num_attributes());
-  for (AttrIndex attr : distinct) {
-    DPX_ASSIGN_OR_RETURN(
-        noisy_full[attr],
-        ReleaseDpHistogram(stats.full_histogram(attr), eps_hist_all, rng,
-                           base.histogram));
-  }
-
-  result.explanations.resize(num_clusters);
-  for (size_t c = 0; c < num_clusters; ++c) {
-    const auto cluster = static_cast<ClusterId>(c);
-    for (AttrIndex attr : result.combination[c]) {
-      SingleClusterExplanation e;
-      e.cluster = cluster;
-      e.attribute = attr;
-      DPX_ASSIGN_OR_RETURN(
-          e.inside,
-          ReleaseDpHistogram(stats.cluster_histogram(cluster, attr),
-                             eps_hist_cluster, rng, base.histogram));
-      e.outside = noisy_full[attr].SubtractClamped(e.inside);
-      result.explanations[c].push_back(std::move(e));
-    }
-  }
+  DPX_ASSIGN_OR_RETURN(result.explanations,
+                       core_internal::ReleaseExplanationHistograms(
+                           stats, result.combination, base.epsilon_hist,
+                           base.histogram, base.deadline, rng));
   return result;
 }
 

@@ -21,7 +21,9 @@
 namespace dpclustx {
 
 struct MultiExplainOptions {
-  /// Underlying DPClustX parameters (budgets, k, λ, noise, seed).
+  /// Underlying DPClustX parameters (budgets, k, λ, noise, seed, threads,
+  /// deadline). Only the top-k Stage-1 selector is supported: the ℓ-subset
+  /// enumeration needs sets of exactly k attributes.
   DpClustXOptions base;
   /// Number of explanation attributes per cluster (ℓ). Requires
   /// 1 <= ℓ <= k.

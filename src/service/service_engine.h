@@ -30,7 +30,8 @@
 //   budget         session                     (ledger report)
 //   explain        session, clustering, [epsilon] | [epsilon_cand_set,
 //                  epsilon_top_comb, epsilon_hist], [num_candidates],
-//                  [threads]
+//                  [threads]  (speed only: the release is identical at any
+//                  thread count)
 //   hist           session, clustering, attribute, [epsilon]  (cached like
 //                  explain: a repeat re-serves the paid-for bytes for 0 ε)
 //   size           session, clustering, cluster, [epsilon]

@@ -194,21 +194,24 @@ StatusOr<JsonValue> ServiceEngine::OpExplain(const JsonValue& request,
                                options.epsilon_top_comb +
                                options.epsilon_hist;
 
-  // The key covers everything that determines the release bytes (threads
-  // included: the parallel search draws a different — equally distributed —
-  // noise stream than the serial one). Server-seeded requests key on
-  // "seed=auto": identical requests share the first paid-for release.
+  // Refusals that depend only on the schema and |C| happen here, before
+  // ReleaseOnce can charge anything.
+  DPX_RETURN_IF_ERROR(options.ValidateShape(view->stats->num_attributes(),
+                                            view->num_clusters));
+
+  // The key covers everything that determines the release bytes (not
+  // threads: the release is identical at any thread count). Server-seeded
+  // requests key on "seed=auto": identical requests share the first
+  // paid-for release.
   char key[320];
   std::snprintf(key, sizeof(key),
                 "ds=%" PRIu64 " ep=%" PRIu64
-                " cl=%s|%s ecs=%.17g etc=%.17g eh=%.17g k=%zu "
-                "seed=%s th=%zu",
+                " cl=%s|%s ecs=%.17g etc=%.17g eh=%.17g k=%zu seed=%s",
                 session->dataset()->uid(), epoch, clustering_id.c_str(),
                 view->fingerprint.c_str(), options.epsilon_cand_set,
                 options.epsilon_top_comb, options.epsilon_hist,
                 options.num_candidates,
-                pinned_seed ? std::to_string(seed).c_str() : "auto",
-                options.num_threads);
+                pinned_seed ? std::to_string(seed).c_str() : "auto");
 
   return ReleaseOnce(
       request, key, *session, total_epsilon, "explain " + clustering_id,

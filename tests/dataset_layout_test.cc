@@ -494,9 +494,14 @@ TEST(DatasetLayoutTest, ExplanationsBitwiseIdenticalAcrossWidthsAndThreads) {
   DpClustXOptions options;
   options.seed = 21;
 
-  // Reference: the legacy layout, serial. Stage-2's noise stream is keyed
-  // by num_threads (see DpClustXOptions), so compare per thread count; the
-  // storage width must never change the bytes.
+  // Reference: the legacy layout, serial. Neither the storage width nor the
+  // thread count may change the bytes.
+  options.num_threads = 1;
+  const auto reference = ExplainDpClustXWithLabels(pair.force32, labels,
+                                                   kClusters, options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::string expected =
+      ExplanationToJson(*reference, pair.force32.schema());
   for (const size_t threads : {size_t{1}, size_t{8}}) {
     options.num_threads = threads;
     const auto narrow = ExplainDpClustXWithLabels(pair.adaptive, labels,
@@ -505,9 +510,10 @@ TEST(DatasetLayoutTest, ExplanationsBitwiseIdenticalAcrossWidthsAndThreads) {
                                                 kClusters, options);
     ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
     ASSERT_TRUE(wide.ok()) << wide.status().ToString();
-    EXPECT_EQ(ExplanationToJson(*narrow, pair.adaptive.schema()),
-              ExplanationToJson(*wide, pair.force32.schema()))
-        << "explanation diverged at threads=" << threads;
+    EXPECT_EQ(ExplanationToJson(*narrow, pair.adaptive.schema()), expected)
+        << "narrow explanation diverged at threads=" << threads;
+    EXPECT_EQ(ExplanationToJson(*wide, pair.force32.schema()), expected)
+        << "wide explanation diverged at threads=" << threads;
   }
 }
 

@@ -248,50 +248,56 @@ TEST(SearchCombinationTest, PairTermsInfluenceSelection) {
   EXPECT_EQ(*combo, (AttributeCombination{8, 10}));
 }
 
-TEST(SearchCombinationParallelTest, ExactModeMatchesSerial) {
-  // Random tables over 4 clusters × 4 candidates; the exact argmax must be
-  // identical in serial and parallel mode, for any thread count.
-  Rng table_rng(77);
-  const std::vector<std::vector<AttrIndex>> sets(4, {0, 1, 2, 3});
+TEST(SearchCombinationTest, DeadlineStopsTheSearchMidway) {
+  // 3^14 ≈ 4.8M combinations take far longer than 2 ms at any thread
+  // count, so the deadline passes after the first block checkpoints.
+  const std::vector<std::vector<AttrIndex>> sets(14, {0, 1, 2});
   core_internal::CombinationScoreTables tables;
-  tables.unary.assign(4, std::vector<double>(4));
-  for (auto& row : tables.unary) {
-    for (double& value : row) value = table_rng.UniformDouble();
-  }
-  tables.pair.resize(4);
-  for (size_t c = 0; c < 4; ++c) {
-    tables.pair[c].resize(4);
-    for (size_t cp = c + 1; cp < 4; ++cp) {
-      tables.pair[c][cp].resize(16);
-      for (double& value : tables.pair[c][cp]) {
-        value = table_rng.UniformDouble();
-      }
-    }
-  }
-  Rng rng_serial(1);
-  const auto serial = core_internal::SearchCombination(
-      sets, tables, 0.0, 1.0, 1 << 20, rng_serial);
-  ASSERT_TRUE(serial.ok());
-  for (const size_t threads : {1u, 2u, 3u, 8u, 64u}) {
-    Rng rng_parallel(1);
-    const auto parallel = core_internal::SearchCombinationParallel(
-        sets, tables, 0.0, 1.0, 1 << 20, rng_parallel, threads);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(*parallel, *serial) << threads << " threads";
+  tables.unary.assign(14, {0.1, 0.2, 0.3});
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    Rng rng(5);
+    const auto combo = core_internal::SearchCombination(
+        sets, tables, /*epsilon=*/0.1, 1.0, size_t{1} << 30, rng,
+        Deadline::AfterMillis(2), threads);
+    EXPECT_EQ(combo.status().code(), StatusCode::kDeadlineExceeded)
+        << threads << " threads";
+    EXPECT_EQ(combo.status().message(), "deadline exceeded in stage2 search")
+        << threads << " threads";
   }
 }
 
-TEST(SearchCombinationParallelTest, PrivateModeReturnsValidCombination) {
-  const std::vector<std::vector<AttrIndex>> sets = {{5, 6}, {7, 8}, {9, 1}};
-  core_internal::CombinationScoreTables tables;
-  tables.unary = {{0.1, 0.9}, {0.5, 0.4}, {0.2, 0.8}};
-  Rng rng(3);
-  const auto combo = core_internal::SearchCombinationParallel(
-      sets, tables, 2.0, 1.0, 1000, rng, 4);
-  ASSERT_TRUE(combo.ok());
-  for (size_t c = 0; c < 3; ++c) {
-    EXPECT_TRUE((*combo)[c] == sets[c][0] || (*combo)[c] == sets[c][1]);
-  }
+TEST(ExplainerTest, RefusedShapesChargeNothing) {
+  // These refusals depend only on the schema and |C|, so they come before
+  // the budget reserve.
+  const Fixture f = MakeFixture(2000, 3);
+  PrivacyBudget budget(1.0);
+  DpClustXOptions options;
+  options.num_candidates = 11;  // the fixture has 10 attributes
+  auto result = ExplainDpClustXWithLabels(f.dataset, f.labels,
+                                          f.num_clusters, options, &budget);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("candidate-set size k=11"),
+            std::string::npos)
+      << result.status();
+
+  options = DpClustXOptions{};
+  options.max_combinations = 10;  // 3^3 = 27 > 10
+  result = ExplainDpClustXWithLabels(f.dataset, f.labels, f.num_clusters,
+                                     options, &budget);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("combination space exceeds"),
+            std::string::npos)
+      << result.status();
+
+  options = DpClustXOptions{};
+  options.stage1 = Stage1Selector::kSvt;
+  options.num_candidates = 11;
+  result = ExplainDpClustXWithLabels(f.dataset, f.labels, f.num_clusters,
+                                     options, &budget);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(budget.spent_epsilon(), 0.0);
+  EXPECT_TRUE(budget.ledger().empty());
 }
 
 TEST(ExplainerTest, MultithreadedOptionProducesValidExplanation) {

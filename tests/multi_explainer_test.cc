@@ -1,6 +1,7 @@
 #include "core/multi_explainer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -117,6 +118,84 @@ TEST(MultiExplainerTest, ChargesBudget) {
                                              &budget)
                   .ok());
   EXPECT_NEAR(budget.spent_epsilon(), 0.3, 1e-12);
+}
+
+TEST(MultiExplainerTest, RefusalsChargeNothing) {
+  const Fixture f = MakeFixture();
+  PrivacyBudget budget(1.0);
+  MultiExplainOptions options;
+  options.attrs_per_cluster = 2;
+  // SVT sets may be smaller than k; the ℓ-subset enumeration needs k.
+  options.base.stage1 = Stage1Selector::kSvt;
+  EXPECT_EQ(ExplainDpClustXMultiWithLabels(f.dataset, f.labels, 3, options,
+                                           &budget)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  options.base.stage1 = Stage1Selector::kOneShotTopK;
+  options.base.max_combinations = 10;  // C(3, 2)^3 = 27 > 10
+  const auto refused = ExplainDpClustXMultiWithLabels(f.dataset, f.labels, 3,
+                                                      options, &budget);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find(
+                "multi-explanation combination space exceeds"),
+            std::string::npos)
+      << refused.status();
+  EXPECT_EQ(budget.spent_epsilon(), 0.0);
+  EXPECT_TRUE(budget.ledger().empty());
+}
+
+// Σ unary + Σ pair of the choice indices `choice`.
+double TableScore(const core_internal::CombinationScoreTables& tables,
+                  const std::vector<size_t>& choice, size_t num_choices) {
+  double score = 0.0;
+  for (size_t c = 0; c < choice.size(); ++c) {
+    score += tables.unary[c][choice[c]];
+    for (size_t cp = c + 1; cp < choice.size() && !tables.pair.empty();
+         ++cp) {
+      score += tables.pair[c][cp][choice[c] * num_choices + choice[cp]];
+    }
+  }
+  return score;
+}
+
+TEST(MultiExplainerTest, SubsetTablesScoreLikeMultiGlobalScore) {
+  const Fixture f = MakeFixture();
+  MultiExplainOptions options;
+  options.attrs_per_cluster = 2;
+  options.base.seed = 17;
+  const auto result =
+      ExplainDpClustXMultiWithLabels(f.dataset, f.labels, 3, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  // Cluster c's choices: the three 2-subsets of its candidate set.
+  std::vector<std::vector<std::vector<AttrIndex>>> choices(3);
+  for (size_t c = 0; c < 3; ++c) {
+    const auto& set = result->candidate_sets[c];
+    choices[c] = {{set[0], set[1]}, {set[0], set[2]}, {set[1], set[2]}};
+  }
+  for (const GlobalWeights& lambda :
+       {GlobalWeights{}, GlobalWeights{0.0, 0.0, 1.0},
+        GlobalWeights{0.5, 0.5, 0.0}}) {
+    const auto tables =
+        core_internal::BuildSubsetTables(f.stats, choices, lambda);
+    // Every combination of the C(3, 2)^3 space, the selected one included.
+    std::vector<size_t> choice(3, 0);
+    size_t selected_seen = 0;
+    for (size_t combo = 0; combo < 27; ++combo) {
+      const std::vector<std::vector<AttrIndex>> ac = {
+          choices[0][choice[0]], choices[1][choice[1]], choices[2][choice[2]]};
+      const double expected = MultiGlobalScore(f.stats, ac, lambda);
+      EXPECT_NEAR(TableScore(tables, choice, 3), expected,
+                  1e-12 * std::abs(expected))
+          << "combination " << combo;
+      selected_seen += ac == result->combination;
+      for (size_t c = 0; c < 3; ++c) {
+        if (++choice[c] < 3) break;
+        choice[c] = 0;
+      }
+    }
+    EXPECT_EQ(selected_seen, 1u);
+  }
 }
 
 TEST(MultiExplainerTest, WorksAgainstClusteringFunction) {

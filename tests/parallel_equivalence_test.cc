@@ -3,18 +3,23 @@
 // The determinism contract (common/thread_pool.h): ParallelFor's chunk
 // structure is a pure function of (n, grain), so chunk-merged results are
 // bit-identical at any parallelism. These tests pin the contract for the
-// primitives (ParallelFor itself), the fused StatsCache build, and the
-// clustering kernels (k-means, k-modes, GMM).
+// primitives (ParallelFor itself), the fused StatsCache build, the
+// clustering kernels (k-means, k-modes, GMM), and Stage-2 (the combination
+// search and the explanation it feeds).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "cluster/gmm.h"
 #include "cluster/kmeans.h"
 #include "cluster/kmodes.h"
 #include "common/thread_pool.h"
+#include "core/explainer.h"
+#include "core/serialization.h"
 #include "core/stats_cache.h"
 #include "data/kernels/isa.h"
 #include "data/synthetic.h"
@@ -351,6 +356,137 @@ TEST(ClusteringParallelTest, FitsInvariantAcrossIsaLevelsAndThreadCounts) {
               << kernels::IsaLevelName(level) << " threads " << threads;
         }
       }
+    }
+  }
+}
+
+// ---- Stage-2 (DESIGN.md §8: serial draw, parallel transform, ascending
+// merge) ----
+
+// Random tables over clusters with the given candidate counts; every other
+// shape has no pair terms.
+core_internal::CombinationScoreTables RandomTables(
+    const std::vector<size_t>& sizes, bool pairs, Rng& rng) {
+  core_internal::CombinationScoreTables tables;
+  for (const size_t k : sizes) {
+    tables.unary.emplace_back(k);
+    for (double& value : tables.unary.back()) value = rng.UniformDouble();
+  }
+  if (!pairs) return tables;
+  tables.pair.resize(sizes.size());
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    tables.pair[c].resize(sizes.size());
+    for (size_t cp = c + 1; cp < sizes.size(); ++cp) {
+      tables.pair[c][cp].resize(sizes[c] * sizes[cp]);
+      for (double& value : tables.pair[c][cp]) value = rng.UniformDouble();
+    }
+  }
+  return tables;
+}
+
+// The one-combination-at-a-time Gumbel-max scan the blocked search must
+// reproduce bit for bit (the form the search had before it was blocked).
+AttributeCombination ReferenceScan(
+    const std::vector<std::vector<AttrIndex>>& sets,
+    const core_internal::CombinationScoreTables& tables, double epsilon,
+    Rng& rng) {
+  const size_t clusters = sets.size();
+  const bool private_selection = epsilon > 0.0;
+  const double scale = private_selection ? epsilon / 2.0 : 1.0;
+  size_t num_combinations = 1;
+  for (const auto& set : sets) num_combinations *= set.size();
+  std::vector<size_t> choice(clusters, 0), best_choice(clusters, 0);
+  double best_value = -std::numeric_limits<double>::infinity();
+  for (size_t combo = 0; combo < num_combinations; ++combo) {
+    double score = 0.0;
+    for (size_t c = 0; c < clusters; ++c) score += tables.unary[c][choice[c]];
+    if (!tables.pair.empty()) {
+      for (size_t c = 0; c < clusters; ++c) {
+        for (size_t cp = c + 1; cp < clusters; ++cp) {
+          score += tables.pair[c][cp][choice[c] * sets[cp].size() +
+                                      choice[cp]];
+        }
+      }
+    }
+    const double value =
+        scale * score + (private_selection ? rng.Gumbel(1.0) : 0.0);
+    if (value > best_value) {
+      best_value = value;
+      best_choice = choice;
+    }
+    for (size_t c = 0; c < clusters; ++c) {
+      if (++choice[c] < sets[c].size()) break;
+      choice[c] = 0;
+    }
+  }
+  AttributeCombination combination(clusters);
+  for (size_t c = 0; c < clusters; ++c) {
+    combination[c] = sets[c][best_choice[c]];
+  }
+  return combination;
+}
+
+TEST(SearchParallelTest, ResultAndNextDrawIdenticalAtAnyThreadCount) {
+  Rng shape_rng(2024);
+  std::vector<std::vector<size_t>> shapes;
+  for (size_t i = 0; i < 12; ++i) {
+    std::vector<size_t> sizes(1 + shape_rng.UniformInt(6));
+    for (size_t& k : sizes) k = 1 + shape_rng.UniformInt(5);
+    shapes.push_back(std::move(sizes));
+  }
+  // 3^11 = 177,147 combinations: more than two 65,536-combination batches,
+  // and a ragged last block.
+  shapes.push_back(std::vector<size_t>(11, 3));
+
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    std::vector<std::vector<AttrIndex>> sets;
+    for (const size_t k : shapes[s]) {
+      sets.emplace_back();
+      for (size_t j = 0; j < k; ++j) {
+        sets.back().push_back(static_cast<AttrIndex>(100 * j + sets.size()));
+      }
+    }
+    const auto tables = RandomTables(shapes[s], /*pairs=*/s % 2 == 0,
+                                     shape_rng);
+    for (const double epsilon : {0.0, 0.1, 5.0}) {
+      Rng reference_rng(s + 1);
+      const AttributeCombination reference =
+          ReferenceScan(sets, tables, epsilon, reference_rng);
+      const uint64_t reference_next = reference_rng.engine()();
+      for (const size_t threads : {1u, 2u, 3u, 8u, 64u}) {
+        Rng rng(s + 1);
+        const auto combination = core_internal::SearchCombination(
+            sets, tables, epsilon, 1.0, size_t{1} << 30, rng, Deadline(),
+            threads);
+        ASSERT_TRUE(combination.ok()) << combination.status();
+        EXPECT_EQ(*combination, reference)
+            << "shape " << s << " eps " << epsilon << " threads " << threads;
+        EXPECT_EQ(rng.engine()(), reference_next)
+            << "shape " << s << " eps " << epsilon << " threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(SearchParallelTest, ExplanationJsonIdenticalAtAnyThreadCount) {
+  // 8 clusters x 4 candidates: 65,536 combinations, 16 search blocks.
+  constexpr size_t kClusters = 8;
+  const Dataset dataset = TestDataset(2000);
+  const std::vector<ClusterId> labels = CyclicLabels(2000, kClusters);
+  DpClustXOptions options;
+  options.num_candidates = 4;
+  options.seed = 31;
+  std::string reference;
+  for (const size_t threads : {size_t{1}, size_t{3}, size_t{8}}) {
+    options.num_threads = threads;
+    const auto explanation =
+        ExplainDpClustXWithLabels(dataset, labels, kClusters, options);
+    ASSERT_TRUE(explanation.ok()) << explanation.status();
+    const std::string json = ExplanationToJson(*explanation, dataset.schema());
+    if (threads == 1) {
+      reference = json;
+    } else {
+      EXPECT_EQ(json, reference) << "threads " << threads;
     }
   }
 }

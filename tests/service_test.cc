@@ -137,6 +137,53 @@ TEST(ServiceTest, CacheHitIsByteIdenticalAndFree) {
   EXPECT_NEAR(third.at("epsilon_remaining").AsNumber(), 0.4, 1e-12);
 }
 
+TEST(ServiceTest, ThreadCountIsNotPartOfTheRelease) {
+  // The Stage-2 search releases the same bytes at any thread count, so a
+  // repeat at another thread count is a free cache hit.
+  ServiceEngine engine(DebugNoise());
+  SetUpDataset(engine);
+  ExpectOk(Call(engine, R"({"op":"create_session","session":"alice",)"
+                        R"("dataset":"d","epsilon":1.0})"));
+  const JsonValue first = Call(
+      engine,
+      R"({"op":"explain","session":"alice","epsilon":0.3,"seed":11,)"
+      R"("threads":1})");
+  ExpectOk(first);
+  ASSERT_FALSE(first.at("cache_hit").AsBool());
+  const JsonValue second = Call(
+      engine,
+      R"({"op":"explain","session":"alice","epsilon":0.3,"seed":11,)"
+      R"("threads":4})");
+  ExpectOk(second);
+  EXPECT_TRUE(second.at("cache_hit").AsBool());
+  EXPECT_EQ(second.at("epsilon_charged").AsNumber(), 0.0);
+  EXPECT_EQ(second.at("explanation").Dump(), first.at("explanation").Dump());
+}
+
+TEST(ServiceTest, ExplainsRefusedByShapeChargeNothing) {
+  // Refusals that depend only on the schema (47 attributes) and |C| come
+  // before the charge: k beyond the schema, and k^|C| = 9^9 beyond the
+  // default max_combinations.
+  ServiceEngine engine(DebugNoise());
+  SetUpDataset(engine);
+  ExpectOk(Call(engine,
+                R"({"op":"cluster","dataset":"d","clustering":"nine",)"
+                R"("method":"k-means","k":9,"seed":3})"));
+  ExpectOk(Call(engine, R"({"op":"create_session","session":"alice",)"
+                        R"("dataset":"d","epsilon":1.0})"));
+  ExpectError(Call(engine, R"({"op":"explain","session":"alice",)"
+                           R"("clustering":"nine","num_candidates":500})"),
+              "InvalidArgument");
+  ExpectError(Call(engine, R"({"op":"explain","session":"alice",)"
+                           R"("clustering":"nine","num_candidates":9})"),
+              "InvalidArgument");
+  const JsonValue budget =
+      Call(engine, R"({"op":"budget","session":"alice"})");
+  ExpectOk(budget);
+  EXPECT_EQ(budget.at("spent").AsNumber(), 0.0);
+  EXPECT_EQ(budget.at("ledger").size(), 0u);
+}
+
 TEST(ServiceTest, ExhaustedSessionGetsCleanOutOfBudget) {
   ServiceEngine engine(DebugNoise());
   SetUpDataset(engine);
