@@ -23,8 +23,11 @@
 # in-process plus its forked TSan-built binaries (router_test, with
 # halt_on_error so a race in a child router fails the test instead of
 # only printing to the child's stderr), and the zero-reparse relay
-# scanner runs under ASan (json_relay_test) — worker output is untrusted
-# once a worker has crashed mid-write. The Stage-2 search's block decode
+# scanner runs under ASan (json_relay_test, which feeds it every
+# single-byte corruption and truncation of its corpus) — worker output is
+# untrusted once a worker has crashed mid-write. router_test runs under
+# ASan too: its in-process cases feed garbage worker lines through the
+# router's one completion path. The Stage-2 search's block decode
 # and the multi-explainer's ℓ-subset table indexing run under ASan too
 # (explainer_test, multi_explainer_test, baselines_test).
 #
@@ -86,13 +89,13 @@ else
   cmake --build build-asan -j --target \
     service_test service_robustness_test json_test mechanisms_test \
     thread_pool_test dataset_layout_test obs_test snapshot_test \
-    csv_test columnar_format_test json_relay_test \
+    csv_test columnar_format_test json_relay_test router_test \
     explainer_test multi_explainer_test baselines_test \
     dpclustx_serve dpclustx_router dpclustx_convert \
     >/dev/null
   (cd build-asan &&
    ctest --output-on-failure \
-     -R '^(service_test|service_robustness_test|json_test|mechanisms_test|thread_pool_test|dataset_layout_test|obs_test|snapshot_test|csv_test|columnar_format_test|json_relay_test|explainer_test|multi_explainer_test|baselines_test)$')
+     -R '^(service_test|service_robustness_test|json_test|mechanisms_test|thread_pool_test|dataset_layout_test|obs_test|snapshot_test|csv_test|columnar_format_test|json_relay_test|router_test|explainer_test|multi_explainer_test|baselines_test)$')
 
   echo "==> ASan kernel dispatch smoke (DPCLUSTX_ISA=generic startup)"
   # Starts with dispatch clamped all the way down, then the in-test
@@ -319,14 +322,12 @@ m = re.search(r"^dpclustx_transport_active_connections (\d+)$", text, re.M)
 assert m and int(m.group(1)) >= 2, text
 
 # Traced request: the response must carry one stitched end-to-end timeline
-# (router spans + the worker's own tree) under a single trace id — and with
-# --verify-relay on, the _tc splice is cross-checked byte-for-byte against
-# the full-parse path on the way in.
+# (router spans + the worker's own tree) under a single trace id.
 r = call(g, gf, {"op": "schema", "dataset": "d", "trace": True,
                  "id": "traced"})
 assert r["ok"] and r["trace_id"].startswith("t"), r
 spans = [c["name"] for c in r["trace"]["children"]]
-assert spans == ["parse", "shard_pick", "relay_splice",
+assert spans == ["parse", "shard_pick", "forward",
                  "worker_roundtrip", "write_back"], spans
 roundtrip = r["trace"]["children"][3]
 names = [c["name"] for c in roundtrip["children"]]

@@ -176,92 +176,6 @@ std::string SpliceId(const std::string& line, const RelayScan& scan,
   return out;
 }
 
-StatusOr<std::string> SpliceTraceContext(const std::string& line,
-                                         const std::string& tc_json) {
-  size_t i = SkipWs(line, 0);
-  if (i >= line.size() || line[i] != '{') {
-    return Status::InvalidArgument("request line is not a JSON object");
-  }
-  const size_t insert_at = SkipWs(line, i + 1);
-
-  // Validate the whole object structure (a torn line must fall back to the
-  // full parser, never be spliced blind) and check every top-level key
-  // against the canonical-order precondition.
-  i = insert_at;
-  bool empty_object = true;
-  bool first_member = true;
-  while (true) {
-    if (i >= line.size()) {
-      return Status::InvalidArgument("object never closes");
-    }
-    if (line[i] == '}') break;
-    if (line[i] != '"') {
-      return Status::InvalidArgument("expected a member key");
-    }
-    empty_object = false;
-    const size_t key_begin = i;
-    const size_t key_end = SkipString(line, i);
-    if (key_end == kNpos) {
-      return Status::InvalidArgument("unterminated key");
-    }
-    // Raw key bytes between the quotes. An escaped key can't be compared
-    // byte-wise against "_tc", so refuse and let the caller full-parse.
-    const size_t raw_begin = key_begin + 1;
-    const size_t raw_len = key_end - key_begin - 2;
-    for (size_t b = raw_begin; b < raw_begin + raw_len; ++b) {
-      if (line[b] == '\\') {
-        return Status::FailedPrecondition(
-            "escaped top-level key; use the full parser");
-      }
-    }
-    if (raw_len == 3 && line.compare(raw_begin, 3, "_tc") == 0) {
-      return Status::FailedPrecondition(
-          "request already carries a _tc member; use the full parser");
-    }
-    if (first_member) {
-      // Dump emits keys sorted, so checking the first key suffices: if it
-      // sorts after "_tc" the spliced member lands exactly where a full
-      // parse → Set("_tc") → Dump would put it.
-      if (line.compare(raw_begin, raw_len, "_tc") < 0) {
-        return Status::FailedPrecondition(
-            "first key sorts before _tc; use the full parser");
-      }
-      first_member = false;
-    }
-    i = SkipWs(line, key_end);
-    if (i >= line.size() || line[i] != ':') {
-      return Status::InvalidArgument("expected ':' after key");
-    }
-    const size_t value_end = SkipValue(line, SkipWs(line, i + 1));
-    if (value_end == kNpos) {
-      return Status::InvalidArgument("torn value");
-    }
-    i = SkipWs(line, value_end);
-    if (i < line.size() && line[i] == ',') {
-      i = SkipWs(line, i + 1);
-      if (i < line.size() && line[i] == '}') {
-        return Status::InvalidArgument("trailing comma");
-      }
-      continue;
-    }
-    if (i >= line.size() || line[i] != '}') {
-      return Status::InvalidArgument("expected ',' or '}' after value");
-    }
-  }
-  if (SkipWs(line, i + 1) != line.size()) {
-    return Status::InvalidArgument("trailing bytes after object");
-  }
-
-  std::string out;
-  out.reserve(line.size() + tc_json.size() + 7);
-  out.append(line, 0, insert_at);
-  out.append("\"_tc\":");
-  out.append(tc_json);
-  if (!empty_object) out.push_back(',');
-  out.append(line, insert_at, line.size() - insert_at);
-  return out;
-}
-
 std::string EraseId(const std::string& line, const RelayScan& scan) {
   std::string out;
   out.reserve(line.size() - (scan.erase_end - scan.erase_begin));

@@ -63,25 +63,6 @@ std::string SpliceId(const std::string& line, const RelayScan& scan,
 /// for responses to clients that sent no id.
 std::string EraseId(const std::string& line, const RelayScan& scan);
 
-/// `line` (a JSON object) with a trace-context member `"_tc":<tc_json>`
-/// inserted as the object's first member, without reparsing the payload.
-/// `tc_json` is the already-serialized context value, canonically
-/// `{"pid":"...","tid":"..."}` (Dump order: pid < tid).
-///
-/// Byte-identity contract (golden-tested like SpliceId): for any line
-/// produced by JsonValue::Dump whose top-level keys all sort after "_tc",
-/// the result equals parse → Set("_tc", tc) → Dump. That holds because
-/// Dump emits keys in lexicographic order and '_' (0x5F) sorts before
-/// every lowercase letter — all engine request keys are lowercase ASCII,
-/// so "_tc" lands first. When the precondition fails the splice refuses
-/// rather than produce non-canonical bytes:
-///   InvalidArgument     not an object / structurally torn / trailing bytes
-///   FailedPrecondition  an existing top-level "_tc" member, an escaped
-///                       key, or a first key that does not sort after
-///                       "_tc" — caller must fall back to the full parser
-StatusOr<std::string> SpliceTraceContext(const std::string& line,
-                                         const std::string& tc_json);
-
 }  // namespace dpclustx::service
 
 #endif  // DPCLUSTX_SERVICE_JSON_RELAY_H_

@@ -94,24 +94,25 @@ struct PendingEntry {
   Clock::time_point enqueued;  // receive time, for aging and timelines
 
   std::string worker;        // who currently owes the response
-  std::string request_line;  // rewritten line (router id), for resends
+  std::string request_line;  // forwarded line (router id, _tc), resendable
   std::string dataset;       // kSingle: owning dataset
   bool on_replica = false;   // kSingle: true while a replica is trying
 
   // Timeline bookkeeping. `written` is refreshed when a replica read moves
   // to the primary, so worker_roundtrip measures the leg that answered.
-  // Mutable fields are guarded by pending_mutex_; the stitched trace is
-  // built while the entry is still in the map or after it left it.
-  std::string op;            // for the slow log and the metrics rollup
+  // Mutable fields are guarded by pending_mutex_; FinishSingle builds the
+  // stitched trace under it, while the entry is still in the map.
+  std::string op;            // for the slow log and the trace ring
   bool traced = false;       // "trace":true — a stitched timeline is owed
   std::string tid;           // propagated trace id ("t<seq>")
-  Clock::time_point written;   // send time
-  uint64_t parse_micros = 0;   // request parse
-  uint64_t route_micros = 0;   // classify + shard pick
-  uint64_t splice_micros = 0;  // _tc splice into the forwarded line
+  Clock::time_point written;    // send time
+  uint64_t parse_micros = 0;    // request parse
+  uint64_t route_micros = 0;    // classify + shard pick
+  uint64_t forward_micros = 0;  // id (and _tc) set, one Dump
 
   size_t awaiting = 0;       // kBroadcast: responses still outstanding
   JsonValue merged = JsonValue::Object();
+  bool fleet_rollup = false;  // kBroadcast: answer with one registry rollup
 
   bool done_internal = false;  // kInternal
   std::string response_line;
@@ -122,7 +123,7 @@ struct PendingEntry {
 ///   router_request
 ///   ├─ parse              request JSON parse
 ///   ├─ shard_pick         classify + consistent-hash lookup
-///   ├─ relay_splice       _tc splice into the forwarded line
+///   ├─ forward            id (and _tc) set on the request, one Dump
 ///   ├─ worker_roundtrip   send → response line
 ///   │  ├─ worker_queue_wait   roundtrip − worker-reported wall: transit +
 ///   │  │                      time queued in the worker
@@ -130,8 +131,9 @@ struct PendingEntry {
 ///   │                         clock domain; only durations line up)
 ///   └─ write_back         response stitch + serialize, up to the reply
 ///
-/// `worker_tree` is null when the worker died or answered without a tree —
-/// the caller marks those responses "trace_partial".
+/// `worker_tree` is null when the request ended without one (the worker
+/// died, sent garbage or answered without a tree, or the router refused
+/// it) — FinishSingle marks those responses "trace_partial".
 JsonValue StitchTimeline(const PendingEntry& entry, Clock::time_point replied,
                          const JsonValue* worker_tree) {
   JsonValue children = JsonValue::Array();
@@ -139,7 +141,7 @@ JsonValue StitchTimeline(const PendingEntry& entry, Clock::time_point replied,
   uint64_t cursor = entry.parse_micros;
   children.Append(SpanJson("shard_pick", cursor, entry.route_micros));
   cursor += entry.route_micros;
-  children.Append(SpanJson("relay_splice", cursor, entry.splice_micros));
+  children.Append(SpanJson("forward", cursor, entry.forward_micros));
   const uint64_t roundtrip_start = CeilMicros(entry.written - entry.enqueued);
   const uint64_t roundtrip_wall = CeilMicros(replied - entry.written);
   JsonValue roundtrip =
@@ -187,11 +189,10 @@ bool ReplicaRefusal(const JsonValue& response) {
          code == StatusCodeName(StatusCode::kNotFound);
 }
 
-/// The full-parse relay: decode the worker line, rewrite the id, dump. The
-/// fallback when the scanner refuses a line, and the splice's reference
+/// The full-parse relay: the response with the client's id (or none), dumped.
+/// How every tree-built reply goes out, and the splice's reference
 /// (verify_relay checks byte identity against it).
-std::string FullParseRelay(const JsonValue& parsed, const PendingEntry& entry) {
-  JsonValue response = parsed;
+std::string FullParseRelay(JsonValue response, const PendingEntry& entry) {
   if (entry.has_client_id) {
     response.Set("id", entry.client_id);
   } else {
@@ -333,13 +334,7 @@ class Router::Impl {
             "worker responses relayed via the zero-reparse id splice")),
         relay_full_parse_counter_(metrics_->RegisterCounter(
             "dpclustx_router_relay_full_parse_total",
-            "worker responses relayed via the full parse/dump path")),
-        tc_spliced_counter_(metrics_->RegisterCounter(
-            "dpclustx_router_tc_spliced_total",
-            "trace contexts injected via the zero-reparse splice")),
-        tc_full_parse_counter_(metrics_->RegisterCounter(
-            "dpclustx_router_tc_full_parse_total",
-            "trace contexts injected via the full parse/dump fallback")) {
+            "worker responses relayed via the full parse/dump path")) {
     // Workers refuse to start if their journal path is unwritable, so a
     // missing state dir would look like an instant crash loop.
     std::error_code ignored;
@@ -452,8 +447,9 @@ class Router::Impl {
                has_id, client_id);
         break;
       case OpPlacement::kBroadcast:
-        ForwardBroadcast(std::move(done), *parsed, has_id, client_id, op,
-                         timing);
+      case OpPlacement::kFleetRollup:
+        ForwardBroadcast(std::move(done), *parsed, *decision, has_id,
+                         client_id, op, timing);
         break;
       case OpPlacement::kShard:
       case OpPlacement::kReplicaRead:
@@ -531,6 +527,9 @@ class Router::Impl {
     std::shared_ptr<PendingEntry> entry;
     WorkerProc* primary = nullptr;
   };
+
+  /// In-flight requests by router id ("r<seq>", "hc-<seq>").
+  using PendingMap = std::map<std::string, std::shared_ptr<PendingEntry>>;
 
   static std::vector<std::string> ShardNames(size_t n) {
     std::vector<std::string> names;
@@ -635,7 +634,7 @@ class Router::Impl {
         [this, &w](std::string line) { HandleWorkerLine(w, line); },
         [this, &w] {
           w.alive.store(false);
-          FailWorkerPending(w.name);
+          FailWorkerPending(w);
         });
     DPX_CHECK(started.ok()) << w.name << ": " << started.ToString();
   }
@@ -769,16 +768,7 @@ class Router::Impl {
 
     const auto replied = Clock::now();
     Resend resend;  // replica miss → resend to the primary
-    // A line the scanner accepted but the full parser refused (possible
-    // only off the splice fast path, where the tree is actually needed):
-    // the owed response is unrecoverable, fail that exact request.
-    std::shared_ptr<PendingEntry> unparseable_victim;
-    // Completions that still owe work the pending lock must not cover:
-    // the broadcast response build reads the metrics registry (whose
-    // callbacks take pending_mutex_), and the slow log is not its business.
     std::shared_ptr<PendingEntry> completed_broadcast;
-    std::shared_ptr<PendingEntry> completed_single;
-
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
       auto it = pending_.find(rid);
@@ -791,19 +781,17 @@ class Router::Impl {
           pending_.erase(it);
           break;
         case PendingEntry::Kind::kBroadcast: {
-          if (!ensure_parsed()) {
-            unparseable_victim = entry;
-            pending_.erase(it);
-            break;
-          }
+          if (entry->awaiting == 0 || entry->merged.Has(w.name)) break;
           w.latency->Observe(CeilMicros(replied - entry->written));
-          JsonValue piece = *parsed;
-          piece.Remove("id");
-          entry->merged.Set(w.name, std::move(piece));
-          if (--entry->awaiting == 0) {
-            completed_broadcast = entry;
-            pending_.erase(it);
+          if (ensure_parsed()) {
+            JsonValue piece = std::move(*parsed);
+            piece.Remove("id");
+            entry->merged.Set(w.name, std::move(piece));
+          } else {
+            dropped_lines_counter_->Increment();
+            entry->merged.Set(w.name, UnparseableLine(w));
           }
+          if (--entry->awaiting == 0) completed_broadcast = entry;
           break;
         }
         case PendingEntry::Kind::kSingle: {
@@ -815,37 +803,11 @@ class Router::Impl {
             break;
           }
           w.latency->Observe(CeilMicros(replied - entry->written));
-          std::string out;
-          if (entry->traced) {
-            // The one relay that genuinely needs the tree: the worker's
-            // span tree moves from the envelope into the stitched timeline.
-            if (!ensure_parsed()) {
-              unparseable_victim = entry;
-              pending_.erase(it);
-              break;
-            }
-            JsonValue response = *parsed;
-            const bool have_tree =
-                response.Has("trace") &&
-                response.at("trace").type() == JsonValue::Type::kObject;
-            JsonValue stitched = StitchTimeline(
-                *entry, replied, have_tree ? &response.at("trace") : nullptr);
-            response.Set("trace", stitched);
-            response.Set("trace_id", JsonValue::String(entry->tid));
-            if (!have_tree) {
-              // Answered without a tree (e.g. a pre-dispatch refusal): the
-              // timeline covers the router side only.
-              response.Set("trace_partial", JsonValue::Bool(true));
-            }
-            out = FullParseRelay(response, *entry);
-            relay_full_parse_counter_->Increment();
-            // Ring first, reply second: a client that sends `trace` the
-            // instant it sees this response must find the timeline there.
-            PushTrace(*entry, std::move(stitched), /*partial=*/false);
-          } else if (scan.ok()) {
-            out = entry->client_id_json.empty()
-                      ? EraseId(line, *scan)
-                      : SpliceId(line, *scan, entry->client_id_json);
+          if (scan.ok() && !entry->traced) {
+            std::string out =
+                entry->client_id_json.empty()
+                    ? EraseId(line, *scan)
+                    : SpliceId(line, *scan, entry->client_id_json);
             relay_spliced_counter_->Increment();
             if (options_.verify_relay) {
               DPX_CHECK(ensure_parsed())
@@ -855,34 +817,80 @@ class Router::Impl {
                   << "relay splice diverged from the full-parse path: "
                   << out << " vs " << expect;
             }
-          } else {
-            out = FullParseRelay(*parsed, *entry);  // parsed above
+            FinishSingle(it, replied, JsonValue::Null(), std::move(out));
+          } else if (ensure_parsed()) {
             relay_full_parse_counter_->Increment();
+            FinishSingle(it, replied, std::move(*parsed));
+          } else {
+            // The scanner accepted the line but the parser a traced
+            // request needs refused it: that response is unrecoverable.
+            dropped_lines_counter_->Increment();
+            FinishSingle(it, replied, UnparseableLine(w));
           }
-          // Under the lock: once the entry leaves pending_, Shutdown may
-          // return and the front door close, so the reply must be out.
-          entry->done(out);
-          completed_single = entry;
-          pending_.erase(it);
           break;
         }
       }
     }
     pending_cv_.notify_all();
     if (completed_broadcast != nullptr) {
-      completed_broadcast->done(BroadcastResponse(*completed_broadcast));
-      MaybeSlowLog(*completed_broadcast, replied);
-    }
-    if (completed_single != nullptr) MaybeSlowLog(*completed_single, replied);
-    if (unparseable_victim != nullptr) {
-      dropped_lines_counter_->Increment();
-      Answer(unparseable_victim->done,
-             ErrorResponse(Status::Internal(
-                 "worker '" + w.name +
-                 "' emitted an unparseable response line")),
-             unparseable_victim->has_client_id, unparseable_victim->client_id);
+      FinishBroadcast(rid, *completed_broadcast, replied);
     }
     if (resend.primary != nullptr) ResendToPrimary(resend);
+  }
+
+  static JsonValue UnparseableLine(const WorkerProc& w) {
+    return ErrorResponse(Status::Internal(
+        "worker '" + w.name + "' emitted an unparseable response line"));
+  }
+
+  /// Caller holds pending_mutex_. The one way a single request ends: the
+  /// worker answered, died or sent garbage, or the router refused it.
+  /// `response` is the worker's parsed answer or the router's own error —
+  /// unless `relayed` is set, which is then the worker's line with the
+  /// client's id already spliced in (untraced answers only). A traced
+  /// request gets its stitched timeline, "trace_partial" when there is no
+  /// worker tree, pushed to the ring before the reply. The reply goes out
+  /// before the entry leaves pending_, so Shutdown's drain never returns
+  /// while one is owed. Returns the iterator past the erased entry.
+  PendingMap::iterator FinishSingle(PendingMap::iterator it,
+                                    Clock::time_point replied,
+                                    JsonValue response,
+                                    std::string relayed = {}) {
+    const PendingEntry& entry = *it->second;
+    if (relayed.empty()) {
+      if (entry.traced) {
+        const bool have_tree =
+            response.Has("trace") &&
+            response.at("trace").type() == JsonValue::Type::kObject;
+        JsonValue stitched = StitchTimeline(
+            entry, replied, have_tree ? &response.at("trace") : nullptr);
+        response.Set("trace", stitched);
+        response.Set("trace_id", JsonValue::String(entry.tid));
+        if (!have_tree) response.Set("trace_partial", JsonValue::Bool(true));
+        // Ring first, reply second: a client that sends `trace` the
+        // instant it sees this response must find the timeline there.
+        PushTrace(entry, std::move(stitched), /*partial=*/!have_tree);
+      }
+      relayed = FullParseRelay(std::move(response), entry);
+    }
+    entry.done(std::move(relayed));
+    MaybeSlowLog(entry, replied);
+    return pending_.erase(it);
+  }
+
+  /// Replies to a broadcast whose last slot just filled, then drops it from
+  /// pending_. NEVER call under pending_mutex_: the fleet rollup reads the
+  /// registry, whose exposition callbacks take it. Until the erase,
+  /// awaiting == 0 keeps every other thread off `merged`.
+  void FinishBroadcast(const std::string& rid, const PendingEntry& entry,
+                       Clock::time_point replied) {
+    entry.done(BroadcastResponse(entry));
+    MaybeSlowLog(entry, replied);
+    {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      pending_.erase(rid);
+    }
+    pending_cv_.notify_all();
   }
 
   /// A malformed worker line — unparseable JSON, or missing the string
@@ -896,7 +904,6 @@ class Router::Impl {
     std::cerr << "[router] " << w.name << " emitted a malformed line ("
               << line.size() << " bytes); failing its oldest pending"
               << " request\n";
-    std::shared_ptr<PendingEntry> victim;
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
       auto oldest = pending_.end();
@@ -914,16 +921,14 @@ class Router::Impl {
         }
       }
       if (oldest == pending_.end()) return;  // a stray; nobody waits on it
-      victim = oldest->second;
-      pending_.erase(oldest);
+      FinishSingle(oldest, Clock::now(),
+                   ErrorResponse(Status::Internal(
+                       "worker '" + w.name +
+                       "' emitted a malformed response line; the request "
+                       "was consumed but its response is unrecoverable — "
+                       "retry")));
     }
     pending_cv_.notify_all();
-    Answer(victim->done,
-           ErrorResponse(Status::Internal(
-               "worker '" + w.name +
-               "' emitted a malformed response line; the request was "
-               "consumed but its response is unrecoverable — retry")),
-           victim->has_client_id, victim->client_id);
   }
 
   /// Caller holds pending_mutex_. Moves a replica read (still pending as
@@ -944,32 +949,33 @@ class Router::Impl {
   /// fails it when the primary is down too.
   void ResendToPrimary(const Resend& resend) {
     if (WriteToWorker(*resend.primary, resend.entry->request_line)) return;
-    FinishWithError(resend.rid, *resend.entry,
-                    "primary '" + resend.primary->name +
-                        "' is down; retry once it respawns");
+    PrimaryDown(resend.rid, *resend.primary);
   }
 
-  /// Resolves (erases) pending `rid` with a router-generated error.
-  void FinishWithError(const std::string& rid, const PendingEntry& entry,
-                       const std::string& message) {
+  /// Outside pending_mutex_: ends pending `rid` with the router's refusal,
+  /// unless the primary's death already ended it.
+  void PrimaryDown(const std::string& rid, const WorkerProc& primary) {
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
-      pending_.erase(rid);
+      const auto it = pending_.find(rid);
+      if (it == pending_.end()) return;
+      FinishSingle(it, Clock::now(),
+                   ErrorResponse(Status::Internal(
+                       "primary '" + primary.name +
+                       "' is down; retry once it respawns")));
     }
     pending_cv_.notify_all();
-    Answer(entry.done, ErrorResponse(Status::Internal(message)),
-           entry.has_client_id, entry.client_id);
   }
 
-  /// `worker` died: every request it still owed is resent (replica reads
-  /// move to the primary) or failed with a retryable error. The worker's
-  /// own snapshot+journal restore makes the retry safe: a charge that
-  /// reached the journal is restored and re-serves from the cache for 0 ε.
-  void FailWorkerPending(const std::string& worker) {
+  /// `w` died: every request it still owed is resent (replica reads move
+  /// to the primary) or failed with a retryable error. The worker's own
+  /// snapshot+journal restore makes the retry safe: a charge that reached
+  /// the journal is restored and re-serves from the cache for 0 ε.
+  void FailWorkerPending(const WorkerProc& w) {
     const auto now = Clock::now();
     std::vector<Resend> resends;
-    std::vector<std::shared_ptr<PendingEntry>> completed_broadcasts;
-    std::vector<std::pair<std::shared_ptr<PendingEntry>, std::string>> failed;
+    std::vector<std::pair<std::string, std::shared_ptr<PendingEntry>>>
+        completed_broadcasts;
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
       for (auto it = pending_.begin(); it != pending_.end();) {
@@ -978,20 +984,19 @@ class Router::Impl {
           // Broadcasts owe one slot per shard; a dead shard contributes an
           // error object instead of blocking the merge forever. The Has
           // check keeps this idempotent if the death is reported twice.
-          if (!entry->merged.Has(worker) && entry->awaiting > 0) {
-            entry->merged.Set(worker,
+          if (!w.replica && entry->awaiting > 0 &&
+              !entry->merged.Has(w.name)) {
+            entry->merged.Set(w.name,
                               ErrorResponse(Status::Internal(
                                   "worker died before responding")));
             if (--entry->awaiting == 0) {
-              completed_broadcasts.push_back(entry);
-              it = pending_.erase(it);
-              continue;
+              completed_broadcasts.emplace_back(it->first, entry);
             }
           }
           ++it;
           continue;
         }
-        if (entry->worker != worker) {
+        if (entry->worker != w.name) {
           ++it;
           continue;
         }
@@ -1005,34 +1010,18 @@ class Router::Impl {
           ++it;
           continue;
         }
-        JsonValue response = ErrorResponse(Status::Internal(
-            "worker '" + worker +
-            "' died mid-request; it will be respawned and restored from its "
-            "snapshot and audit journal — retry (a charge that was journaled "
-            "re-serves from the cache for zero ε)"));
-        if (entry->traced) {
-          // No hang, no garbled splice: the client still gets a timeline —
-          // the router-side spans, honestly marked partial. Ring before
-          // reply, as on the completion path.
-          JsonValue partial = StitchTimeline(*entry, now, nullptr);
-          response.Set("trace", partial);
-          response.Set("trace_id", JsonValue::String(entry->tid));
-          response.Set("trace_partial", JsonValue::Bool(true));
-          PushTrace(*entry, std::move(partial), /*partial=*/true);
-        }
-        if (entry->has_client_id) response.Set("id", entry->client_id);
-        failed.emplace_back(entry, response.Dump());
-        it = pending_.erase(it);
+        it = FinishSingle(
+            it, now,
+            ErrorResponse(Status::Internal(
+                "worker '" + w.name +
+                "' died mid-request; it will be respawned and restored from "
+                "its snapshot and audit journal — retry (a charge that was "
+                "journaled re-serves from the cache for zero ε)")));
       }
     }
     pending_cv_.notify_all();
-    for (const auto& [entry, line] : failed) {
-      entry->done(line);
-      MaybeSlowLog(*entry, now);
-    }
-    for (auto& entry : completed_broadcasts) {
-      entry->done(BroadcastResponse(*entry));
-      MaybeSlowLog(*entry, now);
+    for (const auto& [rid, entry] : completed_broadcasts) {
+      FinishBroadcast(rid, *entry, now);
     }
     for (const Resend& resend : resends) ResendToPrimary(resend);
   }
@@ -1087,56 +1076,39 @@ class Router::Impl {
 
     const uint64_t seq = next_id_.fetch_add(1);
     const std::string rid = "r" + std::to_string(seq);
-    request.Set("id", JsonValue::String(rid));
-    std::string forwarded = request.Dump();
-
-    // Cross-process trace propagation: the context is spliced into the
-    // already-dumped line — zero reparse, same byte-splice contract as the
-    // response id rewrite. A refused splice (a top-level key sorting before
-    // "_tc") falls back to the full-parse path, never to silence.
     auto entry = NewEntry(PendingEntry::Kind::kSingle, std::move(done), has_id,
                           client_id, op, timing);
     entry->traced = request.Has("trace") &&
                     request.at("trace").type() == JsonValue::Type::kBool &&
                     request.at("trace").AsBool();
-    if (entry->traced) {
-      entry->tid = "t" + std::to_string(seq);
-      StatusOr<JsonValue> tc = JsonValue::Parse(
-          "{\"pid\":\"" + rid + "\",\"tid\":\"" + entry->tid + "\"}");
-      DPX_CHECK(tc.ok());
-      const auto splice_start = Clock::now();
-      StatusOr<std::string> spliced = SpliceTraceContext(forwarded, tc->Dump());
-      if (spliced.ok()) {
-        if (options_.verify_relay) {
-          JsonValue check = request;
-          check.Set("_tc", *tc);
-          DPX_CHECK(*spliced == check.Dump())
-              << "trace-context splice diverged from the full-parse path: "
-              << *spliced << " vs " << check.Dump();
-        }
-        forwarded = std::move(*spliced);
-        tc_spliced_counter_->Increment();
-      } else {
-        request.Set("_tc", std::move(*tc));
-        forwarded = request.Dump();
-        tc_full_parse_counter_->Increment();
-      }
-      entry->splice_micros = CeilMicros(Clock::now() - splice_start);
-    }
     // Serialized once here so the splice relay does zero JSON work when
     // the worker's response comes back.
     if (has_id) entry->client_id_json = client_id.Dump();
     entry->worker = target->name;
-    entry->request_line = forwarded;
     entry->dataset = decision.dataset;
     entry->on_replica = target != primary;
+
+    // The forwarded line is serialized once: the router id, and for a
+    // traced request the cross-process context "_tc":{"pid","tid"}, are
+    // set on the parsed request before the one Dump.
+    const auto forward_start = Clock::now();
+    request.Set("id", JsonValue::String(rid));
+    if (entry->traced) {
+      entry->tid = "t" + std::to_string(seq);
+      JsonValue tc = JsonValue::Object();
+      tc.Set("pid", JsonValue::String(rid));
+      tc.Set("tid", JsonValue::String(entry->tid));
+      request.Set("_tc", std::move(tc));
+    }
+    entry->request_line = request.Dump();
     entry->written = Clock::now();
+    entry->forward_micros = CeilMicros(entry->written - forward_start);
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
       pending_[rid] = entry;
     }
 
-    if (WriteToWorker(*target, forwarded)) return;
+    if (WriteToWorker(*target, entry->request_line)) return;
     if (target != primary) {
       // The replica was gone; the primary takes it directly (unless the
       // replica's death already moved it there).
@@ -1148,12 +1120,11 @@ class Router::Impl {
       if (resend.primary != nullptr) ResendToPrimary(resend);
       return;
     }
-    FinishWithError(rid, *entry,
-                    "worker '" + primary->name +
-                        "' is down; retry once it respawns");
+    PrimaryDown(rid, *primary);
   }
 
-  void ForwardBroadcast(Reply done, JsonValue request, bool has_id,
+  void ForwardBroadcast(Reply done, JsonValue request,
+                        const RouteDecision& decision, bool has_id,
                         const JsonValue& client_id, const std::string& op,
                         const RequestTiming& timing) {
     const std::string rid = "r" + std::to_string(next_id_.fetch_add(1));
@@ -1163,6 +1134,7 @@ class Router::Impl {
     auto entry = NewEntry(PendingEntry::Kind::kBroadcast, std::move(done),
                           has_id, client_id, op, timing);
     entry->awaiting = options_.workers;
+    entry->fleet_rollup = decision.placement == OpPlacement::kFleetRollup;
     entry->written = Clock::now();
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
@@ -1173,30 +1145,22 @@ class Router::Impl {
       WorkerProc& shard = *workers_[i];
       if (WriteToWorker(shard, forwarded)) continue;
       std::lock_guard<std::mutex> lock(pending_mutex_);
-      if (pending_.count(rid) == 0 || entry->merged.Has(shard.name)) continue;
+      if (entry->awaiting == 0 || entry->merged.Has(shard.name)) continue;
       entry->merged.Set(shard.name,
                         ErrorResponse(Status::Internal(
                             "worker is down; respawn pending")));
-      if (--entry->awaiting == 0) {
-        completed = true;
-        pending_.erase(rid);
-      }
+      completed = --entry->awaiting == 0;
     }
-    // Outside pending_mutex_: the metrics rollup reads the registry, whose
-    // exposition callbacks take pending_mutex_.
-    if (completed) {
-      pending_cv_.notify_all();
-      entry->done(BroadcastResponse(*entry));
-    }
+    if (completed) FinishBroadcast(rid, *entry, Clock::now());
   }
 
-  /// The completed-broadcast response line: for `metrics` the labeled
-  /// "fleet" rollup, for every other op the per-worker pieces under
-  /// "workers". NEVER call under pending_mutex_.
+  /// The completed-broadcast response line: the labeled "fleet" rollup for
+  /// a kFleetRollup op, the per-worker pieces under "workers" for every
+  /// other broadcast. NEVER call under pending_mutex_.
   std::string BroadcastResponse(const PendingEntry& entry) {
     JsonValue response = JsonValue::Object();
     response.Set("ok", JsonValue::Bool(true));
-    if (entry.op == "metrics") {
+    if (entry.fleet_rollup) {
       response.Set("fleet", FleetRollup(entry.merged));
     } else {
       response.Set("workers", entry.merged);
@@ -1366,7 +1330,7 @@ class Router::Impl {
 
   std::mutex pending_mutex_;
   std::condition_variable pending_cv_;
-  std::map<std::string, std::shared_ptr<PendingEntry>> pending_;
+  PendingMap pending_;
   std::atomic<uint64_t> next_id_{1};
   std::atomic<uint64_t> replica_rr_{0};
 
@@ -1383,8 +1347,6 @@ class Router::Impl {
   obs::Counter* dropped_lines_counter_;
   obs::Counter* relay_spliced_counter_;
   obs::Counter* relay_full_parse_counter_;
-  obs::Counter* tc_spliced_counter_;
-  obs::Counter* tc_full_parse_counter_;
 
   obs::TraceRing traces_{kTraceRingCapacity};  // stitched timelines
 };

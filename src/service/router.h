@@ -29,18 +29,23 @@
 // lives in the worker. Requests in flight on a dead worker fail with a
 // retryable Internal error (replica reads resend to the primary instead).
 //
-// Relay (DESIGN.md §14): worker responses carry the router's internal id
-// and go back out with the client's id via a zero-reparse byte splice
-// (json_relay.h). Lines the scanner refuses, broadcast merges and replica
-// refusal checks take the full-parse path, which is also verify_relay's
-// reference: with it on, every splice is cross-checked byte for byte.
+// Relay (DESIGN.md §14): the router forwards each request with one Dump of
+// the parsed request, its id replaced by an internal one. Worker responses
+// go back out with the client's id via a zero-reparse byte splice
+// (json_relay.h). Lines the scanner refuses, broadcast merges, replica
+// refusal checks and traced responses take the full-parse path, which is
+// also verify_relay's reference: with it on, every splice is cross-checked
+// byte for byte. Every single request ends through one completion path,
+// whether the worker answered, died or sent garbage, or the router refused
+// it; the reply goes out before the request leaves the pending table.
 //
-// Tracing (DESIGN.md §15): a request carrying "trace":true gets a
-// "_tc":{"pid","tid"} context spliced into its forwarded line; the worker
+// Tracing (DESIGN.md §15): a request carrying "trace":true is forwarded
+// with a "_tc":{"pid","tid"} context set before that Dump; the worker
 // returns its span tree and the router replaces it with one stitched
-// timeline (parse, shard_pick, relay_splice, worker_roundtrip with
-// worker_queue_wait and the worker tree, write_back). A worker that dies
-// mid-request yields the router-side spans marked "trace_partial". Finished
+// timeline (parse, shard_pick, forward, worker_roundtrip with
+// worker_queue_wait and the worker tree, write_back). A request that ends
+// without a worker tree (worker death, a garbage line, a primary that is
+// down) yields the router-side spans marked "trace_partial". Finished
 // timelines land in a bounded ring served by the router's `trace` op.
 //
 // Router-level ops (never forwarded):
@@ -114,7 +119,8 @@ struct RouterOptions {
   size_t replicas = 0;  // read-only replicas per shard
   std::string serve_bin = "dpclustx_serve";
   std::string state_dir = ".";  // shard-i.snap / shard-i.journal
-  /// Cross-check every splice against the full-parse path (aborts on drift).
+  /// Cross-check every id splice against the full-parse path (aborts on
+  /// drift).
   bool verify_relay = false;
   /// > 0: one JSON slow-log line on stderr per request slower than this.
   size_t slow_request_ms = 0;

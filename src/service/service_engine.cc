@@ -92,7 +92,7 @@ const ServiceEngine::OpRoute ServiceEngine::kOpRoutes[] = {
   {{"hist",           K::kSession,       P::kReplicaRead, false}, &E::OpHist},
   {{"size",           K::kSession,       P::kShard,       true},  &E::OpSize},
   {{"stats",          K::kNone,          P::kBroadcast,   false}, &E::OpStats},
-  {{"metrics",        K::kNone,          P::kBroadcast,   false}, &E::OpMetricsDump},
+  {{"metrics",        K::kNone,          P::kFleetRollup, false}, &E::OpMetricsDump},
   {{"trace",          K::kNone,          P::kRouter,      false}, &E::OpTrace},
   {{"audit",          K::kNone,          P::kBroadcast,   false}, &E::OpAudit},
   {{"save_snapshot",  K::kNone,          P::kRefused,     true},  &E::OpSaveSnapshot},
@@ -282,8 +282,8 @@ std::string ServiceEngine::HandleAt(const std::string& request_json,
     want_trace = true;
     trace_in_response = true;
   }
-  // Cross-process trace context: a relaying front door (the router) splices
-  // "_tc":{"pid":...,"tid":...} into the line. A string tid activates
+  // Cross-process trace context: a relaying front door (the router) sets
+  // "_tc":{"pid":...,"tid":...} on the line it forwards. A string tid activates
   // tracing AND puts the span tree in the response — the relay needs the
   // worker tree to stitch its end-to-end timeline — and is echoed back as
   // "trace_id" so both halves agree on the trace's identity.

@@ -6,7 +6,9 @@
 // golden section checks that over a corpus shaped like real engine
 // responses (histograms, nested explanations, broadcast merges, error
 // envelopes); the unit section pins the scanner's error vocabulary so the
-// router's fallback logic (full-parse on anything but OK) stays correct.
+// router's fallback logic (full-parse on anything but OK) stays correct;
+// the differential section feeds it every single-byte corruption and every
+// truncation of that corpus.
 
 #include <string>
 #include <vector>
@@ -178,106 +180,62 @@ TEST(RelayGolden, EraseMatchesFullParseByteForByte) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace-context splice: same byte-identity contract, request-shaped corpus.
+// Differential: hostile bytes against the full-parse path.
 
-/// Request lines shaped like what clients (and the router's re-dump) send.
-/// Canonicalized through Dump() — the router splices into its own Dump()
-/// output, never into raw client bytes.
-std::vector<std::string> RequestCorpus() {
-  std::vector<std::string> corpus;
-  auto add = [&](const std::string& raw) {
-    StatusOr<JsonValue> parsed = JsonValue::Parse(raw);
-    EXPECT_TRUE(parsed.ok()) << raw;
-    corpus.push_back(parsed->Dump());
-  };
-  add(R"({"op":"ping","id":"r1"})");
-  add(R"({"op":"explain","session":"tenant7","epsilon":0.3,"id":"r2",)"
-      R"("trace":true})");
-  add(R"({"op":"load_dataset","name":"d","source":"synthetic",)"
-      R"("generator":"diabetes","rows":1500,"seed":7,"id":"r3"})");
-  add(R"({"op":"hist","session":"s","clustering":"default",)"
-      R"("attribute":"diab_0","epsilon":0.25,"id":"r4"})");
-  add(R"({"op":"append_rows","dataset":"d","rows":[[1,2,3],[4,5,6]],)"
-      R"("id":"r5"})");
-  add(R"({"id":"r6"})");  // single-member object
-  add(R"({})");           // empty object
-  return corpus;
-}
-
-TEST(TraceContextSplice, MatchesFullParseByteForByte) {
-  const std::string tc = R"({"pid":"r17","tid":"t17"})";
-  StatusOr<JsonValue> tc_parsed = JsonValue::Parse(tc);
-  ASSERT_TRUE(tc_parsed.ok());
-  ASSERT_EQ(tc_parsed->Dump(), tc) << "tc literal must be Dump-canonical";
-  for (const std::string& line : RequestCorpus()) {
-    StatusOr<std::string> spliced = SpliceTraceContext(line, tc);
-    ASSERT_TRUE(spliced.ok()) << line << ": " << spliced.status().ToString();
-    StatusOr<JsonValue> parsed = JsonValue::Parse(line);
-    ASSERT_TRUE(parsed.ok());
-    parsed->Set("_tc", *tc_parsed);
-    EXPECT_EQ(*spliced, parsed->Dump()) << "line: " << line;
-  }
-}
-
-TEST(TraceContextSplice, SplicedLineRescansAndReparses) {
-  // The spliced request flows straight into the worker's parser, and the
-  // worker's response relays back through ScanTopLevelId — both must keep
-  // working on spliced bytes.
-  for (const std::string& line : RequestCorpus()) {
-    StatusOr<std::string> spliced =
-        SpliceTraceContext(line, R"({"pid":"r1","tid":"t1"})");
-    ASSERT_TRUE(spliced.ok());
-    StatusOr<JsonValue> parsed = JsonValue::Parse(*spliced);
-    ASSERT_TRUE(parsed.ok()) << *spliced;
-    EXPECT_EQ(parsed->at("_tc").at("tid").AsString(), "t1");
-    StatusOr<RelayScan> rescan = ScanTopLevelId(*spliced);
-    if (line.find("\"id\"") != std::string::npos) {
-      ASSERT_TRUE(rescan.ok()) << *spliced;
-    } else {
-      EXPECT_EQ(rescan.status().code(), StatusCode::kNotFound);
+/// Every single-byte corruption and every truncation of every corpus line.
+/// Each byte is XOR-flipped and also overwritten with each structural
+/// character, so the mutants hit the scanner's string, escape and depth
+/// tracking, not just its letters.
+std::vector<std::string> MutatedCorpus() {
+  std::vector<std::string> mutants;
+  const std::string structural = "\"\\{}[],: \x01";
+  for (const std::string& line : ResponseCorpus()) {
+    for (size_t i = 0; i < line.size(); ++i) {
+      mutants.push_back(line.substr(0, i));
+      std::string flipped = line;
+      flipped[i] = static_cast<char>(flipped[i] ^ 0xFF);
+      mutants.push_back(flipped);
+      for (const char c : structural) {
+        if (line[i] == c) continue;
+        std::string replaced = line;
+        replaced[i] = c;
+        mutants.push_back(std::move(replaced));
+      }
     }
   }
+  return mutants;
 }
 
-TEST(TraceContextSplice, RefusesExistingTraceContext) {
-  // Double-splicing (a router relaying through a router) must fall back to
-  // the full parser, never emit two _tc members.
-  const std::string once = *SpliceTraceContext(R"({"op":"ping","id":"r1"})",
-                                               R"({"pid":"r1","tid":"t1"})");
-  EXPECT_EQ(SpliceTraceContext(once, R"({"pid":"r2","tid":"t2"})")
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(TraceContextSplice, RefusesKeysSortingBeforeTc) {
-  // A first key at or before "_tc" breaks Dump's canonical order, so the
-  // splice refuses rather than produce non-canonical bytes.
-  EXPECT_EQ(SpliceTraceContext(R"({"_a":1,"op":"ping"})", R"({"tid":"t"})")
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(SpliceTraceContext(R"({"_t":1})", R"({"tid":"t"})")
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-  // A first key *after* "_tc" is fine even when it starts with '_'.
-  EXPECT_TRUE(SpliceTraceContext(R"({"_zz":1})", R"({"tid":"t"})").ok());
-}
-
-TEST(TraceContextSplice, InvalidOnTornOrNonObjectLines) {
-  EXPECT_EQ(SpliceTraceContext(R"({"op":"ping")", R"({"tid":"t"})")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SpliceTraceContext(R"([1,2,3])", R"({"tid":"t"})")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SpliceTraceContext(R"({"op":"ping"} x)", R"({"tid":"t"})")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+TEST(RelayDifferential, MutatedLinesNeverCrashAndRelayLikeTheFullParser) {
+  // A worker that crashed mid-write hands the router arbitrary bytes. The
+  // scanner must answer every one with a Status (ASan watches the walk),
+  // and whenever it accepts a line the full parser would reproduce byte
+  // for byte, the splice and the erase must agree with the full-parse
+  // relay — the router's fallback decision depends on exactly that.
+  const JsonValue client_id = JsonValue::String("client-17");
+  size_t accepted = 0;
+  size_t compared = 0;
+  for (const std::string& line : MutatedCorpus()) {
+    StatusOr<RelayScan> scan = ScanTopLevelId(line);
+    if (!scan.ok()) continue;
+    ++accepted;
+    ASSERT_LE(scan->value_begin, scan->value_end) << line;
+    ASSERT_LE(scan->value_end, line.size()) << line;
+    ASSERT_LE(scan->erase_begin, scan->erase_end) << line;
+    ASSERT_LE(scan->erase_end, line.size()) << line;
+    StatusOr<JsonValue> parsed = JsonValue::Parse(line);
+    if (!parsed.ok() || parsed->Dump() != line) continue;
+    ++compared;
+    ASSERT_TRUE(parsed->Has("id")) << line;
+    ASSERT_EQ(parsed->at("id").AsString(), scan->id) << line;
+    EXPECT_EQ(SpliceId(line, *scan, client_id.Dump()),
+              FullParseSplice(line, client_id))
+        << "line: " << line;
+    EXPECT_EQ(EraseId(line, *scan), FullParseErase(line)) << "line: " << line;
+  }
+  // The sweep must reach both branches, or it proves nothing.
+  EXPECT_GT(accepted, compared);
+  EXPECT_GT(compared, 0u);
 }
 
 TEST(RelayGolden, SpliceThenRescanRoundTrips) {

@@ -73,15 +73,32 @@ TEST(PipelineTest, InsufficientBudgetFailsAtClustering) {
 TEST(PipelineTest, OptionsTheExplainerRefusesChargeNothing) {
   // The explanation options are checked before the fit, so a dp-k-means
   // run that could never explain does not spend the clustering budget.
+  // That covers the options alone and their shape over the data's 10
+  // attributes and the spec's 3 clusters.
+  struct Row {
+    const char* what;
+    size_t num_candidates;
+    size_t max_combinations;
+  };
+  const DpClustXOptions defaults;
+  const std::vector<Row> rows = {
+      {"no candidates", 0, defaults.max_combinations},
+      {"k above the attribute count", 11, defaults.max_combinations},
+      {"4^3 combinations above the limit", 4, 10},
+  };
   const Dataset dataset = MakeData();
-  PrivacyBudget budget(2.0);
-  PipelineOptions options;
-  options.clustering.method = ClusteringMethod::kDpKMeans;
-  options.clustering.num_clusters = 3;
-  options.explain.num_candidates = 0;
-  const auto result = RunPipeline(dataset, options, &budget);
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(budget.spent_epsilon(), 0.0);
+  for (const Row& row : rows) {
+    PrivacyBudget budget(2.0);
+    PipelineOptions options;
+    options.clustering.method = ClusteringMethod::kDpKMeans;
+    options.clustering.num_clusters = 3;
+    options.clustering.epsilon = 1.0;
+    options.explain.num_candidates = row.num_candidates;
+    options.explain.max_combinations = row.max_combinations;
+    const auto result = RunPipeline(dataset, options, &budget);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << row.what;
+    EXPECT_EQ(budget.spent_epsilon(), 0.0) << row.what;
+  }
 }
 
 TEST(PipelineTest, StatsUsableForEvaluation) {

@@ -105,7 +105,7 @@ TEST(RouterCoreTest, ClassifiesEveryOpKind) {
       {R"({"op":"hist")" + session, OpPlacement::kReplicaRead, "census"},
       {R"({"op":"size")" + session, OpPlacement::kShard, "census"},
       {R"({"op":"stats"})", OpPlacement::kBroadcast, ""},
-      {R"({"op":"metrics"})", OpPlacement::kBroadcast, ""},
+      {R"({"op":"metrics"})", OpPlacement::kFleetRollup, ""},
       {R"({"op":"trace"})", OpPlacement::kRouter, ""},
       {R"({"op":"audit"})", OpPlacement::kBroadcast, ""},
       {R"({"op":"save_snapshot","path":"x"})", OpPlacement::kRefused, ""},
@@ -374,11 +374,14 @@ const JsonValue* FindChild(const JsonValue& node, const std::string& name) {
 /// In-process stand-in for a dpclustx_serve child: one ServiceEngine
 /// behind HandleAsync. Its single engine thread serves the stream in
 /// order, like a worker started with --sync. kGarbage answers every line
-/// with non-JSON; Freeze holds lines unanswered and Crash then fires the
-/// death callback with them still owed — a SIGSTOP + SIGKILL mid-request.
+/// with non-JSON; kUnparseable with the engine's answer plus a bare-word
+/// member, which the relay scanner accepts and the JSON parser refuses.
+/// Freeze holds lines unanswered and Crash then fires the death callback
+/// with them still owed — a SIGSTOP + SIGKILL mid-request. Every line the
+/// link accepts is kept, in order, for Sent().
 class EngineLink : public WorkerLink {
  public:
-  enum class Script { kServe, kGarbage };
+  enum class Script { kServe, kGarbage, kUnparseable };
 
   explicit EngineLink(Script script) : script_(script) {}
   ~EngineLink() override { Kill(); }
@@ -399,15 +402,30 @@ class EngineLink : public WorkerLink {
   bool Send(const std::string& line) override {
     std::lock_guard<std::mutex> lock(mutex_);
     if (engine_ == nullptr || died_) return false;
+    sent_.push_back(line);
     if (frozen_) return true;  // accepted, never answered
     return engine_
         ->HandleAsync(line,
                       [this](std::string response) {
-                        on_line_(script_ == Script::kGarbage
-                                     ? "garbage not json"
-                                     : std::move(response));
+                        switch (script_) {
+                          case Script::kServe:
+                            break;
+                          case Script::kGarbage:
+                            response = "garbage not json";
+                            break;
+                          case Script::kUnparseable:
+                            response.pop_back();  // the closing brace
+                            response += ",\"x\":bogus}";
+                            break;
+                        }
+                        on_line_(std::move(response));
                       })
         .ok();
+  }
+
+  std::vector<std::string> Sent() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return sent_;
   }
 
   void Kill() override { Close(); }
@@ -450,6 +468,7 @@ class EngineLink : public WorkerLink {
   const Script script_;
   std::mutex mutex_;
   std::unique_ptr<ServiceEngine> engine_;  // guarded by mutex_
+  std::vector<std::string> sent_;          // guarded by mutex_
   LineFn on_line_;
   DeathFn on_death_;
   bool frozen_ = false;
@@ -609,45 +628,90 @@ TEST(RouterE2eTest, FailedCreateSessionKeepsTheSessionsShard) {
   EXPECT_EQ(budget.at("dataset").AsString(), a);
 }
 
-TEST(RouterE2eTest, GarbageWorkerLinesFailTheRequestNotTheRouter) {
-  // A worker that answers every request line with something that is not
-  // JSON. The router must not hang the client waiting on it, and must not
-  // crash — it fails the pending request with a structured error and
-  // counts the dropped line.
-  RouterOptions options = InProcessOptions(FreshStateDir("garbage"), 1);
-  // No health pings during the test window: a ping would also get a
-  // garbage reply and eventually respawn the worker, which is not probed.
-  options.health_interval_ms = 60000;
-  InProcessRouter router(std::move(options),
-                         EngineLinks(EngineLink::Script::kGarbage));
-
-  const JsonValue response = router.Call(
-      "c1", R"({"op":"schema","dataset":"d","id":"c1"})");
+/// Checks that `response` failed with an Internal error whose message
+/// contains `message`, and carries a router-side-only timeline marked
+/// partial, and that the router's trace ring holds it as partial too.
+void ExpectPartialTimeline(InProcessRouter& router, const JsonValue& response,
+                           const std::string& message,
+                           const std::string& ring_id) {
   ASSERT_TRUE(response.Has("ok")) << response.Dump();
   EXPECT_FALSE(response.at("ok").AsBool()) << response.Dump();
   EXPECT_EQ(response.at("error").at("code").AsString(), "Internal")
       << response.Dump();
-  EXPECT_NE(response.at("error").at("message").AsString().find("malformed"),
+  EXPECT_NE(response.at("error").at("message").AsString().find(message),
             std::string::npos)
       << response.Dump();
+  ASSERT_TRUE(response.Has("trace_partial")) << response.Dump();
+  EXPECT_TRUE(response.at("trace_partial").AsBool());
+  ASSERT_TRUE(response.Has("trace_id")) << response.Dump();
+  const JsonValue& root = response.at("trace");
+  EXPECT_EQ(root.at("name").AsString(), "router_request");
+  const JsonValue* roundtrip = FindChild(root, "worker_roundtrip");
+  ASSERT_NE(roundtrip, nullptr) << root.Dump();
+  EXPECT_EQ(FindChild(*roundtrip, "request"), nullptr) << roundtrip->Dump();
+  EXPECT_NE(FindChild(root, "forward"), nullptr) << root.Dump();
 
-  // The drop is counted in the router's registry — the text its front
-  // door serves as GET /metrics.
-  const std::string metrics = router.metrics().PrometheusText();
-  EXPECT_NE(metrics.find("\ndpclustx_router_dropped_lines_total 1\n"),
-            std::string::npos)
-      << metrics;
+  const JsonValue ring = router.Call(
+      ring_id, R"({"op":"trace","limit":1,"id":")" + ring_id + R"("})");
+  ExpectOk(ring);
+  ASSERT_EQ(ring.at("traces").size(), 1u) << ring.Dump();
+  const JsonValue& entry = ring.at("traces").at(0);
+  EXPECT_EQ(entry.at("tid").AsString(), response.at("trace_id").AsString());
+  EXPECT_TRUE(entry.at("partial").AsBool()) << entry.Dump();
+}
+
+TEST(RouterE2eTest, GarbageWorkerLinesFailTheRequestNotTheRouter) {
+  // A worker that answers every request line with garbage: a line the
+  // scanner refuses (the oldest request the worker owes fails) and one it
+  // accepts but the parser a traced relay needs refuses (that request
+  // fails). The router must not hang the client waiting on it, and must
+  // not crash — it fails the pending request with a structured error that
+  // still carries the router-side timeline, and counts the dropped line.
+  const std::vector<std::pair<EngineLink::Script, std::string>> scripts = {
+      {EngineLink::Script::kGarbage, "malformed"},
+      {EngineLink::Script::kUnparseable, "unparseable"},
+  };
+  for (const auto& [script, message] : scripts) {
+    RouterOptions options = InProcessOptions(FreshStateDir("garbage"), 1);
+    // No health pings during the test window: a ping would also get a
+    // garbage reply and eventually respawn the worker, which is not probed.
+    options.health_interval_ms = 60000;
+    InProcessRouter router(std::move(options), EngineLinks(script));
+
+    const JsonValue response = router.Call(
+        "c1", R"({"op":"schema","dataset":"d","trace":true,"id":"c1"})");
+    ExpectPartialTimeline(router, response, message, "c2");
+
+    // The drop is counted in the router's registry — the text its front
+    // door serves as GET /metrics.
+    const std::string metrics = router.metrics().PrometheusText();
+    EXPECT_NE(metrics.find("\ndpclustx_router_dropped_lines_total 1\n"),
+              std::string::npos)
+        << metrics;
+  }
+}
+
+TEST(RouterE2eTest, PrimaryDownEndsATracedRequestWithAPartialTimeline) {
+  std::vector<EngineLink*> links;
+  RouterOptions options = InProcessOptions(FreshStateDir("down"), 1);
+  options.health_interval_ms = 60000;  // keep the crashed shard down
+  InProcessRouter router(std::move(options),
+                         EngineLinks(EngineLink::Script::kServe, &links));
+  ASSERT_EQ(links.size(), 1u);
+  links[0]->Crash();
+  const JsonValue response = router.Call(
+      "p1", R"({"op":"schema","dataset":"d","trace":true,"id":"p1"})");
+  ExpectPartialTimeline(router, response, "is down", "p2");
 }
 
 // ---- observability: trace propagation, fleet rollup (DESIGN.md §15) --
 
 TEST(RouterE2eTest, TracedExplainReturnsOneStitchedTimeline) {
-  // verify_relay makes the router cross-check every _tc splice against a
-  // full parse+re-dump and abort on any byte difference — so this test
-  // passing also proves splice/parse equivalence on the traced path.
+  std::vector<EngineLink*> links;
   RouterOptions options = InProcessOptions(FreshStateDir("trace"), 2);
   options.verify_relay = true;
-  InProcessRouter router(std::move(options), EngineLinks());
+  InProcessRouter router(std::move(options),
+                         EngineLinks(EngineLink::Script::kServe, &links));
 
   ExpectOk(router.Call(
       "e1",
@@ -661,10 +725,10 @@ TEST(RouterE2eTest, TracedExplainReturnsOneStitchedTimeline) {
       R"({"op":"create_session","dataset":"d1","session":"alice",)"
       R"("epsilon":2.0,"id":"e3"})"));
 
-  const JsonValue response = router.Call(
-      "e4",
+  const std::string request =
       R"({"op":"explain","session":"alice","epsilon":0.3,"trace":true,)"
-      R"("id":"e4"})");
+      R"("id":"e4"})";
+  const JsonValue response = router.Call("e4", request);
   ExpectOk(response);
 
   // One trace id covers the whole timeline, and the request completed, so
@@ -684,7 +748,7 @@ TEST(RouterE2eTest, TracedExplainReturnsOneStitchedTimeline) {
   ASSERT_EQ(spans.size(), 5u) << root.Dump();
   EXPECT_EQ(spans.at(0).at("name").AsString(), "parse");
   EXPECT_EQ(spans.at(1).at("name").AsString(), "shard_pick");
-  EXPECT_EQ(spans.at(2).at("name").AsString(), "relay_splice");
+  EXPECT_EQ(spans.at(2).at("name").AsString(), "forward");
   EXPECT_EQ(spans.at(3).at("name").AsString(), "worker_roundtrip");
   EXPECT_EQ(spans.at(4).at("name").AsString(), "write_back");
 
@@ -707,6 +771,27 @@ TEST(RouterE2eTest, TracedExplainReturnsOneStitchedTimeline) {
   ASSERT_NE(worker_root, nullptr) << roundtrip.Dump();
   EXPECT_EQ(worker_root->at("start_micros").AsNumber(), 0.0);
   EXPECT_NE(FindChild(*worker_root, "parse"), nullptr) << worker_root->Dump();
+
+  // The worker got the client's request with the router id and the trace
+  // context set on it, serialized once: parse → Set("id") → Set("_tc") →
+  // Dump, byte for byte.
+  std::vector<std::string> traced_lines;
+  for (EngineLink* link : links) {
+    for (const std::string& line : link->Sent()) {
+      if (line.find("\"_tc\"") != std::string::npos) {
+        traced_lines.push_back(line);
+      }
+    }
+  }
+  ASSERT_EQ(traced_lines.size(), 1u);
+  const JsonValue forwarded = ParseRequest(traced_lines[0]);
+  JsonValue tc = JsonValue::Object();
+  tc.Set("pid", forwarded.at("id"));
+  tc.Set("tid", JsonValue::String(tid));
+  JsonValue expected = ParseRequest(request);
+  expected.Set("id", forwarded.at("id"));
+  expected.Set("_tc", tc);
+  EXPECT_EQ(traced_lines[0], expected.Dump());
 
   // The completed timeline is retrievable from the router's trace ring
   // under the same id.
@@ -804,7 +889,7 @@ TEST(RouterE2eTest, MetricsBroadcastReturnsFleetRollup) {
   EXPECT_TRUE(gauges.Has(R"(dpclustx_router_worker_alive{worker="shard-0"})"))
       << fleet.Dump();
   const JsonValue& counters = fleet.at("counters");
-  EXPECT_TRUE(counters.Has("dpclustx_router_tc_spliced_total"))
+  EXPECT_TRUE(counters.Has("dpclustx_router_relay_spliced_total"))
       << fleet.Dump();
 }
 

@@ -27,37 +27,8 @@
 // dispatch), /healthz, and /ready — listeners open only after the
 // snapshot restore has completed, so a worker that answers is ready.
 //
-// The flag table below is the single reference (printed by --help and
-// mirrored in README.md "Serving flags"):
-//
-//   --listen SPEC            also accept clients on unix:/path or
-//                            tcp:[host:]port (repeatable); the same socket
-//                            answers HTTP GET /metrics, /healthz, /ready
-//   --threads N              worker threads (default 4)
-//   --queue N                pending-request bound (default 256)
-//   --cache N                release-cache entries (default 1024)
-//   --deadline-ms N          default per-request deadline in ms, counted
-//                            from enqueue; requests may override with their
-//                            own "deadline_ms" field (default 0 = none)
-//   --max-csv-bytes N        refuse load_dataset csv files larger than N
-//                            bytes (default 0 = no limit; convert big files
-//                            to DPXCOL with dpclustx_convert instead)
-//   --sync                   serve each request on the reader thread, in
-//                            order (deterministic scripted sessions)
-//   --trace-all              trace every request into the engine's trace
-//                            ring (retrieve with the "trace" op)
-//   --snapshot FILE          durable state snapshot: restored (with the
-//                            journal, if any) at startup, then saved every
-//                            --snapshot-interval-ms and at shutdown
-//   --snapshot-interval-ms N snapshot save period in ms (default 10000;
-//                            0 = save only at shutdown)
-//   --audit-journal FILE     append+flush every ε charge/denial to FILE
-//                            before its response (the crash-recovery WAL)
-//   --read-only              replica mode: refuse every op that would
-//                            charge ε or mutate state; cache hits (and
-//                            load_snapshot) still serve
-//   --version                print build provenance and exit
-//   --help                   print this flag table and exit
+// kUsage below is the flag reference (printed by --help and mirrored in
+// README.md "Serving flags").
 //
 // On EOF the server drains queued requests, writes a final snapshot,
 // flushes, and exits 0. See README.md for a quickstart transcript.
@@ -90,8 +61,8 @@ using dpclustx::service::ServiceEngineOptions;
 using dpclustx::tools::ParseSizeFlag;
 using dpclustx::tools::ParseStringFlag;
 
-// Keep in sync with the file comment above and README.md "Serving flags" —
-// this text IS the reference table.
+// Keep README.md "Serving flags" in sync — this text IS the reference
+// table.
 constexpr const char kUsage[] =
     "usage: dpclustx_serve [flags]\n"
     "\n"
@@ -103,7 +74,8 @@ constexpr const char kUsage[] =
     "  --queue N                pending-request bound (default 256)\n"
     "  --cache N                release-cache entries (default 1024)\n"
     "  --deadline-ms N          default per-request deadline in ms, counted\n"
-    "                           from enqueue (default 0 = none)\n"
+    "                           from enqueue; a request's own \"deadline_ms\"\n"
+    "                           overrides it (default 0 = none)\n"
     "  --max-csv-bytes N        refuse load_dataset csv files larger than N\n"
     "                           bytes (default 0 = no limit; use\n"
     "                           dpclustx_convert for big files)\n"
@@ -118,7 +90,7 @@ constexpr const char kUsage[] =
     "  --audit-journal FILE     append+flush every charge/denial to FILE\n"
     "                           before its response (crash-recovery WAL)\n"
     "  --read-only              replica mode: refuse charging/mutating ops;\n"
-    "                           cache hits still serve\n"
+    "                           cache hits (and load_snapshot) still serve\n"
     "  --version                print build provenance and exit\n"
     "  --help                   print this flag table and exit\n";
 
