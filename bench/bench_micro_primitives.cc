@@ -1,7 +1,7 @@
 // Micro-benchmarks of the library's hot primitives: noise samplers, the
 // selection mechanisms, histogram operations, the statistics pass, and
-// quality-function evaluation. These bound the constants behind the
-// shape-level results of Figs. 9a–d.
+// quality-function evaluation, and the Stage-2 combination search. These
+// bound the constants behind the shape-level results of Figs. 9a–d.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/candidate_selection.h"
+#include "core/explainer.h"
 #include "core/quality.h"
 #include "dp/dp_histogram.h"
 #include "dp/exponential.h"
@@ -132,6 +133,44 @@ void BM_GlobalScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GlobalScore);
+
+// One Stage-2 search (1 thread) over range(0) clusters × range(1)
+// candidates with random unary and pair tables; range(2) = 1 runs the
+// private mechanism, 0 the exact argmax.
+void BM_SearchCombination(benchmark::State& state) {
+  const auto clusters = static_cast<size_t>(state.range(0));
+  const auto k = static_cast<size_t>(state.range(1));
+  const double epsilon = state.range(2) != 0 ? 0.1 : 0.0;
+  Rng table_rng(6);
+  std::vector<std::vector<AttrIndex>> sets(clusters);
+  core_internal::CombinationScoreTables tables;
+  tables.unary.resize(clusters);
+  tables.pair.resize(clusters);
+  for (size_t c = 0; c < clusters; ++c) {
+    for (size_t j = 0; j < k; ++j) {
+      sets[c].push_back(static_cast<AttrIndex>(j));
+      tables.unary[c].push_back(1000.0 * table_rng.UniformDouble());
+    }
+    tables.pair[c].resize(clusters);
+    for (size_t cp = c + 1; cp < clusters; ++cp) {
+      for (size_t j = 0; j < k * k; ++j) {
+        tables.pair[c][cp].push_back(100.0 * table_rng.UniformDouble());
+      }
+    }
+  }
+  Rng rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core_internal::SearchCombination(sets, tables, epsilon, 1.0,
+                                         size_t{1} << 30, rng)
+            .value());
+  }
+}
+BENCHMARK(BM_SearchCombination)
+    ->Args({8, 4, 1})
+    ->Args({8, 4, 0})
+    ->Args({11, 3, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -29,7 +29,10 @@
 # ASan too: its in-process cases feed garbage worker lines through the
 # router's one completion path. The Stage-2 search's block decode
 # and the multi-explainer's ℓ-subset table indexing run under ASan too
-# (explainer_test, multi_explainer_test, baselines_test).
+# (explainer_test, multi_explainer_test, baselines_test), and so do the
+# search's equivalence, sensitivity and distribution tests
+# (parallel_equivalence_test, quality_sensitivity_test, dp_property_test):
+# UBSan traps a signed overflow in its int64 fixed-point sums.
 #
 # Kernel dispatch pass: every per-ISA kernel TU (generic/sse2/avx2/avx512,
 # src/data/kernels) compiles unconditionally in the default build — a host
@@ -91,11 +94,12 @@ else
     thread_pool_test dataset_layout_test obs_test snapshot_test \
     csv_test columnar_format_test json_relay_test router_test \
     explainer_test multi_explainer_test baselines_test \
+    parallel_equivalence_test quality_sensitivity_test dp_property_test \
     dpclustx_serve dpclustx_router dpclustx_convert \
     >/dev/null
   (cd build-asan &&
    ctest --output-on-failure \
-     -R '^(service_test|service_robustness_test|json_test|mechanisms_test|thread_pool_test|dataset_layout_test|obs_test|snapshot_test|csv_test|columnar_format_test|json_relay_test|router_test|explainer_test|multi_explainer_test|baselines_test)$')
+     -R '^(service_test|service_robustness_test|json_test|mechanisms_test|thread_pool_test|dataset_layout_test|obs_test|snapshot_test|csv_test|columnar_format_test|json_relay_test|router_test|explainer_test|multi_explainer_test|baselines_test|parallel_equivalence_test|quality_sensitivity_test|dp_property_test)$')
 
   echo "==> ASan kernel dispatch smoke (DPCLUSTX_ISA=generic startup)"
   # Starts with dispatch clamped all the way down, then the in-test

@@ -18,60 +18,189 @@ namespace core_internal {
 
 namespace {
 // Combinations per search block: the unit of scoring, of the deadline check
-// (a few µs of lookups, so the steady_clock read is amortized to noise) and
+// (a few µs of work, so the steady_clock read is amortized to noise) and
 // of the winner merge. Blocks depend only on the combination index, never
 // on the thread count.
 constexpr size_t kSearchBlock = 4096;
 // Blocks per batch. A batch's uniforms are buffered between the serial
 // draw and the parallel transform, so this bounds that buffer (512 KiB).
 constexpr size_t kSearchBatch = 16 * kSearchBlock;
+// Bound on the sum of the largest |entry| of every term table, in score
+// units: 2^62 fixed-point units. The sum of any subset of a combination's
+// rounded terms then stays below 2^63 in magnitude, so no int64 partial
+// sum overflows: the margin covers the rounding (T/2 units) and the
+// rounding of the bound's own double sum.
+constexpr double kMaxScoreMagnitude = 0x1p62 / (1ULL << kScoreFractionBits);
+
+// The score tables rounded once to multiples of 2^-kScoreFractionBits, in
+// one array. Pair tables are stored transposed: across(c, cp) is k_cp × k_c,
+// so one choice of cluster cp adds a contiguous row across cluster c's
+// choices. Tables without pair terms get all-zero pair tables, so one scan
+// serves both.
+struct FixedPointTables {
+  std::vector<size_t> sizes;  // k_c
+  std::vector<int64_t> values;
+  std::vector<size_t> unary_at;   // [c]
+  std::vector<size_t> across_at;  // [c·|C| + cp], c < cp
+
+  const int64_t* unary(size_t c) const { return values.data() + unary_at[c]; }
+  // k_c entries: the pair terms of cluster c's choices with choice j of
+  // cluster cp.
+  const int64_t* across(size_t c, size_t cp, size_t j) const {
+    return values.data() + across_at[c * sizes.size() + cp] + j * sizes[c];
+  }
+};
+
+StatusOr<FixedPointTables> QuantizeTables(
+    const std::vector<std::vector<AttrIndex>>& candidate_sets,
+    const CombinationScoreTables& tables) {
+  const size_t clusters = candidate_sets.size();
+  const bool has_pairs = !tables.pair.empty();
+  FixedPointTables fixed;
+  for (const auto& set : candidate_sets) fixed.sizes.push_back(set.size());
+  if (has_pairs && tables.pair.size() != clusters) {
+    return Status::InvalidArgument("score tables do not match clusters");
+  }
+  // Shapes and the overflow bound first, so nothing out of range is
+  // converted to an integer.
+  double magnitude = 0.0;
+  auto add_term = [&](const std::vector<double>& term,
+                      size_t expected) -> Status {
+    if (term.size() != expected) {
+      return Status::InvalidArgument("score table does not match its set");
+    }
+    double largest = 0.0;
+    for (const double value : term) {
+      if (!std::isfinite(value)) {
+        return Status::InvalidArgument("score table entry is not finite");
+      }
+      largest = std::max(largest, std::fabs(value));
+    }
+    magnitude += largest;
+    return Status::OK();
+  };
+  for (size_t c = 0; c < clusters; ++c) {
+    DPX_RETURN_IF_ERROR(add_term(tables.unary[c], fixed.sizes[c]));
+    if (!has_pairs) continue;
+    for (size_t cp = c + 1; cp < clusters; ++cp) {
+      if (tables.pair[c].size() <= cp) {
+        return Status::InvalidArgument("score tables do not match clusters");
+      }
+      DPX_RETURN_IF_ERROR(
+          add_term(tables.pair[c][cp], fixed.sizes[c] * fixed.sizes[cp]));
+    }
+  }
+  if (!(magnitude < kMaxScoreMagnitude)) {
+    return Status::InvalidArgument(
+        "score tables exceed the fixed-point range of the stage2 search");
+  }
+
+  fixed.unary_at.resize(clusters);
+  fixed.across_at.resize(clusters * clusters);
+  for (size_t c = 0; c < clusters; ++c) {
+    fixed.unary_at[c] = fixed.values.size();
+    for (const double value : tables.unary[c]) {
+      fixed.values.push_back(QuantizeScore(value));
+    }
+  }
+  for (size_t c = 0; c < clusters; ++c) {
+    const size_t k = fixed.sizes[c];
+    for (size_t cp = c + 1; cp < clusters; ++cp) {
+      const size_t at = fixed.values.size();
+      fixed.across_at[c * clusters + cp] = at;
+      fixed.values.resize(at + k * fixed.sizes[cp], 0);
+      if (!has_pairs) continue;
+      for (size_t p = 0; p < k; ++p) {
+        for (size_t j = 0; j < fixed.sizes[cp]; ++j) {
+          fixed.values[at + j * k + p] =
+              QuantizeScore(tables.pair[c][cp][p * fixed.sizes[cp] + j]);
+        }
+      }
+    }
+  }
+  return fixed;
+}
 
 struct Winner {
-  double value = -std::numeric_limits<double>::infinity();
+  double value = -std::numeric_limits<double>::infinity();  // private mode
+  int64_t score = std::numeric_limits<int64_t>::min();      // exact mode
   size_t combo = 0;
 };
 
 // The first maximum of scale·score + Gumbel over combinations [begin, end),
 // where uniforms[i] is the uniform drawn for combination begin + i (nullptr
-// in exact mode: no noise).
-Winner ScanBlock(const std::vector<std::vector<AttrIndex>>& candidate_sets,
-                 const CombinationScoreTables& tables, double scale,
+// in exact mode: the first maximum of the score itself).
+Winner ScanBlock(const FixedPointTables& tables, double scale,
                  const double* uniforms, size_t begin, size_t end) {
-  const size_t clusters = candidate_sets.size();
-  const bool has_pairs = !tables.pair.empty();
-  // Decode the first index (mixed radix, cluster 0 least significant), then
-  // advance with an odometer.
+  const size_t clusters = tables.sizes.size();
+  const size_t k0 = tables.sizes[0];
+  // Decode the first index (mixed radix, cluster 0 least significant).
   std::vector<size_t> choice(clusters);
   for (size_t c = 0, rest = begin; c < clusters; ++c) {
-    choice[c] = rest % candidate_sets[c].size();
-    rest /= candidate_sets[c].size();
+    choice[c] = rest % tables.sizes[c];
+    rest /= tables.sizes[c];
   }
-  Winner winner;
-  for (size_t combo = begin; combo < end; ++combo) {
-    double score = 0.0;
-    for (size_t c = 0; c < clusters; ++c) {
-      score += tables.unary[c][choice[c]];
+  // terms[c·k_max + p] (1 <= c < |C|): cluster c's unary term for choice
+  // p plus its pair terms with the higher clusters under the current
+  // digits. It depends on digits c+1.. only, so it changes when those do.
+  const size_t k_max = *std::max_element(tables.sizes.begin(),
+                                         tables.sizes.end());
+  std::vector<int64_t> terms(clusters * k_max);
+  // The partial-sum stack, one level of k_0 sums per odometer digit: level
+  // c (1 <= c < |C|) holds, for each choice i of cluster 0, unary[0][i]
+  // plus every term among clusters c..|C|-1 and between them and cluster 0
+  // under the current digits; level |C| holds unary[0] alone. Level 1 is
+  // then the scores of the current odometer row.
+  std::vector<int64_t> stack((clusters + 1) * k0);
+  std::copy(tables.unary(0), tables.unary(0) + k0,
+            stack.begin() + static_cast<std::ptrdiff_t>(clusters * k0));
+  auto fill_terms = [&](size_t c) {
+    int64_t* term = terms.data() + c * k_max;
+    std::copy(tables.unary(c), tables.unary(c) + tables.sizes[c], term);
+    for (size_t cp = c + 1; cp < clusters; ++cp) {
+      const int64_t* across = tables.across(c, cp, choice[cp]);
+      for (size_t p = 0; p < tables.sizes[c]; ++p) term[p] += across[p];
     }
-    if (has_pairs) {
-      for (size_t c = 0; c < clusters; ++c) {
-        for (size_t cp = c + 1; cp < clusters; ++cp) {
-          score += tables.pair[c][cp][choice[c] * candidate_sets[cp].size() +
-                                      choice[cp]];
-        }
+  };
+  // Recomputes levels top..1 after digits 1..top changed.
+  auto restack = [&](size_t top) {
+    for (size_t c = top; c >= 1; --c) {
+      const int64_t term = terms[c * k_max + choice[c]];
+      const int64_t* column = tables.across(0, c, choice[c]);
+      const int64_t* above = stack.data() + (c + 1) * k0;
+      int64_t* level = stack.data() + c * k0;
+      for (size_t i = 0; i < k0; ++i) level[i] = above[i] + term + column[i];
+    }
+  };
+  for (size_t c = clusters - 1; c >= 1; --c) fill_terms(c);
+  restack(clusters - 1);
+  const int64_t* row = stack.data() + k0;
+
+  Winner winner;
+  for (size_t combo = begin;;) {
+    const size_t first = choice[0];
+    const size_t last = std::min(k0, first + (end - combo));
+    if (uniforms != nullptr) {
+      for (size_t i = first; i < last; ++i, ++combo) {
+        const double value =
+            scale * static_cast<double>(row[i]) +
+            Rng::GumbelFromUniform(uniforms[combo - begin], 1.0);
+        if (value > winner.value) winner = {value, 0, combo};
+      }
+    } else {
+      for (size_t i = first; i < last; ++i, ++combo) {
+        if (row[i] > winner.score) winner = {0.0, row[i], combo};
       }
     }
-    const double value =
-        scale * score +
-        (uniforms != nullptr
-             ? Rng::GumbelFromUniform(uniforms[combo - begin], 1.0)
-             : 0.0);
-    if (value > winner.value) winner = {value, combo};
-    for (size_t c = 0; c < clusters; ++c) {
-      if (++choice[c] < candidate_sets[c].size()) break;
-      choice[c] = 0;
-    }
+    if (combo == end) return winner;
+    // Cluster 0 wrapped: advance the odometer over digits 1.. (a digit
+    // exists to advance, since combo < end <= k_0·...·k_|C|).
+    choice[0] = 0;
+    size_t top = 1;
+    while (++choice[top] == tables.sizes[top]) choice[top++] = 0;
+    for (size_t c = top - 1; c >= 1; --c) fill_terms(c);
+    restack(top);
   }
-  return winner;
 }
 }  // namespace
 
@@ -171,15 +300,23 @@ StatusOr<AttributeCombination> SearchCombination(
     num_combinations *= set.size();
   }
 
-  // The argmax of score·ε/(2Δ) + Gumbel(1) over all combinations (the
+  // The argmax of score·ε/(2Δ') + Gumbel(1) over all combinations (the
   // exponential mechanism via Gumbel-max), or the exact argmax when
-  // epsilon <= 0 (non-private limit).
+  // epsilon <= 0 (non-private limit). The scores are the tables rounded to
+  // fixed point, so Δ' = Δ + T·2^-F charges the rounding to the mechanism.
   const bool private_selection = epsilon > 0.0;
   if (private_selection && sensitivity <= 0.0) {
     return Status::InvalidArgument("sensitivity must be positive");
   }
+  DPX_ASSIGN_OR_RETURN(const FixedPointTables fixed,
+                       QuantizeTables(candidate_sets, tables));
+  // Per fixed-point unit; ldexp rescales exactly.
   const double scale =
-      private_selection ? epsilon / (2.0 * sensitivity) : 1.0;
+      private_selection
+          ? std::ldexp(epsilon / (2.0 * RoundedScoreSensitivity(sensitivity,
+                                                                clusters)),
+                       -kScoreFractionBits)
+          : 0.0;
 
   // Thread-count invariance (DESIGN.md §8): each batch's uniforms are drawn
   // serially in combination order — the words a one-at-a-time scan draws —
@@ -210,7 +347,7 @@ StatusOr<AttributeCombination> SearchCombination(
             }
             const size_t begin = batch + b * kSearchBlock;
             block_winners[b] = ScanBlock(
-                candidate_sets, tables, scale,
+                fixed, scale,
                 private_selection ? uniforms.data() + b * kSearchBlock
                                   : nullptr,
                 begin, std::min(batch_end, begin + kSearchBlock));
@@ -221,7 +358,11 @@ StatusOr<AttributeCombination> SearchCombination(
       return Status::DeadlineExceeded("deadline exceeded in stage2 search");
     }
     for (size_t b = 0; b < blocks; ++b) {
-      if (block_winners[b].value > best.value) best = block_winners[b];
+      const Winner& block = block_winners[b];
+      if (private_selection ? block.value > best.value
+                            : block.score > best.score) {
+        best = block;
+      }
     }
   }
 
@@ -303,7 +444,7 @@ Status DpClustXOptions::Validate() const {
   return Status::OK();
 }
 
-Status DpClustXOptions::ValidateShape(size_t num_attributes,
+Status DpClustXOptions::ValidateShape(size_t num_rows, size_t num_attributes,
                                       size_t num_clusters,
                                       size_t subset_size) const {
   const size_t k = num_candidates;
@@ -318,6 +459,15 @@ Status DpClustXOptions::ValidateShape(size_t num_attributes,
             : "candidate-set size k=" + std::to_string(k) +
                   " must lie in [1, num_attributes=" +
                   std::to_string(num_attributes) + "]");
+  }
+  // Every GlScore table entry is at most |D| and the largest entries of
+  // all the term tables sum to at most |D| (Int_p, Suf_p and the pair
+  // diversity are each at most |D_c|, and λ is convex), so this refuses
+  // every dataset whose scores could overflow the search's fixed-point sum.
+  if (!(static_cast<double>(num_rows) < core_internal::kMaxScoreMagnitude)) {
+    return Status::InvalidArgument(
+        "dataset of " + std::to_string(num_rows) +
+        " rows exceeds the fixed-point range of the stage2 search");
   }
   // SVT sets may hold fewer than k attributes; the search bounds their
   // actual space.
@@ -360,7 +510,8 @@ StatusOr<GlobalExplanation> ExplainDpClustXWithStats(
     PrivacyBudget* budget) {
   DPX_RETURN_IF_ERROR(options.Validate());
   DPX_RETURN_IF_ERROR(
-      options.ValidateShape(stats.num_attributes(), stats.num_clusters()));
+      options.ValidateShape(stats.num_rows(), stats.num_attributes(),
+                            stats.num_clusters()));
   // Check the deadline BEFORE reserving budget: a request that expired while
   // queued must charge nothing. Checkpoints past this point do not refund —
   // the accountant may overstate, never understate, the released ε.

@@ -3,7 +3,8 @@
 // Pipeline (paper §5.2):
 //   1. Stage-1 candidate sets S_c at budget ε_CandSet (Algorithm 1).
 //   2. Exponential mechanism over the k^|C| candidate attribute combinations
-//      {AC | AC(c) ∈ S_c}, scored by GlScore_λ (Δ = 1), at budget ε_TopComb.
+//      {AC | AC(c) ∈ S_c}, scored by GlScore_λ rounded to fixed point
+//      (Δ' = 1 + T·2^-30, see SearchCombination), at budget ε_TopComb.
 //   3. Noisy histograms *only* for the selected attributes: full-dataset
 //      histograms at ε_Hist/(2·|A'|) each (sequential over the distinct
 //      selected attributes A'), per-cluster histograms at ε_Hist/2 each
@@ -13,6 +14,9 @@
 
 #ifndef DPCLUSTX_CORE_EXPLAINER_H_
 #define DPCLUSTX_CORE_EXPLAINER_H_
+
+#include <cmath>
+#include <cstdint>
 
 #include "cluster/clustering.h"
 #include "common/deadline.h"
@@ -76,14 +80,16 @@ struct DpClustXOptions {
   /// spending anything on it.
   Status Validate() const;
 
-  /// InvalidArgument for a run over `num_attributes` attributes and
-  /// `num_clusters` clusters that a later stage would refuse: k larger than
-  /// the schema, or (top-k selector, whose sets hold exactly k attributes) a
-  /// Stage-2 space of C(k, subset_size)^|C| combinations above
-  /// max_combinations. Depends only on the schema and |C|, so callers run
-  /// it before charging anything. `subset_size` is ℓ of the multi-explainer
-  /// and must lie in [1, k].
-  Status ValidateShape(size_t num_attributes, size_t num_clusters,
+  /// InvalidArgument for a run over `num_rows` rows, `num_attributes`
+  /// attributes and `num_clusters` clusters that a later stage would refuse:
+  /// k larger than the schema, scores too large for the Stage-2 search's
+  /// fixed-point sum, or (top-k selector, whose sets hold exactly k
+  /// attributes) a Stage-2 space of C(k, subset_size)^|C| combinations above
+  /// max_combinations. Depends only on |D|, the schema and |C|, so callers
+  /// run it before charging anything. `subset_size` is ℓ of the
+  /// multi-explainer and must lie in [1, k].
+  Status ValidateShape(size_t num_rows, size_t num_attributes,
+                       size_t num_clusters,
                        size_t subset_size = 1) const;
 };
 
@@ -139,14 +145,48 @@ CombinationScoreTables BuildLowSensitivityTables(
     const std::vector<std::vector<AttrIndex>>& candidate_sets,
     const GlobalWeights& lambda);
 
+/// Fractional bits of the Stage-2 search's fixed-point scores:
+/// SearchCombination rounds every table entry once to the nearest multiple
+/// of 2^-kScoreFractionBits and sums the entries in int64. A compile-time
+/// constant, independent of the data.
+inline constexpr int kScoreFractionBits = 30;
+
+/// T = |C| + C(|C|, 2): the number of rounded terms in one combination's
+/// score (|C| unary terms and one pair term per cluster pair).
+inline size_t ScoreTermCount(size_t num_clusters) {
+  return num_clusters + num_clusters * (num_clusters - 1) / 2;
+}
+
+/// Δ' = Δ + T·2^-F, the sensitivity of the rounded score. Each rounded term
+/// is within 2^-F/2 of its table entry, so the rounded scores of
+/// neighbouring datasets differ by at most Δ + T·2^-F.
+inline double RoundedScoreSensitivity(double sensitivity,
+                                      size_t num_clusters) {
+  return sensitivity + std::ldexp(static_cast<double>(ScoreTermCount(
+                                      num_clusters)),
+                                  -kScoreFractionBits);
+}
+
+/// A table entry in fixed point: round(value·2^F), halves away from zero.
+/// Requires |value| < 2^(63-F).
+inline int64_t QuantizeScore(double value) {
+  return std::llround(std::ldexp(value, kScoreFractionBits));
+}
+
 /// Selects an attribute combination from per-cluster candidate sets
 /// (Algorithm 2, lines 4–5): the exponential mechanism at `epsilon` over the
 /// table-defined score (Gumbel-max implementation), or the exact argmax
 /// (lowest combination index on ties) when epsilon <= 0 — the non-private
 /// TabEE limit. The only combination search: DPClustX, the multi-explainer
-/// and the baselines all call it. `num_threads` (0 = compute-pool width)
-/// sets speed only — the result and the state left in `rng` are identical
-/// at every value.
+/// and the baselines all call it.
+///
+/// The score is the tables rounded to fixed point (QuantizeScore), summed
+/// in int64 with O(|C|) adds per combination; the mechanism runs at the
+/// rounded score's sensitivity RoundedScoreSensitivity(sensitivity, |C|).
+/// Tables with a non-finite entry, or whose largest entries could overflow
+/// the int64 sum, are refused with InvalidArgument. `num_threads`
+/// (0 = compute-pool width) sets speed only — the result and the state
+/// left in `rng` are identical at every value.
 StatusOr<AttributeCombination> SearchCombination(
     const std::vector<std::vector<AttrIndex>>& candidate_sets,
     const CombinationScoreTables& tables, double epsilon, double sensitivity,

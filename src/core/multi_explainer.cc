@@ -85,7 +85,8 @@ StatusOr<MultiGlobalExplanation> ExplainDpClustXMultiWithLabels(
   }
   const size_t l = options.attrs_per_cluster;
   DPX_RETURN_IF_ERROR(
-      base.ValidateShape(dataset.num_attributes(), num_clusters, l));
+      base.ValidateShape(dataset.num_rows(), dataset.num_attributes(),
+                         num_clusters, l));
   DPX_ASSIGN_OR_RETURN(const StatsCache stats,
                        StatsCache::Build(dataset, labels, num_clusters,
                                          base.num_threads));

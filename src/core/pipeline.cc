@@ -10,7 +10,8 @@ StatusOr<PipelineResult> RunPipeline(const Dataset& dataset,
   DPX_RETURN_IF_ERROR(options.explain.Validate());
   // Every fit refuses rows < k, so the fitted |C| is the spec's.
   DPX_RETURN_IF_ERROR(options.explain.ValidateShape(
-      dataset.num_attributes(), options.clustering.num_clusters));
+      dataset.num_rows(), dataset.num_attributes(),
+      options.clustering.num_clusters));
   StatusOr<std::unique_ptr<ClusteringFunction>> clustering = [&] {
     DPX_SPAN("clustering_fit");
     return FitClustering(dataset, options.clustering, budget);

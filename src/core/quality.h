@@ -16,6 +16,13 @@
 //   Div_p     — Δ ≤ 1 (convex combination)            (Prop. 4.8)
 //   SScore_γ  — Δ ≤ 1                                 (Prop. 4.10)
 //   GlScore_λ — Δ ≤ 1                                 (Prop. 4.12)
+//
+// The Stage-2 search ranks GlScore_λ rounded to fixed point: each of a
+// combination's T = |C| + C(|C|, 2) table terms is rounded once to the
+// nearest multiple of 2^-30 (core_internal::QuantizeScore, explainer.h), so
+// the rounded score has
+//   rounded GlScore_λ — Δ' = Δ + T·2^-30   (RoundedScoreSensitivity)
+// and the search charges its mechanism at Δ'.
 
 #ifndef DPCLUSTX_CORE_QUALITY_H_
 #define DPCLUSTX_CORE_QUALITY_H_

@@ -194,9 +194,10 @@ StatusOr<JsonValue> ServiceEngine::OpExplain(const JsonValue& request,
                                options.epsilon_top_comb +
                                options.epsilon_hist;
 
-  // Refusals that depend only on the schema and |C| happen here, before
+  // Refusals that depend only on the schema, |D| and |C| happen here, before
   // ReleaseOnce can charge anything.
-  DPX_RETURN_IF_ERROR(options.ValidateShape(view->stats->num_attributes(),
+  DPX_RETURN_IF_ERROR(options.ValidateShape(view->stats->num_rows(),
+                                            view->stats->num_attributes(),
                                             view->num_clusters));
 
   // The key covers everything that determines the release bytes (not

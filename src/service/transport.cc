@@ -159,8 +159,9 @@ struct Transport::Conn {
   size_t out_bytes = 0;
   size_t front_offset = 0;  // bytes of out.front() already written
 
-  // Event-loop-thread-only interest state.
-  bool want_write = false;
+  // Event-loop-thread-only interest state. registered_events is the mask
+  // epoll holds for fd (Accept registers EPOLLIN).
+  uint32_t registered_events = EPOLLIN;
   bool reading_suspended = false;
   bool close_after_flush = false;
 
@@ -643,17 +644,18 @@ void Transport::FlushSome(Conn& conn) {
 
 void Transport::UpdateInterest(Conn& conn) {
   // Caller holds conns_mutex_; epoll_ctl on a live fd is safe regardless.
-  const bool want_write = conn.out_bytes > 0;
   uint32_t events = 0;
   if (!conn.reading_suspended) events |= EPOLLIN;
-  if (want_write) events |= EPOLLOUT;
+  if (conn.out_bytes > 0) events |= EPOLLOUT;
+  if (events == conn.registered_events) return;  // nothing to change
   epoll_event ev{};
   ev.events = events;
   ev.data.u64 = conn.id;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev) < 0) {
     std::fprintf(stderr, "[transport] epoll_ctl(mod): %s\n", ::strerror(errno));
+    return;
   }
-  conn.want_write = want_write;
+  conn.registered_events = events;
 }
 
 void Transport::CloseConn(ConnId id) {

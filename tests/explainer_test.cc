@@ -1,6 +1,8 @@
 #include "core/explainer.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -264,6 +266,137 @@ TEST(SearchCombinationTest, DeadlineStopsTheSearchMidway) {
     EXPECT_EQ(combo.status().message(), "deadline exceeded in stage2 search")
         << threads << " threads";
   }
+}
+
+// Brute force over the double tables: the best and second-best scores and
+// the first combination (cluster 0 least significant) reaching the best.
+struct DoubleArgmax {
+  size_t combo = 0;
+  double best = -std::numeric_limits<double>::infinity();
+  double second = -std::numeric_limits<double>::infinity();
+};
+
+DoubleArgmax BruteForceArgmax(
+    const std::vector<size_t>& sizes,
+    const core_internal::CombinationScoreTables& tables) {
+  size_t num_combinations = 1;
+  for (const size_t k : sizes) num_combinations *= k;
+  DoubleArgmax result;
+  for (size_t combo = 0; combo < num_combinations; ++combo) {
+    std::vector<size_t> choice(sizes.size());
+    for (size_t c = 0, rest = combo; c < sizes.size(); ++c) {
+      choice[c] = rest % sizes[c];
+      rest /= sizes[c];
+    }
+    double score = 0.0;
+    for (size_t c = 0; c < sizes.size(); ++c) {
+      score += tables.unary[c][choice[c]];
+      for (size_t cp = c + 1; cp < sizes.size(); ++cp) {
+        score += tables.pair[c][cp][choice[c] * sizes[cp] + choice[cp]];
+      }
+    }
+    if (score > result.best) {
+      result.second = result.best;
+      result.best = score;
+      result.combo = combo;
+    } else if (score > result.second) {
+      result.second = score;
+    }
+  }
+  return result;
+}
+
+TEST(SearchCombinationTest, ExactModeMatchesDoubleArgmaxOutsideRounding) {
+  // Rounding moves a score by at most T·2^-F / 2, so whenever the top two
+  // double scores are more than T·2^-F apart the fixed-point argmax is the
+  // double one.
+  Rng rng(17);
+  size_t checked = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<size_t> sizes(1 + rng.UniformInt(5));
+    for (size_t& k : sizes) k = 1 + rng.UniformInt(4);
+    // Entries from 10^-3 to 10^3, so some gaps are a few rounding units.
+    const double magnitude = std::pow(10.0, rng.UniformRange(-3.0, 3.0));
+    core_internal::CombinationScoreTables tables;
+    std::vector<std::vector<AttrIndex>> sets;
+    tables.pair.resize(sizes.size());
+    for (size_t c = 0; c < sizes.size(); ++c) {
+      sets.emplace_back();
+      tables.unary.emplace_back();
+      for (size_t j = 0; j < sizes[c]; ++j) {
+        sets.back().push_back(static_cast<AttrIndex>(j));
+        tables.unary.back().push_back(magnitude * rng.UniformDouble());
+      }
+      tables.pair[c].resize(sizes.size());
+      for (size_t cp = c + 1; cp < sizes.size(); ++cp) {
+        for (size_t j = 0; j < sizes[c] * sizes[cp]; ++j) {
+          tables.pair[c][cp].push_back(magnitude * rng.UniformDouble());
+        }
+      }
+    }
+    const DoubleArgmax expected = BruteForceArgmax(sizes, tables);
+    const double rounding =
+        std::ldexp(static_cast<double>(
+                       core_internal::ScoreTermCount(sizes.size())),
+                   -core_internal::kScoreFractionBits);
+    if (expected.best - expected.second <= rounding) continue;
+    ++checked;
+    Rng unused(1);
+    const auto combo = core_internal::SearchCombination(
+        sets, tables, /*epsilon=*/0.0, 1.0, 1000, unused);
+    ASSERT_TRUE(combo.ok()) << combo.status();
+    AttributeCombination want(sizes.size());
+    for (size_t c = 0, rest = expected.combo; c < sizes.size(); ++c) {
+      want[c] = static_cast<AttrIndex>(rest % sizes[c]);
+      rest /= sizes[c];
+    }
+    EXPECT_EQ(*combo, want) << "trial " << trial;
+  }
+  EXPECT_GT(checked, 200u);
+
+  // A gap of a few rounding units is still resolved.
+  core_internal::CombinationScoreTables tables;
+  const double gap = 4.0 * std::ldexp(3.0, -core_internal::kScoreFractionBits);
+  tables.unary = {{0.5, 0.5}, {0.25, 0.25 + gap}};
+  Rng unused(1);
+  const auto combo = core_internal::SearchCombination(
+      {{7, 8}, {9, 10}}, tables, /*epsilon=*/0.0, 1.0, 1000, unused);
+  ASSERT_TRUE(combo.ok()) << combo.status();
+  EXPECT_EQ(*combo, (AttributeCombination{7, 10}));
+}
+
+TEST(SearchCombinationTest, RefusesTablesOutsideTheFixedPointRange) {
+  const std::vector<std::vector<AttrIndex>> sets = {{0, 1}, {2, 3}};
+  Rng rng(3);
+  core_internal::CombinationScoreTables tables;
+  tables.unary = {{0.0, 1.0}, {0.0, std::nan("")}};
+  EXPECT_EQ(core_internal::SearchCombination(sets, tables, 0.1, 1.0, 1000, rng)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Two largest entries of 2^31 score units sum to 2^62 fixed-point units:
+  // the first magnitude refused.
+  tables.unary = {{0.0, 0x1p31}, {0.0, 0x1p31}};
+  EXPECT_EQ(core_internal::SearchCombination(sets, tables, 0.1, 1.0, 1000, rng)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  tables.unary = {{0.0, 0x1p30}, {0.0, 0x1p30}};
+  EXPECT_TRUE(
+      core_internal::SearchCombination(sets, tables, 0.1, 1.0, 1000, rng).ok());
+  // A table that does not match its candidate set.
+  tables.unary = {{0.0, 1.0}, {0.0}};
+  EXPECT_EQ(core_internal::SearchCombination(sets, tables, 0.1, 1.0, 1000, rng)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // ValidateShape refuses, before any charge, a dataset whose GlScore
+  // tables could overflow: 2^32 rows and more.
+  DpClustXOptions options;
+  EXPECT_TRUE(options.ValidateShape(uint64_t{1} << 31, 10, 3).ok());
+  EXPECT_EQ(options.ValidateShape(uint64_t{1} << 32, 10, 3).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ExplainerTest, RefusedShapesChargeNothing) {

@@ -384,34 +384,45 @@ core_internal::CombinationScoreTables RandomTables(
   return tables;
 }
 
-// The one-combination-at-a-time Gumbel-max scan the blocked search must
-// reproduce bit for bit (the form the search had before it was blocked).
+// The one-combination-at-a-time Gumbel-max scan the blocked, incremental
+// search must reproduce bit for bit: every combination's fixed-point score
+// summed from scratch, |C| + C(|C|, 2) rounded terms at a time.
 AttributeCombination ReferenceScan(
     const std::vector<std::vector<AttrIndex>>& sets,
     const core_internal::CombinationScoreTables& tables, double epsilon,
     Rng& rng) {
   const size_t clusters = sets.size();
   const bool private_selection = epsilon > 0.0;
-  const double scale = private_selection ? epsilon / 2.0 : 1.0;
+  const double scale = std::ldexp(
+      epsilon / (2.0 * core_internal::RoundedScoreSensitivity(1.0, clusters)),
+      -core_internal::kScoreFractionBits);
   size_t num_combinations = 1;
   for (const auto& set : sets) num_combinations *= set.size();
   std::vector<size_t> choice(clusters, 0), best_choice(clusters, 0);
   double best_value = -std::numeric_limits<double>::infinity();
+  int64_t best_score = std::numeric_limits<int64_t>::min();
   for (size_t combo = 0; combo < num_combinations; ++combo) {
-    double score = 0.0;
-    for (size_t c = 0; c < clusters; ++c) score += tables.unary[c][choice[c]];
+    int64_t score = 0;
+    for (size_t c = 0; c < clusters; ++c) {
+      score += core_internal::QuantizeScore(tables.unary[c][choice[c]]);
+    }
     if (!tables.pair.empty()) {
       for (size_t c = 0; c < clusters; ++c) {
         for (size_t cp = c + 1; cp < clusters; ++cp) {
-          score += tables.pair[c][cp][choice[c] * sets[cp].size() +
-                                      choice[cp]];
+          score += core_internal::QuantizeScore(
+              tables.pair[c][cp][choice[c] * sets[cp].size() + choice[cp]]);
         }
       }
     }
-    const double value =
-        scale * score + (private_selection ? rng.Gumbel(1.0) : 0.0);
-    if (value > best_value) {
-      best_value = value;
+    if (private_selection) {
+      const double value =
+          scale * static_cast<double>(score) + rng.Gumbel(1.0);
+      if (value > best_value) {
+        best_value = value;
+        best_choice = choice;
+      }
+    } else if (score > best_score) {
+      best_score = score;
       best_choice = choice;
     }
     for (size_t c = 0; c < clusters; ++c) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/explainer.h"
 #include "core/quality.h"
 #include "core/stats_cache.h"
 
@@ -145,6 +146,45 @@ TEST_P(QualitySensitivityTest, ScoresBoundedByOne) {
                         GlobalScore(pair.before, ac, lambda)),
               1.0 + kTolerance)
         << "trial " << trial;
+  }
+}
+
+// The Stage-2 search scores GlScore_λ rounded to fixed point (each table
+// entry to a multiple of 2^-F); its sensitivity is Δ' = 1 + T·2^-F.
+TEST_P(QualitySensitivityTest, QuantizedGlScoreBoundedByRoundedSensitivity) {
+  Rng rng(GetParam().seed + 5000);
+  GlobalWeights lambda;
+  const size_t clusters = GetParam().num_clusters;
+  const std::vector<std::vector<AttrIndex>> sets(clusters, {0, 1});
+  const double bound =
+      core_internal::RoundedScoreSensitivity(kGlScoreSensitivity, clusters);
+  auto quantized_score = [&](const core_internal::CombinationScoreTables& t,
+                             size_t combo) {
+    int64_t score = 0;
+    for (size_t c = 0; c < clusters; ++c) {
+      const size_t choice = (combo >> c) & 1;
+      score += core_internal::QuantizeScore(t.unary[c][choice]);
+      for (size_t cp = c + 1; cp < clusters; ++cp) {
+        score += core_internal::QuantizeScore(
+            t.pair[c][cp][choice * 2 + ((combo >> cp) & 1)]);
+      }
+    }
+    return score;
+  };
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const NeighborPair pair = MakeNeighbors(GetParam(), rng);
+    const auto before =
+        core_internal::BuildLowSensitivityTables(pair.before, sets, lambda);
+    const auto after =
+        core_internal::BuildLowSensitivityTables(pair.after, sets, lambda);
+    for (size_t combo = 0; combo < (size_t{1} << clusters); ++combo) {
+      const double diff = std::ldexp(
+          static_cast<double>(quantized_score(after, combo) -
+                              quantized_score(before, combo)),
+          -core_internal::kScoreFractionBits);
+      ASSERT_LE(std::fabs(diff), bound + kTolerance)
+          << "trial " << trial << " combination " << combo;
+    }
   }
 }
 
