@@ -77,11 +77,6 @@ double Rng::Gumbel(double scale) {
   return GumbelFromUniform(UniformOpenDouble(), scale);
 }
 
-double Rng::GumbelFromUniform(double u, double scale) {
-  // Inverse CDF of exp(-exp(-x/σ)).
-  return -scale * std::log(-std::log(u));
-}
-
 int64_t Rng::TwoSidedGeometric(double eps) {
   DPX_CHECK_GT(eps, 0.0);
   // If G1, G2 are iid geometric (number of failures before first success)

@@ -11,6 +11,7 @@
 #ifndef DPCLUSTX_COMMON_RNG_H_
 #define DPCLUSTX_COMMON_RNG_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -66,8 +67,12 @@ class Rng {
 
   /// The transform Gumbel() applies to its UniformOpenDouble() draw `u`:
   /// lets a caller draw the uniforms serially and transform them on other
-  /// threads without changing a single output bit.
-  static double GumbelFromUniform(double u, double scale);
+  /// threads without changing a single output bit. Inline: the Stage-2
+  /// search applies it once per combination.
+  static double GumbelFromUniform(double u, double scale) {
+    // Inverse CDF of exp(-exp(-x/σ)).
+    return -scale * std::log(-std::log(u));
+  }
 
   /// Two-sided (discrete) geometric noise with parameter alpha = exp(-eps):
   /// P(Z = z) ∝ alpha^|z|, the distribution of the Ghosh–Roughgarden–

@@ -1,6 +1,7 @@
 #include "dp/privacy_budget.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 
@@ -37,7 +38,7 @@ double PrivacyBudget::remaining_epsilon() const {
 
 Status PrivacyBudget::Spend(double epsilon, const std::string& label) {
   // The finite check must be explicit: a NaN charge passes every comparison
-  // below (all false) and would poison spent_ for the ledger's lifetime.
+  // below (all false) and would poison spent_ for the accountant's lifetime.
   if (!std::isfinite(epsilon) || epsilon <= 0.0) {
     return Status::InvalidArgument(
         "epsilon must be finite and positive (label '" + label + "')");
@@ -50,10 +51,14 @@ Status PrivacyBudget::Spend(double epsilon, const std::string& label) {
                   epsilon, label.c_str(), spent_, total_);
     return Status::OutOfBudget(msg);
   }
-  // Clamp so drift within the tolerance cannot leave spent_ > total_ (and
-  // remaining_epsilon() reporting a negative as zero forever after).
-  spent_ = std::min(spent_ + epsilon, total_);
-  ledger_.push_back({label, epsilon});
+  // Never clamped to the total: the slack is spent once, not re-granted to
+  // every later charge below it.
+  spent_ += epsilon;
+  const auto [slot, added] = index_.try_emplace(label, totals_.size());
+  if (added) totals_.push_back({label, 0, 0.0});
+  LabelTotal& total = totals_[slot->second];
+  ++total.count;
+  total.epsilon += epsilon;
   return Status::OK();
 }
 
@@ -82,21 +87,64 @@ Status PrivacyBudget::SpendParallel(
                             "]");
 }
 
-std::vector<PrivacyBudget::LedgerEntry> PrivacyBudget::ledger() const {
+PrivacyBudget::State PrivacyBudget::state() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return ledger_;
+  return State{spent_, totals_};
+}
+
+Status PrivacyBudget::Restore(const State& state) {
+  const double slack = BudgetSlack(total_);
+  if (!std::isfinite(state.spent) || state.spent < 0.0 ||
+      state.spent > total_ + slack) {
+    return Status::InvalidArgument("saved spend " +
+                                   std::to_string(state.spent) +
+                                   " does not fit a budget of " +
+                                   std::to_string(total_));
+  }
+  std::unordered_map<std::string, size_t> index;
+  double sum = 0.0;
+  for (const LabelTotal& total : state.totals) {
+    if (total.count == 0 || !std::isfinite(total.epsilon) ||
+        total.epsilon <= 0.0) {
+      return Status::InvalidArgument("saved total for label '" + total.label +
+                                     "' is not a positive charge");
+    }
+    if (!index.emplace(total.label, index.size()).second) {
+      return Status::InvalidArgument("saved totals list label '" +
+                                     total.label + "' twice");
+    }
+    sum += total.epsilon;
+  }
+  if (std::fabs(sum - state.spent) > slack) {
+    return Status::InvalidArgument(
+        "saved per-label totals do not add up to the saved spend");
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (spent_ != 0.0 || !totals_.empty()) {
+    return Status::FailedPrecondition(
+        "only an accountant nothing was charged to can be restored");
+  }
+  spent_ = state.spent;
+  totals_ = state.totals;
+  index_ = std::move(index);
+  return Status::OK();
 }
 
 std::string PrivacyBudget::Report() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  char line[160];
+  char line[192];
   std::string out;
   std::snprintf(line, sizeof(line),
                 "privacy budget: spent %.6g / %.6g epsilon\n", spent_, total_);
   out += line;
-  for (const LedgerEntry& entry : ledger_) {
-    std::snprintf(line, sizeof(line), "  %-40s %.6g\n", entry.label.c_str(),
-                  entry.epsilon);
+  for (const LabelTotal& total : totals_) {
+    if (total.count == 1) {
+      std::snprintf(line, sizeof(line), "  %-40s %.6g\n", total.label.c_str(),
+                    total.epsilon);
+    } else {
+      std::snprintf(line, sizeof(line), "  %-40s %.6g (%" PRIu64 " charges)\n",
+                    total.label.c_str(), total.epsilon, total.count);
+    }
     out += line;
   }
   return out;

@@ -7,16 +7,23 @@
 // of a group of per-partition costs. Post-processing is free and never
 // touches the accountant.
 //
+// The accountant keeps the running sum that admission reads plus one
+// {label, count, ε} total per distinct label, so its memory is bounded by
+// its label vocabulary, not by how often it is charged. The per-charge
+// history of a served session is the audit log's (obs::AuditLog).
+//
 // The accountant is thread-safe: Spend is an atomic check-and-charge, so
 // concurrent callers (the service layer shares one accountant per dataset
 // across sessions) can never jointly overdraw the budget. Accessors take the
-// same lock; ledger() returns a snapshot.
+// same lock; state() returns a snapshot.
 
 #ifndef DPCLUSTX_DP_PRIVACY_BUDGET_H_
 #define DPCLUSTX_DP_PRIVACY_BUDGET_H_
 
+#include <cstdint>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -25,10 +32,19 @@ namespace dpclustx {
 
 class PrivacyBudget {
  public:
-  /// One charged step, for audit output.
-  struct LedgerEntry {
+  /// Every charge made under one label: how many, and their ε summed in
+  /// charge order.
+  struct LabelTotal {
     std::string label;
-    double epsilon;
+    uint64_t count = 0;
+    double epsilon = 0.0;
+  };
+
+  /// The accountant's whole state: the running sum and the per-label
+  /// totals in first-charge order. The snapshot layer saves exactly this.
+  struct State {
+    double spent = 0.0;
+    std::vector<LabelTotal> totals;
   };
 
   /// Accountant with `total_epsilon` to spend. Requires total_epsilon > 0.
@@ -40,7 +56,7 @@ class PrivacyBudget {
   double total_epsilon() const { return total_; }
   double spent_epsilon() const;
   /// Never negative: summing many small charges can overshoot `total` by a
-  /// few ulps, which is clamped away rather than reported as negative budget.
+  /// few ulps, which is reported as zero rather than as negative budget.
   double remaining_epsilon() const;
 
   /// Charges `epsilon` under sequential composition. Returns OutOfBudget
@@ -60,17 +76,26 @@ class PrivacyBudget {
   Status SpendParallel(const std::vector<double>& per_partition_epsilons,
                        const std::string& label);
 
-  /// Snapshot of the charges so far.
-  std::vector<LedgerEntry> ledger() const;
+  /// Snapshot of the running sum and the per-label totals.
+  State state() const;
 
-  /// Multi-line, human-readable spend report.
+  /// Sets an accountant nothing has been charged to from a saved state.
+  /// InvalidArgument, changing nothing, when `spent` is not finite, is
+  /// negative or exceeds the total beyond the Spend tolerance, when a label
+  /// repeats, a total has no charges or a non-finite or non-positive ε, or
+  /// the totals sum to more than that tolerance away from `spent`.
+  /// FailedPrecondition when this accountant was already charged.
+  Status Restore(const State& state);
+
+  /// Multi-line, human-readable spend report: one line per label.
   std::string Report() const;
 
  private:
   const double total_;
   mutable std::mutex mutex_;
-  double spent_ = 0.0;              // guarded by mutex_
-  std::vector<LedgerEntry> ledger_;  // guarded by mutex_
+  double spent_ = 0.0;                // guarded by mutex_
+  std::vector<LabelTotal> totals_;    // guarded by mutex_
+  std::unordered_map<std::string, size_t> index_;  // label -> totals_ slot
 };
 
 }  // namespace dpclustx

@@ -289,9 +289,11 @@ class ServiceEngine {
 
   /// Saves the full hot state (datasets, session ledgers, release cache,
   /// audit cursor + totals + tail) to `path` atomically. Takes the session
-  /// managers' spend gate exclusively, so the saved ledgers, caps, audit
-  /// totals, and cursor are one coherent instant — a charge is either
-  /// entirely inside the snapshot or entirely after its cursor.
+  /// managers' spend gate exclusively while it harvests, so the saved
+  /// ledgers, caps, audit totals, and cursor are one coherent instant — a
+  /// charge is either entirely inside the snapshot or entirely after its
+  /// cursor; charges resume while the image is encoded and written. Saves
+  /// run one at a time, so they write and rename in harvest order.
   /// FailedPrecondition when a session is bound to a replaced (detached)
   /// dataset entry: its cap accounting lives on an entry the snapshot
   /// cannot name, and a wrong restore is worse than a refused save.
@@ -383,7 +385,9 @@ class ServiceEngine {
   /// Harvests the full hot state. Caller must hold the spend gate
   /// exclusively (SaveSnapshotToFile does).
   StatusOr<snapshot::ServiceSnapshot> HarvestSnapshot();
-  /// Applies a decoded snapshot to this (empty) engine.
+  /// Applies a decoded snapshot to this (empty) engine: every dataset and
+  /// session is rebuilt and checked first, and nothing is registered
+  /// unless all of them are.
   Status ApplySnapshot(const snapshot::ServiceSnapshot& state,
                        RestoreReport* report);
   /// Replays journal records with seq >= `cursor` (see RestoreFromFiles).
@@ -453,6 +457,7 @@ class ServiceEngine {
   std::vector<uint64_t> callback_ids_;  // removed from *metrics_ in dtor
   std::atomic<uint64_t> noise_sequence_{0};
   obs::TraceRing traces_;  // finished request traces (`trace` op)
+  std::mutex snapshot_save_mutex_;  // one SaveSnapshotToFile at a time
   std::mutex inflight_mutex_;
   std::map<std::string, std::shared_ptr<InflightSlot>>
       inflight_;         // guarded by inflight_mutex_

@@ -4,6 +4,8 @@
 #include "service/service_engine.h"
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <shared_mutex>
 
 #include "core/serialization.h"
@@ -34,13 +36,20 @@ Status ServiceEngine::EnableAuditJournal(const std::string& path) {
 }
 
 Status ServiceEngine::SaveSnapshotToFile(const std::string& path) {
-  // Exclusive gate: every in-flight Spend holds it shared across its whole
-  // ledger+cap+audit transaction, so once acquired, every charge is either
-  // fully in the harvested state or fully after its audit cursor.
   DPX_SPAN("snapshot_save");
-  std::unique_lock<std::shared_mutex> gate(sessions_.spend_gate());
-  DPX_ASSIGN_OR_RETURN(const snapshot::ServiceSnapshot state,
-                       HarvestSnapshot());
+  // One save at a time (the periodic save and the save_snapshot op share
+  // the .tmp file), taken before the gate so a waiting save holds no
+  // charge up.
+  std::lock_guard<std::mutex> saving(snapshot_save_mutex_);
+  snapshot::ServiceSnapshot state;
+  {
+    // Exclusive gate: every in-flight Spend holds it shared across its
+    // whole ledger+cap+audit transaction, so once acquired, every charge is
+    // either fully in the harvested state or fully after its audit cursor.
+    // Encoding and writing the image need no gate.
+    std::unique_lock<std::shared_mutex> gate(sessions_.spend_gate());
+    DPX_ASSIGN_OR_RETURN(state, HarvestSnapshot());
+  }
   DPX_RETURN_IF_ERROR(snapshot::SaveSnapshotFile(path, state));
   snapshot_saves_->Increment();
   return Status::OK();
@@ -76,9 +85,7 @@ StatusOr<snapshot::ServiceSnapshot> ServiceEngine::HarvestSnapshot() {
     entry->SnapshotState(&dataset, &views, &ds.epoch);
     ds.width_policy = static_cast<uint8_t>(dataset->width_policy());
     ds.cap_epsilon = entry->cap_epsilon();
-    if (const PrivacyBudget* cap = entry->cap()) {
-      ds.cap_ledger = cap->ledger();
-    }
+    if (const PrivacyBudget* cap = entry->cap()) ds.cap = cap->state();
     ds.schema_json = SchemaToJson(dataset->schema());
     if (dataset->is_mapped()) {
       // By reference: the DPXCOL file is the durable copy of the bytes.
@@ -117,13 +124,12 @@ StatusOr<snapshot::ServiceSnapshot> ServiceEngine::HarvestSnapshot() {
     ss.dataset_name = session->dataset()->name();
     ss.dataset_uid = session->dataset()->uid();
     ss.total_epsilon = session->budget().total_epsilon();
-    ss.spent = session->budget().spent_epsilon();
+    ss.budget = session->budget().state();
     // Exact comparison on purpose: recovery re-asserts the equality only
     // where it held at save (a closed session reusing the tenant id breaks
     // it legitimately — its charges stay in the audit totals).
     ss.audit_matches_ledger =
-        audit_.TenantTotals(session->id()).epsilon_charged == ss.spent;
-    ss.ledger = session->budget().ledger();
+        audit_.TenantTotals(session->id()).epsilon_charged == ss.budget.spent;
     state.sessions.push_back(std::move(ss));
   }
 
@@ -138,6 +144,9 @@ StatusOr<snapshot::ServiceSnapshot> ServiceEngine::HarvestSnapshot() {
 
 Status ServiceEngine::ApplySnapshot(const snapshot::ServiceSnapshot& state,
                                     RestoreReport* report) {
+  // Every dataset and session is rebuilt and checked before anything is
+  // registered: a snapshot refused anywhere leaves the engine empty.
+  std::map<std::string, std::shared_ptr<DatasetEntry>> entries;
   uint64_t max_uid = 0;
   for (const snapshot::DatasetState& ds : state.datasets) {
     DPX_ASSIGN_OR_RETURN(Schema schema, SchemaFromJson(ds.schema_json));
@@ -202,18 +211,17 @@ Status ServiceEngine::ApplySnapshot(const snapshot::ServiceSnapshot& state,
         ds.name, ds.source, std::move(*dataset), ds.cap_epsilon, ds.uid);
     // Pinned like the uid: cached release keys embed (uid, epoch).
     entry->PinEpoch(ds.epoch);
-    if (entry->cap() == nullptr && !ds.cap_ledger.empty()) {
+    if (entry->cap() != nullptr) {
+      // The saved spent bits are the total itself: no replay, no drift.
+      const Status restored = entry->cap()->Restore(ds.cap);
+      if (!restored.ok()) {
+        return Status::IoError("snapshot cap ledger for dataset '" + ds.name +
+                               "' does not fit its cap: " +
+                               restored.message());
+      }
+    } else if (ds.cap.spent != 0.0 || !ds.cap.totals.empty()) {
       return Status::IoError("snapshot dataset '" + ds.name +
                              "' has cap charges but no cap");
-    }
-    for (const PrivacyBudget::LedgerEntry& charge : ds.cap_ledger) {
-      // Replaying the saved entries in order rebuilds the cap's spent total
-      // through the same floating-point additions — bit-for-bit.
-      const Status spent = entry->cap()->Spend(charge.epsilon, charge.label);
-      if (!spent.ok()) {
-        return Status::IoError("snapshot cap ledger for dataset '" + ds.name +
-                               "' does not fit its cap: " + spent.message());
-      }
     }
     for (const snapshot::ClusteringState& cl : ds.clusterings) {
       auto view = std::make_shared<ClusteringView>();
@@ -232,37 +240,54 @@ Status ServiceEngine::ApplySnapshot(const snapshot::ServiceSnapshot& state,
       DPX_RETURN_IF_ERROR(entry->PutClustering(std::move(view)).status());
     }
     if (ds.uid > max_uid) max_uid = ds.uid;
+    if (!entries.emplace(ds.name, std::move(entry)).second) {
+      return Status::IoError("snapshot lists dataset '" + ds.name +
+                             "' twice");
+    }
+  }
+
+  std::vector<std::shared_ptr<ServiceSession>> sessions;
+  std::set<std::string> session_ids;
+  for (const snapshot::SessionState& ss : state.sessions) {
+    const auto entry = entries.find(ss.dataset_name);
+    if (entry == entries.end()) {
+      return Status::IoError("snapshot session '" + ss.id +
+                             "' names dataset '" + ss.dataset_name +
+                             "', which the snapshot does not hold");
+    }
+    if (entry->second->uid() != ss.dataset_uid) {
+      return Status::IoError(
+          "snapshot session '" + ss.id + "' names dataset uid " +
+          std::to_string(ss.dataset_uid) + " but the restored dataset '" +
+          ss.dataset_name + "' has uid " +
+          std::to_string(entry->second->uid()));
+    }
+    if (ss.id.empty() || !(ss.total_epsilon > 0.0) ||
+        !session_ids.insert(ss.id).second) {
+      return Status::IoError("snapshot session '" + ss.id +
+                             "' has an empty or repeated id or a "
+                             "non-positive budget");
+    }
+    auto session = std::make_shared<ServiceSession>(ss.id, entry->second,
+                                                    ss.total_epsilon);
+    const Status restored = session->RestoreBudget(ss.budget);
+    if (!restored.ok()) {
+      return Status::IoError("snapshot ledger for session '" + ss.id +
+                             "' does not fit its budget: " +
+                             restored.message());
+    }
+    sessions.push_back(std::move(session));
+  }
+
+  for (auto& [name, entry] : entries) {
     DPX_RETURN_IF_ERROR(registry_.RestoreEntry(std::move(entry)));
     ++report->datasets;
   }
   // Uids minted after the restore must not collide with pinned ones (release
   // cache keys embed them).
   if (max_uid > 0) DatasetEntry::BumpUidFloor(max_uid + 1);
-
-  for (const snapshot::SessionState& ss : state.sessions) {
-    DPX_ASSIGN_OR_RETURN(const std::shared_ptr<DatasetEntry> entry,
-                         registry_.Get(ss.dataset_name));
-    if (entry->uid() != ss.dataset_uid) {
-      return Status::IoError(
-          "snapshot session '" + ss.id + "' names dataset uid " +
-          std::to_string(ss.dataset_uid) + " but the restored dataset '" +
-          ss.dataset_name + "' has uid " + std::to_string(entry->uid()));
-    }
-    DPX_ASSIGN_OR_RETURN(const std::shared_ptr<ServiceSession> session,
-                         sessions_.Create(ss.id, entry, ss.total_epsilon));
-    for (const PrivacyBudget::LedgerEntry& charge : ss.ledger) {
-      const Status charged =
-          session->RestoreCharge(charge.epsilon, charge.label);
-      if (!charged.ok()) {
-        return Status::IoError("snapshot ledger for session '" + ss.id +
-                               "' does not fit its budget: " +
-                               charged.message());
-      }
-    }
-    if (session->budget().spent_epsilon() != ss.spent) {
-      return Status::IoError("restored ledger for session '" + ss.id +
-                             "' does not reproduce its saved spent total");
-    }
+  for (std::shared_ptr<ServiceSession>& session : sessions) {
+    DPX_RETURN_IF_ERROR(sessions_.Add(std::move(session)));
     ++report->sessions;
   }
 

@@ -127,18 +127,21 @@ StatusOr<JsonValue> ServiceEngine::OpBudget(const JsonValue& request,
   DPX_ASSIGN_OR_RETURN(const std::shared_ptr<ServiceSession> session,
                        SessionOf(request));
   const PrivacyBudget& budget = session->budget();
+  // One row per charge label; the per-charge history is the audit op's.
+  const PrivacyBudget::State state = budget.state();
   JsonValue ledger = JsonValue::Array();
-  for (const PrivacyBudget::LedgerEntry& entry : budget.ledger()) {
+  for (const PrivacyBudget::LabelTotal& total : state.totals) {
     JsonValue row = JsonValue::Object();
-    row.Set("label", JsonValue::String(entry.label));
-    row.Set("epsilon", JsonValue::Number(entry.epsilon));
+    row.Set("label", JsonValue::String(total.label));
+    row.Set("count", JsonValue::Number(static_cast<double>(total.count)));
+    row.Set("epsilon", JsonValue::Number(total.epsilon));
     ledger.Append(std::move(row));
   }
   JsonValue body = JsonValue::Object();
   body.Set("session", JsonValue::String(session->id()));
   body.Set("dataset", JsonValue::String(session->dataset()->name()));
   body.Set("total", JsonValue::Number(budget.total_epsilon()));
-  body.Set("spent", JsonValue::Number(budget.spent_epsilon()));
+  body.Set("spent", JsonValue::Number(state.spent));
   body.Set("remaining", JsonValue::Number(budget.remaining_epsilon()));
   body.Set("ledger", std::move(ledger));
   if (const PrivacyBudget* cap = session->dataset()->cap()) {

@@ -74,11 +74,15 @@ Status ServiceSession::RestoreCharge(double epsilon,
         "')");
   }
   std::lock_guard<std::mutex> lock(spend_mutex_);
-  // Same code path as the original charge (budget_.Spend appends the entry
-  // and adds to the running total), so an in-order replay reproduces the
-  // exact floating-point sum. No cap charge, no audit record: both already
-  // exist in their own saved state.
+  // Same code path as the original charge (budget_.Spend adds to the
+  // running total and the label's row), so an in-order replay reproduces
+  // the exact floating-point sum. No cap charge, no audit record.
   return budget_.Spend(epsilon, label);
+}
+
+Status ServiceSession::RestoreBudget(const PrivacyBudget::State& state) {
+  std::lock_guard<std::mutex> lock(spend_mutex_);
+  return budget_.Restore(state);
 }
 
 StatusOr<std::shared_ptr<ServiceSession>> SessionManager::Create(
@@ -90,20 +94,25 @@ StatusOr<std::shared_ptr<ServiceSession>> SessionManager::Create(
   if (dataset == nullptr) {
     return Status::InvalidArgument("session needs a dataset");
   }
-  if (total_epsilon <= 0.0) {
+  if (!(total_epsilon > 0.0)) {  // NaN too: PrivacyBudget requires > 0
     return Status::InvalidArgument("session budget must be positive");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (sessions_.count(id) != 0) {
-    return Status::FailedPrecondition("session '" + id +
-                                      "' already exists");
   }
   auto session =
       std::make_shared<ServiceSession>(id, std::move(dataset), total_epsilon);
+  DPX_RETURN_IF_ERROR(Add(session));
+  return session;
+}
+
+Status SessionManager::Add(std::shared_ptr<ServiceSession> session) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (sessions_.count(session->id()) != 0) {
+    return Status::FailedPrecondition("session '" + session->id() +
+                                      "' already exists");
+  }
   session->set_audit_log(audit_log_);
   session->set_spend_gate(&spend_gate_);
-  sessions_.emplace(id, session);
-  return session;
+  sessions_.emplace(session->id(), std::move(session));
+  return Status::OK();
 }
 
 StatusOr<std::shared_ptr<ServiceSession>> SessionManager::Get(

@@ -68,13 +68,17 @@ class ServiceSession {
   /// drive a bare session).
   void set_spend_gate(std::shared_mutex* gate) { spend_gate_ = gate; }
 
-  /// Re-applies one saved ledger entry to the session ledger ONLY — no
-  /// dataset-cap charge (the cap's own saved ledger already holds it) and
-  /// no audit record (the charge is already journaled/snapshotted). Entries
-  /// replayed in saved order rebuild the spent total through the same
-  /// floating-point additions, so the result is bit-for-bit the pre-crash
-  /// ledger. OutOfBudget here means the snapshot is inconsistent.
+  /// Re-applies one journaled charge to the session ledger ONLY — no
+  /// dataset-cap charge (journal replay charges the cap itself) and no
+  /// audit record (the charge is already journaled). Charges replayed in
+  /// journal order rebuild the spent total through the same floating-point
+  /// additions, so the result is bit-for-bit the pre-crash ledger.
+  /// OutOfBudget here means the journal and snapshot are inconsistent.
   Status RestoreCharge(double epsilon, const std::string& label);
+
+  /// Sets a session nothing was charged to from its saved accountant
+  /// (PrivacyBudget::Restore).
+  Status RestoreBudget(const PrivacyBudget::State& state);
 
  private:
   const std::string id_;
@@ -93,6 +97,11 @@ class SessionManager {
   StatusOr<std::shared_ptr<ServiceSession>> Create(
       const std::string& id, std::shared_ptr<DatasetEntry> dataset,
       double total_epsilon);
+
+  /// Registers a session built elsewhere (snapshot restore) with the same
+  /// audit log and spend gate Create gives. FailedPrecondition when its id
+  /// is taken.
+  Status Add(std::shared_ptr<ServiceSession> session);
 
   StatusOr<std::shared_ptr<ServiceSession>> Get(const std::string& id) const;
 

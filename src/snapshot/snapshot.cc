@@ -1,32 +1,70 @@
 #include "snapshot/snapshot.h"
 
+#include <algorithm>
+#include <unordered_map>
+
 #include "common/file_util.h"
 
 namespace dpclustx::snapshot {
 
 namespace {
 
+// Counts come from the file, so no decoder reserves for one unchecked: a
+// list grows as its elements are read (each reads at least one byte, so a
+// corrupted count ends at the payload's end), and the one list worth
+// reserving, a clustering's labels, is bounded by the bytes left first.
+
+Status ExpectEnd(const ByteReader& r, const char* section) {
+  if (r.AtEnd()) return Status::OK();
+  return Status::IoError("snapshot " + std::string(section) + " section has " +
+                         std::to_string(r.remaining()) +
+                         " bytes left over (layout does not match its "
+                         "format version)");
+}
+
 // ---- encode helpers -------------------------------------------------------
 
-void PutLedger(ByteWriter& w, const std::vector<PrivacyBudget::LedgerEntry>& ledger) {
-  w.PutU64(ledger.size());
-  for (const PrivacyBudget::LedgerEntry& entry : ledger) {
-    w.PutString(entry.label);
-    w.PutDouble(entry.epsilon);
+void PutBudget(ByteWriter& w, const PrivacyBudget::State& budget) {
+  w.PutDouble(budget.spent);
+  w.PutU64(budget.totals.size());
+  for (const PrivacyBudget::LabelTotal& total : budget.totals) {
+    w.PutString(total.label);
+    w.PutU64(total.count);
+    w.PutDouble(total.epsilon);
   }
 }
 
-StatusOr<std::vector<PrivacyBudget::LedgerEntry>> GetLedger(ByteReader& r) {
+StatusOr<PrivacyBudget::State> GetBudget(ByteReader& r) {
+  PrivacyBudget::State budget;
+  DPX_ASSIGN_OR_RETURN(budget.spent, r.GetDouble());
   DPX_ASSIGN_OR_RETURN(const uint64_t count, r.GetU64());
-  std::vector<PrivacyBudget::LedgerEntry> ledger;
-  ledger.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    PrivacyBudget::LedgerEntry entry;
-    DPX_ASSIGN_OR_RETURN(entry.label, r.GetString());
-    DPX_ASSIGN_OR_RETURN(entry.epsilon, r.GetDouble());
-    ledger.push_back(std::move(entry));
+    PrivacyBudget::LabelTotal total;
+    DPX_ASSIGN_OR_RETURN(total.label, r.GetString());
+    DPX_ASSIGN_OR_RETURN(total.count, r.GetU64());
+    DPX_ASSIGN_OR_RETURN(total.epsilon, r.GetDouble());
+    budget.totals.push_back(std::move(total));
   }
-  return ledger;
+  return budget;
+}
+
+/// Formats 1 and 2 stored every charge. Folding them in order gives the
+/// spent total those versions rebuilt by replaying each charge (a running
+/// sum clamped at `total`), bit-for-bit, and the per-label rows.
+StatusOr<PrivacyBudget::State> GetChargeList(ByteReader& r, double total) {
+  DPX_ASSIGN_OR_RETURN(const uint64_t count, r.GetU64());
+  PrivacyBudget::State budget;
+  std::unordered_map<std::string, size_t> index;
+  for (uint64_t i = 0; i < count; ++i) {
+    DPX_ASSIGN_OR_RETURN(std::string label, r.GetString());
+    DPX_ASSIGN_OR_RETURN(const double epsilon, r.GetDouble());
+    budget.spent = std::min(budget.spent + epsilon, total);
+    const auto [slot, added] = index.try_emplace(label, budget.totals.size());
+    if (added) budget.totals.push_back({std::move(label), 0, 0.0});
+    ++budget.totals[slot->second].count;
+    budget.totals[slot->second].epsilon += epsilon;
+  }
+  return budget;
 }
 
 void PutTotals(ByteWriter& w, const std::string& tenant,
@@ -68,7 +106,7 @@ std::string EncodeDatasets(const ServiceSnapshot& state) {
     w.PutU64(ds.epoch);  // v2
     w.PutU8(ds.width_policy);
     w.PutDouble(ds.cap_epsilon);
-    PutLedger(w, ds.cap_ledger);
+    PutBudget(w, ds.cap);  // v3; v1/v2 listed every charge
     w.PutString(ds.schema_json);
     // v2: by-reference DPXCOL source (empty path = inline columns below).
     w.PutString(ds.columnar_path);
@@ -98,7 +136,6 @@ StatusOr<std::vector<DatasetState>> DecodeDatasets(const std::string& payload,
   ByteReader r(payload);
   DPX_ASSIGN_OR_RETURN(const uint64_t count, r.GetU64());
   std::vector<DatasetState> datasets;
-  datasets.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     DatasetState ds;
     DPX_ASSIGN_OR_RETURN(ds.name, r.GetString());
@@ -109,7 +146,11 @@ StatusOr<std::vector<DatasetState>> DecodeDatasets(const std::string& payload,
     }
     DPX_ASSIGN_OR_RETURN(ds.width_policy, r.GetU8());
     DPX_ASSIGN_OR_RETURN(ds.cap_epsilon, r.GetDouble());
-    DPX_ASSIGN_OR_RETURN(ds.cap_ledger, GetLedger(r));
+    if (version >= 3) {
+      DPX_ASSIGN_OR_RETURN(ds.cap, GetBudget(r));
+    } else {
+      DPX_ASSIGN_OR_RETURN(ds.cap, GetChargeList(r, ds.cap_epsilon));
+    }
     DPX_ASSIGN_OR_RETURN(ds.schema_json, r.GetString());
     if (version >= 2) {
       DPX_ASSIGN_OR_RETURN(ds.columnar_path, r.GetString());
@@ -117,7 +158,6 @@ StatusOr<std::vector<DatasetState>> DecodeDatasets(const std::string& payload,
       DPX_ASSIGN_OR_RETURN(ds.columnar_rows, r.GetU64());
     }
     DPX_ASSIGN_OR_RETURN(const uint64_t num_columns, r.GetU64());
-    ds.columns.reserve(num_columns);
     for (uint64_t c = 0; c < num_columns; ++c) {
       ColumnState col;
       DPX_ASSIGN_OR_RETURN(col.width_tag, r.GetU8());
@@ -126,14 +166,14 @@ StatusOr<std::vector<DatasetState>> DecodeDatasets(const std::string& payload,
       ds.columns.push_back(std::move(col));
     }
     DPX_ASSIGN_OR_RETURN(const uint64_t num_clusterings, r.GetU64());
-    ds.clusterings.reserve(num_clusterings);
     for (uint64_t c = 0; c < num_clusterings; ++c) {
       ClusteringState cl;
       DPX_ASSIGN_OR_RETURN(cl.id, r.GetString());
       DPX_ASSIGN_OR_RETURN(cl.description, r.GetString());
       DPX_ASSIGN_OR_RETURN(cl.fingerprint, r.GetString());
       DPX_ASSIGN_OR_RETURN(cl.num_clusters, r.GetU64());
-      DPX_ASSIGN_OR_RETURN(const uint64_t num_labels, r.GetU64());
+      DPX_ASSIGN_OR_RETURN(const uint64_t num_labels,
+                           r.GetCount(sizeof(uint32_t)));
       cl.labels.reserve(num_labels);
       for (uint64_t l = 0; l < num_labels; ++l) {
         DPX_ASSIGN_OR_RETURN(const uint32_t label, r.GetU32());
@@ -143,6 +183,7 @@ StatusOr<std::vector<DatasetState>> DecodeDatasets(const std::string& payload,
     }
     datasets.push_back(std::move(ds));
   }
+  DPX_RETURN_IF_ERROR(ExpectEnd(r, "datasets"));
   return datasets;
 }
 
@@ -154,31 +195,42 @@ std::string EncodeSessions(const ServiceSnapshot& state) {
     w.PutString(session.dataset_name);
     w.PutU64(session.dataset_uid);
     w.PutDouble(session.total_epsilon);
-    w.PutDouble(session.spent);
     w.PutU8(session.audit_matches_ledger ? 1 : 0);
-    PutLedger(w, session.ledger);
+    PutBudget(w, session.budget);  // v3; v1/v2: spent, flag, every charge
   }
   return w.Take();
 }
 
-StatusOr<std::vector<SessionState>> DecodeSessions(
-    const std::string& payload) {
+StatusOr<std::vector<SessionState>> DecodeSessions(const std::string& payload,
+                                                   uint32_t version) {
   ByteReader r(payload);
   DPX_ASSIGN_OR_RETURN(const uint64_t count, r.GetU64());
   std::vector<SessionState> sessions;
-  sessions.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     SessionState session;
     DPX_ASSIGN_OR_RETURN(session.id, r.GetString());
     DPX_ASSIGN_OR_RETURN(session.dataset_name, r.GetString());
     DPX_ASSIGN_OR_RETURN(session.dataset_uid, r.GetU64());
     DPX_ASSIGN_OR_RETURN(session.total_epsilon, r.GetDouble());
-    DPX_ASSIGN_OR_RETURN(session.spent, r.GetDouble());
+    double saved_spent = 0.0;
+    if (version < 3) {
+      DPX_ASSIGN_OR_RETURN(saved_spent, r.GetDouble());
+    }
     DPX_ASSIGN_OR_RETURN(const uint8_t matches, r.GetU8());
     session.audit_matches_ledger = matches != 0;
-    DPX_ASSIGN_OR_RETURN(session.ledger, GetLedger(r));
+    if (version >= 3) {
+      DPX_ASSIGN_OR_RETURN(session.budget, GetBudget(r));
+    } else {
+      DPX_ASSIGN_OR_RETURN(session.budget,
+                           GetChargeList(r, session.total_epsilon));
+      if (session.budget.spent != saved_spent) {
+        return Status::IoError("snapshot ledger for session '" + session.id +
+                               "' does not reproduce its saved spent total");
+      }
+    }
     sessions.push_back(std::move(session));
   }
+  DPX_RETURN_IF_ERROR(ExpectEnd(r, "sessions"));
   return sessions;
 }
 
@@ -197,13 +249,13 @@ StatusOr<std::vector<CacheEntryState>> DecodeCache(
   ByteReader r(payload);
   DPX_ASSIGN_OR_RETURN(const uint64_t count, r.GetU64());
   std::vector<CacheEntryState> cache;
-  cache.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     CacheEntryState entry;
     DPX_ASSIGN_OR_RETURN(entry.key, r.GetString());
     DPX_ASSIGN_OR_RETURN(entry.payload, r.GetString());
     cache.push_back(std::move(entry));
   }
+  DPX_RETURN_IF_ERROR(ExpectEnd(r, "cache"));
   return cache;
 }
 
@@ -247,7 +299,6 @@ StatusOr<obs::AuditLog::State> DecodeAudit(const std::string& payload) {
     }
   }
   DPX_ASSIGN_OR_RETURN(const uint64_t num_records, r.GetU64());
-  audit.tail.reserve(num_records);
   for (uint64_t i = 0; i < num_records; ++i) {
     obs::AuditRecord record;
     DPX_ASSIGN_OR_RETURN(record.seq, r.GetU64());
@@ -260,6 +311,7 @@ StatusOr<obs::AuditLog::State> DecodeAudit(const std::string& payload) {
     DPX_ASSIGN_OR_RETURN(record.reason, r.GetString());
     audit.tail.push_back(std::move(record));
   }
+  DPX_RETURN_IF_ERROR(ExpectEnd(r, "audit"));
   return audit;
 }
 
@@ -295,7 +347,7 @@ StatusOr<ServiceSnapshot> DecodeServiceSnapshot(const std::string& bytes) {
       }
       case SectionId::kSessions: {
         DPX_ASSIGN_OR_RETURN(state.sessions,
-                             DecodeSessions(section.payload));
+                             DecodeSessions(section.payload, version));
         saw_sessions = true;
         break;
       }

@@ -3,11 +3,12 @@
 // ServiceSnapshot is a plain-data image of everything a dpclustx_serve
 // worker must not lose across a crash or restart: every registered dataset
 // (schema, column bytes or a DPXCOL file reference, pinned uid and epoch,
-// ε cap and its ledger, clustering labels — the StatsCache is rebuilt on
-// load, bitwise-identical), every open session's ledger in charge order (so
-// spend totals rebuild bit-for-bit), the release cache in LRU order, and
-// the audit log's own state (obs::AuditLog::State). The audit cursor is the
-// replay anchor: recovery loads the snapshot, then replays the audit
+// ε cap and its accountant, clustering labels — the StatsCache is rebuilt
+// on load, bitwise-identical), every open session's accountant (the spent
+// total's exact bits plus one row per charge label, PrivacyBudget::State),
+// the release cache in LRU order, and the audit log's own state
+// (obs::AuditLog::State), which is the per-charge record. The audit cursor
+// is the replay anchor: recovery loads the snapshot, then replays the audit
 // journal strictly after it, so every ε charge lands exactly once.
 //
 // This layer sits below src/service: it holds the state structs and the
@@ -66,7 +67,7 @@ struct DatasetState {
   uint64_t epoch = 0;
   uint8_t width_policy = 0;  // WidthPolicy as u8
   double cap_epsilon = 0.0;  // <= 0 = uncapped
-  std::vector<PrivacyBudget::LedgerEntry> cap_ledger;
+  PrivacyBudget::State cap;  // empty when uncapped
   std::string schema_json;  // serialization::SchemaToJson payload
   /// Non-empty = by-reference DPXCOL dataset (format v2+): `columns` is
   /// empty and the data lives in this file.
@@ -77,21 +78,20 @@ struct DatasetState {
   std::vector<ClusteringState> clusterings;
 };
 
-/// One open session's ledger. `spent` is the ledger total at save time;
-/// after replaying `ledger` into a fresh budget the rebuilt total must
-/// equal it bit-for-bit (checked on load — a mismatch means corruption).
+/// One open session's accountant. `budget.spent` is saved as its exact
+/// bits, so the restored total is the saved one bit-for-bit; the per-label
+/// rows must add up to it (checked on load — a mismatch means corruption).
 struct SessionState {
   std::string id;
   std::string dataset_name;
   uint64_t dataset_uid = 0;
   double total_epsilon = 0.0;
-  double spent = 0.0;
   /// True when, at save time, the audit log's per-tenant granted total
-  /// equaled this ledger's spent total exactly (the PR 5 invariant; false
-  /// only when a closed session's records share the tenant id). Recovery
-  /// re-asserts the equality after replay only when it held at save.
+  /// equaled this session's spent total exactly (false only when a closed
+  /// session's records share the tenant id). Recovery re-asserts the
+  /// equality after replay only when it held at save.
   bool audit_matches_ledger = true;
-  std::vector<PrivacyBudget::LedgerEntry> ledger;
+  PrivacyBudget::State budget;
 };
 
 /// One release-cache entry. Entries are saved least- to most-recently used
@@ -105,7 +105,8 @@ struct CacheEntryState {
 struct ServiceSnapshot {
   /// The format version this state was decoded from (kSnapshotFormatVersion
   /// when built fresh for encoding). Older-version files load with the new
-  /// fields at their defaults (epoch 0, no columnar reference).
+  /// fields at their defaults (epoch 0, no columnar reference), and their
+  /// per-charge ledgers folded in charge order into per-label rows.
   uint32_t format_version = kSnapshotFormatVersion;
   std::vector<DatasetState> datasets;
   std::vector<SessionState> sessions;
@@ -120,7 +121,8 @@ struct ServiceSnapshot {
 std::string EncodeServiceSnapshot(const ServiceSnapshot& state);
 
 /// Decodes and verifies a snapshot file image. IoError on corruption,
-/// truncation or a tenant listed twice in the audit totals,
+/// truncation, a count larger than the bytes left, payload bytes left over
+/// after a section, or a tenant listed twice in the audit totals,
 /// FailedPrecondition on an unsupported (newer) format version.
 StatusOr<ServiceSnapshot> DecodeServiceSnapshot(const std::string& bytes);
 

@@ -96,6 +96,17 @@ StatusOr<std::string> ByteReader::GetBytes(size_t size) {
   return value;
 }
 
+StatusOr<uint64_t> ByteReader::GetCount(size_t min_item_bytes) {
+  DPX_ASSIGN_OR_RETURN(const uint64_t count, GetU64());
+  if (count > remaining() / min_item_bytes) {
+    return Status::IoError("snapshot count " + std::to_string(count) +
+                           " at offset " + std::to_string(pos_ - 8) +
+                           " exceeds the " + std::to_string(remaining()) +
+                           " bytes left");
+  }
+  return count;
+}
+
 SectionWriter::SectionWriter(uint32_t version) {
   file_.append(kSnapshotMagic, sizeof(kSnapshotMagic));
   ByteWriter header;

@@ -21,7 +21,10 @@
 // than a refused restore. Unknown section ids within a supported version
 // are skipped (they are CRC-framed, so skipping is safe), which is what
 // lets a *newer* writer stay loadable by an older reader when it only
-// appends sections.
+// appends sections. No checksum covers the version word itself: a changed
+// version makes the decoders read a body under another version's layout,
+// so they bound every count by the bytes left and refuse a section with
+// bytes left over.
 //
 // ByteWriter/ByteReader are the primitive layer; SectionWriter/SectionReader
 // add the framing. ByteReader is hard against truncated and hostile input:
@@ -49,7 +52,9 @@ inline constexpr char kSnapshotMagic[8] = {'D', 'P', 'X', 'S',
 ///   1  initial layout (PR 6)
 ///   2  DatasetState gains epoch + an optional by-reference DPXCOL source
 ///      (path, file uid, row count) instead of inline column bytes
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+///   3  each accountant (dataset cap, session) is its spent bits plus one
+///      {label, count, ε} row per label, not a list of every charge
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// Section identifiers. Values are part of the on-disk format — append new
 /// ones, never renumber.
@@ -96,6 +101,10 @@ class ByteReader {
   StatusOr<std::string> GetString();
   /// Exactly `size` raw bytes (no length prefix).
   StatusOr<std::string> GetBytes(size_t size);
+  /// A u64 element count, refused (IoError) when `count` elements of at
+  /// least `min_item_bytes` each cannot fit in the bytes left — so a
+  /// corrupted count never reaches a reserve().
+  StatusOr<uint64_t> GetCount(size_t min_item_bytes);
 
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }

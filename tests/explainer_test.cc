@@ -139,7 +139,7 @@ TEST(ExplainerTest, ChargesBudgetLedger) {
                                         options, &budget)
                   .ok());
   EXPECT_NEAR(budget.spent_epsilon(), 0.6, 1e-12);
-  EXPECT_EQ(budget.ledger().size(), 3u);
+  EXPECT_EQ(budget.state().totals.size(), 3u);
 }
 
 TEST(ExplainerTest, BudgetShortfallFailsBeforeRelease) {
@@ -430,7 +430,7 @@ TEST(ExplainerTest, RefusedShapesChargeNothing) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 
   EXPECT_EQ(budget.spent_epsilon(), 0.0);
-  EXPECT_TRUE(budget.ledger().empty());
+  EXPECT_TRUE(budget.state().totals.empty());
 }
 
 TEST(ExplainerTest, MultithreadedOptionProducesValidExplanation) {

@@ -49,7 +49,7 @@ TEST(IntegrationTest, FullPrivatePipelineUnderOneBudget) {
 
   // ε_clust + ε_exp = 1.0 + 0.3.
   EXPECT_NEAR(budget.spent_epsilon(), 1.3, 1e-9);
-  EXPECT_EQ(budget.ledger().size(), 4u);
+  EXPECT_EQ(budget.state().totals.size(), 4u);
   EXPECT_NEAR(budget.remaining_epsilon(), 0.2, 1e-9);
 
   // A second full explanation must not fit in the remaining 0.2.

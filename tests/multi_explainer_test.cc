@@ -142,7 +142,7 @@ TEST(MultiExplainerTest, RefusalsChargeNothing) {
             std::string::npos)
       << refused.status();
   EXPECT_EQ(budget.spent_epsilon(), 0.0);
-  EXPECT_TRUE(budget.ledger().empty());
+  EXPECT_TRUE(budget.state().totals.empty());
 }
 
 // Σ unary + Σ pair of the choice indices `choice`.

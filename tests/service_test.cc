@@ -102,7 +102,8 @@ TEST(ServiceTest, ExplainProtocolRoundTrip) {
       Call(engine, R"({"op":"budget","session":"alice"})");
   ExpectOk(budget);
   EXPECT_NEAR(budget.at("spent").AsNumber(), 0.3, 1e-12);
-  EXPECT_EQ(budget.at("ledger").size(), 1u);
+  ASSERT_EQ(budget.at("ledger").size(), 1u);
+  EXPECT_EQ(budget.at("ledger").at(0).at("count").AsNumber(), 1.0);
 }
 
 TEST(ServiceTest, CacheHitIsByteIdenticalAndFree) {
@@ -389,7 +390,13 @@ TEST(ServiceTest, ConcurrentMixedLoadIsRaceFreeAndBudgetExact) {
   const JsonValue budget =
       Call(engine, R"({"op":"budget","session":"alice"})");
   EXPECT_NEAR(budget.at("spent").AsNumber(), 0.5 * kRequests, 1e-9);
-  EXPECT_EQ(budget.at("ledger").size(), static_cast<size_t>(kRequests));
+  // Every charge carried the label "size c=0": one row counts them all.
+  ASSERT_EQ(budget.at("ledger").size(), 1u);
+  EXPECT_EQ(budget.at("ledger").at(0).at("label").AsString(), "size c=0");
+  EXPECT_EQ(budget.at("ledger").at(0).at("count").AsNumber(),
+            static_cast<double>(kRequests));
+  EXPECT_EQ(budget.at("ledger").at(0).at("epsilon").AsNumber(),
+            budget.at("spent").AsNumber());
 }
 
 TEST(ServiceTest, SeedsAreRejectedInSecureMode) {
@@ -480,7 +487,8 @@ TEST(ServiceTest, ConcurrentIdenticalExplainsChargeOnce) {
   const JsonValue budget =
       Call(engine, R"({"op":"budget","session":"alice"})");
   EXPECT_NEAR(budget.at("spent").AsNumber(), 0.3, 1e-12);
-  EXPECT_EQ(budget.at("ledger").size(), 1u);
+  ASSERT_EQ(budget.at("ledger").size(), 1u);
+  EXPECT_EQ(budget.at("ledger").at(0).at("count").AsNumber(), 1.0);
 }
 
 TEST(ServiceTest, ReplacingDatasetDoesNotResetCap) {

@@ -14,11 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "common/file_util.h"
 #include "data/columnar_format.h"
 #include "data/dataset.h"
 #include "dp/privacy_budget.h"
 #include "gtest/gtest.h"
 #include "service/service_engine.h"
+#include "snapshot/snapshot.h"
 #include "snapshot/snapshot_io.h"
 
 namespace dpclustx::service {
@@ -91,12 +93,54 @@ double CapSpent(ServiceEngine& engine, const std::string& dataset) {
   return (*entry)->cap()->spent_epsilon();
 }
 
-std::vector<PrivacyBudget::LedgerEntry> SessionLedger(
-    ServiceEngine& engine, const std::string& id) {
+PrivacyBudget::State SessionLedger(ServiceEngine& engine,
+                                   const std::string& id) {
   StatusOr<std::shared_ptr<ServiceSession>> session =
       engine.sessions().Get(id);
   EXPECT_TRUE(session.ok()) << session.status();
-  return (*session)->budget().ledger();
+  return (*session)->budget().state();
+}
+
+PrivacyBudget::State CapLedger(ServiceEngine& engine,
+                               const std::string& dataset) {
+  StatusOr<std::shared_ptr<DatasetEntry>> entry =
+      engine.registry().Get(dataset);
+  EXPECT_TRUE(entry.ok()) << entry.status();
+  EXPECT_NE((*entry)->cap(), nullptr);
+  return (*entry)->cap()->state();
+}
+
+/// Exact equality: the same spent bits and the same rows in the same order.
+bool SameLedger(const PrivacyBudget::State& a, const PrivacyBudget::State& b) {
+  if (a.spent != b.spent || a.totals.size() != b.totals.size()) return false;
+  for (size_t i = 0; i < a.totals.size(); ++i) {
+    if (a.totals[i].label != b.totals[i].label ||
+        a.totals[i].count != b.totals[i].count ||
+        a.totals[i].epsilon != b.totals[i].epsilon) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::shared_ptr<ServiceSession> SessionOf(ServiceEngine& engine,
+                                          const std::string& id) {
+  StatusOr<std::shared_ptr<ServiceSession>> session =
+      engine.sessions().Get(id);
+  EXPECT_TRUE(session.ok()) << session.status();
+  return *session;
+}
+
+std::string ReadBytes(const std::string& path) {
+  StatusOr<std::string> bytes = ReadFileToString(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  return bytes.ok() ? *bytes : std::string();
+}
+
+/// True when a refused restore left `engine` exactly as empty as it was.
+bool NothingApplied(ServiceEngine& engine) {
+  return engine.registry().size() == 0 && engine.sessions().size() == 0 &&
+         engine.cache().size() == 0 && engine.audit_log().next_seq() == 1;
 }
 
 TEST(SnapshotTest, RoundTripRestoresEverythingBitForBit) {
@@ -112,8 +156,8 @@ TEST(SnapshotTest, RoundTripRestoresEverythingBitForBit) {
   ExpectOk(Hist(saved, "diab_7", 0.3));
   const double spent = SessionSpent(saved, "alice");
   const double cap_spent = CapSpent(saved, "d");
-  const std::vector<PrivacyBudget::LedgerEntry> ledger =
-      SessionLedger(saved, "alice");
+  const PrivacyBudget::State ledger = SessionLedger(saved, "alice");
+  const PrivacyBudget::State cap_ledger = CapLedger(saved, "d");
   ASSERT_TRUE(saved.SaveSnapshotToFile(snap).ok());
 
   ServiceEngine restored;
@@ -126,16 +170,12 @@ TEST(SnapshotTest, RoundTripRestoresEverythingBitForBit) {
   EXPECT_EQ(report->cache_entries, 3u);
   EXPECT_EQ(report->replayed_records, 0u);
 
-  // Ledger equality is EXACT double equality, entry by entry.
+  // Ledger equality is EXACT double equality, row by row.
   EXPECT_EQ(SessionSpent(restored, "alice"), spent);
   EXPECT_EQ(CapSpent(restored, "d"), cap_spent);
-  const std::vector<PrivacyBudget::LedgerEntry> restored_ledger =
-      SessionLedger(restored, "alice");
-  ASSERT_EQ(restored_ledger.size(), ledger.size());
-  for (size_t i = 0; i < ledger.size(); ++i) {
-    EXPECT_EQ(restored_ledger[i].epsilon, ledger[i].epsilon);
-    EXPECT_EQ(restored_ledger[i].label, ledger[i].label);
-  }
+  EXPECT_EQ(ledger.totals.size(), 3u);
+  EXPECT_TRUE(SameLedger(SessionLedger(restored, "alice"), ledger));
+  EXPECT_TRUE(SameLedger(CapLedger(restored, "d"), cap_ledger));
   // Audit totals were restored and still match the ledger exactly.
   EXPECT_EQ(restored.audit_log().TenantTotals("alice").epsilon_charged, spent);
   EXPECT_EQ(restored.audit_log().next_seq(), saved.audit_log().next_seq());
@@ -621,6 +661,340 @@ TEST(SnapshotTest, ColumnarRestoreMapsExactlyTheSavedRowPrefix) {
 
   std::remove(snap.c_str());
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot v3: each accountant is its spent bits plus one row per label.
+// ---------------------------------------------------------------------------
+
+TEST(SnapshotTest, SaveLoadSaveIsBitForBit) {
+  const std::string first = TempPath("resave_first.snap");
+  const std::string second = TempPath("resave_second.snap");
+  ServiceEngine saved;
+  SetUpServing(saved);
+  ExpectOk(Hist(saved, "diab_3", 0.1));
+  ExpectOk(Hist(saved, "diab_5", 0.07));
+  const std::shared_ptr<ServiceSession> alice = SessionOf(saved, "alice");
+  ASSERT_TRUE(alice->Spend(0.01, "size c=0").ok());
+  ASSERT_TRUE(alice->Spend(0.01, "size c=0").ok());
+  ASSERT_TRUE(saved.SaveSnapshotToFile(first).ok());
+
+  ServiceEngine restored;
+  ASSERT_TRUE(restored.RestoreFromFiles(first, "").ok());
+  ASSERT_TRUE(restored.SaveSnapshotToFile(second).ok());
+  const std::string first_bytes = ReadBytes(first);
+  EXPECT_FALSE(first_bytes.empty());
+  EXPECT_TRUE(first_bytes == ReadBytes(second));
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+}
+
+/// One charge of a format 1/2 ledger, which listed every charge.
+struct Charge {
+  std::string label;
+  double epsilon;
+};
+
+void PutCharges(snapshot::ByteWriter& w, const std::vector<Charge>& charges) {
+  w.PutU64(charges.size());
+  for (const Charge& charge : charges) {
+    w.PutString(charge.label);
+    w.PutDouble(charge.epsilon);
+  }
+}
+
+/// Re-encodes a one-dataset, one-session v3 image in the format-2 layout:
+/// the cap and the session list `cap_charges` and `session_charges`, the
+/// session stores `session_spent`, and the other sections are copied.
+std::string FormatTwoImage(const std::string& v3_image,
+                           const std::vector<Charge>& cap_charges,
+                           const std::vector<Charge>& session_charges,
+                           double session_spent) {
+  StatusOr<snapshot::ServiceSnapshot> state =
+      snapshot::DecodeServiceSnapshot(v3_image);
+  EXPECT_TRUE(state.ok()) << state.status();
+  StatusOr<std::vector<snapshot::Section>> sections =
+      snapshot::ParseSnapshotFile(v3_image, nullptr);
+  EXPECT_TRUE(sections.ok()) << sections.status();
+  if (!state.ok() || !sections.ok()) return "";
+  snapshot::SectionWriter file(2);
+  for (const snapshot::Section& section : *sections) {
+    snapshot::ByteWriter w;
+    if (section.id == snapshot::SectionId::kDatasets) {
+      w.PutU64(state->datasets.size());
+      for (const snapshot::DatasetState& ds : state->datasets) {
+        w.PutString(ds.name);
+        w.PutString(ds.source);
+        w.PutU64(ds.uid);
+        w.PutU64(ds.epoch);
+        w.PutU8(ds.width_policy);
+        w.PutDouble(ds.cap_epsilon);
+        PutCharges(w, cap_charges);
+        w.PutString(ds.schema_json);
+        w.PutString(ds.columnar_path);
+        w.PutU64(ds.columnar_file_uid);
+        w.PutU64(ds.columnar_rows);
+        w.PutU64(ds.columns.size());
+        for (const snapshot::ColumnState& col : ds.columns) {
+          w.PutU8(col.width_tag);
+          w.PutU64(col.rows);
+          w.PutString(col.bytes);
+        }
+        w.PutU64(ds.clusterings.size());
+        for (const snapshot::ClusteringState& cl : ds.clusterings) {
+          w.PutString(cl.id);
+          w.PutString(cl.description);
+          w.PutString(cl.fingerprint);
+          w.PutU64(cl.num_clusters);
+          w.PutU64(cl.labels.size());
+          for (const uint32_t label : cl.labels) w.PutU32(label);
+        }
+      }
+    } else if (section.id == snapshot::SectionId::kSessions) {
+      w.PutU64(state->sessions.size());
+      for (const snapshot::SessionState& ss : state->sessions) {
+        w.PutString(ss.id);
+        w.PutString(ss.dataset_name);
+        w.PutU64(ss.dataset_uid);
+        w.PutDouble(ss.total_epsilon);
+        w.PutDouble(session_spent);
+        w.PutU8(ss.audit_matches_ledger ? 1 : 0);
+        PutCharges(w, session_charges);
+      }
+    } else {
+      w.PutBytes(section.payload.data(), section.payload.size());
+    }
+    file.AddSection(section.id, w.Take());
+  }
+  return file.Take();
+}
+
+TEST(SnapshotTest, FormatTwoImageFoldsItsChargesIntoRows) {
+  const std::string snap = TempPath("format2.snap");
+  const std::string path = WriteColumnarFixture("format2", 24);
+  ServiceEngine saved;
+  SetUpColumnarServing(saved, path);
+  const std::vector<Charge> charges = {{"hist a", 0.1},
+                                       {"hist b", 0.07},
+                                       {"hist a", 0.3},
+                                       {"size c=0", 0.01},
+                                       {"hist a", 0.1}};
+  std::vector<Charge> cap_charges;
+  const std::shared_ptr<ServiceSession> alice = SessionOf(saved, "alice");
+  for (const Charge& charge : charges) {
+    ASSERT_TRUE(alice->Spend(charge.epsilon, charge.label).ok());
+    cap_charges.push_back({"alice/" + charge.label, charge.epsilon});
+  }
+  const PrivacyBudget::State session = SessionLedger(saved, "alice");
+  const PrivacyBudget::State cap = CapLedger(saved, "m");
+  ASSERT_TRUE(saved.SaveSnapshotToFile(snap).ok());
+  const std::string image =
+      FormatTwoImage(ReadBytes(snap), cap_charges, charges, session.spent);
+  ASSERT_TRUE(WriteFileAtomic(snap, image).ok());
+
+  // Format 2 rebuilt each total by replaying its charges in order. The fold
+  // adds the same doubles in the same order: the spent totals are those
+  // bits, and each row sums its own label's charges.
+  ServiceEngine restored;
+  StatusOr<ServiceEngine::RestoreReport> report =
+      restored.RestoreFromFiles(snap, "");
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->format_version, 2u);
+  const PrivacyBudget::State folded = SessionLedger(restored, "alice");
+  EXPECT_TRUE(SameLedger(folded, session));
+  EXPECT_TRUE(SameLedger(CapLedger(restored, "m"), cap));
+  ASSERT_EQ(folded.totals.size(), 3u);
+  EXPECT_EQ(folded.totals[0].label, "hist a");
+  EXPECT_EQ(folded.totals[0].count, 3u);
+  EXPECT_EQ(folded.totals[0].epsilon, 0.1 + 0.3 + 0.1);
+  EXPECT_EQ(restored.audit_log().TenantTotals("alice").epsilon_charged,
+            folded.spent);
+
+  // No checksum covers the version word: the same body marked format 1 is
+  // read under the wrong layout and must be refused, not half-applied.
+  std::string relabeled = image;
+  relabeled[sizeof(snapshot::kSnapshotMagic)] = 1;
+  ASSERT_TRUE(WriteFileAtomic(snap, relabeled).ok());
+  ServiceEngine refused;
+  report = refused.RestoreFromFiles(snap, "");
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kIoError) << report.status();
+  EXPECT_TRUE(NothingApplied(refused));
+
+  std::remove(snap.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, EveryTruncationFlipAndVersionIsRefusedOrRestoredExactly) {
+  const std::string snap = TempPath("sweep.snap");
+  const std::string path = WriteColumnarFixture("sweep", 24);
+  ServiceEngine saved;
+  SetUpColumnarServing(saved, path);
+  ExpectOk(Parse(saved.Handle(R"({"op":"hist","session":"alice",)"
+                              R"("attribute":"size","epsilon":0.1})")));
+  const std::shared_ptr<ServiceSession> alice = SessionOf(saved, "alice");
+  ASSERT_TRUE(alice->Spend(0.07, "size c=0").ok());
+  ASSERT_TRUE(alice->Spend(0.07, "size c=0").ok());
+  const PrivacyBudget::State session = SessionLedger(saved, "alice");
+  const PrivacyBudget::State cap = CapLedger(saved, "m");
+  ASSERT_TRUE(saved.SaveSnapshotToFile(snap).ok());
+  const std::string image = ReadBytes(snap);
+  ASSERT_GT(image.size(), 64u);
+
+  // Every case either restores the saved accountants exactly (a flipped
+  // meta or cache section id makes that section unknown, so it is
+  // skipped) or is refused with a structured error and applies nothing.
+  ServiceEngineOptions options;
+  options.num_threads = 1;
+  size_t failures = 0;
+  const auto restores = [&](const std::string& what,
+                            const std::string& bytes) {
+    if (!WriteFileAtomic(snap, bytes).ok()) {
+      ADD_FAILURE() << what << ": cannot write the case";
+      return false;
+    }
+    ServiceEngine engine(options);
+    StatusOr<ServiceEngine::RestoreReport> report =
+        engine.RestoreFromFiles(snap, "");
+    bool ok = true;
+    if (!report.ok()) {
+      const StatusCode code = report.status().code();
+      ok = (code == StatusCode::kIoError ||
+            code == StatusCode::kFailedPrecondition) &&
+           NothingApplied(engine);
+    } else {
+      ok = SameLedger(SessionLedger(engine, "alice"), session) &&
+           SameLedger(CapLedger(engine, "m"), cap);
+    }
+    if (!ok && ++failures <= 5) {
+      ADD_FAILURE() << what << ": " << report.status();
+    }
+    return report.ok();
+  };
+  for (size_t size = 0; size < image.size(); ++size) {
+    EXPECT_FALSE(restores("truncated to " + std::to_string(size),
+                          image.substr(0, size)));
+  }
+  for (size_t at = 0; at < image.size(); ++at) {
+    std::string flipped = image;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0xFF);
+    restores("byte " + std::to_string(at) + " flipped", flipped);
+  }
+  for (uint32_t version = 0;
+       version <= snapshot::kSnapshotFormatVersion + 1; ++version) {
+    std::string relabeled = image;
+    for (size_t i = 0; i < 4; ++i) {
+      relabeled[sizeof(snapshot::kSnapshotMagic) + i] =
+          static_cast<char>((version >> (8 * i)) & 0xFF);
+    }
+    EXPECT_EQ(restores("version " + std::to_string(version), relabeled),
+              version == snapshot::kSnapshotFormatVersion);
+  }
+  // One byte appended inside a section under a valid CRC: only the check
+  // for leftover bytes tells it from a well-formed section. The meta
+  // section's counts are advisory and never decoded.
+  StatusOr<std::vector<snapshot::Section>> sections =
+      snapshot::ParseSnapshotFile(image, nullptr);
+  ASSERT_TRUE(sections.ok()) << sections.status();
+  for (size_t padded = 0; padded < sections->size(); ++padded) {
+    snapshot::SectionWriter file;
+    for (size_t i = 0; i < sections->size(); ++i) {
+      std::string payload = (*sections)[i].payload;
+      if (i == padded) payload.push_back('\0');
+      file.AddSection((*sections)[i].id, payload);
+    }
+    EXPECT_EQ(restores("section " + std::to_string(padded) + " padded",
+                       file.Take()),
+              (*sections)[padded].id == snapshot::SectionId::kMeta);
+  }
+  EXPECT_EQ(failures, 0u);
+  std::remove(snap.c_str());
+  std::remove(path.c_str());
+}
+
+/// `value` with every number replaced by 0: two replies that differ only in
+/// their numbers' values dump to the same text.
+JsonValue MaskNumbers(const JsonValue& value) {
+  switch (value.type()) {
+    case JsonValue::Type::kNumber:
+      return JsonValue::Number(0);
+    case JsonValue::Type::kArray: {
+      JsonValue masked = JsonValue::Array();
+      for (size_t i = 0; i < value.size(); ++i) {
+        masked.Append(MaskNumbers(value.at(i)));
+      }
+      return masked;
+    }
+    case JsonValue::Type::kObject: {
+      JsonValue masked = JsonValue::Object();
+      for (const std::string& key : value.ObjectKeys()) {
+        masked.Set(key, MaskNumbers(value.at(key)));
+      }
+      return masked;
+    }
+    default:
+      return value;
+  }
+}
+
+TEST(SnapshotTest, LedgerKeepsOneRowPerLabelAcrossManyCharges) {
+  const std::string snap = TempPath("many.snap");
+  const std::string journal = TempPath("many.journal");
+  std::remove(snap.c_str());
+  std::remove(journal.c_str());
+  const std::string budget_request =
+      R"({"op":"budget","session":"alice"})";
+  const std::vector<std::string> labels = {
+      "explain default", "hist attr=diab_3 [parallel x3]", "size c=0"};
+  constexpr int kCharges = 100000;
+  constexpr double kEpsilon = 1e-6;
+
+  ServiceEngine worker;
+  SetUpServing(worker);
+  const std::shared_ptr<ServiceSession> alice = SessionOf(worker, "alice");
+  std::string early_reply;
+  for (int i = 0; i < kCharges; ++i) {
+    ASSERT_TRUE(alice->Spend(kEpsilon, labels[i % labels.size()]).ok());
+    if (i + 1 == 10) early_reply = worker.Handle(budget_request);
+  }
+  const std::string late_reply = worker.Handle(budget_request);
+  // The same rows either way: only the numbers (counts, sums) moved.
+  EXPECT_EQ(MaskNumbers(Parse(late_reply)).Dump(),
+            MaskNumbers(Parse(early_reply)).Dump());
+  EXPECT_EQ(Parse(late_reply).at("ledger").size(), labels.size());
+
+  const PrivacyBudget::State live = alice->budget().state();
+  ASSERT_EQ(live.totals.size(), labels.size());
+  double sum = 0.0;
+  uint64_t count = 0;
+  for (const PrivacyBudget::LabelTotal& total : live.totals) {
+    sum += total.epsilon;
+    count += total.count;
+  }
+  EXPECT_EQ(count, static_cast<uint64_t>(kCharges));
+  EXPECT_NEAR(sum, live.spent, 1e-9 * live.spent);
+  EXPECT_EQ(worker.audit_log().TenantTotals("alice").epsilon_charged,
+            live.spent);
+
+  // The journal starts at the save: restore skips every record before the
+  // snapshot's cursor anyway.
+  ASSERT_TRUE(worker.EnableAuditJournal(journal).ok());
+  ASSERT_TRUE(worker.SaveSnapshotToFile(snap).ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(alice->Spend(kEpsilon, labels[i % labels.size()]).ok());
+  }
+  ServiceEngine recovered;
+  StatusOr<ServiceEngine::RestoreReport> report =
+      recovered.RestoreFromFiles(snap, journal);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->replayed_records, 10u);
+  EXPECT_TRUE(SameLedger(SessionLedger(recovered, "alice"),
+                         alice->budget().state()));
+  EXPECT_TRUE(SameLedger(CapLedger(recovered, "d"), CapLedger(worker, "d")));
+  EXPECT_EQ(recovered.audit_log().TenantTotals("alice").epsilon_charged,
+            SessionSpent(recovered, "alice"));
+  std::remove(snap.c_str());
+  std::remove(journal.c_str());
 }
 
 }  // namespace

@@ -19,7 +19,7 @@
 //   hist ATTR [EPS]          noisy per-cluster histograms of ATTR
 //                            (default EPS 0.02)
 //   size CLUSTER [EPS]       noisy cluster size (default EPS 0.01)
-//   ledger                   print the budget ledger
+//   ledger                   print the budget ledger, one row per label
 //   schema                   list attributes
 //   help / quit
 //
@@ -320,10 +320,13 @@ class Repl {
     std::cout << "session " << session_ << ": spent "
               << response->at("spent").AsNumber() << " of "
               << response->at("total").AsNumber() << " eps\n";
+    // One row per charge label: "count × label: epsilon".
     const JsonValue& ledger = response->at("ledger");
     for (size_t i = 0; i < ledger.size(); ++i) {
-      std::cout << "  " << ledger.at(i).at("epsilon").AsNumber() << "  "
-                << ledger.at(i).at("label").AsString() << "\n";
+      const JsonValue& row = ledger.at(i);
+      std::cout << "  " << row.at("count").AsNumber() << " \u00d7 "
+                << row.at("label").AsString() << ": "
+                << row.at("epsilon").AsNumber() << "\n";
     }
   }
 
