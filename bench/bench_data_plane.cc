@@ -2,7 +2,8 @@
 // histogram build, dataset embedding, and batched cluster assignment — on
 // the 250k-row Census-like table, at the adaptive narrow layout vs. the
 // pre-narrowing uint32 layout (WidthPolicy::kForce32, the seed's storage),
-// plus a pure width sweep (u8/u16/u32 columns with identical code streams).
+// plus a pure width sweep (u8/u16/u32 columns with identical code streams)
+// and a forced-ISA sweep of every kernel, the Stage-2 Gumbel noise included.
 //
 // Every kernel is bitwise-deterministic and layout-independent in its
 // *output* (tests/dataset_layout_test), so these runs differ only in memory
@@ -23,9 +24,11 @@
 #include "cluster/clustering.h"
 #include "cluster/gmm.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "data/column.h"
 #include "data/dataset.h"
 #include "data/kernels/isa.h"
+#include "data/kernels/kernel_table.h"
 #include "data/schema.h"
 #include "data/synthetic.h"
 
@@ -392,6 +395,25 @@ void IsaGmmScore(benchmark::State& state, kernels::IsaLevel level) {
   SetRowsProcessed(state);
 }
 
+// The Stage-2 search's noise: one 8×4 search batch of uniforms (65,536,
+// the draws of 4^8 combinations) through the gumbel kernel, refreshed from
+// a pristine copy each iteration because the kernel works in place.
+void IsaGumbel(benchmark::State& state, kernels::IsaLevel level) {
+  kernels::ScopedForceIsa force(level);
+  constexpr size_t kDraws = 65536;
+  Rng rng(11);
+  std::vector<double> uniforms(kDraws);
+  for (double& u : uniforms) u = rng.UniformOpenDouble();
+  std::vector<double> noise(kDraws);
+  for (auto _ : state) {
+    noise = uniforms;
+    kernels::Active().gumbel(noise.data(), kDraws, 1.0);
+    benchmark::DoNotOptimize(noise.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kDraws));
+}
+
 void RegisterIsaSweep() {
   using Fn = void (*)(benchmark::State&, kernels::IsaLevel);
   const std::pair<const char*, Fn> benches[] = {
@@ -409,6 +431,13 @@ void RegisterIsaSweep() {
           ->Unit(benchmark::kMillisecond)
           ->Iterations(3);
     }
+  }
+  // Sub-millisecond per batch: let the library pick the iteration count.
+  for (const kernels::IsaLevel level : kernels::SupportedIsaLevels()) {
+    const std::string full =
+        std::string("BM_IsaGumbel/isa:") + kernels::IsaLevelName(level);
+    benchmark::RegisterBenchmark(full.c_str(), IsaGumbel, level)
+        ->Unit(benchmark::kMicrosecond);
   }
 }
 

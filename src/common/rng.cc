@@ -17,8 +17,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Xoshiro256::Xoshiro256(uint64_t seed) {
@@ -26,26 +24,9 @@ Xoshiro256::Xoshiro256(uint64_t seed) {
   for (auto& word : state_) word = SplitMix64(s);
 }
 
-uint64_t Xoshiro256::operator()() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
 double Rng::UniformDouble() {
   // 53 random bits scaled into [0, 1).
   return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
-}
-
-double Rng::UniformOpenDouble() {
-  // (u + 0.5) / 2^53 lies in (0, 1) for u in [0, 2^53).
-  return (static_cast<double>(engine_() >> 11) + 0.5) * 0x1.0p-53;
 }
 
 uint64_t Rng::UniformInt(uint64_t n) {

@@ -10,6 +10,7 @@
 #include "common/math_util.h"
 #include "common/thread_pool.h"
 #include "core/candidate_selection.h"
+#include "data/kernels/kernel_table.h"
 #include "obs/trace.h"
 
 namespace dpclustx {
@@ -129,9 +130,12 @@ struct Winner {
 
 // The first maximum of scale·score + Gumbel over combinations [begin, end),
 // where uniforms[i] is the uniform drawn for combination begin + i (nullptr
-// in exact mode: the first maximum of the score itself).
+// in exact mode: the first maximum of the score itself). The block's scores
+// are computed into a buffer first, so the noise and the combine run as
+// vector kernel passes over the whole block; the uniforms become the noisy
+// scores in place.
 Winner ScanBlock(const FixedPointTables& tables, double scale,
-                 const double* uniforms, size_t begin, size_t end) {
+                 double* uniforms, size_t begin, size_t end) {
   const size_t clusters = tables.sizes.size();
   const size_t k0 = tables.sizes[0];
   // Decode the first index (mixed radix, cluster 0 least significant).
@@ -150,10 +154,16 @@ Winner ScanBlock(const FixedPointTables& tables, double scale,
   // c (1 <= c < |C|) holds, for each choice i of cluster 0, unary[0][i]
   // plus every term among clusters c..|C|-1 and between them and cluster 0
   // under the current digits; level |C| holds unary[0] alone. Level 1 is
-  // then the scores of the current odometer row.
+  // then the scores of the current odometer row, so it is written straight
+  // into the score buffer: scores[k0 + i] is combination begin + i's, and
+  // every row lands whole — the first may start up to k0 - 1 entries
+  // before the block, the last end up to k0 - 1 after it.
   std::vector<int64_t> stack((clusters + 1) * k0);
   std::copy(tables.unary(0), tables.unary(0) + k0,
             stack.begin() + static_cast<std::ptrdiff_t>(clusters * k0));
+  const size_t n = end - begin;
+  std::vector<int64_t> scores(n + 2 * k0);
+  int64_t* row = scores.data() + k0 - choice[0];
   auto fill_terms = [&](size_t c) {
     int64_t* term = terms.data() + c * k_max;
     std::copy(tables.unary(c), tables.unary(c) + tables.sizes[c], term);
@@ -168,39 +178,35 @@ Winner ScanBlock(const FixedPointTables& tables, double scale,
       const int64_t term = terms[c * k_max + choice[c]];
       const int64_t* column = tables.across(0, c, choice[c]);
       const int64_t* above = stack.data() + (c + 1) * k0;
-      int64_t* level = stack.data() + c * k0;
+      int64_t* level = c > 1 ? stack.data() + c * k0 : row;
       for (size_t i = 0; i < k0; ++i) level[i] = above[i] + term + column[i];
     }
   };
   for (size_t c = clusters - 1; c >= 1; --c) fill_terms(c);
-  restack(clusters - 1);
-  const int64_t* row = stack.data() + k0;
-
-  Winner winner;
-  for (size_t combo = begin;;) {
-    const size_t first = choice[0];
-    const size_t last = std::min(k0, first + (end - combo));
-    if (uniforms != nullptr) {
-      for (size_t i = first; i < last; ++i, ++combo) {
-        const double value =
-            scale * static_cast<double>(row[i]) +
-            Rng::GumbelFromUniform(uniforms[combo - begin], 1.0);
-        if (value > winner.value) winner = {value, 0, combo};
-      }
-    } else {
-      for (size_t i = first; i < last; ++i, ++combo) {
-        if (row[i] > winner.score) winner = {0.0, row[i], combo};
-      }
-    }
-    if (combo == end) return winner;
-    // Cluster 0 wrapped: advance the odometer over digits 1.. (a digit
-    // exists to advance, since combo < end <= k_0·...·k_|C|).
-    choice[0] = 0;
+  if (clusters == 1) {
+    std::copy(tables.unary(0), tables.unary(0) + k0, row);
+  } else {
+    restack(clusters - 1);
+  }
+  // Each further row: cluster 0 wrapped, so advance the odometer over
+  // digits 1.. (a digit exists to advance: the row starts before end <=
+  // k_0·...·k_|C|).
+  for (row += k0; row < scores.data() + k0 + n; row += k0) {
     size_t top = 1;
     while (++choice[top] == tables.sizes[top]) choice[top++] = 0;
     for (size_t c = top - 1; c >= 1; --c) fill_terms(c);
     restack(top);
   }
+
+  const int64_t* block = scores.data() + k0;
+  if (uniforms == nullptr) {
+    const int64_t* first = std::max_element(block, block + n);
+    return {0.0, *first, begin + static_cast<size_t>(first - block)};
+  }
+  const kernels::KernelTable& kernel = kernels::Active();
+  kernel.gumbel(uniforms, n, 1.0);
+  const size_t first = kernel.noisy_argmax(block, scale, uniforms, n);
+  return {uniforms[first], 0, begin + first};
 }
 }  // namespace
 

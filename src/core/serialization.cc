@@ -115,8 +115,8 @@ StatusOr<Schema> SchemaFromJson(const std::string& json) {
   return schema;
 }
 
-std::string ExplanationToJson(const GlobalExplanation& explanation,
-                              const Schema& schema) {
+JsonValue ExplanationToJsonValue(const GlobalExplanation& explanation,
+                                 const Schema& schema) {
   JsonValue root = JsonValue::Object();
 
   JsonValue combination = JsonValue::Array();
@@ -153,7 +153,12 @@ std::string ExplanationToJson(const GlobalExplanation& explanation,
     clusters.Append(std::move(entry));
   }
   root.Set("clusters", std::move(clusters));
-  return root.Dump();
+  return root;
+}
+
+std::string ExplanationToJson(const GlobalExplanation& explanation,
+                              const Schema& schema) {
+  return ExplanationToJsonValue(explanation, schema).Dump();
 }
 
 StatusOr<GlobalExplanation> ExplanationFromJson(const std::string& json,

@@ -35,6 +35,11 @@ StatusOr<Schema> SchemaFromJson(const std::string& json);
 std::string ExplanationToJson(const GlobalExplanation& explanation,
                               const Schema& schema);
 
+/// Same document as ExplanationToJson, as a JsonValue — for the explain op,
+/// which embeds it into its response without a dump/re-parse round trip.
+JsonValue ExplanationToJsonValue(const GlobalExplanation& explanation,
+                                 const Schema& schema);
+
 /// Parses an explanation produced by ExplanationToJson, resolving attribute
 /// names against `schema`. Returns InvalidArgument on shape mismatches and
 /// NotFound for unknown attribute names.

@@ -1,7 +1,8 @@
 // Runtime ISA dispatch for the multi-arch data-plane kernels (DESIGN.md §12).
 //
 // The hot width-monomorphic kernels (histogram counting, embedding, the
-// k-modes Hamming tile, the GMM/centroid float primitives) are compiled once
+// k-modes Hamming tile, the GMM/centroid float primitives, the Stage-2
+// search's Gumbel noise and noisy-score argmax) are compiled once
 // per ISA level — baseline scalar, SSE2, AVX2, AVX-512 — into separate
 // translation units with per-TU target flags (src/data/kernels/CMakeLists).
 // At first use the process picks the best level the CPU supports via cpuid

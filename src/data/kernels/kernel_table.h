@@ -6,7 +6,8 @@
 // the width dimension is handled by the caller's VisitColumn dispatch, which
 // picks the matching _u8/_u16/_u32 entry via the overload helpers below.
 //
-// Contract for every entry (enforced by tests/dataset_layout_test):
+// Contract for every entry (enforced by tests/dataset_layout_test and, for
+// the Stage-2 entries, tests/parallel_equivalence_test):
 //   - integer kernels produce bitwise-identical outputs at every level;
 //   - float kernels produce bitwise-identical outputs at every level
 //     (fixed eight-accumulator reductions, no FMA contraction);
@@ -94,6 +95,18 @@ struct KernelTable {
   /// acc[i] += w·(x[i]-mean[i])² — the M-step variance accumulation.
   void (*weighted_sq_acc)(double w, const double* x, const double* mean,
                           double* acc, size_t n);
+
+  /// values[i] = GumbelFromUniform(values[i], scale) for i in [0, n), in
+  /// place — the Stage-2 search's noise (common/gumbel.h). Elementwise, so
+  /// every level gives the scalar transform's bits.
+  void (*gumbel)(double* values, size_t n, double scale);
+
+  /// values[i] = scale·scores[i] + values[i] for i in [0, n), then the
+  /// first index of their maximum (n >= 1, values finite) — the search's
+  /// noisy scores from its int64 fixed-point scores and its noise, and
+  /// their Gumbel-max winner.
+  size_t (*noisy_argmax)(const int64_t* scores, double scale, double* values,
+                         size_t n);
 };
 
 /// Per-ISA table accessors, defined one per translation unit. Only levels

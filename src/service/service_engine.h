@@ -319,11 +319,12 @@ class ServiceEngine {
   /// cache, and the audit log, then — when `journal_path` is non-empty and
   /// exists — replays journal records with seq >= the snapshot's audit
   /// cursor, in order, charging each granted record to its session ledger
-  /// and dataset cap exactly once. Refuses (no partial restore of ledgers)
+  /// and dataset cap exactly once. Refuses, and leaves the engine empty,
   /// when: the engine is not empty; the snapshot is corrupt, truncated, or
   /// a newer format; the journal has a gap at or after the cursor (records
   /// were dropped or the file was truncated — rebuilt ledgers would be
-  /// wrong); or a post-replay ledger/audit equality check fails. A missing
+  /// wrong); a journaled charge overflows a session ledger or dataset cap;
+  /// or a post-replay ledger/audit equality check fails. A missing
   /// snapshot with a non-empty journal is also refused: session budgets and
   /// dataset contents are not journaled, so snapshot-less recovery cannot
   /// rebuild correct ledgers.
@@ -385,13 +386,12 @@ class ServiceEngine {
   /// Harvests the full hot state. Caller must hold the spend gate
   /// exclusively (SaveSnapshotToFile does).
   StatusOr<snapshot::ServiceSnapshot> HarvestSnapshot();
-  /// Applies a decoded snapshot to this (empty) engine: every dataset and
-  /// session is rebuilt and checked first, and nothing is registered
-  /// unless all of them are.
+  /// Applies a decoded snapshot plus the journal records after its cursor
+  /// to this (empty) engine: every dataset and session is rebuilt, every
+  /// record charged and the ledgers checked first, and nothing is
+  /// registered unless all of that succeeds.
   Status ApplySnapshot(const snapshot::ServiceSnapshot& state,
-                       RestoreReport* report);
-  /// Replays journal records with seq >= `cursor` (see RestoreFromFiles).
-  Status ReplayJournal(const std::string& journal_path, uint64_t cursor,
+                       const std::vector<obs::AuditRecord>& journal,
                        RestoreReport* report);
 
   /// The session the request's "session" field names.

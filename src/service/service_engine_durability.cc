@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <shared_mutex>
 
 #include "core/serialization.h"
@@ -17,6 +16,34 @@ namespace dpclustx::service {
 namespace {
 
 JsonValue Count(uint64_t n) { return JsonValue::Number(static_cast<double>(n)); }
+
+// The journal's records with seq >= `cursor`, in order — those not already
+// inside the snapshot — or a refusal when one of them is missing. No
+// journal file is a fresh deployment, not a recovery failure.
+StatusOr<std::vector<obs::AuditRecord>> JournalAfterCursor(
+    const std::string& journal_path, uint64_t cursor) {
+  StatusOr<std::vector<obs::AuditRecord>> records =
+      snapshot::ReadAuditJournal(journal_path);
+  if (records.status().code() == StatusCode::kNotFound) {
+    return std::vector<obs::AuditRecord>();
+  }
+  DPX_RETURN_IF_ERROR(records.status());
+  std::vector<obs::AuditRecord> after;
+  for (obs::AuditRecord& record : *records) {
+    if (record.seq < cursor) continue;
+    if (record.seq != cursor + after.size()) {
+      // A hole at or after the cursor means records were lost (truncation,
+      // a dropped write): ledgers rebuilt across it would be wrong.
+      return Status::FailedPrecondition(
+          "audit journal has a gap: expected seq " +
+          std::to_string(cursor + after.size()) +
+          " after the snapshot cursor, found " + std::to_string(record.seq) +
+          " — refusing to rebuild ledgers across missing charges");
+    }
+    after.push_back(std::move(record));
+  }
+  return after;
+}
 
 }  // namespace
 
@@ -142,8 +169,9 @@ StatusOr<snapshot::ServiceSnapshot> ServiceEngine::HarvestSnapshot() {
   return state;
 }
 
-Status ServiceEngine::ApplySnapshot(const snapshot::ServiceSnapshot& state,
-                                    RestoreReport* report) {
+Status ServiceEngine::ApplySnapshot(
+    const snapshot::ServiceSnapshot& state,
+    const std::vector<obs::AuditRecord>& journal, RestoreReport* report) {
   // Every dataset and session is rebuilt and checked before anything is
   // registered: a snapshot refused anywhere leaves the engine empty.
   std::map<std::string, std::shared_ptr<DatasetEntry>> entries;
@@ -247,7 +275,7 @@ Status ServiceEngine::ApplySnapshot(const snapshot::ServiceSnapshot& state,
   }
 
   std::vector<std::shared_ptr<ServiceSession>> sessions;
-  std::set<std::string> session_ids;
+  std::map<std::string, ServiceSession*> by_id;
   for (const snapshot::SessionState& ss : state.sessions) {
     const auto entry = entries.find(ss.dataset_name);
     if (entry == entries.end()) {
@@ -263,7 +291,7 @@ Status ServiceEngine::ApplySnapshot(const snapshot::ServiceSnapshot& state,
           std::to_string(entry->second->uid()));
     }
     if (ss.id.empty() || !(ss.total_epsilon > 0.0) ||
-        !session_ids.insert(ss.id).second) {
+        by_id.count(ss.id) != 0) {
       return Status::IoError("snapshot session '" + ss.id +
                              "' has an empty or repeated id or a "
                              "non-positive budget");
@@ -276,7 +304,64 @@ Status ServiceEngine::ApplySnapshot(const snapshot::ServiceSnapshot& state,
                              "' does not fit its budget: " +
                              restored.message());
     }
+    by_id[ss.id] = session.get();
     sessions.push_back(std::move(session));
+  }
+
+  // The journal's post-cursor charges, onto the rebuilt ledgers and caps
+  // before anything is registered: a replay refused anywhere leaves the
+  // engine empty too.
+  for (const obs::AuditRecord& record : journal) {
+    if (!record.granted) continue;
+    const auto session = by_id.find(record.tenant);
+    if (session != by_id.end()) {
+      const Status charged =
+          session->second->RestoreCharge(record.epsilon, record.label);
+      if (!charged.ok()) {
+        return Status::FailedPrecondition(
+            "journal replay overflows the ledger of session '" +
+            record.tenant + "': " + charged.message());
+      }
+      if (PrivacyBudget* cap = session->second->dataset()->cap()) {
+        // Post-cursor charges are not in the saved cap ledger; re-apply
+        // with the same label shape ServiceSession::Spend uses.
+        DPX_RETURN_IF_ERROR(
+            cap->Spend(record.epsilon, record.tenant + "/" + record.label));
+      }
+      continue;
+    }
+    // The session was created after the snapshot: its ledger cannot be
+    // rebuilt (session creation is not journaled), but the dataset cap must
+    // never understate — charge it and report the tenant.
+    const auto entry = entries.find(record.dataset);
+    if (entry != entries.end() && entry->second->cap() != nullptr) {
+      DPX_RETURN_IF_ERROR(entry->second->cap()->Spend(
+          record.epsilon, record.tenant + "/" + record.label));
+    }
+    if (std::find(report->unrecovered_sessions.begin(),
+                  report->unrecovered_sessions.end(),
+                  record.tenant) == report->unrecovered_sessions.end()) {
+      report->unrecovered_sessions.push_back(record.tenant);
+    }
+  }
+
+  // RestoreRecord keeps the journaled seq and does not re-invoke the sink,
+  // so replay never double-journals.
+  audit_.RestoreState(state.audit);
+  for (const obs::AuditRecord& record : journal) audit_.RestoreRecord(record);
+  // Cross-check: where audit/ledger equality held at save it must hold now —
+  // both sides restarted from the same saved doubles and replay applied the
+  // same additions to both in the same order.
+  for (size_t i = 0; i < sessions.size(); ++i) {
+    const snapshot::SessionState& ss = state.sessions[i];
+    if (ss.audit_matches_ledger &&
+        audit_.TenantTotals(ss.id).epsilon_charged !=
+            sessions[i]->budget().spent_epsilon()) {
+      audit_.RestoreState({});
+      return Status::Internal("post-recovery audit/ledger mismatch for "
+                              "session '" + ss.id +
+                              "': the journal and snapshot disagree");
+    }
   }
 
   for (auto& [name, entry] : entries) {
@@ -295,71 +380,8 @@ Status ServiceEngine::ApplySnapshot(const snapshot::ServiceSnapshot& state,
     cache_.Put(entry.key, entry.payload);
     ++report->cache_entries;
   }
-
-  audit_.RestoreState(state.audit);
-  return Status::OK();
-}
-
-Status ServiceEngine::ReplayJournal(const std::string& journal_path,
-                                    uint64_t cursor, RestoreReport* report) {
-  StatusOr<std::vector<obs::AuditRecord>> records =
-      snapshot::ReadAuditJournal(journal_path);
-  // No journal file yet is a fresh deployment, not a recovery failure.
-  if (records.status().code() == StatusCode::kNotFound) return Status::OK();
-  DPX_RETURN_IF_ERROR(records.status());
-
-  uint64_t expected = cursor;
-  for (const obs::AuditRecord& record : *records) {
-    if (record.seq < cursor) continue;  // already inside the snapshot
-    if (record.seq != expected) {
-      // A hole at or after the cursor means records were lost (truncation,
-      // a dropped write): ledgers rebuilt across it would be wrong.
-      return Status::FailedPrecondition(
-          "audit journal has a gap: expected seq " + std::to_string(expected) +
-          " after the snapshot cursor, found " + std::to_string(record.seq) +
-          " — refusing to rebuild ledgers across missing charges");
-    }
-    ++expected;
-    // RestoreRecord keeps the journaled seq and does not re-invoke the sink,
-    // so replay never double-journals.
-    audit_.RestoreRecord(record);
-    if (record.granted) {
-      StatusOr<std::shared_ptr<ServiceSession>> session =
-          sessions_.Get(record.tenant);
-      if (session.ok()) {
-        const Status charged =
-            (*session)->RestoreCharge(record.epsilon, record.label);
-        if (!charged.ok()) {
-          return Status::FailedPrecondition(
-              "journal replay overflows the ledger of session '" +
-              record.tenant + "': " + charged.message());
-        }
-        if (PrivacyBudget* cap = (*session)->dataset()->cap()) {
-          // Post-cursor charges are not in the saved cap ledger; re-apply
-          // with the same label shape ServiceSession::Spend uses.
-          DPX_RETURN_IF_ERROR(
-              cap->Spend(record.epsilon, record.tenant + "/" + record.label));
-        }
-      } else {
-        // The session was created after the snapshot: its ledger cannot be
-        // rebuilt (session creation is not journaled), but the dataset cap
-        // must never understate — charge it and report the tenant.
-        StatusOr<std::shared_ptr<DatasetEntry>> entry =
-            registry_.Get(record.dataset);
-        if (entry.ok() && (*entry)->cap() != nullptr) {
-          DPX_RETURN_IF_ERROR((*entry)->cap()->Spend(
-              record.epsilon, record.tenant + "/" + record.label));
-        }
-        if (std::find(report->unrecovered_sessions.begin(),
-                      report->unrecovered_sessions.end(),
-                      record.tenant) == report->unrecovered_sessions.end()) {
-          report->unrecovered_sessions.push_back(record.tenant);
-        }
-      }
-    }
-    journal_replayed_->Increment();
-    ++report->replayed_records;
-  }
+  journal_replayed_->Increment(journal.size());
+  report->replayed_records = journal.size();
   return Status::OK();
 }
 
@@ -395,27 +417,15 @@ StatusOr<ServiceEngine::RestoreReport> ServiceEngine::RestoreFromFiles(
   }
   DPX_RETURN_IF_ERROR(state.status());
 
+  std::vector<obs::AuditRecord> journal;
+  if (!journal_path.empty()) {
+    DPX_ASSIGN_OR_RETURN(journal,
+                         JournalAfterCursor(journal_path,
+                                            state->audit.next_seq));
+  }
   RestoreReport report;
   report.format_version = state->format_version;
-  DPX_RETURN_IF_ERROR(ApplySnapshot(*state, &report));
-  if (!journal_path.empty()) {
-    DPX_RETURN_IF_ERROR(
-        ReplayJournal(journal_path, state->audit.next_seq, &report));
-  }
-  // Cross-check: where audit/ledger equality held at save it must hold now —
-  // both sides restarted from the same saved doubles and replay applied the
-  // same additions to both in the same order.
-  for (const snapshot::SessionState& ss : state->sessions) {
-    if (!ss.audit_matches_ledger) continue;
-    DPX_ASSIGN_OR_RETURN(const std::shared_ptr<ServiceSession> session,
-                         sessions_.Get(ss.id));
-    if (audit_.TenantTotals(ss.id).epsilon_charged !=
-        session->budget().spent_epsilon()) {
-      return Status::Internal("post-recovery audit/ledger mismatch for "
-                              "session '" + ss.id +
-                              "': the journal and snapshot disagree");
-    }
-  }
+  DPX_RETURN_IF_ERROR(ApplySnapshot(*state, journal, &report));
   snapshot_restores_->Increment();
   return report;
 }

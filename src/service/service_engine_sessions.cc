@@ -234,11 +234,8 @@ StatusOr<JsonValue> ServiceEngine::OpExplain(const JsonValue& request,
         const std::shared_ptr<const Dataset> dataset =
             session->dataset()->dataset();
         const Schema& schema = dataset->schema();
-        DPX_ASSIGN_OR_RETURN(
-            JsonValue explanation_json,
-            JsonValue::Parse(ExplanationToJson(explanation, schema)));
         JsonValue body = JsonValue::Object();
-        body.Set("explanation", std::move(explanation_json));
+        body.Set("explanation", ExplanationToJsonValue(explanation, schema));
         body.Set("text", JsonValue::String(
                              RenderGlobalExplanation(explanation, schema)));
         return body;

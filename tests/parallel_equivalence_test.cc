@@ -5,11 +5,14 @@
 // bit-identical at any parallelism. These tests pin the contract for the
 // primitives (ParallelFor itself), the fused StatsCache build, the
 // clustering kernels (k-means, k-modes, GMM), and Stage-2 (the combination
-// search and the explanation it feeds).
+// search at every thread count and ISA level, its per-ISA Gumbel kernel,
+// and the explanation it feeds).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "core/serialization.h"
 #include "core/stats_cache.h"
 #include "data/kernels/isa.h"
+#include "data/kernels/kernel_table.h"
 #include "data/synthetic.h"
 
 namespace dpclustx {
@@ -437,6 +441,57 @@ AttributeCombination ReferenceScan(
   return combination;
 }
 
+TEST(SearchParallelTest, GumbelKernelMatchesScalarTransformAtEveryIsaLevel) {
+  // Uniforms as the search draws them, plus both ends of (0, 1); an odd
+  // count leaves a tail after every vector width.
+  std::vector<double> uniforms = {0x1p-54, 0x1p-53, 0.5,
+                                  std::nextafter(1.0, 0.0),
+                                  Rng::OpenUnitFromWord(~uint64_t{0})};
+  Rng rng(77);
+  while (uniforms.size() < 4099) uniforms.push_back(rng.UniformOpenDouble());
+  for (const kernels::IsaLevel level : kernels::SupportedIsaLevels()) {
+    for (const double scale : {1.0, 0.37}) {
+      std::vector<double> noise = uniforms;
+      kernels::TableFor(level).gumbel(noise.data(), noise.size(), scale);
+      for (size_t i = 0; i < uniforms.size(); ++i) {
+        const double expected = GumbelFromUniform(uniforms[i], scale);
+        ASSERT_EQ(std::memcmp(&noise[i], &expected, sizeof(double)), 0)
+            << "isa " << kernels::IsaLevelName(level) << " u " << uniforms[i]
+            << ": " << noise[i] << " vs " << expected;
+      }
+    }
+  }
+}
+
+TEST(SearchParallelTest, NoisyArgmaxPicksTheFirstMaximumAtEveryIsaLevel) {
+  // Scores and noise whose sums tie at the maximum, in a count that leaves
+  // a tail after every vector width.
+  const size_t n = 1003;
+  std::vector<int64_t> scores(n);
+  std::vector<double> noise(n);
+  Rng rng(5);
+  for (size_t i = 0; i < n; ++i) {
+    scores[i] = static_cast<int64_t>(rng.UniformInt(1000)) - 500;
+    noise[i] = -1.0 - rng.UniformDouble();
+  }
+  for (const size_t at : {size_t{17}, size_t{400}, size_t{1001}}) {
+    scores[at] = 0;
+    noise[at] = 0.0;
+  }
+  for (const kernels::IsaLevel level : kernels::SupportedIsaLevels()) {
+    std::vector<double> values = noise;
+    const size_t first = kernels::TableFor(level).noisy_argmax(
+        scores.data(), 0x1p-12, values.data(), n);
+    EXPECT_EQ(first, 17u) << "isa " << kernels::IsaLevelName(level);
+    for (size_t i = 0; i < n; ++i) {
+      const double expected =
+          0x1p-12 * static_cast<double>(scores[i]) + noise[i];
+      ASSERT_EQ(std::memcmp(&values[i], &expected, sizeof(double)), 0)
+          << "isa " << kernels::IsaLevelName(level) << " i " << i;
+    }
+  }
+}
+
 TEST(SearchParallelTest, ResultAndNextDrawIdenticalAtAnyThreadCount) {
   Rng shape_rng(2024);
   std::vector<std::vector<size_t>> shapes;
@@ -464,16 +519,22 @@ TEST(SearchParallelTest, ResultAndNextDrawIdenticalAtAnyThreadCount) {
       const AttributeCombination reference =
           ReferenceScan(sets, tables, epsilon, reference_rng);
       const uint64_t reference_next = reference_rng.engine()();
-      for (const size_t threads : {1u, 2u, 3u, 8u, 64u}) {
-        Rng rng(s + 1);
-        const auto combination = core_internal::SearchCombination(
-            sets, tables, epsilon, 1.0, size_t{1} << 30, rng, Deadline(),
-            threads);
-        ASSERT_TRUE(combination.ok()) << combination.status();
-        EXPECT_EQ(*combination, reference)
-            << "shape " << s << " eps " << epsilon << " threads " << threads;
-        EXPECT_EQ(rng.engine()(), reference_next)
-            << "shape " << s << " eps " << epsilon << " threads " << threads;
+      // The search's Gumbel noise runs through the per-ISA kernel table.
+      for (const kernels::IsaLevel level : kernels::SupportedIsaLevels()) {
+        kernels::ScopedForceIsa force(level);
+        for (const size_t threads : {1u, 2u, 3u, 8u, 64u}) {
+          Rng rng(s + 1);
+          const auto combination = core_internal::SearchCombination(
+              sets, tables, epsilon, 1.0, size_t{1} << 30, rng, Deadline(),
+              threads);
+          ASSERT_TRUE(combination.ok()) << combination.status();
+          EXPECT_EQ(*combination, reference)
+              << "shape " << s << " eps " << epsilon << " threads "
+              << threads << " isa " << kernels::IsaLevelName(level);
+          EXPECT_EQ(rng.engine()(), reference_next)
+              << "shape " << s << " eps " << epsilon << " threads "
+              << threads << " isa " << kernels::IsaLevelName(level);
+        }
       }
     }
   }

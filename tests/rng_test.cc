@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,6 +46,78 @@ TEST(RngTest, UniformOpenDoubleNeverZeroOrOne) {
     ASSERT_GT(u, 0.0);
     ASSERT_LT(u, 1.0);
   }
+}
+
+TEST(RngTest, OpenUnitFromWordMapsExtremeWordsInsideTheOpenInterval) {
+  // Sampling never reaches these words; the map is checked on them directly.
+  EXPECT_EQ(Rng::OpenUnitFromWord(0), 0x1p-54);
+  EXPECT_EQ(Rng::OpenUnitFromWord(0x7ff), 0x1p-54);  // low 11 bits unused
+  // The all-ones top 53 bits: (2^53 - 1) + 0.5 rounds to 2^53, i.e. u = 1.
+  // That one word maps to the largest double below 1 instead.
+  EXPECT_EQ(Rng::OpenUnitFromWord(~uint64_t{0}), std::nextafter(1.0, 0.0));
+  EXPECT_EQ(Rng::OpenUnitFromWord(~uint64_t{0} << 11),
+            std::nextafter(1.0, 0.0));
+  // Every other word keeps (m + 0.5)·2^-53, including its neighbour.
+  const auto midpoint = [](uint64_t word) {
+    return (static_cast<double>(word >> 11) + 0.5) * 0x1.0p-53;
+  };
+  const uint64_t neighbour = (~uint64_t{0} >> 11) - 1;
+  EXPECT_EQ(Rng::OpenUnitFromWord(neighbour << 11),
+            midpoint(neighbour << 11));
+  EXPECT_LT(Rng::OpenUnitFromWord(neighbour << 11), 1.0);
+  Xoshiro256 engine(3);
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t word = engine();
+    if ((word >> 11) == (~uint64_t{0} >> 11)) continue;
+    ASSERT_EQ(Rng::OpenUnitFromWord(word), midpoint(word)) << word;
+  }
+}
+
+// |got - ln x| in ulps of the double nearest ln x, against an extended-
+// precision reference.
+double LogErrorUlps(double x) {
+  const long double exact = std::log(static_cast<long double>(x));
+  const double nearest = std::fabs(static_cast<double>(exact));
+  const double ulp = std::nextafter(nearest, INFINITY) - nearest;
+  return static_cast<double>(
+      std::fabs(static_cast<long double>(BranchFreeLog(x)) - exact) / ulp);
+}
+
+TEST(GumbelTransformTest, BranchFreeLogIsWithinOneUlp) {
+  double worst = 0.0, worst_at = 0.0;
+  const auto check = [&](double x) {
+    const double error = LogErrorUlps(x);
+    if (error > worst) {
+      worst = error;
+      worst_at = x;
+    }
+  };
+  // The inner log's domain: every uniform in [2^-54, 1 - 2^-53], densely
+  // (a geometric sweep), plus the last 2^20 doubles below 1.
+  for (double x = 0x1p-54; x < 1.0; x *= 1.00002) check(x);
+  for (int i = 1; i <= (1 << 20); ++i) check(1.0 - i * 0x1p-53);
+  // The outer log's domain: -ln u for those uniforms, (1.1e-16, 37.43].
+  for (double x = 1.1e-16; x <= 37.43; x *= 1.00002) check(x);
+  // The extremes of both, and of positive normal doubles.
+  for (const double x :
+       {0x1p-54, 0x1p-53, std::nextafter(1.0, 0.0), 1.1102230246251565e-16,
+        37.43, 37.42994775023705, 1.0, std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max()}) {
+    check(x);
+  }
+  EXPECT_LE(worst, 1.0) << "at " << worst_at;
+  EXPECT_EQ(BranchFreeLog(1.0), 0.0);
+}
+
+TEST(GumbelTransformTest, EndpointsOfTheOpenIntervalGiveFiniteNoise) {
+  // The largest uniform: -ln u = 2^-53 (to within an ulp), so the noise is
+  // 53·ln 2 ≈ 36.74 — finite (u = 1 would give +inf).
+  const double top = GumbelFromUniform(Rng::OpenUnitFromWord(~uint64_t{0}),
+                                       1.0);
+  EXPECT_NEAR(top, 53.0 * std::log(2.0), 1e-12);
+  // The smallest: -ln u = 54·ln 2, noise -ln(54·ln 2) ≈ -3.62.
+  const double bottom = GumbelFromUniform(0x1p-54, 1.0);
+  EXPECT_NEAR(bottom, -std::log(54.0 * std::log(2.0)), 1e-12);
 }
 
 TEST(RngTest, UniformIntCoversRangeUniformly) {

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "core/explainer.h"
+#include "core/serialization.h"
 #include "data/columnar_format.h"
 #include "data/dataset.h"
 #include "gtest/gtest.h"
@@ -136,6 +138,40 @@ TEST(ServiceTest, CacheHitIsByteIdenticalAndFree) {
   ExpectOk(third);
   EXPECT_FALSE(third.at("cache_hit").AsBool());
   EXPECT_NEAR(third.at("epsilon_remaining").AsNumber(), 0.4, 1e-12);
+}
+
+TEST(ServiceTest, ExplainResponseEmbedsTheSerializedExplanationVerbatim) {
+  // The explain op embeds ExplanationToJsonValue's tree. Its response bytes
+  // must equal the Parse→Dump of ExplanationToJson over the same release,
+  // recomputed here from the engine's own stats and pinned seed.
+  ServiceEngine engine(DebugNoise());
+  SetUpDataset(engine);
+  ExpectOk(Call(engine, R"({"op":"create_session","session":"alice",)"
+                        R"("dataset":"d","epsilon":10.0})"));
+  const std::shared_ptr<DatasetEntry> entry = *engine.registry().Get("d");
+  const std::shared_ptr<const ClusteringView> view =
+      *entry->GetClustering("default");
+  for (uint64_t seed = 21; seed < 26; ++seed) {
+    const std::string response = engine.Handle(
+        R"({"op":"explain","session":"alice","epsilon_cand_set":0.1,)"
+        R"("epsilon_top_comb":0.2,"epsilon_hist":0.3,"num_candidates":3,)"
+        R"("seed":)" + std::to_string(seed) + "}");
+    DpClustXOptions options;
+    options.epsilon_cand_set = 0.1;
+    options.epsilon_top_comb = 0.2;
+    options.epsilon_hist = 0.3;
+    options.num_candidates = 3;
+    options.seed = seed;
+    const StatusOr<GlobalExplanation> explanation =
+        ExplainDpClustXWithStats(*view->stats, options, nullptr);
+    ASSERT_TRUE(explanation.ok()) << explanation.status();
+    const StatusOr<JsonValue> old_form = JsonValue::Parse(
+        ExplanationToJson(*explanation, entry->dataset()->schema()));
+    ASSERT_TRUE(old_form.ok()) << old_form.status();
+    EXPECT_NE(response.find("\"explanation\":" + old_form->Dump()),
+              std::string::npos)
+        << "seed " << seed << ": " << response;
+  }
 }
 
 TEST(ServiceTest, ThreadCountIsNotPartOfTheRelease) {

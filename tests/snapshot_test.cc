@@ -20,6 +20,7 @@
 #include "dp/privacy_budget.h"
 #include "gtest/gtest.h"
 #include "service/service_engine.h"
+#include "snapshot/audit_journal.h"
 #include "snapshot/snapshot.h"
 #include "snapshot/snapshot_io.h"
 
@@ -400,6 +401,93 @@ TEST(SnapshotTest, JournalGapIsRefused) {
       << report.status();
   EXPECT_NE(report.status().message().find("gap"), std::string::npos)
       << report.status();
+}
+
+/// A refused restore leaves nothing behind: no dataset, no session (so no
+/// budget to read), no audit record — the engine can still restore cleanly.
+void ExpectEmptyEngine(ServiceEngine& engine) {
+  ExpectError(Call(engine, R"({"op":"budget","session":"alice"})"),
+              "NotFound");
+  const JsonValue stats = Call(engine, R"({"op":"stats"})");
+  ExpectOk(stats);
+  EXPECT_EQ(stats.at("datasets").size(), 0u) << stats.Dump();
+  EXPECT_EQ(stats.at("sessions").size(), 0u) << stats.Dump();
+  EXPECT_EQ(engine.audit_log().next_seq(), 1u);
+  EXPECT_EQ(engine.cache().size(), 0u);
+}
+
+TEST(SnapshotTest, JournalMissingFirstPostCursorRecordLeavesEngineEmpty) {
+  const std::string snap = TempPath("gap-first.snap");
+  const std::string journal = TempPath("gap-first.journal");
+  std::remove(snap.c_str());
+  std::remove(journal.c_str());
+  {
+    ServiceEngine worker;
+    ASSERT_TRUE(worker.EnableAuditJournal(journal).ok());
+    SetUpServing(worker);
+    ExpectOk(Hist(worker, "diab_3", 0.1));              // seq 1
+    ASSERT_TRUE(worker.SaveSnapshotToFile(snap).ok());  // cursor = 2
+    ExpectOk(Hist(worker, "diab_5", 0.1));              // seq 2
+    ExpectOk(Hist(worker, "diab_3", 0.2));              // seq 3
+  }
+  // Drop seq 2, the first record after the cursor: the snapshot's session
+  // would otherwise come back without it, with ε it already spent free.
+  {
+    std::ifstream in(journal);
+    std::string line, kept;
+    for (int i = 0; std::getline(in, line); ++i) {
+      if (i != 1) kept += line + "\n";
+    }
+    in.close();
+    std::ofstream out(journal, std::ios::trunc);
+    out << kept;
+  }
+  ServiceEngine recovered;
+  StatusOr<ServiceEngine::RestoreReport> report =
+      recovered.RestoreFromFiles(snap, journal);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition)
+      << report.status();
+  ExpectEmptyEngine(recovered);
+}
+
+TEST(SnapshotTest, JournalChargeOverflowingASessionLeavesEngineEmpty) {
+  const std::string snap = TempPath("overflow.snap");
+  const std::string journal = TempPath("overflow.journal");
+  std::remove(snap.c_str());
+  std::remove(journal.c_str());
+  {
+    ServiceEngine worker;
+    ASSERT_TRUE(worker.EnableAuditJournal(journal).ok());
+    SetUpServing(worker);
+    ExpectOk(Hist(worker, "diab_3", 0.1));              // seq 1
+    ASSERT_TRUE(worker.SaveSnapshotToFile(snap).ok());  // cursor = 2
+    ExpectOk(Hist(worker, "diab_5", 0.1));              // seq 2
+  }
+  // A forged seq 3 that charges alice past her 2.0 budget.
+  {
+    obs::AuditRecord record;
+    record.seq = 3;
+    record.tenant = "alice";
+    record.dataset = "d";
+    record.label = "hist attr=diab_3";
+    record.epsilon = 1.95;
+    record.granted = true;
+    std::ofstream out(journal, std::ios::app);
+    out << snapshot::AuditRecordToJsonLine(record) << "\n";
+  }
+  ServiceEngine recovered;
+  StatusOr<ServiceEngine::RestoreReport> report =
+      recovered.RestoreFromFiles(snap, journal);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition)
+      << report.status();
+  EXPECT_NE(report.status().message().find("overflows"), std::string::npos)
+      << report.status();
+  ExpectEmptyEngine(recovered);
+  // Nothing was half-applied: the snapshot alone still restores.
+  ASSERT_TRUE(recovered.RestoreFromFiles(snap, "").ok());
+  EXPECT_EQ(SessionSpent(recovered, "alice"), 0.1);
 }
 
 TEST(SnapshotTest, TornFinalJournalLineIsSkipped) {
