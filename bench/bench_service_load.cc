@@ -72,10 +72,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/status.h"
-#include "flags.h"
 #include "obs/metrics.h"
 #include "service/json_relay.h"
 #include "service/transport.h"
@@ -91,9 +91,9 @@ using dpclustx::service::ClientChannel;
 using dpclustx::service::RelayScan;
 using dpclustx::service::ScanTopLevelId;
 using dpclustx::service::SpliceId;
-using dpclustx::tools::ParseDoubleFlag;
-using dpclustx::tools::ParseSizeFlag;
-using dpclustx::tools::ParseStringFlag;
+using dpclustx::ParseDoubleFlag;
+using dpclustx::ParseSizeFlag;
+using dpclustx::ParseStringFlag;
 
 struct BenchConfig {
   size_t workers = 2;

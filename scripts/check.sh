@@ -406,19 +406,20 @@ else
   cmake --build build-tsan -j --target \
     thread_pool_test service_test privacy_budget_test eda_session_test \
     parallel_equivalence_test dataset_layout_test obs_test \
-    transport_test router_test \
+    transport_test router_test snapshot_test \
     >/dev/null
   # DPCLUSTX_THREADS=8 widens the shared compute pool so the ParallelFor
   # kernels genuinely interleave under TSan even on narrow CI hosts.
   # transport_test races the epoll loop against concurrent ClientChannel
   # threads (and forks the TSan-built router for the socket e2e cases);
   # router_test drives the Router library in-process and forks the
-  # TSan-built router for the respawn and replica cases. halt_on_error
+  # TSan-built router for the respawn and replica cases; snapshot_test runs
+  # the worker lifecycle's periodic saver beside charges. halt_on_error
   # reaches those children through the environment: a race there kills
   # the child, which fails the test that drives it.
   (cd build-tsan &&
    DPCLUSTX_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
-     -R '^(thread_pool_test|service_test|privacy_budget_test|eda_session_test|parallel_equivalence_test|dataset_layout_test|obs_test|transport_test|router_test)$')
+     -R '^(thread_pool_test|service_test|privacy_budget_test|eda_session_test|parallel_equivalence_test|dataset_layout_test|obs_test|transport_test|router_test|snapshot_test)$')
 fi
 
 echo "==> all checks passed"

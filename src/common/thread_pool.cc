@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <utility>
@@ -92,6 +93,26 @@ uint64_t ThreadPool::tasks_completed() const {
 size_t ThreadPool::active_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return active_;
+}
+
+Periodic::Periodic(size_t interval_ms, std::function<void()> work)
+    : thread_([this, interval_ms, work = std::move(work)] {
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (!cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
+                             [this] { return stop_; })) {
+          lock.unlock();
+          work();
+          lock.lock();
+        }
+      }) {}
+
+Periodic::~Periodic() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  thread_.join();
 }
 
 namespace {

@@ -1,5 +1,6 @@
-// Fixed-size worker pool with a bounded task queue, plus the process-wide
-// parallel-compute layer (ParallelFor) built on top of it.
+// Fixed-size worker pool with a bounded task queue, the process-wide
+// parallel-compute layer (ParallelFor) built on top of it, and Periodic,
+// the one background thread that runs work on a fixed period.
 //
 // The service layer (src/service) runs every request through one of these:
 // a fixed number of workers drain a bounded FIFO queue, and submissions
@@ -92,6 +93,26 @@ class ThreadPool {
   uint64_t tasks_completed_ = 0;             // guarded by mutex_
   size_t active_ = 0;                        // guarded by mutex_
   std::vector<std::thread> workers_;         // guarded by mutex_
+};
+
+/// Runs `work` on its own thread every `interval_ms` — the worker's
+/// snapshot saves, the router's health pings. It waits first, so the first
+/// call comes one interval after construction: startup work is the owner's
+/// to do synchronously. Destruction wakes the wait at once and joins (a
+/// call already running finishes first).
+class Periodic {
+ public:
+  Periodic(size_t interval_ms, std::function<void()> work);
+  ~Periodic();
+
+  Periodic(const Periodic&) = delete;
+  Periodic& operator=(const Periodic&) = delete;
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool stop_ = false;   // guarded by mutex_
+  std::thread thread_;  // last: starts after the state above exists
 };
 
 /// Width of the process-wide compute pool: the DPCLUSTX_THREADS environment

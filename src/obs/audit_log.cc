@@ -30,9 +30,10 @@ JsonValue RecordToJson(const AuditRecord& r) {
 
 AuditLog::AuditLog(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
-uint64_t AuditLog::Record(const std::string& tenant, const std::string& dataset,
-                          const std::string& label, double epsilon,
-                          bool granted, const std::string& reason) {
+StatusOr<uint64_t> AuditLog::Record(const std::string& tenant,
+                                    const std::string& dataset,
+                                    const std::string& label, double epsilon,
+                                    bool granted, const std::string& reason) {
   std::lock_guard<std::mutex> lock(mutex_);
   AuditRecord record;
   record.seq = next_seq_++;
@@ -46,8 +47,9 @@ uint64_t AuditLog::Record(const std::string& tenant, const std::string& dataset,
   // Durable hook first: the journal write happens before the charge is
   // observable anywhere (the caller is still holding its spend lock and has
   // not yet built a response).
-  if (sink_) sink_(record);
+  const Status sunk = sink_ ? sink_(record) : Status::OK();
   ApplyLocked(std::move(record));
+  if (!sunk.ok()) return sunk;
   return next_seq_ - 1;
 }
 
@@ -72,7 +74,7 @@ void AuditLog::ApplyLocked(AuditRecord record) {
   }
 }
 
-void AuditLog::set_sink(std::function<void(const AuditRecord&)> sink) {
+void AuditLog::set_sink(Sink sink) {
   std::lock_guard<std::mutex> lock(mutex_);
   sink_ = std::move(sink);
 }

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/status.h"
 
 namespace dpclustx::obs {
 
@@ -52,10 +53,14 @@ class AuditLog {
   AuditLog(const AuditLog&) = delete;
   AuditLog& operator=(const AuditLog&) = delete;
 
-  /// Appends one charge/denial. Returns the assigned sequence number.
-  uint64_t Record(const std::string& tenant, const std::string& dataset,
-                  const std::string& label, double epsilon, bool granted,
-                  const std::string& reason = "");
+  /// Appends one charge/denial and returns its sequence number, or the
+  /// sink's error when the sink refused it. The record counts either way:
+  /// the caller has already charged it, and a ledger may overstate but
+  /// never understate.
+  StatusOr<uint64_t> Record(const std::string& tenant,
+                            const std::string& dataset,
+                            const std::string& label, double epsilon,
+                            bool granted, const std::string& reason = "");
 
   struct Totals {
     double epsilon_charged = 0.0;  // sum of granted ε, in Record order
@@ -77,9 +82,12 @@ class AuditLog {
   /// Durable sink invoked synchronously inside Record, under the log's
   /// lock, with the fully-assigned record — before Record returns, hence
   /// before any response leaves the service. The snapshot layer's journal
-  /// hangs off this hook so every observable charge is on disk first.
-  /// The sink must not call back into this log. nullptr disables.
-  void set_sink(std::function<void(const AuditRecord&)> sink);
+  /// hangs off this hook so every observable charge is on disk first; its
+  /// error comes back out of Record, so a charge that is not on disk
+  /// releases nothing. The sink must not call back into this log. nullptr
+  /// disables.
+  using Sink = std::function<Status(const AuditRecord&)>;
+  void set_sink(Sink sink);
 
   /// The complete mutable state, for snapshotting. Totals are the exact
   /// running doubles, not recomputed sums — restoring them and continuing
@@ -114,7 +122,7 @@ class AuditLog {
 
   const size_t capacity_;
   mutable std::mutex mutex_;
-  std::function<void(const AuditRecord&)> sink_;  // guarded by mutex_
+  Sink sink_;  // guarded by mutex_
   std::deque<AuditRecord> records_;
   std::map<std::string, Totals> tenant_totals_;
   Totals global_totals_;

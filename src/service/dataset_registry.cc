@@ -160,23 +160,6 @@ StatusOr<std::shared_ptr<const ClusteringView>> DatasetEntry::GetClustering(
   return it->second;
 }
 
-std::vector<std::string> DatasetEntry::ClusteringIds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> ids;
-  ids.reserve(clusterings_.size());
-  for (const auto& [id, view] : clusterings_) ids.push_back(id);
-  return ids;
-}
-
-std::vector<std::shared_ptr<const ClusteringView>>
-DatasetEntry::Clusterings() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::shared_ptr<const ClusteringView>> views;
-  views.reserve(clusterings_.size());
-  for (const auto& [id, view] : clusterings_) views.push_back(view);
-  return views;
-}
-
 void DatasetEntry::SnapshotState(
     std::shared_ptr<const Dataset>* dataset,
     std::vector<std::shared_ptr<const ClusteringView>>* views,

@@ -139,11 +139,6 @@ class DatasetEntry {
   StatusOr<std::shared_ptr<const ClusteringView>> GetClustering(
       const std::string& id) const;
 
-  std::vector<std::string> ClusteringIds() const;
-
-  /// Every published view, in id order (snapshot harvest).
-  std::vector<std::shared_ptr<const ClusteringView>> Clusterings() const;
-
   /// Dataset generation, views, and epoch from one locked instant — the
   /// snapshot harvester must not pair a post-append dataset with pre-append
   /// views (or vice versa). Null out-params are skipped.

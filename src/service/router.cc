@@ -19,6 +19,7 @@
 
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "service/json_relay.h"
 #include "service/router_core.h"
@@ -379,7 +380,12 @@ class Router::Impl {
     }
     RegisterWorkerInstruments();
     for (auto& w : workers_) Spawn(*w);
-    health_thread_ = std::thread([this] { HealthLoop(); });
+    health_ = std::make_unique<Periodic>(
+        options_.health_interval_ms,
+        [this, misses = std::vector<size_t>(workers_.size(), 0),
+         generation = std::vector<uint64_t>(workers_.size(), 0)]() mutable {
+          CheckHealth(misses, generation);
+        });
   }
 
   ~Impl() {
@@ -473,11 +479,7 @@ class Router::Impl {
       pending_cv_.wait_for(lock, std::chrono::seconds(10),
                            [this] { return pending_.empty(); });
     }
-    {
-      std::lock_guard<std::mutex> lock(health_mutex_);  // pairs with the wait
-    }
-    health_cv_.notify_all();
-    health_thread_.join();
+    health_.reset();
     // Closing a worker's stdin makes it drain, snapshot, and exit 0.
     std::lock_guard<std::mutex> lock(restart_mutex_);
     for (auto& w : workers_) w->link->Close();
@@ -644,42 +646,33 @@ class Router::Impl {
     return w.alive.load() && w.link->Send(line);
   }
 
-  void HealthLoop() {
-    // Miss counts belong to this thread alone; a count restarts whenever
-    // the worker's spawn generation moves (a respawn by any path).
-    std::vector<size_t> misses(workers_.size(), 0);
-    std::vector<uint64_t> generation(workers_.size(), 0);
-    std::unique_lock<std::mutex> lock(health_mutex_);
-    while (!shutting_down_.load()) {
-      health_cv_.wait_for(lock,
-                          std::chrono::milliseconds(options_.health_interval_ms),
-                          [this] { return shutting_down_.load(); });
-      if (shutting_down_.load()) return;
-      lock.unlock();
-      for (size_t i = 0; i < workers_.size() && !shutting_down_.load(); ++i) {
-        WorkerProc& w = *workers_[i];
-        if (!w.alive.load()) {
-          RespawnCrashed(w);
-          continue;
-        }
-        if (w.spawns.load() != generation[i]) {
-          generation[i] = w.spawns.load();
-          misses[i] = 0;
-        }
-        JsonValue ping = JsonValue::Object();
-        ping.Set("op", JsonValue::String("ping"));
-        if (!RoundTrip(w, std::move(ping), options_.health_deadline_ms)
-                 .empty()) {
-          misses[i] = 0;
-        } else if (++misses[i] >= options_.health_misses) {
-          std::cerr << "[router] " << w.name << " missed " << misses[i]
-                    << " health checks; killing\n";
-          // Its death fails its pending work; the next tick respawns it.
-          std::lock_guard<std::mutex> restart(restart_mutex_);
-          if (w.spawns.load() == generation[i]) w.link->Kill();
-        }
+  /// One health tick, on the health thread. `misses` and `generation` are
+  /// that thread's alone: a miss count restarts whenever the worker's spawn
+  /// generation moves (a respawn by any path).
+  void CheckHealth(std::vector<size_t>& misses,
+                   std::vector<uint64_t>& generation) {
+    for (size_t i = 0; i < workers_.size() && !shutting_down_.load(); ++i) {
+      WorkerProc& w = *workers_[i];
+      if (!w.alive.load()) {
+        RespawnCrashed(w);
+        continue;
       }
-      lock.lock();
+      if (w.spawns.load() != generation[i]) {
+        generation[i] = w.spawns.load();
+        misses[i] = 0;
+      }
+      JsonValue ping = JsonValue::Object();
+      ping.Set("op", JsonValue::String("ping"));
+      if (!RoundTrip(w, std::move(ping), options_.health_deadline_ms)
+               .empty()) {
+        misses[i] = 0;
+      } else if (++misses[i] >= options_.health_misses) {
+        std::cerr << "[router] " << w.name << " missed " << misses[i]
+                  << " health checks; killing\n";
+        // Its death fails its pending work; the next tick respawns it.
+        std::lock_guard<std::mutex> restart(restart_mutex_);
+        if (w.spawns.load() == generation[i]) w.link->Kill();
+      }
     }
   }
 
@@ -1339,10 +1332,8 @@ class Router::Impl {
   // the health loop's kill, and shutdown.
   std::mutex restart_mutex_;
   std::mt19937_64 respawn_rng_{std::random_device{}()};  // restart_mutex_
-  std::mutex health_mutex_;
-  std::condition_variable health_cv_;
   std::atomic<bool> shutting_down_{false};
-  std::thread health_thread_;
+  std::unique_ptr<Periodic> health_;  // pings and respawns; reset by Shutdown
 
   obs::Counter* dropped_lines_counter_;
   obs::Counter* relay_spliced_counter_;

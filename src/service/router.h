@@ -57,8 +57,8 @@
 //                                    respawn replicas from the fresh files
 //   {"op":"trace"}                   the ring of stitched timelines
 //
-// save_snapshot / load_snapshot from clients are refused: the router owns
-// snapshot scheduling. ping / stats / audit broadcast to every shard and
+// save_snapshot from clients is refused: the router owns snapshot
+// scheduling. ping / stats / audit broadcast to every shard and
 // return the per-shard responses under "workers"; metrics broadcasts and
 // returns only the labeled "fleet" rollup.
 

@@ -71,9 +71,9 @@ StatusOr<size_t> OptCount(const JsonValue& request, const std::string& key,
 // mutating op on a read-only engine; RouterCore::Classify reads the key and
 // placement through FindOp. Replica-read ops are not `mutates`: a cache hit
 // is free, and ReleaseOnce refuses the miss. `size` is never cached, so it
-// has no free hit to carve out. `load_snapshot` stays serveable on a replica:
-// a restore is how a respawned replica gets the primary's paid-for releases
-// (RestoreFromFiles requires an empty engine).
+// has no free hit to carve out. There is no restore op: a worker restores
+// once, at start (service/worker.h), and a replica gets the primary's
+// paid-for releases by being respawned from the primary's snapshot.
 using E = ServiceEngine;
 using K = OpKey;
 using P = OpPlacement;
@@ -96,7 +96,6 @@ const ServiceEngine::OpRoute ServiceEngine::kOpRoutes[] = {
   {{"trace",          K::kNone,          P::kRouter,      false}, &E::OpTrace},
   {{"audit",          K::kNone,          P::kBroadcast,   false}, &E::OpAudit},
   {{"save_snapshot",  K::kNone,          P::kRefused,     true},  &E::OpSaveSnapshot},
-  {{"load_snapshot",  K::kNone,          P::kRefused,     false}, &E::OpLoadSnapshot},
 };
 // clang-format on
 
@@ -170,8 +169,8 @@ void ServiceEngine::RegisterMetrics() {
       "Audit records durably appended to the journal");
   journal_failures_ = metrics_->RegisterCounter(
       "dpclustx_audit_journal_failures_total",
-      "Audit-journal writes that failed (durability hole: charges since the "
-      "first failure may be unrecoverable)");
+      "Audit-journal writes that failed: the request released nothing, and "
+      "recovery refuses the seq gap until the next snapshot");
   journal_replayed_ = metrics_->RegisterCounter(
       "dpclustx_audit_journal_replayed_total",
       "Journal records applied by crash recovery");

@@ -41,8 +41,9 @@
 //                   registry as Prometheus text)
 //   trace          [limit]    (recent request span trees, newest last)
 //   audit          [limit]    (privacy-budget audit log tail + totals)
-//   save_snapshot  path       (durable state snapshot; DESIGN.md §11)
-//   load_snapshot  path, [journal]   (crash recovery into an empty engine)
+//   save_snapshot  path       (durable state snapshot; DESIGN.md §11.
+//                              Restore is not an op: a worker restores
+//                              once, at start — service/worker.h)
 //
 // Observability (see DESIGN.md §10): every request updates pre-registered
 // instruments in a MetricsRegistry (no locks on the hot path). A request
@@ -346,8 +347,7 @@ class ServiceEngine {
                                         const Deadline& deadline);
   OpHandler OpPing, OpLoadDataset, OpAppendRows, OpSchema, OpCluster,
       OpCreateSession, OpCloseSession, OpBudget, OpExplain, OpHist, OpSize,
-      OpStats, OpMetricsDump, OpTrace, OpAudit, OpSaveSnapshot,
-      OpLoadSnapshot;
+      OpStats, OpMetricsDump, OpTrace, OpAudit, OpSaveSnapshot;
   /// One row of the op table: DispatchOp routes `spec.name` to `handler`,
   /// RegisterMetrics pre-registers the op's instruments under it, and the
   /// router reads `spec` through FindOp.

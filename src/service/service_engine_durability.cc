@@ -1,6 +1,5 @@
 // ServiceEngine durability (src/snapshot; DESIGN.md §11): snapshot harvest
-// and apply, audit-journal replay, and the save_snapshot / load_snapshot
-// ops.
+// and apply, audit-journal replay, and the save_snapshot op.
 #include "service/service_engine.h"
 
 #include <algorithm>
@@ -51,13 +50,12 @@ Status ServiceEngine::EnableAuditJournal(const std::string& path) {
   DPX_RETURN_IF_ERROR(journal_.Open(path));
   // The sink runs inside AuditLog::Record, under its lock, before the
   // charge's response is built — the journal is a write-ahead log for every
-  // ε charge a client could have observed.
+  // ε charge a client could have observed. A failed append fails the charge
+  // (ServiceSession::Spend), so that client observes nothing.
   audit_.set_sink([this](const obs::AuditRecord& record) {
-    if (journal_.Append(record).ok()) {
-      journal_records_->Increment();
-    } else {
-      journal_failures_->Increment();
-    }
+    const Status appended = journal_.Append(record);
+    (appended.ok() ? journal_records_ : journal_failures_)->Increment();
+    return appended;
   });
   return Status::OK();
 }
@@ -441,28 +439,6 @@ StatusOr<JsonValue> ServiceEngine::OpSaveSnapshot(const JsonValue& request,
   body.Set("sessions", Count(sessions_.size()));
   body.Set("cache_entries", Count(cache_.size()));
   body.Set("audit_next_seq", Count(audit_.next_seq()));
-  return body;
-}
-
-StatusOr<JsonValue> ServiceEngine::OpLoadSnapshot(const JsonValue& request,
-                                                  const Deadline&) {
-  DPX_ASSIGN_OR_RETURN(const std::string path, request.GetString("path"));
-  DPX_ASSIGN_OR_RETURN(const std::string journal,
-                       OptString(request, "journal", ""));
-  DPX_ASSIGN_OR_RETURN(const RestoreReport report,
-                       RestoreFromFiles(path, journal));
-  JsonValue unrecovered = JsonValue::Array();
-  for (const std::string& tenant : report.unrecovered_sessions) {
-    unrecovered.Append(JsonValue::String(tenant));
-  }
-  JsonValue body = JsonValue::Object();
-  body.Set("path", JsonValue::String(path));
-  body.Set("format_version", Count(report.format_version));
-  body.Set("datasets", Count(report.datasets));
-  body.Set("sessions", Count(report.sessions));
-  body.Set("cache_entries", Count(report.cache_entries));
-  body.Set("replayed_records", Count(report.replayed_records));
-  body.Set("unrecovered_sessions", std::move(unrecovered));
   return body;
 }
 

@@ -58,10 +58,14 @@ Status ServiceSession::Spend(double epsilon, const std::string& label) {
   const Status charged = budget_.Spend(epsilon, label);
   DPX_CHECK(charged.ok()) << charged.ToString();
   // Audited under spend_mutex_, after the charge: the log sees this
-  // session's grants in ledger order (see set_audit_log).
+  // session's grants in ledger order (see set_audit_log). A charge the
+  // journal could not take stays charged but fails the request, so nothing
+  // is released that a restart could not account for.
   if (audit_log_ != nullptr) {
-    audit_log_->Record(id_, dataset_->name(), label, epsilon,
-                       /*granted=*/true);
+    DPX_RETURN_IF_ERROR(audit_log_
+                            ->Record(id_, dataset_->name(), label, epsilon,
+                                     /*granted=*/true)
+                            .status());
   }
   return Status::OK();
 }

@@ -50,7 +50,9 @@ class ServiceSession {
   const PrivacyBudget& budget() const { return budget_; }
 
   /// Atomic dual check-and-charge (see file comment). OutOfBudget names
-  /// which limit refused — the session ledger or the dataset cap.
+  /// which limit refused — the session ledger or the dataset cap. When the
+  /// audit sink (the journal) refuses a granted charge, returns its error
+  /// with the charge kept: the caller must release nothing.
   Status Spend(double epsilon, const std::string& label);
 
   /// Audit sink for every charge/denial this session processes. Recorded

@@ -25,11 +25,6 @@ Status AuditJournal::Open(const std::string& path) {
   return Status::OK();
 }
 
-bool AuditJournal::is_open() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return file_ != nullptr;
-}
-
 Status AuditJournal::Append(const obs::AuditRecord& record) {
   const std::string line = AuditRecordToJsonLine(record) + "\n";
   std::lock_guard<std::mutex> lock(mutex_);

@@ -46,12 +46,9 @@ class AuditJournal {
   /// Opens `path` for append, creating it if absent.
   Status Open(const std::string& path);
 
-  /// True when Open succeeded and Close has not been called.
-  bool is_open() const;
-
   /// Serializes `record` as one JSON line, writes it, and flushes. IoError
-  /// if the write or flush fails (the caller must treat that as fatal for
-  /// durability: an unjournaled charge cannot be recovered).
+  /// if the write or flush fails: an unjournaled charge cannot be
+  /// recovered, so the engine fails that charge's request.
   Status Append(const obs::AuditRecord& record);
 
   void Close();

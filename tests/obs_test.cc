@@ -370,10 +370,24 @@ TEST(TraceTest, PipelineTraceCoversAllStages) {
 TEST(AuditLogTest, SequenceNumbersAreMonotonicFromOne) {
   AuditLog log;
   EXPECT_EQ(log.next_seq(), 1u);
-  EXPECT_EQ(log.Record("t1", "d", "explain", 0.5, true), 1u);
-  EXPECT_EQ(log.Record("t1", "d", "explain", 0.5, false, "session budget"),
+  EXPECT_EQ(*log.Record("t1", "d", "explain", 0.5, true), 1u);
+  EXPECT_EQ(*log.Record("t1", "d", "explain", 0.5, false, "session budget"),
             2u);
   EXPECT_EQ(log.next_seq(), 3u);
+}
+
+TEST(AuditLogTest, ASinkErrorComesOutOfRecordAndTheRecordStillCounts) {
+  AuditLog log;
+  log.set_sink([](const AuditRecord&) {
+    return Status::IoError("journal write failed");
+  });
+  const StatusOr<uint64_t> recorded =
+      log.Record("t1", "d", "explain", 0.5, true);
+  EXPECT_EQ(recorded.status().code(), StatusCode::kIoError);
+  // The caller charged the ledger before recording, so the totals keep the
+  // charge: they may overstate, never understate.
+  EXPECT_EQ(log.TenantTotals("t1").epsilon_charged, 0.5);
+  EXPECT_EQ(log.next_seq(), 2u);
 }
 
 TEST(AuditLogTest, TotalsSeparateChargesFromDenials) {

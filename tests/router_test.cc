@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -30,6 +31,7 @@
 #include "obs/metrics.h"
 #include "service/router_core.h"
 #include "service/service_engine.h"
+#include "service/worker.h"
 
 namespace dpclustx::service {
 namespace {
@@ -109,11 +111,10 @@ TEST(RouterCoreTest, ClassifiesEveryOpKind) {
       {R"({"op":"trace"})", OpPlacement::kRouter, ""},
       {R"({"op":"audit"})", OpPlacement::kBroadcast, ""},
       {R"({"op":"save_snapshot","path":"x"})", OpPlacement::kRefused, ""},
-      {R"({"op":"load_snapshot","path":"x"})", OpPlacement::kRefused, ""},
       // Last: it unbinds the session the rows above route by.
       {R"({"op":"close_session")" + session, OpPlacement::kShard, "census"},
   };
-  ASSERT_EQ(rows.size(), 17u);
+  ASSERT_EQ(rows.size(), 16u);
   for (const Row& row : rows) {
     StatusOr<RouteDecision> d = core.Classify(ParseRequest(row.request));
     ASSERT_TRUE(d.ok()) << row.request << ": " << d.status();
@@ -121,12 +122,15 @@ TEST(RouterCoreTest, ClassifiesEveryOpKind) {
     EXPECT_EQ(d->dataset, row.dataset) << row.request;
   }
 
-  // An op the engine does not serve gets the engine's own answer.
-  StatusOr<RouteDecision> d =
-      core.Classify(ParseRequest(R"({"op":"frobnicate"})"));
-  ASSERT_FALSE(d.ok());
-  EXPECT_EQ(d.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(d.status().message(), "unknown op 'frobnicate'");
+  // An op the engine does not serve gets the engine's own answer; a
+  // worker restores only at start, so there is no restore op.
+  for (const std::string op : {"frobnicate", "load_snapshot"}) {
+    StatusOr<RouteDecision> d = core.Classify(
+        ParseRequest(R"({"op":")" + op + R"(","path":"x"})"));
+    ASSERT_FALSE(d.ok()) << op;
+    EXPECT_EQ(d.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(d.status().message(), "unknown op '" + op + "'");
+  }
 }
 
 TEST(RouterCoreTest, SessionsBindOnCreateAndUnbindOnClose) {
@@ -371,55 +375,66 @@ const JsonValue* FindChild(const JsonValue& node, const std::string& name) {
 
 // ---- in-process: the Router library over test links ------------------
 
-/// In-process stand-in for a dpclustx_serve child: one ServiceEngine
-/// behind HandleAsync. Its single engine thread serves the stream in
-/// order, like a worker started with --sync. kGarbage answers every line
-/// with non-JSON; kUnparseable with the engine's answer plus a bare-word
-/// member, which the relay scanner accepts and the JSON parser refuses.
-/// Freeze holds lines unanswered and Crash then fires the death callback
-/// with them still owed — a SIGSTOP + SIGKILL mid-request. Every line the
-/// link accepts is kept, in order, for Sent().
+/// In-process stand-in for a dpclustx_serve child: the worker lifecycle
+/// (service/worker.h) started from the argv the router builds, so a
+/// respawn restores from the same snapshot and journal files. The router
+/// runs these with --threads 1, so the single engine thread serves the
+/// stream in order, like a worker started with --sync. kGarbage answers
+/// every line with non-JSON; kUnparseable with the engine's answer plus a
+/// bare-word member, which the relay scanner accepts and the JSON parser
+/// refuses. Freeze holds lines unanswered, and Kill then fires the death
+/// callback with them still owed — a SIGSTOP + SIGKILL mid-request. Every
+/// line the link accepts is kept, in order, for Sent().
 class EngineLink : public WorkerLink {
  public:
   enum class Script { kServe, kGarbage, kUnparseable };
 
-  explicit EngineLink(Script script) : script_(script) {}
+  EngineLink(Script script, std::vector<std::string> argv)
+      : script_(script), argv_(std::move(argv)) {}
   ~EngineLink() override { Kill(); }
 
   Status Start(LineFn on_line, DeathFn on_death) override {
+    std::vector<std::string> argv = argv_;
+    std::vector<char*> args;
+    for (std::string& arg : argv) args.push_back(arg.data());
+    WorkerOptions options;
+    const int stop = ParseWorkerFlags(static_cast<int>(args.size()),
+                                      args.data(), &options);
+    if (stop != static_cast<int>(args.size())) {
+      return Status::InvalidArgument("unknown worker flag " + argv[stop]);
+    }
+    // Held across the restore, so a Send waits for it the way a line
+    // written into a process's pipe waits for the child to restore.
     std::lock_guard<std::mutex> lock(mutex_);
-    ServiceEngineOptions options;
-    options.num_threads = 1;
-    engine_ = std::make_unique<ServiceEngine>(options);
+    pid_.store(next_pid_.fetch_add(1));
+    DPX_ASSIGN_OR_RETURN(worker_, Worker::Start(options, nullptr));
     on_line_ = std::move(on_line);
     on_death_ = std::move(on_death);
     frozen_ = false;
-    died_ = false;
-    pid_.store(next_pid_.fetch_add(1));
     return Status::OK();
   }
 
   bool Send(const std::string& line) override {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (engine_ == nullptr || died_) return false;
+    if (worker_ == nullptr) return false;
     sent_.push_back(line);
     if (frozen_) return true;  // accepted, never answered
-    return engine_
-        ->HandleAsync(line,
-                      [this](std::string response) {
-                        switch (script_) {
-                          case Script::kServe:
-                            break;
-                          case Script::kGarbage:
-                            response = "garbage not json";
-                            break;
-                          case Script::kUnparseable:
-                            response.pop_back();  // the closing brace
-                            response += ",\"x\":bogus}";
-                            break;
-                        }
-                        on_line_(std::move(response));
-                      })
+    return worker_->engine()
+        .HandleAsync(line,
+                     [this](std::string response) {
+                       switch (script_) {
+                         case Script::kServe:
+                           break;
+                         case Script::kGarbage:
+                           response = "garbage not json";
+                           break;
+                         case Script::kUnparseable:
+                           response.pop_back();  // the closing brace
+                           response += ",\"x\":bogus}";
+                           break;
+                       }
+                       on_line_(std::move(response));
+                     })
         .ok();
   }
 
@@ -428,19 +443,11 @@ class EngineLink : public WorkerLink {
     return sent_;
   }
 
-  void Kill() override { Close(); }
+  /// A SIGKILL: the worker goes without its final snapshot.
+  void Kill() override { Stop(/*drain=*/false); }
 
-  void Close() override {
-    std::unique_ptr<ServiceEngine> engine;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      engine = std::move(engine_);
-    }
-    if (engine == nullptr) return;
-    engine->Shutdown();  // queued responses land before the "EOF"
-    FireDeath();
-    pid_.store(-1);
-  }
+  /// EOF on stdin: the worker drains and writes its final snapshot.
+  void Close() override { Stop(/*drain=*/true); }
 
   int64_t Pid() const override { return pid_.load(); }
 
@@ -449,30 +456,31 @@ class EngineLink : public WorkerLink {
     frozen_ = true;
   }
 
-  /// Dies now, on the calling thread, owing whatever it holds.
-  void Crash() { FireDeath(); }
-
  private:
-  void FireDeath() {
+  void Stop(bool drain) {
+    std::unique_ptr<Worker> worker;
     DeathFn on_death;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (died_) return;
-      died_ = true;
+      worker = std::move(worker_);
       on_death = on_death_;
     }
+    if (worker == nullptr) return;
+    if (drain) worker->Shutdown();  // queued responses land before the "EOF"
+    worker.reset();
     on_death();
+    pid_.store(-1);
   }
 
   static inline std::atomic<int64_t> next_pid_{1000};
   const Script script_;
+  const std::vector<std::string> argv_;
   std::mutex mutex_;
-  std::unique_ptr<ServiceEngine> engine_;  // guarded by mutex_
-  std::vector<std::string> sent_;          // guarded by mutex_
+  std::unique_ptr<Worker> worker_;  // guarded by mutex_
+  std::vector<std::string> sent_;   // guarded by mutex_
   LineFn on_line_;
   DeathFn on_death_;
-  bool frozen_ = false;
-  bool died_ = false;
+  bool frozen_ = false;  // guarded by mutex_
   std::atomic<int64_t> pid_{-1};
 };
 
@@ -481,9 +489,9 @@ class EngineLink : public WorkerLink {
 WorkerLinkFactory EngineLinks(
     EngineLink::Script script = EngineLink::Script::kServe,
     std::vector<EngineLink*>* links = nullptr) {
-  return [script, links](const std::string&, std::vector<std::string>)
+  return [script, links](const std::string&, std::vector<std::string> argv)
              -> std::unique_ptr<WorkerLink> {
-    auto link = std::make_unique<EngineLink>(script);
+    auto link = std::make_unique<EngineLink>(script, std::move(argv));
     if (links != nullptr) links->push_back(link.get());
     return link;
   };
@@ -494,6 +502,7 @@ RouterOptions InProcessOptions(const std::string& state_dir, size_t workers) {
   options.workers = workers;
   options.state_dir = state_dir;
   options.health_interval_ms = 100;
+  options.worker_args = {"--threads", "1"};
   return options;
 }
 
@@ -586,6 +595,12 @@ TEST(RouterE2eTest, ShardedSessionFlowAcrossTwoWorkers) {
       "t10", R"({"op":"save_snapshot","path":"x.snap","id":"t10"})");
   ASSERT_FALSE(refused.at("ok").AsBool());
   EXPECT_EQ(refused.at("error").at("code").AsString(), "FailedPrecondition");
+  // Restore is not an op at all: workers restore once, at start.
+  const JsonValue restore = router.Call(
+      "t12", R"({"op":"load_snapshot","path":"x.snap","id":"t12"})");
+  ASSERT_FALSE(restore.at("ok").AsBool());
+  EXPECT_EQ(restore.at("error").at("message").AsString(),
+            "unknown op 'load_snapshot'");
 
   // A session this router never saw is deterministically unroutable.
   const JsonValue ghost = router.Call(
@@ -698,7 +713,7 @@ TEST(RouterE2eTest, PrimaryDownEndsATracedRequestWithAPartialTimeline) {
   InProcessRouter router(std::move(options),
                          EngineLinks(EngineLink::Script::kServe, &links));
   ASSERT_EQ(links.size(), 1u);
-  links[0]->Crash();
+  links[0]->Kill();
   const JsonValue response = router.Call(
       "p1", R"({"op":"schema","dataset":"d","trace":true,"id":"p1"})");
   ExpectPartialTimeline(router, response, "is down", "p2");
@@ -824,7 +839,7 @@ TEST(RouterE2eTest, WorkerDeathMidRequestYieldsPartialTimeline) {
   for (EngineLink* link : links) link->Freeze();
   router.Send(R"({"op":"schema","dataset":"d1","trace":true,"id":"w3"})");
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  for (EngineLink* link : links) link->Crash();
+  for (EngineLink* link : links) link->Kill();
 
   const JsonValue failed = router.WaitFor("w3");
   ASSERT_TRUE(failed.Has("ok")) << failed.Dump();
@@ -913,14 +928,100 @@ TEST(TraceLimitTest, RouterAndEngineRejectTheSameBadLimits) {
   }
 }
 
+TEST(RouterE2eTest, KilledInProcessWorkersRespawnWithLedgersIntact) {
+  // The in-process twin of SigkilledWorkersRespawnWithLedgersIntact: each
+  // link runs the worker lifecycle from the argv the router builds, so the
+  // health loop's respawn restores from the shard's own snapshot + journal.
+  std::vector<EngineLink*> links;
+  RouterOptions options = InProcessOptions(FreshStateDir("ikill"), 2);
+  options.worker_args.insert(options.worker_args.end(),
+                             {"--snapshot-interval-ms", "100"});
+  InProcessRouter router(std::move(options),
+                         EngineLinks(EngineLink::Script::kServe, &links));
+  ASSERT_EQ(links.size(), 2u);
+
+  ExpectOk(router.Call(
+      "s1",
+      R"({"op":"load_dataset","name":"d1","source":"synthetic",)"
+      R"("generator":"diabetes","rows":300,"cap_epsilon":5.0,"id":"s1"})"));
+  ExpectOk(router.Call(
+      "s2",
+      R"({"op":"load_dataset","name":"d2","source":"synthetic",)"
+      R"("generator":"diabetes","rows":300,"cap_epsilon":5.0,"id":"s2"})"));
+  ExpectOk(router.Call(
+      "s3",
+      R"({"op":"cluster","dataset":"d1","method":"k-means","k":3,"id":"s3"})"));
+  ExpectOk(router.Call(
+      "s4",
+      R"({"op":"cluster","dataset":"d2","method":"k-means","k":3,"id":"s4"})"));
+  ExpectOk(router.Call(
+      "s5",
+      R"({"op":"create_session","dataset":"d1","session":"alice",)"
+      R"("epsilon":2.0,"id":"s5"})"));
+  ExpectOk(router.Call(
+      "s6",
+      R"({"op":"create_session","dataset":"d2","session":"bob",)"
+      R"("epsilon":2.0,"id":"s6"})"));
+  ExpectOk(router.Call(
+      "s7", R"({"op":"hist","session":"alice","attribute":"diab_3",)"
+            R"("epsilon":0.1,"id":"s7"})"));
+  ExpectOk(router.Call(
+      "s8", R"({"op":"hist","session":"bob","attribute":"diab_5",)"
+            R"("epsilon":0.07,"id":"s8"})"));
+  // Sessions come back only from a snapshot (creating one is not
+  // journaled), so save every shard now; the charges after this may reach
+  // only the journal before the kill, whatever the periodic saver does.
+  const JsonValue synced = router.Call(
+      "sync", R"({"op":"_router_sync_replicas","id":"sync"})");
+  ExpectOk(synced);
+  EXPECT_EQ(synced.at("synced_shards").AsNumber(), 2.0);
+  ExpectOk(router.Call(
+      "s9", R"({"op":"hist","session":"alice","attribute":"diab_4",)"
+            R"("epsilon":0.05,"id":"s9"})"));
+  ExpectOk(router.Call(
+      "s10", R"({"op":"hist","session":"bob","attribute":"diab_6",)"
+             R"("epsilon":0.03,"id":"s10"})"));
+  const JsonValue alice_before = router.Call(
+      "b1", R"({"op":"budget","session":"alice","id":"b1"})");
+  const JsonValue bob_before = router.Call(
+      "b2", R"({"op":"budget","session":"bob","id":"b2"})");
+  ExpectOk(alice_before);
+  ExpectOk(bob_before);
+
+  const std::vector<pid_t> pids = ShardPids(router, "p");
+  ASSERT_EQ(pids.size(), 2u);
+  for (EngineLink* link : links) link->Kill();
+  const std::vector<pid_t> fresh = AwaitRespawn(router, pids, "k");
+  ASSERT_EQ(fresh.size(), 2u) << "shards never respawned";
+
+  // Every pre-kill charge is back, exactly once: the same spent bits.
+  const JsonValue alice = router.Call(
+      "v1", R"({"op":"budget","session":"alice","id":"v1"})");
+  ExpectOk(alice);
+  EXPECT_EQ(alice.at("spent").AsNumber(),
+            alice_before.at("spent").AsNumber());
+  const JsonValue bob = router.Call(
+      "v2", R"({"op":"budget","session":"bob","id":"v2"})");
+  ExpectOk(bob);
+  EXPECT_EQ(bob.at("spent").AsNumber(), bob_before.at("spent").AsNumber());
+
+  // The release the snapshot holds re-serves for free.
+  const JsonValue repeat = router.Call(
+      "v3", R"({"op":"hist","session":"alice","attribute":"diab_3",)"
+            R"("epsilon":0.1,"id":"v3"})");
+  ExpectOk(repeat);
+  EXPECT_TRUE(repeat.at("cache_hit").AsBool());
+  EXPECT_EQ(repeat.at("epsilon_charged").AsNumber(), 0.0);
+}
+
 // ---- the real binaries over pipes ------------------------------------
 
-/// Drives a dpclustx_router child over pipes, correlating the out-of-order
-/// response stream by id.
-class RouterProcess {
+/// Drives a line-protocol child (dpclustx_router or dpclustx_serve) over
+/// pipes, correlating the out-of-order response stream by id.
+class ChildProcess {
  public:
-  explicit RouterProcess(std::vector<std::string> args) {
-    // A router that dies must fail this test, not kill the whole binary
+  explicit ChildProcess(std::vector<std::string> args) {
+    // A child that dies must fail this test, not kill the whole binary
     // with SIGPIPE on the next write to its stdin.
     ::signal(SIGPIPE, SIG_IGN);
     int to_child[2];
@@ -949,7 +1050,13 @@ class RouterProcess {
     stdout_fd_ = from_child[0];
   }
 
-  ~RouterProcess() { Stop(); }
+  ~ChildProcess() { Stop(); }
+
+  /// SIGKILLs the child, then reaps it.
+  void Kill() {
+    if (pid_ > 0) ::kill(pid_, SIGKILL);
+    Stop();
+  }
 
   void Stop() {
     if (stdin_fd_ >= 0) {
@@ -1144,6 +1251,64 @@ TEST(ToolFlagsTest, CliRefusesBadBudgetsAndNamesBeforeAnyWork) {
       << "status " << seeded.status << ", stderr: " << seeded.err;
 }
 
+TEST(ToolFlagsTest, ServeRefusesAJournalWithoutASnapshot) {
+  // Restore replays a journal onto a snapshot, so a journal alone could
+  // never be read back.
+  const std::string journal = FreshStateDir("nosnap") + "/w.journal";
+  const ExitResult result =
+      RunToExit({BuildDir() + "/tools/dpclustx_serve", "--audit-journal",
+                 journal});
+  EXPECT_TRUE(WIFEXITED(result.status) && WEXITSTATUS(result.status) == 2)
+      << "status " << result.status << ", stderr: " << result.err;
+  EXPECT_NE(result.err.find("--audit-journal needs --snapshot"),
+            std::string::npos)
+      << result.err;
+  EXPECT_FALSE(std::ifstream(journal).good()) << "the journal was opened";
+}
+
+TEST(ServeProcessTest, KilledFreshWorkerWithoutPeriodicSavesRestarts) {
+  // With --snapshot-interval-ms 0 no periodic save runs, so the base
+  // snapshot written at start is the only one when the SIGKILL lands: the
+  // journal's charge must replay onto it, and the worker must come back.
+  const std::string state = FreshStateDir("base");
+  const std::vector<std::string> args = {
+      BuildDir() + "/tools/dpclustx_serve", "--sync",
+      "--snapshot", state + "/w.snap",
+      "--audit-journal", state + "/w.journal",
+      "--snapshot-interval-ms", "0"};
+  JsonValue audit_before;
+  {
+    ChildProcess worker(args);
+    ExpectOk(worker.Call(
+        "1", R"({"op":"load_dataset","name":"d","source":"synthetic",)"
+             R"("generator":"diabetes","rows":300,"id":"1"})"));
+    ExpectOk(worker.Call(
+        "2", R"({"op":"cluster","dataset":"d","method":"k-means","k":3,)"
+             R"("id":"2"})"));
+    ExpectOk(worker.Call(
+        "3", R"({"op":"create_session","dataset":"d","session":"alice",)"
+             R"("epsilon":2.0,"id":"3"})"));
+    ExpectOk(worker.Call(
+        "4", R"({"op":"hist","session":"alice","attribute":"diab_3",)"
+             R"("epsilon":0.1,"id":"4"})"));
+    audit_before = worker.Call("5", R"({"op":"audit","id":"5"})");
+    ExpectOk(audit_before);
+    worker.Kill();
+  }
+  // The session was created after the base snapshot, so its ledger is
+  // reported unrecovered; the audit ledger, rebuilt from the journal, is
+  // exactly the killed worker's.
+  ChildProcess restarted(args);
+  const JsonValue audit = restarted.Call("a", R"({"op":"audit","id":"a"})");
+  ASSERT_EQ(audit.type(), JsonValue::Type::kObject)
+      << "the restarted worker never answered";
+  ExpectOk(audit);
+  EXPECT_EQ(audit.at("totals").Dump(), audit_before.at("totals").Dump());
+  EXPECT_EQ(audit.at("next_seq").AsNumber(), 2.0);
+  EXPECT_EQ(audit.at("totals").at("alice").at("epsilon_charged").AsNumber(),
+            0.1);
+}
+
 std::vector<std::string> RouterArgs(const std::string& state_dir,
                                     const std::string& workers,
                                     const std::string& replicas) {
@@ -1164,7 +1329,7 @@ std::vector<std::string> RouterArgs(const std::string& state_dir,
 
 TEST(RouterE2eTest, SigkilledWorkersRespawnWithLedgersIntact) {
   const std::string state = FreshStateDir("kill");
-  RouterProcess router(RouterArgs(state, "2", "0"));
+  ChildProcess router(RouterArgs(state, "2", "0"));
 
   ExpectOk(router.Call(
       "s1",
@@ -1233,7 +1398,7 @@ TEST(RouterE2eTest, SigkilledWorkersRespawnWithLedgersIntact) {
 
 TEST(RouterE2eTest, ReplicaServesRepeatReadsAfterSync) {
   const std::string state = FreshStateDir("replica");
-  RouterProcess router(RouterArgs(state, "1", "1"));
+  ChildProcess router(RouterArgs(state, "1", "1"));
 
   ExpectOk(router.Call(
       "r1",

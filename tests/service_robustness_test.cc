@@ -280,13 +280,12 @@ TEST(ServiceRobustnessTest, SnapshotListingATenantTwiceIsRefused) {
   ASSERT_TRUE(WriteFileAtomic(path, file.Take()).ok());
 
   ServiceEngine engine;
-  const JsonValue restored = Call(
-      engine, R"({"op":"load_snapshot","path":")" + path + R"("})");
-  ExpectError(restored, "IoError");
-  EXPECT_NE(restored.at("error").at("message").AsString().find(
-                "tenant 't' twice"),
+  const StatusOr<ServiceEngine::RestoreReport> restored =
+      engine.RestoreFromFiles(path, "");
+  EXPECT_EQ(restored.status().code(), StatusCode::kIoError);
+  EXPECT_NE(restored.status().message().find("tenant 't' twice"),
             std::string::npos)
-      << restored.Dump();
+      << restored.status();
   std::remove(path.c_str());
 }
 

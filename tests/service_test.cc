@@ -1033,7 +1033,7 @@ TEST(ServiceTest, ReplicaRefusesExactlyTheOpsTheTableMarksMutating) {
       "ping",    "load_dataset", "append_rows", "schema",  "cluster",
       "budget",  "create_session", "close_session", "explain", "hist",
       "size",    "stats",        "metrics",     "trace",   "audit",
-      "save_snapshot", "load_snapshot"};
+      "save_snapshot"};
   std::vector<std::string> mutating;
   for (const std::string& op : ops) {
     StatusOr<const OpSpec*> spec = ServiceEngine::FindOp(op);
@@ -1073,9 +1073,11 @@ TEST(ServiceTest, ReplicaRefusesExactlyTheOpsTheTableMarksMutating) {
               "this worker is read-only: " + op +
                   " is refused (retry against the primary)");
   }
-  // A restore is how a replica gets the primary's releases.
-  ExpectOk(Call(replica,
-                R"({"op":"load_snapshot","path":")" + path + R"("})"));
+  // A replica gets the primary's releases by restoring its snapshot at
+  // start; there is no restore op.
+  EXPECT_EQ(ServiceEngine::FindOp("load_snapshot").status().code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(replica.RestoreFromFiles(path, "").ok());
   std::remove(path.c_str());
 
   // Replica reads serve their hits and refuse only the misses.

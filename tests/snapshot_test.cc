@@ -1,5 +1,6 @@
 // Crash-recovery tests for the durable snapshot/restore path (src/snapshot +
-// ServiceEngine::SaveSnapshotToFile / RestoreFromFiles / EnableAuditJournal).
+// ServiceEngine::SaveSnapshotToFile / RestoreFromFiles / EnableAuditJournal)
+// and for the worker lifecycle that runs it (service/worker.h).
 //
 // The invariant under test is exactly-once ε accounting across a SIGKILL:
 // a charge that reached the audit journal is restored bit-for-bit (same
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/file_util.h"
@@ -20,6 +22,7 @@
 #include "dp/privacy_budget.h"
 #include "gtest/gtest.h"
 #include "service/service_engine.h"
+#include "service/worker.h"
 #include "snapshot/audit_journal.h"
 #include "snapshot/snapshot.h"
 #include "snapshot/snapshot_io.h"
@@ -1083,6 +1086,131 @@ TEST(SnapshotTest, LedgerKeepsOneRowPerLabelAcrossManyCharges) {
             SessionSpent(recovered, "alice"));
   std::remove(snap.c_str());
   std::remove(journal.c_str());
+}
+
+TEST(SnapshotTest, FailedJournalWriteReleasesNothing) {
+  // Every write to /dev/full fails with ENOSPC: each charge stays on the
+  // ledger (it may overstate, never understate) and its request fails
+  // before anything is computed or cached.
+  ServiceEngine engine;
+  SetUpServing(engine);
+  ASSERT_TRUE(engine.EnableAuditJournal("/dev/full").ok());
+  const JsonValue explain =
+      Call(engine, R"({"op":"explain","session":"alice","epsilon":0.3})");
+  ExpectError(explain, "IoError");
+  EXPECT_FALSE(explain.Has("explanation")) << explain.Dump();
+  const JsonValue hist = Hist(engine, "diab_0");
+  ExpectError(hist, "IoError");
+  EXPECT_FALSE(hist.Has("bins")) << hist.Dump();
+  EXPECT_EQ(engine.cache().size(), 0u);
+
+  const JsonValue budget =
+      Call(engine, R"({"op":"budget","session":"alice"})");
+  ExpectOk(budget);
+  EXPECT_DOUBLE_EQ(budget.at("spent").AsNumber(), 0.4);
+  const std::string metrics = engine.metrics().PrometheusText();
+  EXPECT_NE(metrics.find("\ndpclustx_audit_journal_failures_total 2\n"),
+            std::string::npos)
+      << metrics;
+}
+
+// ---- the worker lifecycle (service/worker.h) -------------------------
+
+WorkerOptions DurableWorker(const std::string& name, size_t interval_ms) {
+  WorkerOptions options;
+  options.snapshot = TempPath(name + ".snap");
+  options.audit_journal = TempPath(name + ".journal");
+  options.snapshot_interval_ms = interval_ms;
+  std::remove(options.snapshot.c_str());
+  std::remove(options.audit_journal.c_str());
+  return options;
+}
+
+std::unique_ptr<Worker> StartWorker(const WorkerOptions& options) {
+  StatusOr<std::unique_ptr<Worker>> worker = Worker::Start(options, nullptr);
+  EXPECT_TRUE(worker.ok()) << worker.status();
+  return worker.ok() ? std::move(*worker) : nullptr;
+}
+
+TEST(WorkerTest, KilledFreshWorkerRestartsOnItsBaseSnapshot) {
+  // No periodic save: the base snapshot written at start is the only one
+  // before the kill, and the journal's charge replays onto it. Datasets
+  // and sessions are not journaled, so only the audit ledger comes back —
+  // exactly.
+  const WorkerOptions options = DurableWorker("worker_base", 0);
+  obs::AuditLog::Totals before;
+  {
+    std::unique_ptr<Worker> worker = StartWorker(options);
+    ASSERT_NE(worker, nullptr);
+    SetUpServing(worker->engine());
+    ExpectOk(Hist(worker->engine(), "diab_0"));
+    before = worker->engine().audit_log().TenantTotals("alice");
+  }  // destroyed without Shutdown: a SIGKILL
+  std::unique_ptr<Worker> restarted = StartWorker(options);
+  ASSERT_NE(restarted, nullptr);
+  const obs::AuditLog::Totals after =
+      restarted->engine().audit_log().TenantTotals("alice");
+  EXPECT_EQ(after.epsilon_charged, before.epsilon_charged);
+  EXPECT_EQ(after.charges, 1u);
+}
+
+TEST(WorkerTest, PeriodicSavesBesideChargesLoseNothingAcrossAKill) {
+  // The saver runs every millisecond while four threads charge: each
+  // charge is inside a snapshot or after its cursor in the journal, never
+  // both and never neither.
+  const WorkerOptions options = DurableWorker("worker_periodic", 1);
+  {
+    // The session must be in a snapshot to come back at all (session
+    // creation is not journaled): a first life sets up and stops cleanly.
+    std::unique_ptr<Worker> setup = StartWorker(options);
+    ASSERT_NE(setup, nullptr);
+    SetUpServing(setup->engine());
+    setup->Shutdown();
+  }
+  PrivacyBudget::State session_before;
+  PrivacyBudget::State cap_before;
+  {
+    std::unique_ptr<Worker> worker = StartWorker(options);
+    ASSERT_NE(worker, nullptr);
+    ServiceEngine& engine = worker->engine();
+    std::vector<std::thread> clients;
+    for (int t = 0; t < 4; ++t) {
+      clients.emplace_back([&engine, t] {
+        for (int i = 0; i < 10; ++i) {
+          // Distinct ε per request: every one misses the cache and charges.
+          ExpectOk(Hist(engine, "diab_" + std::to_string(t),
+                        0.001 * (1 + i + 10 * t)));
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    session_before = SessionLedger(engine, "alice");
+    cap_before = CapLedger(engine, "d");
+  }  // destroyed without Shutdown: a SIGKILL
+  std::unique_ptr<Worker> restarted = StartWorker(options);
+  ASSERT_NE(restarted, nullptr);
+  EXPECT_TRUE(SameLedger(SessionLedger(restarted->engine(), "alice"),
+                         session_before));
+  EXPECT_TRUE(SameLedger(CapLedger(restarted->engine(), "d"), cap_before));
+}
+
+TEST(WorkerTest, ShutdownWritesTheFinalSnapshot) {
+  // A clean stop needs no journal replay: the final save holds it all.
+  const WorkerOptions options = DurableWorker("worker_final", 0);
+  PrivacyBudget::State before;
+  {
+    std::unique_ptr<Worker> worker = StartWorker(options);
+    ASSERT_NE(worker, nullptr);
+    SetUpServing(worker->engine());
+    ExpectOk(Hist(worker->engine(), "diab_0"));
+    before = SessionLedger(worker->engine(), "alice");
+    worker->Shutdown();
+  }
+  ServiceEngine engine;
+  StatusOr<ServiceEngine::RestoreReport> restored =
+      engine.RestoreFromFiles(options.snapshot, "");
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_TRUE(SameLedger(SessionLedger(engine, "alice"), before));
 }
 
 }  // namespace

@@ -12,13 +12,13 @@
 #include <optional>
 #include <string>
 
+#include "common/flags.h"
 #include "core/pipeline.h"
 #include "core/serialization.h"
 #include "data/csv.h"
 #include "data/synthetic.h"
 #include "dp/privacy_budget.h"
 #include "eval/metrics.h"
-#include "flags.h"
 #include "obs/build_info.h"
 #include "obs/trace.h"
 #include "service/transport.h"
@@ -26,9 +26,6 @@
 namespace {
 
 using namespace dpclustx;
-using tools::ParseDoubleFlag;
-using tools::ParseSizeFlag;
-using tools::ParseStringFlag;
 
 constexpr char kUsage[] = R"(dpclustx — differentially private cluster explanations
 

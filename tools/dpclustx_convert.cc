@@ -32,11 +32,11 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/status.h"
 #include "data/columnar_format.h"
 #include "data/csv.h"
 #include "data/dataset.h"
-#include "flags.h"
 #include "obs/build_info.h"
 
 namespace {
@@ -49,7 +49,7 @@ using dpclustx::MappedColumnar;
 using dpclustx::Status;
 using dpclustx::StatusCodeName;
 using dpclustx::StatusOr;
-using dpclustx::tools::ParseSizeFlag;
+using dpclustx::ParseSizeFlag;
 
 constexpr const char kUsage[] =
     "usage: dpclustx_convert <mode> [flags]\n"

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "flags.h"
+#include "common/flags.h"
 #include "obs/build_info.h"
 #include "obs/metrics.h"
 #include "service/front_door.h"
@@ -26,8 +26,8 @@
 
 namespace {
 
-using dpclustx::tools::ParseSizeFlag;
-using dpclustx::tools::ParseStringFlag;
+using dpclustx::ParseSizeFlag;
+using dpclustx::ParseStringFlag;
 
 /// Back-off hint on requests shed past a client's hard write limit.
 constexpr int64_t kShedRetryAfterMs = 100;
