@@ -1,18 +1,16 @@
 #include "data/columnar_format.h"
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <random>
 
+#include "common/byte_io.h"
+#include "common/crc32.h"
+#include "common/file_util.h"
 #include "common/logging.h"
-#include "snapshot/crc32.h"
-#include "snapshot/snapshot_io.h"
 
 namespace dpclustx {
 
@@ -22,7 +20,7 @@ namespace columnar_internal {
 /// one open file, so an in-place append does not remap and existing Dataset
 /// views stay valid for as long as any of them is alive.
 struct Mapping {
-  int fd = -1;
+  UniqueFd fd;
   void* base = nullptr;
   size_t length = 0;
   bool writable = false;
@@ -30,10 +28,7 @@ struct Mapping {
   Mapping() = default;
   Mapping(const Mapping&) = delete;
   Mapping& operator=(const Mapping&) = delete;
-  ~Mapping() {
-    if (base != nullptr) ::munmap(base, length);
-    if (fd >= 0) ::close(fd);
-  }
+  ~Mapping() { if (base != nullptr) ::munmap(base, length); }
 
   const char* bytes() const { return static_cast<const char*>(base); }
 };
@@ -43,9 +38,6 @@ struct Mapping {
 namespace {
 
 using columnar_internal::Mapping;
-using snapshot::ByteReader;
-using snapshot::ByteWriter;
-using snapshot::Crc32;
 
 // Column payloads start at 64-byte boundaries: cache-line aligned, and a
 // multiple of every element width, so typed loads through the mapping are
@@ -65,27 +57,6 @@ uint64_t MintFileUid() {
   uint64_t uid = (uint64_t{rd()} << 32) ^ uint64_t{rd()};
   if (uid == 0) uid = 1;
   return uid;
-}
-
-Status ErrnoError(const std::string& what, const std::string& path) {
-  return Status::IoError(what + " '" + path + "': " + std::strerror(errno));
-}
-
-Status PWriteAll(int fd, const void* data, size_t size, uint64_t offset,
-                 const std::string& path) {
-  const char* p = static_cast<const char*>(data);
-  size_t left = size;
-  while (left > 0) {
-    const ssize_t n = ::pwrite(fd, p, left, static_cast<off_t>(offset));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoError("pwrite failed on", path);
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
-    offset += static_cast<uint64_t>(n);
-  }
-  return Status::OK();
 }
 
 struct ColumnMeta {
@@ -136,8 +107,8 @@ struct ColumnSource {
   uint32_t crc = 0;
 };
 
-/// Streams a complete DPXCOL image to `path` atomically (tmp + fsync +
-/// rename). Used by both the fresh-write and the grow-on-append paths.
+/// Writes a complete DPXCOL image to `path` atomically. Used by both the
+/// fresh-write and the grow-on-append paths.
 Status WriteImage(const std::string& path, uint64_t file_uid,
                   WidthPolicy policy, const Schema& schema, uint64_t num_rows,
                   uint64_t capacity_rows, const std::vector<ColumnSource>& cols) {
@@ -162,46 +133,23 @@ Status WriteImage(const std::string& path, uint64_t file_uid,
       EncodeHeader(file_uid, policy, num_rows, capacity_rows, schema, metas);
   DPX_CHECK_EQ(header.size(), header_len);
 
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_RDWR | O_CLOEXEC,
-                        0644);
-  if (fd < 0) return ErrnoError("cannot create", tmp);
-  auto fail = [&](Status status) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  };
-  // ftruncate reserves the full capacity and zero-fills the uncommitted
-  // space (sparse where the filesystem allows).
-  if (::ftruncate(fd, static_cast<off_t>(total_bytes)) != 0) {
-    return fail(ErrnoError("cannot size", tmp));
-  }
   ByteWriter prefix;
   prefix.PutBytes(kColumnarMagic, sizeof(kColumnarMagic));
   prefix.PutU32(kColumnarFormatVersion);
   prefix.PutU64(header.size());
   prefix.PutU32(Crc32(header.data(), header.size()));
   DPX_CHECK_EQ(prefix.buffer().size(), kFixedPrefixBytes);
-  Status status =
-      PWriteAll(fd, prefix.buffer().data(), prefix.buffer().size(), 0, tmp);
-  if (status.ok()) status = PWriteAll(fd, header.data(), header.size(),
-                                      kFixedPrefixBytes, tmp);
-  for (size_t a = 0; status.ok() && a < cols.size(); ++a) {
-    status = PWriteAll(fd, cols[a].head, cols[a].head_bytes, metas[a].offset,
-                       tmp);
-    if (status.ok() && cols[a].tail_bytes != 0) {
-      status = PWriteAll(fd, cols[a].tail, cols[a].tail_bytes,
-                         metas[a].offset + cols[a].head_bytes, tmp);
-    }
+  std::vector<FilePiece> pieces = {
+      {0, prefix.buffer().data(), prefix.buffer().size()},
+      {kFixedPrefixBytes, header.data(), header.size()}};
+  for (size_t a = 0; a < cols.size(); ++a) {
+    pieces.push_back({metas[a].offset, cols[a].head, cols[a].head_bytes});
+    pieces.push_back({metas[a].offset + cols[a].head_bytes, cols[a].tail,
+                      cols[a].tail_bytes});
   }
-  if (!status.ok()) return fail(std::move(status));
-  if (::fsync(fd) != 0) return fail(ErrnoError("fsync failed on", tmp));
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return ErrnoError("cannot rename over", path);
-  }
-  return Status::OK();
+  // `total_bytes` reserves every column's full capacity; the space no piece
+  // covers reads as zero.
+  return WriteFileAtomic(path, total_bytes, pieces);
 }
 
 ColumnWidth ExpectedWidth(WidthPolicy policy, size_t domain_size) {
@@ -274,26 +222,26 @@ std::string MappedColumnar::EncodeHeaderPayload() const {
 StatusOr<std::shared_ptr<const MappedColumnar>> MappedColumnar::Open(
     const std::string& path, const ColumnarOpenOptions& options) {
   auto mapping = std::make_shared<Mapping>();
-  mapping->fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
-  mapping->writable = mapping->fd >= 0;
-  if (mapping->fd < 0) mapping->fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (mapping->fd < 0) {
-    if (errno == ENOENT) {
-      return Status::NotFound("no DPXCOL file at '" + path + "'");
-    }
-    return ErrnoError("cannot open", path);
+  StatusOr<RegularFile> file = OpenRegularFile(path, O_RDWR);
+  mapping->writable = file.ok();
+  if (!file.ok()) file = OpenRegularFile(path);
+  if (file.status().code() == StatusCode::kNotFound) {
+    return Status::NotFound("no DPXCOL file at '" + path + "'");
   }
-  struct stat st;
-  if (::fstat(mapping->fd, &st) != 0) return ErrnoError("cannot stat", path);
-  mapping->length = static_cast<size_t>(st.st_size);
+  DPX_RETURN_IF_ERROR(file.status());
+  mapping->fd = std::move(file->fd);
+  mapping->length = static_cast<size_t>(file->size);
   if (mapping->length < kFixedPrefixBytes) {
     return Status::IoError("'" + path + "' is truncated (" +
                            std::to_string(mapping->length) +
                            " bytes, need at least the file prefix)");
   }
-  void* base =
-      ::mmap(nullptr, mapping->length, PROT_READ, MAP_SHARED, mapping->fd, 0);
-  if (base == MAP_FAILED) return ErrnoError("cannot mmap", path);
+  void* base = ::mmap(nullptr, mapping->length, PROT_READ, MAP_SHARED,
+                      mapping->fd.get(), 0);
+  if (base == MAP_FAILED) {
+    return Status::IoError("cannot mmap '" + path + "': " +
+                           std::strerror(errno));
+  }
   mapping->base = base;
   const char* bytes = mapping->bytes();
 
@@ -518,16 +466,15 @@ StatusOr<std::shared_ptr<const MappedColumnar>> AppendRowsToColumnar(
     // In-place commit: tails into the reserved space, fdatasync, then the
     // re-encoded header (same byte length) as the commit point. A crash
     // before the header write leaves the old, still-valid file.
-    const int fd = base->mapping_->fd;
+    const int fd = base->mapping_->fd.get();
+    std::vector<FilePiece> pieces(attrs);
     for (size_t a = 0; a < attrs; ++a) {
       const size_t elem = ColumnWidthBytes(base->column_widths_[a]);
-      DPX_RETURN_IF_ERROR(PWriteAll(
-          fd, tails[a].data(), tails[a].size(),
-          base->column_offsets_[a] + old_rows * elem, base->path()));
+      pieces[a] = {base->column_offsets_[a] + old_rows * elem,
+                   tails[a].data(), tails[a].size()};
     }
-    if (::fdatasync(fd) != 0) {
-      return ErrnoError("fdatasync failed on", base->path());
-    }
+    DPX_RETURN_IF_ERROR(WritePieces(fd, pieces, base->path()));
+    DPX_RETURN_IF_ERROR(SyncData(fd, base->path()));
     auto out = std::shared_ptr<MappedColumnar>(new MappedColumnar());
     out->mapping_ = base->mapping_;
     out->path_ = base->path_;
@@ -545,13 +492,12 @@ StatusOr<std::shared_ptr<const MappedColumnar>> AppendRowsToColumnar(
     commit.PutU64(header.size());
     commit.PutU32(Crc32(header.data(), header.size()));
     commit.PutBytes(header.data(), header.size());
-    DPX_RETURN_IF_ERROR(PWriteAll(fd, commit.buffer().data(),
-                                  commit.buffer().size(),
-                                  sizeof(kColumnarMagic) + sizeof(uint32_t),
-                                  base->path()));
-    if (::fdatasync(fd) != 0) {
-      return ErrnoError("fdatasync failed on", base->path());
-    }
+    DPX_RETURN_IF_ERROR(WritePieces(
+        fd,
+        {{sizeof(kColumnarMagic) + sizeof(uint32_t), commit.buffer().data(),
+          commit.buffer().size()}},
+        base->path()));
+    DPX_RETURN_IF_ERROR(SyncData(fd, base->path()));
     return std::shared_ptr<const MappedColumnar>(std::move(out));
   }
 

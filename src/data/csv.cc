@@ -3,6 +3,7 @@
 #include <fstream>
 #include <unordered_map>
 
+#include "common/file_util.h"
 #include "common/logging.h"
 
 namespace dpclustx {
@@ -139,10 +140,6 @@ StatusOr<std::vector<std::vector<std::string>>> ParseDocument(
 
 namespace {
 
-// Chunk size for streaming file reads; peak parser memory is one chunk
-// plus the current row, never the whole file.
-constexpr size_t kReadChunkBytes = size_t{1} << 20;
-
 std::string EscapeField(const std::string& s) {
   const bool needs_quotes = s.find_first_of(",\"\n\r") != std::string::npos;
   if (!needs_quotes) return s;
@@ -155,32 +152,25 @@ std::string EscapeField(const std::string& s) {
   return out;
 }
 
-/// Opens `path`, applies the max-bytes gate, and streams its contents
-/// through `parser` chunk by chunk (Feed* + Finish).
+/// Opens `path` under the regular-file rule, applies the max-bytes gate,
+/// and streams its contents through `parser` chunk by chunk (Feed* +
+/// Finish).
 Status StreamFileThroughParser(const std::string& path,
                                const CsvReadOptions& options,
                                csv_internal::StreamParser& parser) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  const auto end = in.tellg();
-  if (end < 0) return Status::IoError("cannot size '" + path + "'");
-  const auto size = static_cast<size_t>(end);
-  if (options.max_bytes != 0 && size > options.max_bytes) {
+  StatusOr<RegularFile> file = OpenRegularFile(path);
+  if (!file.ok()) return Status::IoError(file.status().message());
+  if (options.max_bytes != 0 && file->size > options.max_bytes) {
     return Status::IoError(
-        "'" + path + "' is " + std::to_string(size) +
+        "'" + path + "' is " + std::to_string(file->size) +
         " bytes, over the " + std::to_string(options.max_bytes) +
         "-byte CSV ingest limit; raise the limit or convert to DPXCOL "
         "(dpclustx_convert) instead of parsing CSV at this scale");
   }
-  in.seekg(0, std::ios::beg);
-  std::string chunk(kReadChunkBytes, '\0');
-  while (in) {
-    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    const auto got = static_cast<size_t>(in.gcount());
-    if (got == 0) break;
-    DPX_RETURN_IF_ERROR(parser.Feed(chunk.data(), got));
-  }
-  if (in.bad()) return Status::IoError("read failure on '" + path + "'");
+  DPX_RETURN_IF_ERROR(ReadChunks(
+      *file, path, [&parser](const char* data, size_t size) {
+        return parser.Feed(data, size);
+      }));
   return parser.Finish();
 }
 

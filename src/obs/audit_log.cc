@@ -14,6 +14,8 @@ JsonValue TotalsToJson(const AuditLog::Totals& t) {
   return out;
 }
 
+}  // namespace
+
 JsonValue RecordToJson(const AuditRecord& r) {
   JsonValue out = JsonValue::Object();
   out.Set("seq", JsonValue::Number(static_cast<double>(r.seq)));
@@ -26,8 +28,6 @@ JsonValue RecordToJson(const AuditRecord& r) {
   return out;
 }
 
-}  // namespace
-
 AuditLog::AuditLog(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
 StatusOr<uint64_t> AuditLog::Record(const std::string& tenant,
@@ -36,7 +36,7 @@ StatusOr<uint64_t> AuditLog::Record(const std::string& tenant,
                                     bool granted, const std::string& reason) {
   std::lock_guard<std::mutex> lock(mutex_);
   AuditRecord record;
-  record.seq = next_seq_++;
+  record.seq = next_seq_;
   record.tenant = tenant;
   record.dataset = dataset;
   record.label = label;
@@ -46,11 +46,11 @@ StatusOr<uint64_t> AuditLog::Record(const std::string& tenant,
 
   // Durable hook first: the journal write happens before the charge is
   // observable anywhere (the caller is still holding its spend lock and has
-  // not yet built a response).
-  const Status sunk = sink_ ? sink_(record) : Status::OK();
+  // not yet built a response). A record the sink refused takes no seq, so
+  // the journal never has a gap.
+  if (sink_) DPX_RETURN_IF_ERROR(sink_(record));
   ApplyLocked(std::move(record));
-  if (!sunk.ok()) return sunk;
-  return next_seq_ - 1;
+  return next_seq_++;
 }
 
 void AuditLog::ApplyLocked(AuditRecord record) {

@@ -45,6 +45,10 @@ struct AuditRecord {
   std::string reason;  // empty when granted; denial reason otherwise
 };
 
+/// {"seq","tenant","dataset","label","epsilon","granted","reason"}: the
+/// audit op's record and, dumped, one audit journal line.
+JsonValue RecordToJson(const AuditRecord& record);
+
 class AuditLog {
  public:
   /// Keeps at most `capacity` records in the tail buffer (older records are
@@ -54,9 +58,9 @@ class AuditLog {
   AuditLog& operator=(const AuditLog&) = delete;
 
   /// Appends one charge/denial and returns its sequence number, or the
-  /// sink's error when the sink refused it. The record counts either way:
-  /// the caller has already charged it, and a ledger may overstate but
-  /// never understate.
+  /// sink's error when the sink refused it. A refused record takes no seq
+  /// and is not in the log or its totals; the caller's ledger keeps its
+  /// charge (it may overstate, never understate).
   StatusOr<uint64_t> Record(const std::string& tenant,
                             const std::string& dataset,
                             const std::string& label, double epsilon,

@@ -102,6 +102,7 @@
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/file_util.h"
 #include "common/json.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -111,7 +112,6 @@
 #include "service/dataset_registry.h"
 #include "service/explanation_cache.h"
 #include "service/session_manager.h"
-#include "snapshot/audit_journal.h"
 #include "snapshot/snapshot.h"
 
 namespace dpclustx::service {
@@ -282,9 +282,10 @@ class ServiceEngine {
 
   // ---- durability (src/snapshot; DESIGN.md §11) ---------------------------
 
-  /// Opens the JSONL audit journal at `path` (append, created if absent)
-  /// and hooks it into the audit log: from here on every ε charge/denial is
-  /// written and flushed to disk before its response is built. Call once,
+  /// Opens the JSONL audit journal at `path` (append, created if absent; a
+  /// path that is not a regular file is refused) and hooks it into the
+  /// audit log: from here on every ε charge/denial is written to the file,
+  /// one whole line, before its response is built. Call once,
   /// after any RestoreFromFiles and before serving.
   Status EnableAuditJournal(const std::string& path);
 
@@ -441,7 +442,7 @@ class ServiceEngine {
   DatasetRegistry registry_;
   ExplanationCache cache_;
   obs::AuditLog audit_;
-  snapshot::AuditJournal journal_;  // sink of audit_ once enabled
+  AppendFile journal_;  // audit_'s sink once enabled; written under its lock
   obs::MetricsRegistry owned_metrics_;  // used unless options injects one
   obs::MetricsRegistry* const metrics_;
   SessionManager sessions_;  // after audit_: sessions hold a pointer to it

@@ -8,6 +8,7 @@
 
 #include "core/serialization.h"
 #include "obs/trace.h"
+#include "snapshot/audit_journal.h"
 #include "snapshot/snapshot_io.h"
 
 namespace dpclustx::service {
@@ -53,7 +54,8 @@ Status ServiceEngine::EnableAuditJournal(const std::string& path) {
   // ε charge a client could have observed. A failed append fails the charge
   // (ServiceSession::Spend), so that client observes nothing.
   audit_.set_sink([this](const obs::AuditRecord& record) {
-    const Status appended = journal_.Append(record);
+    const Status appended =
+        journal_.AppendLine(obs::RecordToJson(record).Dump());
     (appended.ok() ? journal_records_ : journal_failures_)->Increment();
     return appended;
   });
@@ -63,7 +65,7 @@ Status ServiceEngine::EnableAuditJournal(const std::string& path) {
 Status ServiceEngine::SaveSnapshotToFile(const std::string& path) {
   DPX_SPAN("snapshot_save");
   // One save at a time (the periodic save and the save_snapshot op share
-  // the .tmp file), taken before the gate so a waiting save holds no
+  // the tmp file name), taken before the gate so a waiting save holds no
   // charge up.
   std::lock_guard<std::mutex> saving(snapshot_save_mutex_);
   snapshot::ServiceSnapshot state;

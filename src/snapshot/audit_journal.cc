@@ -1,63 +1,9 @@
 #include "snapshot/audit_journal.h"
 
-#include <cerrno>
-#include <cstring>
-
 #include "common/file_util.h"
 #include "common/json.h"
 
 namespace dpclustx::snapshot {
-
-AuditJournal::~AuditJournal() { Close(); }
-
-Status AuditJournal::Open(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (file_ != nullptr) {
-    return Status::FailedPrecondition("audit journal already open: " + path_);
-  }
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) {
-    return Status::IoError("cannot open audit journal " + path + ": " +
-                           std::strerror(errno));
-  }
-  file_ = file;
-  path_ = path;
-  return Status::OK();
-}
-
-Status AuditJournal::Append(const obs::AuditRecord& record) {
-  const std::string line = AuditRecordToJsonLine(record) + "\n";
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("audit journal is not open");
-  }
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fflush(file_) != 0) {
-    return Status::IoError("audit journal write failed for " + path_ + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-void AuditJournal::Close() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-}
-
-std::string AuditRecordToJsonLine(const obs::AuditRecord& record) {
-  JsonValue obj = JsonValue::Object();
-  obj.Set("seq", JsonValue::Number(static_cast<double>(record.seq)));
-  obj.Set("tenant", JsonValue::String(record.tenant));
-  obj.Set("dataset", JsonValue::String(record.dataset));
-  obj.Set("label", JsonValue::String(record.label));
-  obj.Set("epsilon", JsonValue::Number(record.epsilon));
-  obj.Set("granted", JsonValue::Bool(record.granted));
-  obj.Set("reason", JsonValue::String(record.reason));
-  return obj.Dump();
-}
 
 namespace {
 

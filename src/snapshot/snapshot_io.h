@@ -26,10 +26,8 @@
 // so they bound every count by the bytes left and refuse a section with
 // bytes left over.
 //
-// ByteWriter/ByteReader are the primitive layer; SectionWriter/SectionReader
-// add the framing. ByteReader is hard against truncated and hostile input:
-// every read is bounds-checked and returns Status instead of reading past
-// the end.
+// ByteWriter/ByteReader (common/byte_io.h) are the primitive layer;
+// SectionWriter and ParseSnapshotFile add the framing.
 
 #ifndef DPCLUSTX_SNAPSHOT_SNAPSHOT_IO_H_
 #define DPCLUSTX_SNAPSHOT_SNAPSHOT_IO_H_
@@ -38,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
+#include "common/byte_io.h"
 
 namespace dpclustx::snapshot {
 
@@ -64,57 +62,6 @@ enum class SectionId : uint32_t {
   kSessions = 3,  // per-tenant budget ledgers
   kCache = 4,     // explanation/hist release cache, LRU order
   kAudit = 5,     // audit cursor + exact totals + retained tail
-};
-
-/// Appends little-endian primitives to a byte buffer.
-class ByteWriter {
- public:
-  void PutU8(uint8_t value) { buffer_.push_back(static_cast<char>(value)); }
-  void PutU32(uint32_t value);
-  void PutU64(uint64_t value);
-  /// IEEE-754 bit pattern in a u64 — exact, never printf-rounded.
-  void PutDouble(double value);
-  /// u64 length followed by the raw bytes.
-  void PutString(const std::string& value);
-  void PutBytes(const void* data, size_t size);
-
-  const std::string& buffer() const { return buffer_; }
-  std::string Take() { return std::move(buffer_); }
-
- private:
-  std::string buffer_;
-};
-
-/// Bounds-checked little-endian reads over a byte span. Never reads past
-/// the end: truncation yields IoError, not UB.
-class ByteReader {
- public:
-  ByteReader(const void* data, size_t size)
-      : data_(static_cast<const char*>(data)), size_(size) {}
-  explicit ByteReader(const std::string& bytes)
-      : ByteReader(bytes.data(), bytes.size()) {}
-
-  StatusOr<uint8_t> GetU8();
-  StatusOr<uint32_t> GetU32();
-  StatusOr<uint64_t> GetU64();
-  StatusOr<double> GetDouble();
-  StatusOr<std::string> GetString();
-  /// Exactly `size` raw bytes (no length prefix).
-  StatusOr<std::string> GetBytes(size_t size);
-  /// A u64 element count, refused (IoError) when `count` elements of at
-  /// least `min_item_bytes` each cannot fit in the bytes left — so a
-  /// corrupted count never reaches a reserve().
-  StatusOr<uint64_t> GetCount(size_t min_item_bytes);
-
-  size_t remaining() const { return size_ - pos_; }
-  bool AtEnd() const { return pos_ == size_; }
-
- private:
-  Status Need(size_t bytes) const;
-
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
 };
 
 /// Assembles a whole snapshot file: magic + version header, then one

@@ -4,6 +4,8 @@
 
 #include "data/columnar_format.h"
 
+#include <sys/stat.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -108,6 +110,23 @@ TEST_F(ColumnarFormatTest, MappedDatasetRefusesAppendRow) {
 TEST_F(ColumnarFormatTest, OpenRefusesMissingFile) {
   EXPECT_EQ(MappedColumnar::Open(TempPath("absent.dpxcol")).status().code(),
             StatusCode::kNotFound);
+}
+
+TEST_F(ColumnarFormatTest, OpenRefusesNonRegularFiles) {
+  // A device, a FIFO (whose open would block) and a directory are refused
+  // by name before anything is mapped.
+  const std::string fifo = TempPath("open.fifo");
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::string& path :
+       {std::string("/dev/zero"), fifo, testing::TempDir()}) {
+    const auto opened = MappedColumnar::Open(path);
+    EXPECT_EQ(opened.status().code(), StatusCode::kIoError) << path;
+    EXPECT_NE(opened.status().message().find("not a regular file"),
+              std::string::npos)
+        << opened.status();
+  }
+  std::remove(fifo.c_str());
 }
 
 TEST_F(ColumnarFormatTest, OpenRefusesBadMagic) {

@@ -376,18 +376,24 @@ TEST(AuditLogTest, SequenceNumbersAreMonotonicFromOne) {
   EXPECT_EQ(log.next_seq(), 3u);
 }
 
-TEST(AuditLogTest, ASinkErrorComesOutOfRecordAndTheRecordStillCounts) {
+TEST(AuditLogTest, ASinkErrorComesOutOfRecordAndTheRecordTakesNoSeq) {
   AuditLog log;
-  log.set_sink([](const AuditRecord&) {
-    return Status::IoError("journal write failed");
+  bool refuse = true;
+  log.set_sink([&refuse](const AuditRecord&) {
+    return refuse ? Status::IoError("journal write failed") : Status::OK();
   });
   const StatusOr<uint64_t> recorded =
       log.Record("t1", "d", "explain", 0.5, true);
   EXPECT_EQ(recorded.status().code(), StatusCode::kIoError);
-  // The caller charged the ledger before recording, so the totals keep the
-  // charge: they may overstate, never understate.
-  EXPECT_EQ(log.TenantTotals("t1").epsilon_charged, 0.5);
-  EXPECT_EQ(log.next_seq(), 2u);
+  // The refused record is not in the log, so the journal behind the sink
+  // never has a gap; the caller's ledger keeps the charge (it may
+  // overstate, never understate).
+  EXPECT_EQ(log.TenantTotals("t1").epsilon_charged, 0.0);
+  EXPECT_TRUE(log.Tail().empty());
+  EXPECT_EQ(log.next_seq(), 1u);
+  refuse = false;
+  EXPECT_EQ(*log.Record("t1", "d", "explain", 0.25, true), 1u);
+  EXPECT_EQ(log.TenantTotals("t1").epsilon_charged, 0.25);
 }
 
 TEST(AuditLogTest, TotalsSeparateChargesFromDenials) {

@@ -6,6 +6,8 @@
 
 #include "service/service_engine.h"
 
+#include <sys/stat.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -255,9 +257,9 @@ TEST(ServiceRobustnessTest, HostileInputsGetStructuredErrors) {
 TEST(ServiceRobustnessTest, SnapshotListingATenantTwiceIsRefused) {
   // A CRC-valid file whose audit totals name tenant "t" twice: a restore
   // would keep one of the two totals and silently drop the other.
-  snapshot::ByteWriter none;
+  ByteWriter none;
   none.PutU64(0);
-  snapshot::ByteWriter audit;
+  ByteWriter audit;
   audit.PutU64(1);  // next_seq
   audit.PutU64(0);  // dropped
   const auto put_totals = [&](const std::string& tenant) {
@@ -287,6 +289,35 @@ TEST(ServiceRobustnessTest, SnapshotListingATenantTwiceIsRefused) {
             std::string::npos)
       << restored.status();
   std::remove(path.c_str());
+}
+
+TEST(ServiceRobustnessTest, NonRegularDataPathsAnswerIoError) {
+  // A device streams forever and a FIFO blocks whoever opens it: each of
+  // them, and a directory, is refused before a byte is read, with or
+  // without the CSV ingest limit, and the engine keeps serving.
+  const std::string fifo = ::testing::TempDir() + "/robustness_data.fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const size_t max_csv_bytes : {size_t{0}, size_t{1000}}) {
+    ServiceEngineOptions options;
+    options.max_csv_bytes = max_csv_bytes;
+    ServiceEngine engine(options);
+    for (const std::string source : {"csv", "dpxcol"}) {
+      for (const std::string& path :
+           {std::string("/dev/zero"), fifo, ::testing::TempDir()}) {
+        const JsonValue response =
+            Call(engine, R"({"op":"load_dataset","name":"d","source":")" +
+                             source + R"(","path":")" + path + R"("})");
+        ExpectError(response, "IoError");
+        EXPECT_NE(response.at("error").at("message").AsString().find(path),
+                  std::string::npos)
+            << response.Dump();
+        ExpectOk(Call(engine, R"({"op":"ping"})"));
+      }
+    }
+    engine.Shutdown();
+  }
+  std::remove(fifo.c_str());
 }
 
 TEST(ServiceRobustnessTest, OversizedPayloadRejectedBeforeParse) {

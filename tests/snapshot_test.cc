@@ -9,8 +9,18 @@
 // snapshot, truncated snapshot, newer format, journal gap, snapshot-less
 // journal) refuses loudly instead of rebuilding wrong ledgers.
 
+#include <dirent.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -139,6 +149,48 @@ std::string ReadBytes(const std::string& path) {
   StatusOr<std::string> bytes = ReadFileToString(path);
   EXPECT_TRUE(bytes.ok()) << bytes.status();
   return bytes.ok() ? *bytes : std::string();
+}
+
+/// Runs `body` in a forked child and expects it to finish with no test
+/// failure, so a limit set in `body` (a file size cap, a dropped uid) never
+/// reaches the rest of the suite.
+void ExpectPassesInChild(const std::function<void()>& body) {
+  std::fflush(stdout);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    body();
+    std::fflush(stdout);
+    ::_exit(::testing::Test::HasFailure() ? 1 : 0);
+  }
+  int status = -1;
+  ::waitpid(pid, &status, 0);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "the child failed (wait status " << status << "); see above";
+}
+
+/// Caps every file this process writes at `bytes` (RLIM_INFINITY lifts the
+/// cap): a write past it fails with EFBIG, since SIGXFSZ is ignored.
+void LimitFileSize(rlim_t bytes) {
+  std::signal(SIGXFSZ, SIG_IGN);
+  struct rlimit limit;
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &limit), 0);
+  limit.rlim_cur = std::min(bytes, limit.rlim_max);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limit), 0);
+}
+
+/// The names in `dir`, "." and ".." aside.
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  EXPECT_NE(d, nullptr) << dir;
+  while (d != nullptr) {
+    const dirent* entry = ::readdir(d);
+    if (entry == nullptr) break;
+    const std::string name = entry->d_name;
+    if (name != "." && name != "..") names.push_back(name);
+  }
+  if (d != nullptr) ::closedir(d);
+  return names;
 }
 
 /// True when a refused restore left `engine` exactly as empty as it was.
@@ -477,7 +529,7 @@ TEST(SnapshotTest, JournalChargeOverflowingASessionLeavesEngineEmpty) {
     record.epsilon = 1.95;
     record.granted = true;
     std::ofstream out(journal, std::ios::app);
-    out << snapshot::AuditRecordToJsonLine(record) << "\n";
+    out << obs::RecordToJson(record).Dump() << "\n";
   }
   ServiceEngine recovered;
   StatusOr<ServiceEngine::RestoreReport> report =
@@ -525,6 +577,18 @@ TEST(SnapshotTest, TornFinalJournalLineIsSkipped) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->replayed_records, 1u);
   EXPECT_EQ(SessionSpent(recovered, "alice"), spent_at_seq1);
+
+  // The next life's journal cuts the torn line before it appends, so its
+  // first charge is a line of its own and the journal still restores.
+  ASSERT_TRUE(recovered.EnableAuditJournal(journal).ok());
+  ExpectOk(Hist(recovered, "diab_7", 0.2));
+  ServiceEngine again;
+  report = again.RestoreFromFiles(snap, journal);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->replayed_records, 2u);
+  EXPECT_EQ(SessionSpent(again, "alice"), SessionSpent(recovered, "alice"));
+  std::remove(snap.c_str());
+  std::remove(journal.c_str());
 }
 
 TEST(SnapshotTest, RestoreIntoNonEmptyEngineIsRefused) {
@@ -786,7 +850,7 @@ struct Charge {
   double epsilon;
 };
 
-void PutCharges(snapshot::ByteWriter& w, const std::vector<Charge>& charges) {
+void PutCharges(ByteWriter& w, const std::vector<Charge>& charges) {
   w.PutU64(charges.size());
   for (const Charge& charge : charges) {
     w.PutString(charge.label);
@@ -810,7 +874,7 @@ std::string FormatTwoImage(const std::string& v3_image,
   if (!state.ok() || !sections.ok()) return "";
   snapshot::SectionWriter file(2);
   for (const snapshot::Section& section : *sections) {
-    snapshot::ByteWriter w;
+    ByteWriter w;
     if (section.id == snapshot::SectionId::kDatasets) {
       w.PutU64(state->datasets.size());
       for (const snapshot::DatasetState& ds : state->datasets) {
@@ -1089,29 +1153,144 @@ TEST(SnapshotTest, LedgerKeepsOneRowPerLabelAcrossManyCharges) {
 }
 
 TEST(SnapshotTest, FailedJournalWriteReleasesNothing) {
-  // Every write to /dev/full fails with ENOSPC: each charge stays on the
-  // ledger (it may overstate, never understate) and its request fails
-  // before anything is computed or cached.
-  ServiceEngine engine;
-  SetUpServing(engine);
-  ASSERT_TRUE(engine.EnableAuditJournal("/dev/full").ok());
-  const JsonValue explain =
-      Call(engine, R"({"op":"explain","session":"alice","epsilon":0.3})");
-  ExpectError(explain, "IoError");
-  EXPECT_FALSE(explain.Has("explanation")) << explain.Dump();
-  const JsonValue hist = Hist(engine, "diab_0");
-  ExpectError(hist, "IoError");
-  EXPECT_FALSE(hist.Has("bins")) << hist.Dump();
-  EXPECT_EQ(engine.cache().size(), 0u);
+  // With every file capped at the journal's size, each append fails
+  // (EFBIG): each charge stays on the ledger (it may overstate, never
+  // understate) and its request fails before anything is computed or
+  // cached. The cap is per process, so the engine runs in a child.
+  const std::string journal = TempPath("failed_write.journal");
+  std::remove(journal.c_str());
+  ExpectPassesInChild([&] {
+    ServiceEngine engine;
+    SetUpServing(engine);
+    ASSERT_TRUE(engine.EnableAuditJournal(journal).ok());
+    LimitFileSize(0);
+    const JsonValue explain =
+        Call(engine, R"({"op":"explain","session":"alice","epsilon":0.3})");
+    ExpectError(explain, "IoError");
+    EXPECT_FALSE(explain.Has("explanation")) << explain.Dump();
+    const JsonValue hist = Hist(engine, "diab_0");
+    ExpectError(hist, "IoError");
+    EXPECT_FALSE(hist.Has("bins")) << hist.Dump();
+    EXPECT_EQ(engine.cache().size(), 0u);
 
-  const JsonValue budget =
-      Call(engine, R"({"op":"budget","session":"alice"})");
-  ExpectOk(budget);
-  EXPECT_DOUBLE_EQ(budget.at("spent").AsNumber(), 0.4);
-  const std::string metrics = engine.metrics().PrometheusText();
-  EXPECT_NE(metrics.find("\ndpclustx_audit_journal_failures_total 2\n"),
-            std::string::npos)
-      << metrics;
+    const JsonValue budget =
+        Call(engine, R"({"op":"budget","session":"alice"})");
+    ExpectOk(budget);
+    EXPECT_DOUBLE_EQ(budget.at("spent").AsNumber(), 0.4);
+    const std::string metrics = engine.metrics().PrometheusText();
+    EXPECT_NE(metrics.find("\ndpclustx_audit_journal_failures_total 2\n"),
+              std::string::npos)
+        << metrics;
+  });
+  std::remove(journal.c_str());
+}
+
+TEST(SnapshotTest, KilledWritersLeaveACompleteOldOrNewImage) {
+  // A child replaces a snapshot and rewrites and grows a DPXCOL file in a
+  // loop until it is SIGKILLed at a seeded random moment. After every kill
+  // each file is a complete old or new image, never a torn one.
+  const std::string snap = TempPath("killed_writer.snap");
+  const std::string col = TempPath("killed_writer.dpxcol");
+  std::vector<std::string> images;
+  {
+    ServiceEngine engine;
+    SetUpServing(engine);
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+      images.push_back(ReadBytes(snap));
+      ExpectOk(Hist(engine, "diab_0"));
+    }
+  }  // no engine threads are alive across the forks below
+  ASSERT_NE(images[0], images[1]);
+  std::vector<snapshot::ServiceSnapshot> states;
+  for (const std::string& image : images) {
+    StatusOr<snapshot::ServiceSnapshot> state =
+        snapshot::DecodeServiceSnapshot(image);
+    ASSERT_TRUE(state.ok()) << state.status();
+    ASSERT_EQ(snapshot::EncodeServiceSnapshot(*state), image);
+    states.push_back(std::move(*state));
+  }
+  Dataset ten(Schema({Attribute("color", {"red", "green", "blue"})}));
+  for (ValueCode r = 0; r < 10; ++r) ten.AppendRowUnchecked({r % 3});
+  const std::vector<std::vector<ValueCode>> eleven(11, {2});
+  ASSERT_TRUE(WriteColumnarFile(ten, col).ok());
+
+  std::mt19937 rng(20261019);
+  for (int kill = 0; kill < 20; ++kill) {
+    std::fflush(stdout);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      for (size_t i = 0;; ++i) {
+        (void)snapshot::SaveSnapshotFile(snap, states[i % 2]);
+        (void)WriteColumnarFile(ten, col);  // capacity 10: the append grows
+        StatusOr<std::shared_ptr<const MappedColumnar>> mapped =
+            MappedColumnar::Open(col);
+        if (mapped.ok()) (void)AppendRowsToColumnar(*mapped, eleven);
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(rng() % 20000));
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    ::waitpid(pid, nullptr, 0);
+    const std::string tmp_suffix = ".tmp." + std::to_string(pid);
+    std::remove((snap + tmp_suffix).c_str());
+    std::remove((col + tmp_suffix).c_str());
+
+    const std::string bytes = ReadBytes(snap);
+    EXPECT_TRUE(bytes == images[0] || bytes == images[1]) << "kill " << kill;
+    EXPECT_TRUE(snapshot::LoadSnapshotFile(snap).ok()) << "kill " << kill;
+    ColumnarOpenOptions verify;
+    verify.verify_data = true;
+    StatusOr<std::shared_ptr<const MappedColumnar>> mapped =
+        MappedColumnar::Open(col, verify);
+    ASSERT_TRUE(mapped.ok()) << "kill " << kill << ": " << mapped.status();
+    EXPECT_TRUE((*mapped)->num_rows() == 10 || (*mapped)->num_rows() == 21)
+        << "kill " << kill << ": " << (*mapped)->num_rows() << " rows";
+  }
+  std::remove(snap.c_str());
+  std::remove(col.c_str());
+}
+
+TEST(SnapshotTest, FailedSaveLeavesTheOldFileAndNoTmp) {
+  // The save fails before its tmp file exists (an unwritable directory;
+  // root is dropped to nobody for it) or after (a file size cap): either
+  // way the old snapshot is byte-identical and nothing else is left.
+  const std::string dir = TempPath("failed_save");
+  ::mkdir(dir.c_str(), 0755);
+  const std::string snap = dir + "/state.snap";
+  std::string old_bytes;
+  snapshot::ServiceSnapshot newer;
+  {
+    ServiceEngine engine;
+    SetUpServing(engine);
+    ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+    old_bytes = ReadBytes(snap);
+    ExpectOk(Hist(engine, "diab_0"));
+    ASSERT_TRUE(engine.SaveSnapshotToFile(dir + "/newer.snap").ok());
+    StatusOr<snapshot::ServiceSnapshot> loaded =
+        snapshot::LoadSnapshotFile(dir + "/newer.snap");
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    newer = std::move(*loaded);
+    std::remove((dir + "/newer.snap").c_str());
+  }
+  const std::vector<std::function<void()>> failures = {
+      [&] {
+        ASSERT_EQ(::chmod(dir.c_str(), 0555), 0);
+        if (::geteuid() == 0) {
+          ASSERT_EQ(::setuid(65534), 0);
+        }
+      },
+      [] { LimitFileSize(0); }};
+  for (const std::function<void()>& fail : failures) {
+    ExpectPassesInChild([&] {
+      fail();
+      EXPECT_FALSE(snapshot::SaveSnapshotFile(snap, newer).ok());
+    });
+    ::chmod(dir.c_str(), 0755);
+    EXPECT_EQ(ReadBytes(snap), old_bytes);
+    EXPECT_EQ(DirEntries(dir), std::vector<std::string>{"state.snap"});
+  }
+  std::remove(snap.c_str());
+  ::rmdir(dir.c_str());
 }
 
 // ---- the worker lifecycle (service/worker.h) -------------------------
@@ -1211,6 +1390,90 @@ TEST(WorkerTest, ShutdownWritesTheFinalSnapshot) {
       engine.RestoreFromFiles(options.snapshot, "");
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_TRUE(SameLedger(SessionLedger(engine, "alice"), before));
+}
+
+/// A durable worker whose first life set up "d" and "alice" and stopped
+/// cleanly, so the session is in the snapshot.
+WorkerOptions SetUpWorker(const std::string& name) {
+  const WorkerOptions options = DurableWorker(name, 0);
+  std::unique_ptr<Worker> setup = StartWorker(options);
+  EXPECT_NE(setup, nullptr);
+  if (setup != nullptr) {
+    SetUpServing(setup->engine());
+    setup->Shutdown();
+  }
+  return options;
+}
+
+/// Second life: a charge, a charge whose journal line the file size cap
+/// (`spare` bytes past the journal's end) refuses, a charge with the cap
+/// lifted, then a kill. The refused line leaves neither a seq nor a half
+/// line behind, so the restart restores the two journaled charges exactly.
+void RefuseOneJournalLineThenKill(const std::string& name, rlim_t spare) {
+  const WorkerOptions options = SetUpWorker(name);
+  ExpectPassesInChild([&] {
+    obs::AuditLog::Totals before;
+    {
+      std::unique_ptr<Worker> worker = StartWorker(options);
+      ASSERT_NE(worker, nullptr);
+      ServiceEngine& engine = worker->engine();
+      ExpectOk(Hist(engine, "diab_0", 0.1));
+      const std::string journaled = ReadBytes(options.audit_journal);
+      LimitFileSize(journaled.size() + spare);
+      ExpectError(Hist(engine, "diab_1", 0.2), "IoError");
+      LimitFileSize(RLIM_INFINITY);
+      EXPECT_EQ(ReadBytes(options.audit_journal), journaled);
+      ExpectOk(Hist(engine, "diab_2", 0.3));
+      before = engine.audit_log().TenantTotals("alice");
+    }  // destroyed without Shutdown: a SIGKILL
+    EXPECT_EQ(before.charges, 2u);
+    std::unique_ptr<Worker> restarted = StartWorker(options);
+    ASSERT_NE(restarted, nullptr);
+    ServiceEngine& engine = restarted->engine();
+    const obs::AuditLog::Totals after =
+        engine.audit_log().TenantTotals("alice");
+    EXPECT_EQ(after.charges, 2u);
+    EXPECT_EQ(after.epsilon_charged, before.epsilon_charged);
+    EXPECT_EQ(SessionSpent(engine, "alice"), before.epsilon_charged);
+    EXPECT_EQ(CapSpent(engine, "d"), before.epsilon_charged);
+  });
+  std::remove(options.snapshot.c_str());
+  std::remove(options.audit_journal.c_str());
+}
+
+TEST(WorkerTest, RefusedJournalAppendTakesNoSeq) {
+  RefuseOneJournalLineThenKill("worker_refused", 0);
+}
+
+TEST(WorkerTest, ShortJournalAppendLeavesNoHalfLine) {
+  RefuseOneJournalLineThenKill("worker_short", 20);
+}
+
+TEST(WorkerTest, NonRegularSnapshotOrJournalIsRefusedAtStart) {
+  // A device never ends and keeps nothing, a FIFO blocks its opener, a
+  // directory is not a file: each is refused at start, promptly, by name.
+  const std::string fifo = TempPath("worker_nonregular.fifo");
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::string& path : {std::string("/dev/zero"),
+                                  std::string("/dev/full"), fifo,
+                                  ::testing::TempDir()}) {
+    for (const bool journal : {false, true}) {
+      WorkerOptions options = DurableWorker("worker_nonregular", 0);
+      (journal ? options.audit_journal : options.snapshot) = path;
+      const auto start = std::chrono::steady_clock::now();
+      const StatusOr<std::unique_ptr<Worker>> worker =
+          Worker::Start(options, nullptr);
+      EXPECT_LT(std::chrono::steady_clock::now() - start,
+                std::chrono::seconds(1));
+      ASSERT_FALSE(worker.ok()) << path;
+      EXPECT_NE(worker.status().message().find("'" + path + "'"),
+                std::string::npos)
+          << worker.status();
+      if (journal) std::remove(options.snapshot.c_str());
+    }
+  }
+  std::remove(fifo.c_str());
 }
 
 }  // namespace
