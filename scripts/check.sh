@@ -8,9 +8,10 @@
 # tests — no std::abort, overflow, or memory error may be reachable from
 # request input. The ingest plane (csv_test, columnar_format_test) runs
 # under ASan too: CSV bytes and DPXCOL headers are untrusted input. The
-# ASan pass also drives three end-to-end smokes against the real binaries:
+# ASan pass also drives end-to-end smokes against the real binaries:
 # a snapshot round-trip (charge, kill, restore, check the ledger), a
 # byte-identical CSV -> DPXCOL -> CSV round trip through dpclustx_convert,
+# a scripted dpclustx_repl session (pipeline_test's ReplTest),
 # a 2-worker dpclustx_router session over the line protocol, a
 # socket-mode router smoke (concurrent unix-socket clients against
 # --listen, relay byte-identity enforced by --verify-relay, a traced
@@ -95,11 +96,19 @@ else
     csv_test columnar_format_test json_relay_test router_test \
     explainer_test multi_explainer_test baselines_test \
     parallel_equivalence_test quality_sensitivity_test dp_property_test \
-    dpclustx_serve dpclustx_router dpclustx_convert \
+    pipeline_test dpclustx_serve dpclustx_router dpclustx_convert \
+    dpclustx_repl dpclustx_cli \
     >/dev/null
   (cd build-asan &&
    ctest --output-on-failure \
      -R '^(service_test|service_robustness_test|json_test|mechanisms_test|thread_pool_test|dataset_layout_test|obs_test|snapshot_test|csv_test|columnar_format_test|json_relay_test|router_test|explainer_test|multi_explainer_test|baselines_test|parallel_equivalence_test|quality_sensitivity_test|dp_property_test)$')
+
+  echo "==> ASan smoke: scripted dpclustx_repl session (embedded engine)"
+  # The console's command parsing and transcript rendering over its
+  # embedded engine: load, budget, cluster, explain, hist, ledger, and an
+  # over-budget refusal.
+  build-asan/tests/pipeline_test --gtest_filter='ReplTest.*' |
+    tail -n 1 | sed 's/^/    /'
 
   echo "==> ASan kernel dispatch smoke (DPCLUSTX_ISA=generic startup)"
   # Starts with dispatch clamped all the way down, then the in-test

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <thread>
 
@@ -81,43 +83,78 @@ std::string InjectWorkerLabel(const std::string& key,
   return key + "{" + label + "}";
 }
 
-/// One in-flight forwarded request. kInternal entries (health pings, admin
-/// snapshot saves) complete a condition-variable wait instead of replying.
-struct PendingEntry {
-  enum class Kind { kSingle, kBroadcast, kInternal };
-  Kind kind = Kind::kSingle;
+/// One worker process behind its link.
+struct WorkerProc {
+  std::string name;     // "shard-0" / "replica-0.1"
+  size_t shard = 0;     // owning shard index (== own index for shards)
+  bool replica = false;
+  std::unique_ptr<WorkerLink> link;
+  std::atomic<bool> alive{false};
+  /// Bumped per spawn: the health loop resets its miss count when the
+  /// process behind the name changes, and never kills a newer one.
+  std::atomic<uint64_t> spawns{0};
 
-  Reply done;  // the client owed the response
+  // Per-worker labeled instruments ({worker="<name>"}). spawned_at_ms
+  // feeds the replica-staleness gauge: replicas only refresh by
+  // respawning, so their age IS the staleness of their snapshot.
+  obs::LatencyHistogram* latency = nullptr;
+  obs::Counter* restarts_counter = nullptr;
+  obs::Gauge* backoff_gauge = nullptr;
+  obs::Gauge* pending_gauge = nullptr;  // entries it owes; pending_mutex_
+  std::atomic<int64_t> spawned_at_ms{0};
+};
+
+/// One line a worker owes an answer for: a client's request, one shard's
+/// leg of a broadcast, or a health ping or replica-sync save. Every entry
+/// ends exactly once, through FinishSingle, which hands `done` the reply
+/// line. All fields but the timings set before Send are guarded by
+/// pending_mutex_.
+struct PendingEntry {
+  uint64_t seq = 0;  // router id "r<seq>"; a smaller seq is an older entry
+  Reply done;        // runs once, under pending_mutex_
   bool has_client_id = false;
   JsonValue client_id;
   std::string client_id_json;  // client_id pre-serialized: the splice path
                                // does zero JSON work per response
   Clock::time_point enqueued;  // receive time, for aging and timelines
 
-  std::string worker;        // who currently owes the response
+  WorkerProc* worker = nullptr;  // who currently owes the response
   std::string request_line;  // forwarded line (router id, _tc), resendable
-  std::string dataset;       // kSingle: owning dataset
-  bool on_replica = false;   // kSingle: true while a replica is trying
+  std::string dataset;       // owning dataset, for a replica read's primary
+  bool on_replica = false;   // true while a replica is trying
+  bool answered = false;     // the worker's line ended it, not the router
 
   // Timeline bookkeeping. `written` is refreshed when a replica read moves
   // to the primary, so worker_roundtrip measures the leg that answered.
-  // Mutable fields are guarded by pending_mutex_; FinishSingle builds the
-  // stitched trace under it, while the entry is still in the map.
-  std::string op;            // for the slow log and the trace ring
-  bool traced = false;       // "trace":true — a stitched timeline is owed
-  std::string tid;           // propagated trace id ("t<seq>")
+  // FinishSingle builds the stitched trace while the entry is still in the
+  // map.
+  std::string op;  // the client's op, for the slow log and the trace ring;
+                   // empty for broadcast legs and round trips
+  bool traced = false;          // "trace":true — a stitched timeline is owed
+  std::string tid;              // propagated trace id ("t<seq>")
   Clock::time_point written;    // send time
   uint64_t parse_micros = 0;    // request parse
   uint64_t route_micros = 0;    // classify + shard pick
   uint64_t forward_micros = 0;  // id (and _tc) set, one Dump
-
-  size_t awaiting = 0;       // kBroadcast: responses still outstanding
-  JsonValue merged = JsonValue::Object();
-  bool fleet_rollup = false;  // kBroadcast: answer with one registry rollup
-
-  bool done_internal = false;  // kInternal
-  std::string response_line;
 };
+
+/// The sequence number in router id "r<seq>"; 0, which is never issued,
+/// for any other id.
+uint64_t RouterSeq(const std::string& rid) {
+  uint64_t seq = 0;
+  if (rid.size() < 2 || rid[0] != 'r') return 0;
+  const char* end = rid.data() + rid.size();
+  const auto [last, error] = std::from_chars(rid.data() + 1, end, seq);
+  return error == std::errc() && last == end ? seq : 0;
+}
+
+/// True when `line` is a JSON object whose "ok" is true.
+bool OkReply(const std::string& line) {
+  StatusOr<JsonValue> reply = JsonValue::Parse(line);
+  return reply.ok() && reply->type() == JsonValue::Type::kObject &&
+         reply->Has("ok") && reply->at("ok").type() == JsonValue::Type::kBool &&
+         reply->at("ok").AsBool();
+}
 
 /// The stitched end-to-end timeline for one traced request:
 ///
@@ -452,7 +489,7 @@ class Router::Impl {
                    "to refresh replicas)")),
                has_id, client_id);
         break;
-      case OpPlacement::kBroadcast:
+      case OpPlacement::kEveryShard:
       case OpPlacement::kFleetRollup:
         ForwardBroadcast(std::move(done), *parsed, *decision, has_id,
                          client_id, op, timing);
@@ -496,25 +533,6 @@ class Router::Impl {
   }
 
  private:
-  struct WorkerProc {
-    std::string name;     // "shard-0" / "replica-0.1"
-    size_t shard = 0;     // owning shard index (== own index for shards)
-    bool replica = false;
-    std::unique_ptr<WorkerLink> link;
-    std::atomic<bool> alive{false};
-    /// Bumped per spawn: the health loop resets its miss count when the
-    /// process behind the name changes, and never kills a newer one.
-    std::atomic<uint64_t> spawns{0};
-
-    // Per-worker labeled instruments ({worker="<name>"}). spawned_at_ms
-    // feeds the replica-staleness gauge: replicas only refresh by
-    // respawning, so their age IS the staleness of their snapshot.
-    obs::LatencyHistogram* latency = nullptr;
-    obs::Counter* restarts_counter = nullptr;
-    obs::Gauge* backoff_gauge = nullptr;
-    std::atomic<int64_t> spawned_at_ms{0};
-  };
-
   /// Receive-side timings carried into the pending entry so traced
   /// requests can render them as spans.
   struct RequestTiming {
@@ -525,13 +543,12 @@ class Router::Impl {
 
   /// A replica read moved to its primary, to be resent outside the lock.
   struct Resend {
-    std::string rid;
     std::shared_ptr<PendingEntry> entry;
     WorkerProc* primary = nullptr;
   };
 
-  /// In-flight requests by router id ("r<seq>", "hc-<seq>").
-  using PendingMap = std::map<std::string, std::shared_ptr<PendingEntry>>;
+  /// In-flight entries by router sequence number, so oldest first.
+  using PendingMap = std::map<uint64_t, std::shared_ptr<PendingEntry>>;
 
   static std::vector<std::string> ShardNames(size_t n) {
     std::vector<std::string> names;
@@ -548,12 +565,9 @@ class Router::Impl {
 
   // ---- telemetry plane -----------------------------------------------
 
-  /// Registers the per-worker labeled instruments. The pending-depth
-  /// callback takes pending_mutex_ under the registry's exposition mutex,
-  /// which fixes the lock order registry→pending: nothing may call
-  /// PrometheusText()/ToJson() while holding pending_mutex_ (broadcast
-  /// completions build their fleet rollups outside the lock for exactly
-  /// this reason).
+  /// Registers the per-worker labeled instruments. No callback takes a
+  /// router lock, so an exposition may run anywhere — a broadcast's last
+  /// leg builds the fleet rollup under pending_mutex_.
   void RegisterWorkerInstruments() {
     for (auto& owned : workers_) {
       WorkerProc* w = owned.get();
@@ -571,19 +585,9 @@ class Router::Impl {
       callback_ids_.push_back(metrics_->AddCallbackGauge(
           "dpclustx_router_worker_alive", "1 while the worker process lives",
           labels, [w] { return w->alive.load() ? 1.0 : 0.0; }));
-      callback_ids_.push_back(metrics_->AddCallbackGauge(
+      w->pending_gauge = metrics_->RegisterGauge(
           "dpclustx_router_worker_pending",
-          "Requests currently in flight on this worker", labels, [this, w] {
-            std::lock_guard<std::mutex> lock(pending_mutex_);
-            double depth = 0;
-            for (const auto& [id, entry] : pending_) {
-              if (entry->kind != PendingEntry::Kind::kBroadcast &&
-                  entry->worker == w->name) {
-                ++depth;
-              }
-            }
-            return depth;
-          }));
+          "Requests currently in flight on this worker", labels);
       if (w->replica) {
         callback_ids_.push_back(metrics_->AddCallbackGauge(
             "dpclustx_router_replica_staleness_seconds",
@@ -641,14 +645,10 @@ class Router::Impl {
     DPX_CHECK(started.ok()) << w.name << ": " << started.ToString();
   }
 
-  /// Writes one protocol line into the worker. False when it is gone.
-  bool WriteToWorker(WorkerProc& w, const std::string& line) {
-    return w.alive.load() && w.link->Send(line);
-  }
-
   /// One health tick, on the health thread. `misses` and `generation` are
   /// that thread's alone: a miss count restarts whenever the worker's spawn
-  /// generation moves (a respawn by any path).
+  /// generation moves (a respawn by any path). Any reply from the worker
+  /// counts, a shed one included.
   void CheckHealth(std::vector<size_t>& misses,
                    std::vector<uint64_t>& generation) {
     for (size_t i = 0; i < workers_.size() && !shutting_down_.load(); ++i) {
@@ -663,8 +663,7 @@ class Router::Impl {
       }
       JsonValue ping = JsonValue::Object();
       ping.Set("op", JsonValue::String("ping"));
-      if (!RoundTrip(w, std::move(ping), options_.health_deadline_ms)
-               .empty()) {
+      if (RoundTrip(w, std::move(ping), options_.health_deadline_ms)) {
         misses[i] = 0;
       } else if (++misses[i] >= options_.health_misses) {
         std::cerr << "[router] " << w.name << " missed " << misses[i]
@@ -704,28 +703,30 @@ class Router::Impl {
     Spawn(w);
   }
 
-  /// Sends `request` under an internal id and waits up to `deadline_ms` for
-  /// the worker's answer. The response line, or "" on death or timeout.
-  std::string RoundTrip(WorkerProc& w, JsonValue request,
-                        size_t deadline_ms) {
-    const std::string rid = "hc-" + std::to_string(next_id_.fetch_add(1));
+  /// Sends `request` to `w` and waits up to `deadline_ms` for it to end.
+  /// The worker's reply line, or nullopt when the router ended it (death,
+  /// garbage, down, or the deadline).
+  std::optional<std::string> RoundTrip(WorkerProc& w, JsonValue request,
+                                       size_t deadline_ms) {
     auto entry = std::make_shared<PendingEntry>();
-    entry->kind = PendingEntry::Kind::kInternal;
-    entry->worker = w.name;
+    auto reply = std::make_shared<std::optional<std::string>>();
     entry->enqueued = Clock::now();
+    entry->done = [reply](std::string line) { *reply = std::move(line); };
+    Send(w, entry, std::move(request));
     {
-      std::lock_guard<std::mutex> lock(pending_mutex_);
-      pending_[rid] = entry;
+      std::unique_lock<std::mutex> lock(pending_mutex_);
+      if (pending_cv_.wait_for(lock, std::chrono::milliseconds(deadline_ms),
+                               [&reply] { return reply->has_value(); })) {
+        if (entry->answered) return std::move(*reply);
+        return std::nullopt;
+      }
+      FinishSingle(pending_.find(entry->seq), Clock::now(),
+                   ErrorResponse(Status::Internal(
+                       "worker '" + w.name + "' did not answer within " +
+                       std::to_string(deadline_ms) + " ms")));
     }
-    request.Set("id", JsonValue::String(rid));
-    const bool sent = WriteToWorker(w, request.Dump());
-    std::unique_lock<std::mutex> lock(pending_mutex_);
-    if (sent) {
-      pending_cv_.wait_for(lock, std::chrono::milliseconds(deadline_ms),
-                           [&entry] { return entry->done_internal; });
-    }
-    pending_.erase(rid);
-    return entry->response_line;
+    pending_cv_.notify_all();
+    return std::nullopt;
   }
 
   // ---- response plumbing ---------------------------------------------
@@ -733,9 +734,8 @@ class Router::Impl {
   void HandleWorkerLine(WorkerProc& w, const std::string& line) {
     // Hot path: one structural scan finds the router id without building a
     // document tree. The full parser runs only for lines the scanner
-    // refuses (torn output, escaped ids) and for the cold response kinds
-    // that genuinely need a tree (broadcast merge, replica refusal check,
-    // traced responses).
+    // refuses (torn output, escaped ids) and for the cold responses that
+    // genuinely need a tree (replica refusal check, traced responses).
     StatusOr<RelayScan> scan = ScanTopLevelId(line);
     StatusOr<JsonValue> parsed = Status::Internal("not parsed");
     bool have_parsed = false;
@@ -761,74 +761,46 @@ class Router::Impl {
 
     const auto replied = Clock::now();
     Resend resend;  // replica miss → resend to the primary
-    std::shared_ptr<PendingEntry> completed_broadcast;
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
-      auto it = pending_.find(rid);
+      const auto it = pending_.find(RouterSeq(rid));
       if (it == pending_.end()) return;
-      std::shared_ptr<PendingEntry> entry = it->second;
-      switch (entry->kind) {
-        case PendingEntry::Kind::kInternal:
-          entry->response_line = line;
-          entry->done_internal = true;
-          pending_.erase(it);
-          break;
-        case PendingEntry::Kind::kBroadcast: {
-          if (entry->awaiting == 0 || entry->merged.Has(w.name)) break;
-          w.latency->Observe(CeilMicros(replied - entry->written));
-          if (ensure_parsed()) {
-            JsonValue piece = std::move(*parsed);
-            piece.Remove("id");
-            entry->merged.Set(w.name, std::move(piece));
-          } else {
-            dropped_lines_counter_->Increment();
-            entry->merged.Set(w.name, UnparseableLine(w));
+      PendingEntry& entry = *it->second;
+      if (entry.on_replica && ensure_parsed() && ReplicaRefusal(*parsed)) {
+        // The replica's cache had no hit (or its snapshot predates the
+        // session): keep the entry and resend to the primary.
+        resend = RetargetToPrimary(it->second, replied);
+      } else {
+        entry.answered = true;
+        w.latency->Observe(CeilMicros(replied - entry.written));
+        if (scan.ok() && !entry.traced) {
+          std::string out =
+              entry.client_id_json.empty()
+                  ? EraseId(line, *scan)
+                  : SpliceId(line, *scan, entry.client_id_json);
+          relay_spliced_counter_->Increment();
+          if (options_.verify_relay) {
+            DPX_CHECK(ensure_parsed())
+                << "verify-relay: spliced line failed the full parser";
+            const std::string expect = FullParseRelay(*parsed, entry);
+            DPX_CHECK(out == expect)
+                << "relay splice diverged from the full-parse path: " << out
+                << " vs " << expect;
           }
-          if (--entry->awaiting == 0) completed_broadcast = entry;
-          break;
-        }
-        case PendingEntry::Kind::kSingle: {
-          if (entry->on_replica && ensure_parsed() &&
-              ReplicaRefusal(*parsed)) {
-            // The replica's cache had no hit (or its snapshot predates the
-            // session): keep the entry and resend to the primary.
-            resend = RetargetToPrimary(rid, entry, replied);
-            break;
-          }
-          w.latency->Observe(CeilMicros(replied - entry->written));
-          if (scan.ok() && !entry->traced) {
-            std::string out =
-                entry->client_id_json.empty()
-                    ? EraseId(line, *scan)
-                    : SpliceId(line, *scan, entry->client_id_json);
-            relay_spliced_counter_->Increment();
-            if (options_.verify_relay) {
-              DPX_CHECK(ensure_parsed())
-                  << "verify-relay: spliced line failed the full parser";
-              const std::string expect = FullParseRelay(*parsed, *entry);
-              DPX_CHECK(out == expect)
-                  << "relay splice diverged from the full-parse path: "
-                  << out << " vs " << expect;
-            }
-            FinishSingle(it, replied, JsonValue::Null(), std::move(out));
-          } else if (ensure_parsed()) {
-            relay_full_parse_counter_->Increment();
-            FinishSingle(it, replied, std::move(*parsed));
-          } else {
-            // The scanner accepted the line but the parser a traced
-            // request needs refused it: that response is unrecoverable.
-            dropped_lines_counter_->Increment();
-            FinishSingle(it, replied, UnparseableLine(w));
-          }
-          break;
+          FinishSingle(it, replied, JsonValue::Null(), std::move(out));
+        } else if (ensure_parsed()) {
+          relay_full_parse_counter_->Increment();
+          FinishSingle(it, replied, std::move(*parsed));
+        } else {
+          // The scanner accepted the line but the parser a traced
+          // request needs refused it: that response is unrecoverable.
+          dropped_lines_counter_->Increment();
+          FinishSingle(it, replied, UnparseableLine(w));
         }
       }
     }
     pending_cv_.notify_all();
-    if (completed_broadcast != nullptr) {
-      FinishBroadcast(rid, *completed_broadcast, replied);
-    }
-    if (resend.primary != nullptr) ResendToPrimary(resend);
+    if (resend.primary != nullptr) Write(*resend.primary, resend.entry);
   }
 
   static JsonValue UnparseableLine(const WorkerProc& w) {
@@ -836,8 +808,8 @@ class Router::Impl {
         "worker '" + w.name + "' emitted an unparseable response line"));
   }
 
-  /// Caller holds pending_mutex_. The one way a single request ends: the
-  /// worker answered, died or sent garbage, or the router refused it.
+  /// Caller holds pending_mutex_. The one way an entry ends: the worker
+  /// answered, died or sent garbage, or the router refused it.
   /// `response` is the worker's parsed answer or the router's own error —
   /// unless `relayed` is set, which is then the worker's line with the
   /// client's id already spliced in (untraced answers only). A traced
@@ -868,30 +840,16 @@ class Router::Impl {
     }
     entry.done(std::move(relayed));
     MaybeSlowLog(entry, replied);
+    entry.worker->pending_gauge->Add(-1);
     return pending_.erase(it);
   }
 
-  /// Replies to a broadcast whose last slot just filled, then drops it from
-  /// pending_. NEVER call under pending_mutex_: the fleet rollup reads the
-  /// registry, whose exposition callbacks take it. Until the erase,
-  /// awaiting == 0 keeps every other thread off `merged`.
-  void FinishBroadcast(const std::string& rid, const PendingEntry& entry,
-                       Clock::time_point replied) {
-    entry.done(BroadcastResponse(entry));
-    MaybeSlowLog(entry, replied);
-    {
-      std::lock_guard<std::mutex> lock(pending_mutex_);
-      pending_.erase(rid);
-    }
-    pending_cv_.notify_all();
-  }
-
   /// A malformed worker line — unparseable JSON, or missing the string
-  /// router id every forwarded request carries — means some request's
-  /// response is unrecoverable. Workers answer in request order, so the
-  /// garbage overwhelmingly belongs to the oldest single-shot request the
-  /// worker still owes: that request fails with a structured Internal
-  /// error and the breach is counted (dpclustx_router_dropped_lines_total).
+  /// router id every forwarded line carries — means some entry's response
+  /// is unrecoverable. Workers answer in request order, so the garbage
+  /// overwhelmingly belongs to the oldest entry the worker still owes: it
+  /// fails with a structured Internal error and the breach is counted
+  /// (dpclustx_router_dropped_lines_total).
   void DropMalformedLine(WorkerProc& w, const std::string& line) {
     dropped_lines_counter_->Increment();
     std::cerr << "[router] " << w.name << " emitted a malformed line ("
@@ -899,19 +857,9 @@ class Router::Impl {
               << " request\n";
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
-      auto oldest = pending_.end();
-      uint64_t oldest_seq = 0;
-      for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (it->second->kind != PendingEntry::Kind::kSingle ||
-            it->second->worker != w.name) {
-          continue;
-        }
-        // Single ids are "r<seq>"; the smallest sequence is the oldest.
-        const uint64_t seq = std::strtoull(it->first.c_str() + 1, nullptr, 10);
-        if (oldest == pending_.end() || seq < oldest_seq) {
-          oldest = it;
-          oldest_seq = seq;
-        }
+      auto oldest = pending_.begin();  // pending_ is in seq order
+      while (oldest != pending_.end() && oldest->second->worker != &w) {
+        ++oldest;
       }
       if (oldest == pending_.end()) return;  // a stray; nobody waits on it
       FinishSingle(oldest, Clock::now(),
@@ -924,102 +872,106 @@ class Router::Impl {
     pending_cv_.notify_all();
   }
 
-  /// Caller holds pending_mutex_. Moves a replica read (still pending as
-  /// `rid`) to its shard's primary; the returned Resend is empty when the
-  /// entry is not on a replica any more.
-  Resend RetargetToPrimary(const std::string& rid,
-                           const std::shared_ptr<PendingEntry>& entry,
+  /// Caller holds pending_mutex_. Moves a replica read to its shard's
+  /// primary; the returned Resend is empty when the entry is not on a
+  /// replica any more.
+  Resend RetargetToPrimary(const std::shared_ptr<PendingEntry>& entry,
                            Clock::time_point now) {
     if (!entry->on_replica) return {};
     WorkerProc* primary = ShardWorker(core_.ShardFor(entry->dataset));
+    entry->worker->pending_gauge->Add(-1);
+    primary->pending_gauge->Add(1);
     entry->on_replica = false;
-    entry->worker = primary->name;
+    entry->worker = primary;
     entry->written = now;  // roundtrip = the primary's leg
-    return {rid, entry, primary};
+    return {entry, primary};
   }
 
-  /// Outside pending_mutex_: sends a retargeted read to its primary, or
-  /// fails it when the primary is down too.
-  void ResendToPrimary(const Resend& resend) {
-    if (WriteToWorker(*resend.primary, resend.entry->request_line)) return;
-    PrimaryDown(resend.rid, *resend.primary);
-  }
-
-  /// Outside pending_mutex_: ends pending `rid` with the router's refusal,
-  /// unless the primary's death already ended it.
-  void PrimaryDown(const std::string& rid, const WorkerProc& primary) {
-    {
-      std::lock_guard<std::mutex> lock(pending_mutex_);
-      const auto it = pending_.find(rid);
-      if (it == pending_.end()) return;
-      FinishSingle(it, Clock::now(),
-                   ErrorResponse(Status::Internal(
-                       "primary '" + primary.name +
-                       "' is down; retry once it respawns")));
-    }
-    pending_cv_.notify_all();
-  }
-
-  /// `w` died: every request it still owed is resent (replica reads move
-  /// to the primary) or failed with a retryable error. The worker's own
+  /// `w` died: every entry it still owed is resent (replica reads move to
+  /// the primary) or failed with a retryable error. The worker's own
   /// snapshot+journal restore makes the retry safe: a charge that reached
   /// the journal is restored and re-serves from the cache for 0 ε.
   void FailWorkerPending(const WorkerProc& w) {
     const auto now = Clock::now();
     std::vector<Resend> resends;
-    std::vector<std::pair<std::string, std::shared_ptr<PendingEntry>>>
-        completed_broadcasts;
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
       for (auto it = pending_.begin(); it != pending_.end();) {
-        std::shared_ptr<PendingEntry> entry = it->second;
-        if (entry->kind == PendingEntry::Kind::kBroadcast) {
-          // Broadcasts owe one slot per shard; a dead shard contributes an
-          // error object instead of blocking the merge forever. The Has
-          // check keeps this idempotent if the death is reported twice.
-          if (!w.replica && entry->awaiting > 0 &&
-              !entry->merged.Has(w.name)) {
-            entry->merged.Set(w.name,
-                              ErrorResponse(Status::Internal(
-                                  "worker died before responding")));
-            if (--entry->awaiting == 0) {
-              completed_broadcasts.emplace_back(it->first, entry);
-            }
-          }
+        if (it->second->worker != &w) {
           ++it;
-          continue;
-        }
-        if (entry->worker != w.name) {
+        } else if (it->second->on_replica) {
+          resends.push_back(RetargetToPrimary(it->second, now));
           ++it;
-          continue;
+        } else {
+          it = FinishSingle(
+              it, now,
+              ErrorResponse(Status::Internal(
+                  "worker '" + w.name +
+                  "' died mid-request; it will be respawned and restored "
+                  "from its snapshot and audit journal — retry (a charge "
+                  "that was journaled re-serves from the cache for zero "
+                  "ε)")));
         }
-        if (entry->kind == PendingEntry::Kind::kInternal) {
-          entry->done_internal = true;  // empty response_line: failure
-          it = pending_.erase(it);
-          continue;
-        }
-        if (entry->on_replica) {
-          resends.push_back(RetargetToPrimary(it->first, entry, now));
-          ++it;
-          continue;
-        }
-        it = FinishSingle(
-            it, now,
-            ErrorResponse(Status::Internal(
-                "worker '" + w.name +
-                "' died mid-request; it will be respawned and restored from "
-                "its snapshot and audit journal — retry (a charge that was "
-                "journaled re-serves from the cache for zero ε)")));
       }
     }
     pending_cv_.notify_all();
-    for (const auto& [rid, entry] : completed_broadcasts) {
-      FinishBroadcast(rid, *entry, now);
-    }
-    for (const Resend& resend : resends) ResendToPrimary(resend);
+    for (const Resend& resend : resends) Write(*resend.primary, resend.entry);
   }
 
   // ---- request forwarding --------------------------------------------
+
+  /// The one way a line reaches a worker: gives `entry` the next router id
+  /// "r<seq>", sets it (and a traced request's "_tc" context) on
+  /// `request`, serializes that once as the entry's resendable line,
+  /// enters the entry in pending_ as owed by `w`, and writes it.
+  void Send(WorkerProc& w, std::shared_ptr<PendingEntry> entry,
+            JsonValue request) {
+    const auto forward_start = Clock::now();
+    entry->seq = next_seq_.fetch_add(1);
+    const std::string rid = "r" + std::to_string(entry->seq);
+    request.Set("id", JsonValue::String(rid));
+    if (entry->traced) {
+      entry->tid = "t" + std::to_string(entry->seq);
+      JsonValue tc = JsonValue::Object();
+      tc.Set("pid", JsonValue::String(rid));
+      tc.Set("tid", JsonValue::String(entry->tid));
+      request.Set("_tc", std::move(tc));
+    }
+    entry->request_line = request.Dump();
+    entry->worker = &w;
+    entry->written = Clock::now();
+    entry->forward_micros = CeilMicros(entry->written - forward_start);
+    {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      pending_.emplace(entry->seq, entry);
+      w.pending_gauge->Add(1);
+    }
+    Write(w, entry);
+  }
+
+  /// Outside pending_mutex_: writes the entry's line into `w`, which owes
+  /// it. When `w` is gone, a replica read moves on to its primary and
+  /// anything else ends with the router's refusal — unless `w`'s death
+  /// already ended or moved the entry.
+  void Write(WorkerProc& w, const std::shared_ptr<PendingEntry>& entry) {
+    if (w.alive.load() && w.link->Send(entry->request_line)) return;
+    Resend resend;
+    {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      const auto it = pending_.find(entry->seq);
+      if (it == pending_.end() || entry->worker != &w) return;
+      if (entry->on_replica) {
+        resend = RetargetToPrimary(entry, Clock::now());
+      } else {
+        FinishSingle(it, Clock::now(),
+                     ErrorResponse(Status::Internal(
+                         "worker '" + w.name +
+                         "' is down; retry once it respawns")));
+      }
+    }
+    pending_cv_.notify_all();
+    if (resend.primary != nullptr) Write(*resend.primary, resend.entry);
+  }
 
   /// Wraps the reply of an op whose Classify changed a session binding:
   /// unless the reply is ok — a worker's error, or the router's own when
@@ -1028,24 +980,16 @@ class Router::Impl {
   Reply UndoBindingUnlessOk(RouteDecision decision, Reply done) {
     return [this, decision = std::move(decision),
             done = std::move(done)](std::string line) {
-      StatusOr<JsonValue> reply = JsonValue::Parse(line);
-      if (!reply.ok() || reply->type() != JsonValue::Type::kObject ||
-          !reply->Has("ok") ||
-          reply->at("ok").type() != JsonValue::Type::kBool ||
-          !reply->at("ok").AsBool()) {
-        core_.UndoBinding(decision);
-      }
+      if (!OkReply(line)) core_.UndoBinding(decision);
       done(std::move(line));
     };
   }
 
-  std::shared_ptr<PendingEntry> NewEntry(PendingEntry::Kind kind, Reply done,
-                                         bool has_id,
-                                         const JsonValue& client_id,
-                                         const std::string& op,
-                                         const RequestTiming& timing) {
+  /// An entry that answers the client.
+  static std::shared_ptr<PendingEntry> ClientEntry(
+      Reply done, bool has_id, const JsonValue& client_id,
+      const std::string& op, const RequestTiming& timing) {
     auto entry = std::make_shared<PendingEntry>();
-    entry->kind = kind;
     entry->done = std::move(done);
     entry->has_client_id = has_id;
     entry->client_id = client_id;
@@ -1066,100 +1010,65 @@ class Router::Impl {
     if (decision.placement == OpPlacement::kReplicaRead) {
       if (WorkerProc* replica = PickReplica(primary->shard)) target = replica;
     }
-
-    const uint64_t seq = next_id_.fetch_add(1);
-    const std::string rid = "r" + std::to_string(seq);
-    auto entry = NewEntry(PendingEntry::Kind::kSingle, std::move(done), has_id,
-                          client_id, op, timing);
+    auto entry = ClientEntry(std::move(done), has_id, client_id, op, timing);
     entry->traced = request.Has("trace") &&
                     request.at("trace").type() == JsonValue::Type::kBool &&
                     request.at("trace").AsBool();
     // Serialized once here so the splice relay does zero JSON work when
     // the worker's response comes back.
     if (has_id) entry->client_id_json = client_id.Dump();
-    entry->worker = target->name;
     entry->dataset = decision.dataset;
     entry->on_replica = target != primary;
-
-    // The forwarded line is serialized once: the router id, and for a
-    // traced request the cross-process context "_tc":{"pid","tid"}, are
-    // set on the parsed request before the one Dump.
-    const auto forward_start = Clock::now();
-    request.Set("id", JsonValue::String(rid));
-    if (entry->traced) {
-      entry->tid = "t" + std::to_string(seq);
-      JsonValue tc = JsonValue::Object();
-      tc.Set("pid", JsonValue::String(rid));
-      tc.Set("tid", JsonValue::String(entry->tid));
-      request.Set("_tc", std::move(tc));
-    }
-    entry->request_line = request.Dump();
-    entry->written = Clock::now();
-    entry->forward_micros = CeilMicros(entry->written - forward_start);
-    {
-      std::lock_guard<std::mutex> lock(pending_mutex_);
-      pending_[rid] = entry;
-    }
-
-    if (WriteToWorker(*target, entry->request_line)) return;
-    if (target != primary) {
-      // The replica was gone; the primary takes it directly (unless the
-      // replica's death already moved it there).
-      Resend resend;
-      {
-        std::lock_guard<std::mutex> lock(pending_mutex_);
-        resend = RetargetToPrimary(rid, entry, Clock::now());
-      }
-      if (resend.primary != nullptr) ResendToPrimary(resend);
-      return;
-    }
-    PrimaryDown(rid, *primary);
+    Send(*target, std::move(entry), std::move(request));
   }
 
-  void ForwardBroadcast(Reply done, JsonValue request,
+  /// One leg per shard, each an ordinary entry. The legs' callbacks fill
+  /// one shared merge, and the last answers the client: the labeled
+  /// "fleet" rollup for a kFleetRollup op, the per-shard pieces under
+  /// "workers" for every other broadcast. A leg the router ended (death,
+  /// garbage, down) contributes its Internal error as the piece.
+  void ForwardBroadcast(Reply done, const JsonValue& request,
                         const RouteDecision& decision, bool has_id,
                         const JsonValue& client_id, const std::string& op,
                         const RequestTiming& timing) {
-    const std::string rid = "r" + std::to_string(next_id_.fetch_add(1));
-    request.Set("id", JsonValue::String(rid));
-    const std::string forwarded = request.Dump();
-
-    auto entry = NewEntry(PendingEntry::Kind::kBroadcast, std::move(done),
-                          has_id, client_id, op, timing);
-    entry->awaiting = options_.workers;
-    entry->fleet_rollup = decision.placement == OpPlacement::kFleetRollup;
-    entry->written = Clock::now();
-    {
-      std::lock_guard<std::mutex> lock(pending_mutex_);
-      pending_[rid] = entry;
-    }
-    bool completed = false;
+    struct Merge {
+      std::shared_ptr<PendingEntry> client;  // never in pending_ itself
+      size_t legs_owed = 0;
+      JsonValue pieces = JsonValue::Object();
+    };
+    auto merge = std::make_shared<Merge>();
+    merge->client = ClientEntry(std::move(done), has_id, client_id, op, timing);
+    merge->legs_owed = options_.workers;
+    const bool rollup = decision.placement == OpPlacement::kFleetRollup;
     for (size_t i = 0; i < options_.workers; ++i) {  // shards come first
       WorkerProc& shard = *workers_[i];
-      if (WriteToWorker(shard, forwarded)) continue;
-      std::lock_guard<std::mutex> lock(pending_mutex_);
-      if (entry->awaiting == 0 || entry->merged.Has(shard.name)) continue;
-      entry->merged.Set(shard.name,
-                        ErrorResponse(Status::Internal(
-                            "worker is down; respawn pending")));
-      completed = --entry->awaiting == 0;
+      auto leg = std::make_shared<PendingEntry>();
+      leg->enqueued = timing.received;
+      // Under pending_mutex_; the relay has already dropped the router id.
+      leg->done = [this, merge, rollup, &shard](std::string line) {
+        StatusOr<JsonValue> parsed = JsonValue::Parse(line);
+        JsonValue piece;
+        if (parsed.ok()) {
+          piece = std::move(*parsed);
+        } else {
+          dropped_lines_counter_->Increment();
+          piece = UnparseableLine(shard);
+        }
+        merge->pieces.Set(shard.name, std::move(piece));
+        if (--merge->legs_owed > 0) return;
+        JsonValue response = JsonValue::Object();
+        response.Set("ok", JsonValue::Bool(true));
+        if (rollup) {
+          response.Set("fleet", FleetRollup(merge->pieces));
+        } else {
+          response.Set("workers", std::move(merge->pieces));
+        }
+        const PendingEntry& client = *merge->client;
+        client.done(FullParseRelay(std::move(response), client));
+        MaybeSlowLog(client, Clock::now());
+      };
+      Send(shard, std::move(leg), request);
     }
-    if (completed) FinishBroadcast(rid, *entry, Clock::now());
-  }
-
-  /// The completed-broadcast response line: the labeled "fleet" rollup for
-  /// a kFleetRollup op, the per-worker pieces under "workers" for every
-  /// other broadcast. NEVER call under pending_mutex_.
-  std::string BroadcastResponse(const PendingEntry& entry) {
-    JsonValue response = JsonValue::Object();
-    response.Set("ok", JsonValue::Bool(true));
-    if (entry.fleet_rollup) {
-      response.Set("fleet", FleetRollup(entry.merged));
-    } else {
-      response.Set("workers", entry.merged);
-    }
-    if (entry.has_client_id) response.Set("id", entry.client_id);
-    return response.Dump();
   }
 
   /// Folds every worker's metrics JSON into one registry-shaped document
@@ -1202,11 +1111,13 @@ class Router::Impl {
     traces_.Push(std::move(record));
   }
 
-  /// One structured line to stderr when a finished (or failed) request
-  /// took longer than slow_request_ms, carrying the trace id when the
-  /// request was traced so the operator can pull the matching timeline.
+  /// One structured line to stderr when a finished (or failed) client
+  /// request took longer than slow_request_ms, carrying the trace id when
+  /// the request was traced so the operator can pull the matching
+  /// timeline. Broadcast legs and round trips have no op and log nothing:
+  /// a broadcast logs once, when its last leg ends.
   void MaybeSlowLog(const PendingEntry& entry, Clock::time_point finished) {
-    if (options_.slow_request_ms == 0) return;
+    if (options_.slow_request_ms == 0 || entry.op.empty()) return;
     const int64_t elapsed_ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(finished -
                                                               entry.enqueued)
@@ -1215,8 +1126,8 @@ class Router::Impl {
     JsonValue record = JsonValue::Object();
     record.Set("event", JsonValue::String("slow_request"));
     record.Set("op", JsonValue::String(entry.op));
-    if (!entry.worker.empty()) {
-      record.Set("worker", JsonValue::String(entry.worker));
+    if (entry.worker != nullptr) {
+      record.Set("worker", JsonValue::String(entry.worker->name));
     }
     if (!entry.tid.empty()) record.Set("tid", JsonValue::String(entry.tid));
     record.Set("elapsed_ms",
@@ -1230,23 +1141,18 @@ class Router::Impl {
 
   /// Topology plus per-worker pending depth and oldest-pending age: a
   /// wedged worker shows up here as a growing queue and a climbing age long
-  /// before the health ping gives up on it. Broadcast entries are owed by
-  /// several workers at once and are counted in "pending_broadcasts".
+  /// before the health ping gives up on it. Every entry a worker owes
+  /// counts — client requests, broadcast legs, pings and sync saves.
   JsonValue RouterStatus() {
     struct PendingStat {
       size_t depth = 0;
       Clock::time_point oldest;
     };
-    std::map<std::string, PendingStat> per_worker;
-    size_t pending_broadcasts = 0;
+    std::map<const WorkerProc*, PendingStat> per_worker;
     const auto now = Clock::now();
     {
       std::lock_guard<std::mutex> lock(pending_mutex_);
-      for (const auto& [id, entry] : pending_) {
-        if (entry->kind == PendingEntry::Kind::kBroadcast) {
-          ++pending_broadcasts;
-          continue;
-        }
+      for (const auto& [seq, entry] : pending_) {
         PendingStat& stat = per_worker[entry->worker];
         if (stat.depth == 0 || entry->enqueued < stat.oldest) {
           stat.oldest = entry->enqueued;
@@ -1256,7 +1162,7 @@ class Router::Impl {
     }
     JsonValue workers = JsonValue::Array();
     for (auto& w : workers_) {
-      const PendingStat stat = per_worker[w->name];
+      const PendingStat stat = per_worker[w.get()];
       JsonValue entry = JsonValue::Object();
       entry.Set("name", JsonValue::String(w->name));
       entry.Set("role", JsonValue::String(w->replica ? "replica" : "shard"));
@@ -1276,8 +1182,6 @@ class Router::Impl {
     }
     JsonValue response = JsonValue::Object();
     response.Set("ok", JsonValue::Bool(true));
-    response.Set("pending_broadcasts",
-                 JsonValue::Number(static_cast<double>(pending_broadcasts)));
     response.Set("workers", std::move(workers));
     response.Set("shards",
                  JsonValue::Number(static_cast<double>(options_.workers)));
@@ -1289,17 +1193,17 @@ class Router::Impl {
 
   /// save_snapshot on every shard (synchronously, so the files are complete
   /// before any replica reads them), then respawn every replica from the
-  /// fresh snapshots. Deterministic replica refresh for tests and benches.
+  /// fresh snapshots. A shard counts as synced only when its save replied
+  /// ok. Deterministic replica refresh for tests and benches.
   JsonValue SyncReplicas() {
     size_t saved = 0;
     for (size_t i = 0; i < options_.workers; ++i) {
       JsonValue save = JsonValue::Object();
       save.Set("op", JsonValue::String("save_snapshot"));
       save.Set("path", JsonValue::String(SnapshotPath(i)));
-      if (!RoundTrip(*workers_[i], std::move(save), kSnapshotSaveDeadlineMs)
-               .empty()) {
-        ++saved;
-      }
+      const std::optional<std::string> reply =
+          RoundTrip(*workers_[i], std::move(save), kSnapshotSaveDeadlineMs);
+      if (reply && OkReply(*reply)) ++saved;
     }
     size_t respawned = 0;
     for (auto& w : workers_) {
@@ -1324,7 +1228,7 @@ class Router::Impl {
   std::mutex pending_mutex_;
   std::condition_variable pending_cv_;
   PendingMap pending_;
-  std::atomic<uint64_t> next_id_{1};
+  std::atomic<uint64_t> next_seq_{1};  // 0 is never issued
   std::atomic<uint64_t> replica_rr_{0};
 
   Backoff backoff_;

@@ -21,23 +21,32 @@
 // SpawnProcessLink — fork/exec over pipes — is the only production link;
 // tests substitute in-process ones.
 //
+// Pending entries: every line the router writes into a worker — a client
+// request, one shard's leg of a broadcast, a health ping, a replica-sync
+// save — is one kind of pending entry under a router id "r<seq>", owed by
+// one worker. It ends exactly once, through one completion path, whether
+// the worker answered, died or sent garbage, or the router refused it
+// (worker down): its reply callback gets the relayed line or the router's
+// Internal error, and runs before the entry leaves the pending table. A
+// broadcast's legs fill one shared merge, and the last leg answers the
+// client; a ping or a save wakes the thread that waits on it. So every
+// request gets exactly one reply.
+//
 // Fault handling (DESIGN.md §11): a health thread pings every worker on an
 // interval with a deadline; after health_misses consecutive misses (or the
 // link reporting death) the worker is SIGKILLed and respawned with
 // jittered exponential backoff. Shards restore themselves from their own
 // snapshot and journal, so respawn is re-exec — exactly-once ε accounting
-// lives in the worker. Requests in flight on a dead worker fail with a
-// retryable Internal error (replica reads resend to the primary instead).
+// lives in the worker. Entries in flight on a dead worker fail with a
+// retryable Internal error (replica reads resend to the primary instead);
+// a garbage line fails the oldest entry its worker owes.
 //
 // Relay (DESIGN.md §14): the router forwards each request with one Dump of
-// the parsed request, its id replaced by an internal one. Worker responses
+// the parsed request, its id replaced by the router id. Worker responses
 // go back out with the client's id via a zero-reparse byte splice
-// (json_relay.h). Lines the scanner refuses, broadcast merges, replica
-// refusal checks and traced responses take the full-parse path, which is
-// also verify_relay's reference: with it on, every splice is cross-checked
-// byte for byte. Every single request ends through one completion path,
-// whether the worker answered, died or sent garbage, or the router refused
-// it; the reply goes out before the request leaves the pending table.
+// (json_relay.h). Lines the scanner refuses, replica refusal checks and
+// traced responses take the full-parse path, which is also verify_relay's
+// reference: with it on, every splice is cross-checked byte for byte.
 //
 // Tracing (DESIGN.md §15): a request carrying "trace":true is forwarded
 // with a "_tc":{"pid","tid"} context set before that Dump; the worker
@@ -54,7 +63,8 @@
 //                                    sessions, per-worker pending depth and
 //                                    age (counts live in `metrics`)
 //   {"op":"_router_sync_replicas"}   save_snapshot on every shard, then
-//                                    respawn replicas from the fresh files
+//                                    respawn replicas from the fresh files;
+//                                    synced_shards counts the ok saves
 //   {"op":"trace"}                   the ring of stitched timelines
 //
 // save_snapshot from clients is refused: the router owns snapshot

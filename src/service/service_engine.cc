@@ -80,7 +80,7 @@ using P = OpPlacement;
 // clang-format off
 const ServiceEngine::OpRoute ServiceEngine::kOpRoutes[] = {
   // name             key                placement        mutates  handler
-  {{"ping",           K::kNone,          P::kBroadcast,   false}, &E::OpPing},
+  {{"ping",           K::kNone,          P::kEveryShard,  false}, &E::OpPing},
   {{"load_dataset",   K::kName,          P::kShard,       true},  &E::OpLoadDataset},
   {{"append_rows",    K::kDataset,       P::kShard,       true},  &E::OpAppendRows},
   {{"schema",         K::kDataset,       P::kShard,       false}, &E::OpSchema},
@@ -91,10 +91,10 @@ const ServiceEngine::OpRoute ServiceEngine::kOpRoutes[] = {
   {{"explain",        K::kSession,       P::kReplicaRead, false}, &E::OpExplain},
   {{"hist",           K::kSession,       P::kReplicaRead, false}, &E::OpHist},
   {{"size",           K::kSession,       P::kShard,       true},  &E::OpSize},
-  {{"stats",          K::kNone,          P::kBroadcast,   false}, &E::OpStats},
+  {{"stats",          K::kNone,          P::kEveryShard,  false}, &E::OpStats},
   {{"metrics",        K::kNone,          P::kFleetRollup, false}, &E::OpMetricsDump},
   {{"trace",          K::kNone,          P::kRouter,      false}, &E::OpTrace},
-  {{"audit",          K::kNone,          P::kBroadcast,   false}, &E::OpAudit},
+  {{"audit",          K::kNone,          P::kEveryShard,  false}, &E::OpAudit},
   {{"save_snapshot",  K::kNone,          P::kRefused,     true},  &E::OpSaveSnapshot},
 };
 // clang-format on

@@ -150,7 +150,7 @@ enum class OpKey {
 enum class OpPlacement {
   kShard,        // the owning shard's primary
   kReplicaRead,  // a replica may serve a cache hit; a miss goes to the primary
-  kBroadcast,    // every shard; the router merges the responses
+  kEveryShard,   // every shard; the router merges the responses
   kFleetRollup,  // every shard; the router folds their registries into one
   kRouter,       // the router answers from its own state
   kRefused,      // the router refuses: it schedules snapshots itself

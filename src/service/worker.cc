@@ -72,6 +72,7 @@ StatusOr<std::unique_ptr<Worker>> Worker::Start(const WorkerOptions& options,
   // Restore BEFORE the journal is opened for append and before any request
   // is read: RestoreFromFiles requires an empty engine, and the journal must
   // hold only records the restored audit cursor accounts for.
+  bool fresh = false;
   if (!options.snapshot.empty()) {
     StatusOr<ServiceEngine::RestoreReport> restored =
         engine.RestoreFromFiles(options.snapshot, options.audit_journal);
@@ -92,15 +93,7 @@ StatusOr<std::unique_ptr<Worker>> Worker::Start(const WorkerOptions& options,
     } else if (restored.status().code() == StatusCode::kNotFound) {
       std::cerr << "no snapshot at '" << options.snapshot
                 << "'; starting fresh\n";
-      // The base snapshot: a charge journaled from here on always has a
-      // snapshot to replay onto, whenever the process dies.
-      if (!options.read_only) {
-        const Status base = worker->Save();
-        if (!base.ok()) {
-          std::cerr << "refusing to serve without a base snapshot\n";
-          return base;
-        }
-      }
+      fresh = true;
     } else {
       // Corrupt snapshot, newer format, journal gap, snapshot-less journal:
       // serving with wrong ledgers is worse than not serving.
@@ -116,6 +109,16 @@ StatusOr<std::unique_ptr<Worker>> Worker::Start(const WorkerOptions& options,
       std::cerr << "cannot open audit journal '" << options.audit_journal
                 << "': " << journaling.message() << "\n";
       return journaling;
+    }
+  }
+  // The base snapshot, written once the journal is known good (a refused
+  // journal leaves no file behind): a charge journaled from here on always
+  // has a snapshot to replay onto, whenever the process dies.
+  if (fresh && !options.read_only) {
+    const Status base = worker->Save();
+    if (!base.ok()) {
+      std::cerr << "refusing to serve without a base snapshot\n";
+      return base;
     }
   }
   if (!options.snapshot.empty() && options.snapshot_interval_ms > 0 &&

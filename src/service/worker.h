@@ -4,10 +4,10 @@
 //
 //   1. restore from --snapshot, replaying --audit-journal past its cursor;
 //      any restore error but "no snapshot yet" refuses to start;
-//   2. with no snapshot yet, write the base snapshot (the empty state), so
+//   2. open the journal;
+//   3. with no snapshot yet, write the base snapshot (the empty state), so
 //      the journal always has a snapshot to replay onto (replicas, which
-//      are read-only, write nothing);
-//   3. open the journal;
+//      are read-only, write nothing); a refused journal leaves none;
 //   4. start the periodic save (every --snapshot-interval-ms; 0 = none).
 //
 // Shutdown drains the engine, stops the periodic save and writes the final

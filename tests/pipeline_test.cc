@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -149,17 +150,21 @@ int RunToExit(const std::vector<std::string>& args) {
   return status;
 }
 
+/// The build directory of this test binary (.../build/tests/pipeline_test).
+std::string BuildDir() {
+  char exe[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+  EXPECT_GT(n, 0);
+  exe[n] = '\0';
+  std::string build(exe);
+  build = build.substr(0, build.rfind('/'));  // .../build/tests
+  return build.substr(0, build.rfind('/'));   // .../build
+}
+
 TEST(CliTest, OutputJsonEqualsRunPipeline) {
   // dpclustx_cli is a RunPipeline front end: for every method, the payload
   // it writes is the library's explanation of the same data and seeds.
-  char exe[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-  ASSERT_GT(n, 0);
-  exe[n] = '\0';
-  std::string build(exe);                      // .../build/tests/pipeline_test
-  build = build.substr(0, build.rfind('/'));   // .../build/tests
-  build = build.substr(0, build.rfind('/'));   // .../build
-  const std::string cli = build + "/tools/dpclustx_cli";
+  const std::string cli = BuildDir() + "/tools/dpclustx_cli";
 
   StatusOr<synth::SyntheticConfig> config = synth::PresetByName("diabetes");
   ASSERT_TRUE(config.ok()) << config.status();
@@ -193,6 +198,83 @@ TEST(CliTest, OutputJsonEqualsRunPipeline) {
               ExplanationToJson(result->explanation, dataset->schema()) + "\n")
         << method;
   }
+}
+
+/// Runs `program` with `script` on stdin and stderr on /dev/null; returns
+/// its stdout and sets `*status` to its waitpid status.
+std::string RunScript(const std::string& program, const std::string& script,
+                      int* status) {
+  const std::string base = ::testing::TempDir() + "/script_" +
+                           std::to_string(::getpid());
+  const std::string in_path = base + ".in";
+  const std::string out_path = base + ".out";
+  std::ofstream(in_path, std::ios::binary) << script;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int in_fd = ::open(in_path.c_str(), O_RDONLY);
+    const int out_fd =
+        ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+    const int null_fd = ::open("/dev/null", O_RDWR);
+    ::dup2(in_fd, STDIN_FILENO);
+    ::dup2(out_fd, STDOUT_FILENO);
+    ::dup2(null_fd, STDERR_FILENO);
+    ::execl(program.c_str(), program.c_str(), static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::waitpid(pid, status, 0);
+  std::ifstream in(out_path, std::ios::binary);
+  std::stringstream out;
+  out << in.rdbuf();
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
+  return out.str();
+}
+
+size_t Count(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ReplTest, ScriptedEmbeddedSessionChargesThenRefusesOverBudget) {
+  // dpclustx_repl without --connect embeds its own engine. Noise seeds are
+  // drawn server-side, so only the transcript's structure is pinned: every
+  // command answers, the ledger holds one row per charge label, and a
+  // spend past the budget is refused without moving the ledger.
+  int status = -1;
+  const std::string out = RunScript(BuildDir() + "/tools/dpclustx_repl",
+                                    "load synthetic diabetes 2000\n"
+                                    "budget 1.0\n"
+                                    "cluster k-means 3\n"
+                                    "explain 0.3\n"
+                                    "hist diab_0 0.05\n"
+                                    "ledger\n"
+                                    "explain 0.9\n"
+                                    "ledger\n"
+                                    "quit\n",
+                                    &status);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "status " << status << ", stdout: " << out;
+  EXPECT_NE(out.find("loaded 2000 rows x "), std::string::npos) << out;
+  EXPECT_NE(out.find("opened budget eps = 1\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("clustered with k-means"), std::string::npos) << out;
+  // explain: one rendered histogram pair per cluster.
+  EXPECT_EQ(Count(out, " inside cluster:\n"), 3u) << out;
+  EXPECT_EQ(Count(out, " outside cluster:\n"), 3u) << out;
+  // hist: per-cluster noisy bins.
+  for (const std::string cluster : {"0", "1", "2"}) {
+    EXPECT_NE(out.find("cluster " + cluster + ":\n  v0: "), std::string::npos)
+        << out;
+  }
+  // The same ledger before and after the refused explain.
+  EXPECT_EQ(Count(out, "session s1: spent 0.35 of 1 eps\n"), 2u) << out;
+  EXPECT_EQ(Count(out, "  1 \u00d7 explain "), 2u) << out;
+  EXPECT_EQ(Count(out, "  1 \u00d7 hist attr=diab_0"), 2u) << out;
+  EXPECT_EQ(Count(out, "OutOfBudget: "), 1u) << out;
+  EXPECT_NE(out.find("[eps 0.65 left] > "), std::string::npos) << out;
 }
 
 }  // namespace

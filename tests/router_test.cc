@@ -19,9 +19,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,7 +93,7 @@ TEST(RouterCoreTest, ClassifiesEveryOpKind) {
     std::string dataset;
   };
   const std::vector<Row> rows = {
-      {R"({"op":"ping"})", OpPlacement::kBroadcast, ""},
+      {R"({"op":"ping"})", OpPlacement::kEveryShard, ""},
       {R"({"op":"load_dataset","name":"census"})", OpPlacement::kShard,
        "census"},
       {R"({"op":"append_rows","dataset":"census"})", OpPlacement::kShard,
@@ -106,10 +108,10 @@ TEST(RouterCoreTest, ClassifiesEveryOpKind) {
       {R"({"op":"explain")" + session, OpPlacement::kReplicaRead, "census"},
       {R"({"op":"hist")" + session, OpPlacement::kReplicaRead, "census"},
       {R"({"op":"size")" + session, OpPlacement::kShard, "census"},
-      {R"({"op":"stats"})", OpPlacement::kBroadcast, ""},
+      {R"({"op":"stats"})", OpPlacement::kEveryShard, ""},
       {R"({"op":"metrics"})", OpPlacement::kFleetRollup, ""},
       {R"({"op":"trace"})", OpPlacement::kRouter, ""},
-      {R"({"op":"audit"})", OpPlacement::kBroadcast, ""},
+      {R"({"op":"audit"})", OpPlacement::kEveryShard, ""},
       {R"({"op":"save_snapshot","path":"x"})", OpPlacement::kRefused, ""},
       // Last: it unbinds the session the rows above route by.
       {R"({"op":"close_session")" + session, OpPlacement::kShard, "census"},
@@ -527,9 +529,10 @@ class InProcessRouter {
     return WaitFor(id);
   }
 
-  /// 30s deadline: a hang here is a router bug.
-  JsonValue WaitFor(const std::string& id) {
-    JsonValue response = box_.Take(id, std::chrono::seconds(30));
+  /// 30s deadline by default: a hang here is a router bug.
+  JsonValue WaitFor(const std::string& id, std::chrono::milliseconds timeout =
+                                               std::chrono::seconds(30)) {
+    JsonValue response = box_.Take(id, timeout);
     EXPECT_TRUE(response.type() != JsonValue::Type::kNull)
         << "no response for id '" << id << "'";
     return response;
@@ -703,6 +706,17 @@ TEST(RouterE2eTest, GarbageWorkerLinesFailTheRequestNotTheRouter) {
     EXPECT_NE(metrics.find("\ndpclustx_router_dropped_lines_total 1\n"),
               std::string::npos)
         << metrics;
+
+    // A broadcast owed by the same worker ends the same way, promptly:
+    // its piece is the Internal error, and the client gets its one reply.
+    router.Send(R"({"op":"ping","id":"c3"})");
+    const JsonValue ping = router.WaitFor("c3", std::chrono::seconds(5));
+    ASSERT_EQ(ping.type(), JsonValue::Type::kObject) << message;
+    ASSERT_TRUE(ping.Has("workers")) << message << ": " << ping.Dump();
+    EXPECT_EQ(ping.at("workers").at("shard-0").at("error").at("code")
+                  .AsString(),
+              "Internal")
+        << ping.Dump();
   }
 }
 
@@ -906,6 +920,177 @@ TEST(RouterE2eTest, MetricsBroadcastReturnsFleetRollup) {
   const JsonValue& counters = fleet.at("counters");
   EXPECT_TRUE(counters.Has("dpclustx_router_relay_spliced_total"))
       << fleet.Dump();
+}
+
+// ---- broadcasts over a dead shard, and the slow log ------------------
+
+/// Two in-process shards, with health checks out of the test window so a
+/// killed shard stays down. EngineLinks collects shard-0, then shard-1.
+RouterOptions TwoQuietShards(const std::string& name) {
+  RouterOptions options = InProcessOptions(FreshStateDir(name), 2);
+  options.health_interval_ms = 60000;
+  return options;
+}
+
+/// Checks a merged broadcast reply: shard-0's piece is ok, and shard-1's
+/// is the router's Internal error.
+void ExpectLiveAndDeadPieces(const JsonValue& response) {
+  ExpectOk(response);
+  ASSERT_TRUE(response.Has("workers")) << response.Dump();
+  const JsonValue& workers = response.at("workers");
+  ASSERT_TRUE(workers.Has("shard-0") && workers.Has("shard-1"))
+      << response.Dump();
+  ExpectOk(workers.at("shard-0"));
+  const JsonValue& dead = workers.at("shard-1");
+  ASSERT_TRUE(dead.Has("ok")) << response.Dump();
+  EXPECT_FALSE(dead.at("ok").AsBool()) << response.Dump();
+  EXPECT_EQ(dead.at("error").at("code").AsString(), "Internal")
+      << response.Dump();
+}
+
+TEST(RouterE2eTest, BroadcastToAShardKilledBeforehandAnswersWithItsError) {
+  std::vector<EngineLink*> links;
+  InProcessRouter router(TwoQuietShards("bdead"),
+                         EngineLinks(EngineLink::Script::kServe, &links));
+  ASSERT_EQ(links.size(), 2u);
+  links[1]->Kill();
+  ExpectLiveAndDeadPieces(router.Call("b1", R"({"op":"ping","id":"b1"})"));
+  ExpectLiveAndDeadPieces(router.Call("b2", R"({"op":"stats","id":"b2"})"));
+}
+
+TEST(RouterE2eTest, BroadcastToAShardKilledMidBroadcastAnswersWithItsError) {
+  std::vector<EngineLink*> links;
+  InProcessRouter router(TwoQuietShards("bmid"),
+                         EngineLinks(EngineLink::Script::kServe, &links));
+  ASSERT_EQ(links.size(), 2u);
+  links[1]->Freeze();
+  router.Send(R"({"op":"ping","id":"b1"})");
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  links[1]->Kill();
+  ExpectLiveAndDeadPieces(router.WaitFor("b1"));
+}
+
+TEST(RouterE2eTest, MetricsRollupWithADeadShardKeepsTheLiveShardsSeries) {
+  std::vector<EngineLink*> links;
+  InProcessRouter router(TwoQuietShards("mdead"),
+                         EngineLinks(EngineLink::Script::kServe, &links));
+  ASSERT_EQ(links.size(), 2u);
+  ExpectOk(router.Call("m1", R"({"op":"ping","id":"m1"})"));
+  links[1]->Kill();
+
+  const JsonValue response = router.Call("m2", R"({"op":"metrics","id":"m2"})");
+  ExpectOk(response);
+  ASSERT_TRUE(response.Has("fleet")) << response.Dump();
+  const JsonValue& fleet = response.at("fleet");
+  const JsonValue& histograms = fleet.at("histograms");
+  EXPECT_TRUE(histograms.Has(
+      R"(dpclustx_op_latency_micros{op="ping",worker="shard-0"})"))
+      << fleet.Dump();
+  // The dead shard contributes no series of its own; the router's say it
+  // is down.
+  EXPECT_FALSE(histograms.Has(
+      R"(dpclustx_op_latency_micros{op="ping",worker="shard-1"})"))
+      << fleet.Dump();
+  const JsonValue& gauges = fleet.at("gauges");
+  EXPECT_EQ(gauges.at(R"(dpclustx_router_worker_alive{worker="shard-0"})")
+                .AsNumber(),
+            1.0);
+  EXPECT_EQ(gauges.at(R"(dpclustx_router_worker_alive{worker="shard-1"})")
+                .AsNumber(),
+            0.0);
+}
+
+/// Collects everything written to std::cerr while it lives. Any thread may
+/// write, so the buffer takes a lock; std::cerr is unbuffered, so every
+/// write lands in xsputn or overflow.
+class CerrCapture : public std::streambuf {
+ public:
+  CerrCapture() : saved_(std::cerr.rdbuf(this)) {}
+  ~CerrCapture() override { std::cerr.rdbuf(saved_); }
+
+  std::string Text() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return text_;
+  }
+
+ protected:
+  int overflow(int c) override {
+    if (c != traits_type::eof()) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      text_.push_back(static_cast<char>(c));
+    }
+    return c;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    text_.append(s, static_cast<size_t>(n));
+    return n;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::string text_;
+  std::streambuf* const saved_;
+};
+
+/// The slow-log lines in `text` for client op `op`.
+std::vector<std::string> SlowLines(const std::string& text,
+                                   const std::string& op) {
+  std::vector<std::string> lines;
+  size_t begin = 0;
+  for (size_t end; (end = text.find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    const std::string line = text.substr(begin, end - begin);
+    if (line.find(R"("event":"slow_request")") != std::string::npos &&
+        line.find(R"("op":")" + op + "\"") != std::string::npos) {
+      lines.push_back(line);
+    }
+  }
+  return lines;
+}
+
+TEST(RouterE2eTest, SlowRequestLogsOneLinePerClientRequest) {
+  std::vector<EngineLink*> links;
+  RouterOptions options = TwoQuietShards("slow");
+  options.slow_request_ms = 50;
+  InProcessRouter router(std::move(options),
+                         EngineLinks(EngineLink::Script::kServe, &links));
+  ASSERT_EQ(links.size(), 2u);
+
+  // Both shards hold their lines past the threshold, then die: a single
+  // and a two-leg broadcast each end slow, and each logs once.
+  CerrCapture captured;
+  for (EngineLink* link : links) link->Freeze();
+  router.Send(R"({"op":"schema","dataset":"d","id":"s1"})");
+  router.Send(R"({"op":"ping","id":"s2"})");
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  for (EngineLink* link : links) link->Kill();
+  router.WaitFor("s1");
+  router.WaitFor("s2");
+
+  const std::string text = captured.Text();
+  const std::vector<std::string> single = SlowLines(text, "schema");
+  ASSERT_EQ(single.size(), 1u) << text;
+  EXPECT_NE(single[0].find(R"("worker":"shard-)"), std::string::npos)
+      << single[0];
+  EXPECT_EQ(SlowLines(text, "ping").size(), 1u) << text;
+}
+
+TEST(RouterE2eTest, SyncReplicasCountsOnlyShardsWhoseSaveSucceeded) {
+  const std::string state = FreshStateDir("syncfail");
+  const std::string snap = state + "/shard-0.snap";
+  {
+    InProcessRouter router(InProcessOptions(state, 2), EngineLinks());
+    // A directory where shard-0's snapshot belongs: its save fails, and
+    // shard-0 answers the save with ok:false.
+    ASSERT_EQ(::unlink(snap.c_str()), 0);
+    ASSERT_EQ(::mkdir(snap.c_str(), 0755), 0);
+    const JsonValue synced = router.Call(
+        "y1", R"({"op":"_router_sync_replicas","id":"y1"})");
+    ExpectOk(synced);
+    EXPECT_EQ(synced.at("synced_shards").AsNumber(), 1.0) << synced.Dump();
+  }
+  ::rmdir(snap.c_str());
 }
 
 TEST(TraceLimitTest, RouterAndEngineRejectTheSameBadLimits) {

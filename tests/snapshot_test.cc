@@ -1470,7 +1470,14 @@ TEST(WorkerTest, NonRegularSnapshotOrJournalIsRefusedAtStart) {
       EXPECT_NE(worker.status().message().find("'" + path + "'"),
                 std::string::npos)
           << worker.status();
-      if (journal) std::remove(options.snapshot.c_str());
+      if (journal) {
+        // The journal is checked before the base snapshot is written, so
+        // a refused journal leaves no snapshot behind.
+        struct stat st;
+        EXPECT_NE(::stat(options.snapshot.c_str(), &st), 0)
+            << path << ": a base snapshot was written";
+        std::remove(options.snapshot.c_str());
+      }
     }
   }
   std::remove(fifo.c_str());
