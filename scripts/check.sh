@@ -123,7 +123,8 @@ else
   trap 'rm -rf "$SMOKE_DIR"' EXIT
   # First life: load/cluster/charge, then EOF — the worker writes its final
   # snapshot on shutdown. Second life: restore from that snapshot (plus the
-  # audit journal) and check the ledger survived exactly.
+  # audit journal), check the ledger survived exactly, and check the repeat
+  # hist is served free with the first life's release bytes.
   build-asan/tools/dpclustx_serve --sync \
       --snapshot "$SMOKE_DIR/smoke.snap" \
       --audit-journal "$SMOKE_DIR/smoke.journal" \
@@ -140,16 +141,24 @@ EOF
 {"op":"budget","session":"s","id":"b"}
 {"op":"hist","session":"s","clustering":"default","attribute":"diab_0","epsilon":0.25,"id":"h"}
 EOF
-  python3 - "$SMOKE_DIR/second.out" <<'PYEOF'
+  python3 - "$SMOKE_DIR/first.out" "$SMOKE_DIR/second.out" <<'PYEOF'
 import json, sys
-byid = {}
-for line in open(sys.argv[1]):
-    r = json.loads(line)
-    byid[r["id"]] = r
-b, h = byid["b"], byid["h"]
+def lines_by_id(path):
+    return {json.loads(line)["id"]: line.rstrip("\n") for line in open(path)}
+def raw_member(line, key):
+    # The member's value exactly as written: its bytes, not its parse.
+    start = line.index('"%s":' % key) + len(key) + 3
+    _, end = json.JSONDecoder().raw_decode(line, start)
+    return line[start:end]
+first, second = lines_by_id(sys.argv[1]), lines_by_id(sys.argv[2])
+b, h = json.loads(second["b"]), json.loads(second["h"])
 assert b["ok"] and abs(b["spent"] - 0.25) < 1e-12, b
 assert h["ok"] and h["cache_hit"] and h["epsilon_charged"] == 0.0, h
-print("    snapshot round-trip OK: ledger restored, repeat hist free")
+# The restored repeat serves the paid-for release byte for byte.
+for key in ("attribute", "clusters"):
+    assert raw_member(second["h"], key) == raw_member(first["4"], key), key
+print("    snapshot round-trip OK: ledger restored, repeat hist free and"
+      " byte-identical")
 PYEOF
 
   echo "==> ASan smoke: CSV -> DPXCOL -> CSV round trip"

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -31,6 +32,13 @@ JsonValue JsonValue::String(std::string value) {
   JsonValue v;
   v.type_ = Type::kString;
   v.string_ = std::move(value);
+  return v;
+}
+
+JsonValue JsonValue::Serialized(std::string json) {
+  JsonValue v;
+  v.type_ = Type::kSerialized;
+  v.string_ = std::move(json);
   return v;
 }
 
@@ -181,59 +189,65 @@ void NumberInto(double x, std::string& out) {
     return;
   }
   // Integers print without exponent/decimals; others with enough digits to
-  // round-trip.
-  if (x == std::floor(x) && std::fabs(x) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(x));
-    out += buf;
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", x);
-    out += buf;
-  }
+  // round-trip. std::to_chars prints what printf's "%lld" and "%.17g" print
+  // (json_test sweeps both), without the format-string parse.
+  char buf[32];
+  const std::to_chars_result written =
+      x == std::floor(x) && std::fabs(x) < 1e15
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(x))
+          : std::to_chars(buf, buf + sizeof(buf), x,
+                          std::chars_format::general, 17);
+  out.append(buf, written.ptr);
 }
 
 }  // namespace
 
 std::string JsonValue::Dump() const {
   std::string out;
+  DumpTo(out);
+  return out;
+}
+
+void JsonValue::DumpTo(std::string& out) const {
   switch (type_) {
     case Type::kNull:
-      out = "null";
-      break;
+      out += "null";
+      return;
     case Type::kBool:
-      out = bool_ ? "true" : "false";
-      break;
+      out += bool_ ? "true" : "false";
+      return;
     case Type::kNumber:
       NumberInto(number_, out);
-      break;
+      return;
     case Type::kString:
       EscapeInto(string_, out);
-      break;
+      return;
+    case Type::kSerialized:
+      out += string_;
+      return;
     case Type::kArray: {
-      out = "[";
+      out += '[';
       for (size_t i = 0; i < array_.size(); ++i) {
         if (i > 0) out += ',';
-        out += array_[i].Dump();
+        array_[i].DumpTo(out);
       }
       out += ']';
-      break;
+      return;
     }
     case Type::kObject: {
-      out = "{";
+      out += '{';
       bool first = true;
       for (const auto& [key, value] : object_) {
         if (!first) out += ',';
         first = false;
         EscapeInto(key, out);
         out += ':';
-        out += value.Dump();
+        value.DumpTo(out);
       }
       out += '}';
-      break;
+      return;
     }
   }
-  return out;
 }
 
 namespace {

@@ -19,7 +19,15 @@ namespace dpclustx {
 
 class JsonValue {
  public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+  enum class Type {
+    kNull,
+    kBool,
+    kNumber,
+    kString,
+    kArray,
+    kObject,
+    kSerialized,
+  };
 
   /// Constructs null.
   JsonValue() : type_(Type::kNull) {}
@@ -36,6 +44,12 @@ class JsonValue {
   static JsonValue String(std::string value);
   static JsonValue Array();
   static JsonValue Object();
+  /// A value that is already JSON text: `json` must be what Dump() wrote
+  /// for a value whose numbers are all finite. Dump() copies it verbatim
+  /// and IsFinite() passes it without a walk, so a stored release can be
+  /// answered without re-parsing it. Parse() never makes one; the typed
+  /// accessors treat it as a type mismatch.
+  static JsonValue Serialized(std::string json);
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
@@ -81,10 +95,13 @@ class JsonValue {
   static StatusOr<JsonValue> Parse(const std::string& text);
 
  private:
+  /// Appends the Dump() text to `out`: one buffer for the whole document.
+  void DumpTo(std::string& out) const;
+
   Type type_;
   bool bool_ = false;
   double number_ = 0.0;
-  std::string string_;
+  std::string string_;  // kString's value, or kSerialized's JSON text
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;
 };

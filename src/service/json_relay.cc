@@ -3,7 +3,7 @@
 namespace dpclustx::service {
 namespace {
 
-constexpr size_t kNpos = static_cast<size_t>(-1);
+constexpr size_t kNpos = JsonMember::kNone;
 
 size_t SkipWs(const std::string& s, size_t i) {
   while (i < s.size() &&
@@ -72,17 +72,16 @@ size_t SkipValue(const std::string& s, size_t i) {
 
 }  // namespace
 
-StatusOr<RelayScan> ScanTopLevelId(const std::string& line) {
+StatusOr<std::vector<JsonMember>> ScanTopLevelMembers(
+    const std::string& line) {
   size_t i = SkipWs(line, 0);
   if (i >= line.size() || line[i] != '{') {
     return Status::InvalidArgument("response line is not a JSON object");
   }
   i = SkipWs(line, i + 1);
 
-  RelayScan scan;
-  bool found = false;
-  size_t prev_comma = kNpos;  // comma before the member being scanned
-
+  std::vector<JsonMember> members;
+  members.reserve(8);  // engine responses have a handful of members
   while (true) {
     if (i >= line.size()) {
       return Status::InvalidArgument("object never closes");
@@ -92,59 +91,26 @@ StatusOr<RelayScan> ScanTopLevelId(const std::string& line) {
     if (line[i] != '"') {
       return Status::InvalidArgument("expected a member key");
     }
-    const size_t key_begin = i;
-    const size_t key_end = SkipString(line, i);
-    if (key_end == kNpos) {
+    JsonMember member;
+    member.key_begin = i;
+    member.key_end = SkipString(line, i);
+    if (member.key_end == kNpos) {
       return Status::InvalidArgument("unterminated key");
     }
-    // Raw byte compare: an "id" key spelled with escapes would be missed
-    // here, reported NotFound, and resolved by the caller's full-parse
-    // fallback — never spliced wrong.
-    const bool is_id =
-        key_end - key_begin == 4 && line.compare(key_begin, 4, "\"id\"") == 0;
-    i = SkipWs(line, key_end);
+    i = SkipWs(line, member.key_end);
     if (i >= line.size() || line[i] != ':') {
       return Status::InvalidArgument("expected ':' after key");
     }
-    const size_t value_begin = SkipWs(line, i + 1);
-    const size_t value_end = SkipValue(line, value_begin);
-    if (value_end == kNpos) {
+    member.value_begin = SkipWs(line, i + 1);
+    member.value_end = SkipValue(line, member.value_begin);
+    if (member.value_end == kNpos) {
       return Status::InvalidArgument("torn value");
     }
-    i = SkipWs(line, value_end);
-
-    if (is_id) {
-      if (found) return Status::InvalidArgument("duplicate top-level id");
-      if (line[value_begin] != '"') {
-        return Status::InvalidArgument("top-level id is not a string");
-      }
-      for (size_t b = value_begin + 1; b + 1 < value_end; ++b) {
-        if (line[b] == '\\') {
-          return Status::FailedPrecondition(
-              "id value contains escapes; use the full parser");
-        }
-      }
-      scan.id = line.substr(value_begin + 1, value_end - value_begin - 2);
-      scan.value_begin = value_begin;
-      scan.value_end = value_end;
-      if (prev_comma != kNpos) {
-        // `,"id":value` — eat the preceding comma.
-        scan.erase_begin = prev_comma;
-        scan.erase_end = value_end;
-      } else if (i < line.size() && line[i] == ',') {
-        // First member with a successor: eat the following comma.
-        scan.erase_begin = key_begin;
-        scan.erase_end = SkipWs(line, i + 1);
-      } else {
-        // Only member: `{"id":value}` → `{}`.
-        scan.erase_begin = key_begin;
-        scan.erase_end = value_end;
-      }
-      found = true;
-    }
+    i = SkipWs(line, member.value_end);
 
     if (i < line.size() && line[i] == ',') {
-      prev_comma = i;
+      member.comma = i;
+      members.push_back(member);
       i = SkipWs(line, i + 1);
       if (i < line.size() && line[i] == '}') {
         return Status::InvalidArgument("trailing comma");
@@ -154,14 +120,63 @@ StatusOr<RelayScan> ScanTopLevelId(const std::string& line) {
     if (i >= line.size() || line[i] != '}') {
       return Status::InvalidArgument("expected ',' or '}' after value");
     }
-    prev_comma = kNpos;
+    members.push_back(member);
   }
 
   // Nothing but whitespace may follow the closing brace.
   if (SkipWs(line, i + 1) != line.size()) {
     return Status::InvalidArgument("trailing bytes after object");
   }
-  if (!found) return Status::NotFound("no top-level id member");
+  return members;
+}
+
+StatusOr<RelayScan> ScanTopLevelId(const std::string& line) {
+  DPX_ASSIGN_OR_RETURN(const std::vector<JsonMember> members,
+                       ScanTopLevelMembers(line));
+  // Raw byte compare: an "id" key spelled with escapes would be missed
+  // here, reported NotFound, and resolved by the caller's full-parse
+  // fallback — never spliced wrong.
+  const auto is_id = [&](const JsonMember& m) {
+    return m.key_end - m.key_begin == 4 &&
+           line.compare(m.key_begin, 4, "\"id\"") == 0;
+  };
+  size_t at = members.size();
+  for (size_t m = 0; m < members.size(); ++m) {
+    if (!is_id(members[m])) continue;
+    if (at != members.size()) {
+      return Status::InvalidArgument("duplicate top-level id");
+    }
+    at = m;
+  }
+  if (at == members.size()) return Status::NotFound("no top-level id member");
+
+  const JsonMember& id = members[at];
+  if (line[id.value_begin] != '"') {
+    return Status::InvalidArgument("top-level id is not a string");
+  }
+  for (size_t b = id.value_begin + 1; b + 1 < id.value_end; ++b) {
+    if (line[b] == '\\') {
+      return Status::FailedPrecondition(
+          "id value contains escapes; use the full parser");
+    }
+  }
+  RelayScan scan;
+  scan.id = line.substr(id.value_begin + 1, id.value_end - id.value_begin - 2);
+  scan.value_begin = id.value_begin;
+  scan.value_end = id.value_end;
+  if (at > 0) {
+    // `,"id":value` — eat the preceding comma.
+    scan.erase_begin = members[at - 1].comma;
+    scan.erase_end = id.value_end;
+  } else if (at + 1 < members.size()) {
+    // First member with a successor: eat the following comma.
+    scan.erase_begin = id.key_begin;
+    scan.erase_end = members[at + 1].key_begin;
+  } else {
+    // Only member: `{"id":value}` → `{}`.
+    scan.erase_begin = id.key_begin;
+    scan.erase_end = id.value_end;
+  }
   return scan;
 }
 

@@ -380,9 +380,7 @@ JsonValue ServiceEngine::Dispatch(const JsonValue& request,
     // A NaN/Inf anywhere in a response means a mechanism or handler bug (or
     // an injected fault) upstream; suppress the body — a null-laden release
     // is not a usable DP output — and keep serving.
-    body = Status::Internal("op '" + *op +
-                            "' produced a non-finite number; response "
-                            "suppressed");
+    body = NonFiniteRefusal(*op);
   }
   RecordOp(**route, began, body.status());
   if (!body.ok()) return ErrorResponse(body.status());
@@ -498,6 +496,12 @@ StatusOr<JsonValue> ServiceEngine::OpAudit(const JsonValue& request,
                                            const Deadline&) {
   DPX_ASSIGN_OR_RETURN(const size_t limit, OptCount(request, "limit", 0));
   return audit_.ToJson(limit);
+}
+
+Status ServiceEngine::NonFiniteRefusal(const std::string& op) {
+  return Status::Internal("op '" + op +
+                          "' produced a non-finite number; response "
+                          "suppressed");
 }
 
 Status ServiceEngine::RefuseIfReadOnly(const char* what) const {

@@ -374,8 +374,10 @@ class ServiceEngine {
   /// The release-once protocol behind the replica-read ops: serve `key`
   /// from the cache, or — holding the key's in-flight slot so a burst of
   /// identical misses charges once — refuse on a replica, check `deadline`,
-  /// charge `session` `epsilon` under `spend_label`, and cache what
-  /// `compute` returns. Either way the body gains cache_hit,
+  /// charge `session` `epsilon` under `spend_label`, run `compute`, run the
+  /// "<op>:release" fault point, and cache the body once serialized (a
+  /// non-finite body is refused, not cached). Either way the answer is the
+  /// stored release's members (CachedRelease::Body) plus cache_hit,
   /// epsilon_charged and epsilon_remaining. Refusals name `request`'s op.
   StatusOr<JsonValue> ReleaseOnce(
       const JsonValue& request, const std::string& key, ServiceSession& session,
@@ -384,6 +386,9 @@ class ServiceEngine {
 
   /// FailedPrecondition naming `what` when this worker is read-only.
   Status RefuseIfReadOnly(const char* what) const;
+  /// The Internal error that replaces a body holding a NaN/Inf: Dispatch's
+  /// gate and ReleaseOnce's cache check answer with the same one.
+  static Status NonFiniteRefusal(const std::string& op);
   /// Harvests the full hot state. Caller must hold the spend gate
   /// exclusively (SaveSnapshotToFile does).
   StatusOr<snapshot::ServiceSnapshot> HarvestSnapshot();

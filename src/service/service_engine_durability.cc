@@ -172,8 +172,22 @@ StatusOr<snapshot::ServiceSnapshot> ServiceEngine::HarvestSnapshot() {
 Status ServiceEngine::ApplySnapshot(
     const snapshot::ServiceSnapshot& state,
     const std::vector<obs::AuditRecord>& journal, RestoreReport* report) {
-  // Every dataset and session is rebuilt and checked before anything is
-  // registered: a snapshot refused anywhere leaves the engine empty.
+  // Every cached release, dataset and session is rebuilt and checked before
+  // anything is registered: a snapshot refused anywhere leaves the engine
+  // empty. The releases pass the check a fresh one passes before the cache
+  // takes it, so a hit never serves a payload that is not a finite object.
+  std::vector<std::shared_ptr<const CachedRelease>> releases;
+  releases.reserve(state.cache.size());
+  for (const snapshot::CacheEntryState& entry : state.cache) {
+    StatusOr<std::shared_ptr<const CachedRelease>> release =
+        CachedRelease::FromBytes(entry.payload);
+    if (!release.ok()) {
+      return Status::IoError("snapshot cache entry '" + entry.key +
+                             "' is not a cacheable release: " +
+                             release.status().message());
+    }
+    releases.push_back(std::move(*release));
+  }
   std::map<std::string, std::shared_ptr<DatasetEntry>> entries;
   uint64_t max_uid = 0;
   for (const snapshot::DatasetState& ds : state.datasets) {
@@ -376,8 +390,8 @@ Status ServiceEngine::ApplySnapshot(
     ++report->sessions;
   }
 
-  for (const snapshot::CacheEntryState& entry : state.cache) {
-    cache_.Put(entry.key, entry.payload);
+  for (size_t i = 0; i < releases.size(); ++i) {
+    cache_.Put(state.cache[i].key, std::move(releases[i]));
     ++report->cache_entries;
   }
   journal_replayed_->Increment(journal.size());

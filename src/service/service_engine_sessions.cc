@@ -313,30 +313,31 @@ StatusOr<JsonValue> ServiceEngine::ReleaseOnce(
     const std::function<StatusOr<JsonValue>()>& compute) {
   // Dispatch resolved the op through the table, so the field is a string.
   const std::string& op = request.at("op").AsString();
-  JsonValue body;
-  std::shared_ptr<const std::string> cached;
+  std::shared_ptr<const CachedRelease> release;
   {
     DPX_SPAN("cache_lookup");
-    cached = cache_.Get(key);
+    release = cache_.Get(key);
   }
-  if (cached == nullptr) {
+  bool cache_hit = release != nullptr;
+  if (!cache_hit) {
     // Miss: serialize concurrent identical requests on a per-key lock so
     // exactly one of them spends ε and computes; the others block here,
     // then find the release cached below (a dual charge would silently
     // burn double budget).
     const std::shared_ptr<InflightSlot> slot = AcquireInflight(key);
-    struct Release {
+    struct SlotRelease {
       ServiceEngine* engine;
       const std::string& key;
-      ~Release() { engine->ReleaseInflight(key); }
-    } release{this, key};
+      ~SlotRelease() { engine->ReleaseInflight(key); }
+    } slot_release{this, key};
     std::unique_lock<std::mutex> in_flight(slot->mutex, std::defer_lock);
     {
       DPX_SPAN("inflight_wait");
       in_flight.lock();
-      cached = cache_.Get(key);
+      release = cache_.Get(key);
     }
-    if (cached == nullptr) {
+    cache_hit = release != nullptr;
+    if (!cache_hit) {
       // A replica serves hits above for free but must not charge ε; the
       // router retries the miss against the primary.
       DPX_RETURN_IF_ERROR(
@@ -350,17 +351,22 @@ StatusOr<JsonValue> ServiceEngine::ReleaseOnce(
         DPX_SPAN("budget_check");
         DPX_RETURN_IF_ERROR(session.Spend(epsilon, spend_label));
       }
-      DPX_ASSIGN_OR_RETURN(body, compute());
-      cache_.Put(key, body.Dump());
+      DPX_ASSIGN_OR_RETURN(JsonValue body, compute());
+      // Fault point between the compute and the cache: a hook that poisons
+      // the body here checks that a non-finite release is never cached.
+      DPX_RETURN_IF_ERROR(InjectFault(op + ":release", request, &body));
+      // The one serialization of the release: a non-finite body is refused
+      // here (and so never cached), exactly as Dispatch would suppress it.
+      StatusOr<std::shared_ptr<const CachedRelease>> stored =
+          CachedRelease::FromBody(body);
+      if (!stored.ok()) return NonFiniteRefusal(op);
+      release = std::move(*stored);
+      cache_.Put(key, release);
     }
   }
-  const bool cache_hit = cached != nullptr;
-  if (cache_hit) {
-    // Post-processing an already-paid-for release: identical bytes, zero ε.
-    StatusOr<JsonValue> parsed = JsonValue::Parse(*cached);
-    DPX_CHECK(parsed.ok()) << "corrupt cache payload";
-    body = std::move(*parsed);
-  }
+  // A hit is post-processing an already-paid-for release: identical bytes,
+  // zero ε. Hit or miss, the body's members are the stored bytes.
+  JsonValue body = release->Body();
   body.Set("cache_hit", JsonValue::Bool(cache_hit));
   body.Set("epsilon_charged", JsonValue::Number(cache_hit ? 0.0 : epsilon));
   body.Set("epsilon_remaining",

@@ -2,7 +2,9 @@
 //
 // The load-bearing property is byte-identity: for any line produced by
 // JsonValue::Dump, splicing or erasing the top-level "id" must produce
-// exactly the bytes the old parse → mutate → dump path produced. The
+// exactly the bytes the old parse → mutate → dump path produced, and each
+// top-level member the scanner reports must be exactly its key's and its
+// value's Dump (the explanation cache answers repeats from them). The
 // golden section checks that over a corpus shaped like real engine
 // responses (histograms, nested explanations, broadcast merges, error
 // envelopes); the unit section pins the scanner's error vocabulary so the
@@ -155,6 +157,96 @@ std::vector<std::string> ResponseCorpus() {
   return corpus;
 }
 
+/// Checks `members` against the full parse of `line`: the same keys in
+/// the same order, each value's bytes that value's Dump.
+void ExpectMembersMatchParse(const std::string& line,
+                             const std::vector<JsonMember>& members,
+                             const JsonValue& parsed) {
+  const std::vector<std::string> keys = parsed.ObjectKeys();
+  ASSERT_EQ(members.size(), keys.size()) << line;
+  for (size_t m = 0; m < members.size(); ++m) {
+    const JsonMember& member = members[m];
+    EXPECT_EQ(line.substr(member.key_begin,
+                          member.key_end - member.key_begin),
+              JsonValue::String(keys[m]).Dump())
+        << line;
+    EXPECT_EQ(line.substr(member.value_begin,
+                          member.value_end - member.value_begin),
+              parsed.at(keys[m]).Dump())
+        << line;
+  }
+}
+
+/// The scanner's ranges are ordered and inside the line, whatever it read.
+void ExpectMembersInBounds(const std::string& line,
+                           const std::vector<JsonMember>& members) {
+  size_t floor = 0;
+  for (size_t m = 0; m < members.size(); ++m) {
+    const JsonMember& member = members[m];
+    ASSERT_LE(floor, member.key_begin) << line;
+    ASSERT_LT(member.key_begin, member.key_end) << line;
+    ASSERT_LE(member.key_end, member.value_begin) << line;
+    ASSERT_LT(member.value_begin, member.value_end) << line;
+    ASSERT_LE(member.value_end, line.size()) << line;
+    const bool last = m + 1 == members.size();
+    ASSERT_EQ(member.comma == JsonMember::kNone, last) << line;
+    if (!last) {
+      ASSERT_LE(member.value_end, member.comma) << line;
+      ASSERT_EQ(line[member.comma], ',') << line;
+      floor = member.comma + 1;
+    }
+  }
+}
+
+TEST(ScanTopLevelMembers, FindsEveryTopLevelMemberInOrder) {
+  const std::string line =
+      R"({"a":{"id":"inner"}, "b" : [1,{"c":2}],"s":"x,}\"y","z":-1.5e3})";
+  StatusOr<std::vector<JsonMember>> members = ScanTopLevelMembers(line);
+  ASSERT_TRUE(members.ok()) << members.status().ToString();
+  ASSERT_EQ(members->size(), 4u);
+  const auto text = [&](size_t begin, size_t end) {
+    return line.substr(begin, end - begin);
+  };
+  EXPECT_EQ(text((*members)[0].key_begin, (*members)[0].key_end), "\"a\"");
+  EXPECT_EQ(text((*members)[0].value_begin, (*members)[0].value_end),
+            R"({"id":"inner"})");
+  EXPECT_EQ(text((*members)[1].value_begin, (*members)[1].value_end),
+            R"([1,{"c":2}])");
+  EXPECT_EQ(text((*members)[2].value_begin, (*members)[2].value_end),
+            R"("x,}\"y")");
+  EXPECT_EQ(text((*members)[3].value_begin, (*members)[3].value_end),
+            "-1.5e3");
+  EXPECT_EQ((*members)[3].comma, JsonMember::kNone);
+  ExpectMembersInBounds(line, *members);
+}
+
+TEST(ScanTopLevelMembers, EmptyObjectHasNoMembers) {
+  StatusOr<std::vector<JsonMember>> members = ScanTopLevelMembers(" { } ");
+  ASSERT_TRUE(members.ok());
+  EXPECT_TRUE(members->empty());
+}
+
+TEST(ScanTopLevelMembers, InvalidOnTornOrNonObjectLines) {
+  for (const std::string line :
+       {R"({"a":1,})", R"({"a":1)", R"({"a" 1})", R"({a:1})", R"([1])",
+        R"({"a":1} x)", R"({"a":})", ""}) {
+    EXPECT_EQ(ScanTopLevelMembers(line).status().code(),
+              StatusCode::kInvalidArgument)
+        << line;
+  }
+}
+
+TEST(RelayGolden, MembersMatchFullParseByteForByte) {
+  for (const std::string& line : ResponseCorpus()) {
+    StatusOr<std::vector<JsonMember>> members = ScanTopLevelMembers(line);
+    ASSERT_TRUE(members.ok()) << line;
+    StatusOr<JsonValue> parsed = JsonValue::Parse(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    ExpectMembersInBounds(line, *members);
+    ExpectMembersMatchParse(line, *members, *parsed);
+  }
+}
+
 TEST(RelayGolden, SpliceMatchesFullParseByteForByte) {
   const std::vector<JsonValue> client_ids = {
       JsonValue::String("client-17"), JsonValue::String("x"),
@@ -215,7 +307,22 @@ TEST(RelayDifferential, MutatedLinesNeverCrashAndRelayLikeTheFullParser) {
   const JsonValue client_id = JsonValue::String("client-17");
   size_t accepted = 0;
   size_t compared = 0;
+  size_t members_accepted = 0;
+  size_t members_compared = 0;
   for (const std::string& line : MutatedCorpus()) {
+    // The member scanner: in-bounds ranges on every line it accepts, and
+    // the full parser's members on every canonical one.
+    StatusOr<std::vector<JsonMember>> members = ScanTopLevelMembers(line);
+    if (members.ok()) {
+      ++members_accepted;
+      ExpectMembersInBounds(line, *members);
+      StatusOr<JsonValue> reference = JsonValue::Parse(line);
+      if (reference.ok() && reference->Dump() == line) {
+        ++members_compared;
+        ExpectMembersMatchParse(line, *members, *reference);
+      }
+    }
+
     StatusOr<RelayScan> scan = ScanTopLevelId(line);
     if (!scan.ok()) continue;
     ++accepted;
@@ -236,6 +343,8 @@ TEST(RelayDifferential, MutatedLinesNeverCrashAndRelayLikeTheFullParser) {
   // The sweep must reach both branches, or it proves nothing.
   EXPECT_GT(accepted, compared);
   EXPECT_GT(compared, 0u);
+  EXPECT_GT(members_accepted, members_compared);
+  EXPECT_GT(members_compared, 0u);
 }
 
 TEST(RelayGolden, SpliceThenRescanRoundTrips) {

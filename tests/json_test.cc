@@ -1,7 +1,13 @@
 #include "common/json.h"
 
+#include <cstdint>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +60,96 @@ TEST(JsonDumpTest, StringEscapes) {
 TEST(JsonDumpTest, IntegersWithoutDecimals) {
   EXPECT_EQ(JsonValue::Number(42).Dump(), "42");
   EXPECT_EQ(JsonValue::Number(-3).Dump(), "-3");
+}
+
+/// The number text Dump wrote when it formatted through printf: "%lld" for
+/// integers below 1e15 in magnitude, "%.17g" otherwise.
+std::string PrintfNumber(double x) {
+  if (!std::isfinite(x)) return "null";
+  char buf[40];
+  if (x == std::floor(x) && std::fabs(x) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(x));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", x);
+  }
+  return buf;
+}
+
+double FromBits(uint64_t bits) {
+  double x;
+  std::memcpy(&x, &bits, sizeof(x));
+  return x;
+}
+
+// Dump formats numbers with std::to_chars; every response byte depends on
+// it printing exactly what printf printed.
+TEST(JsonDumpTest, NumbersPrintAsPrintfDidOverAMillionDoubles) {
+  std::mt19937_64 rng(20261020);
+  std::vector<double> values = {
+      0.0, -0.0, 1e15, -1e15, 1e15 - 1, -(1e15 - 1), 1e15 + 1, 0.1, 0.3,
+      1.0 / 3.0, 2.5, -2.5, 1e-300, 1e300, 9007199254740993.0,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::epsilon()};
+  constexpr size_t kPerFamily = 260000;
+  for (size_t i = 0; i < kPerFamily; ++i) {
+    // Any finite bit pattern.
+    double x;
+    do {
+      x = FromBits(rng());
+    } while (!std::isfinite(x));
+    values.push_back(x);
+    // Subnormals: zero exponent, any sign and mantissa.
+    values.push_back(FromBits(rng() & 0x800fffffffffffffULL));
+    // Integers and half-integers around the 1e15 integer cutoff.
+    const double offset = static_cast<double>(rng() % 2000001) - 1000000.0;
+    values.push_back((i % 2 == 0 ? 1e15 : -1e15) + offset +
+                     (i % 4 < 2 ? 0.0 : 0.5));
+    // Values shaped like releases: noisy counts, ε shares, scores.
+    values.push_back(
+        (static_cast<double>(rng() % 2000000) - 1000000.0) /
+        static_cast<double>(1 + rng() % 1000));
+  }
+  ASSERT_GE(values.size(), 1000000u);
+  size_t mismatches = 0;
+  for (const double x : values) {
+    const std::string dumped = JsonValue::Number(x).Dump();
+    const std::string expected = PrintfNumber(x);
+    if (dumped != expected && ++mismatches <= 5) {
+      uint64_t bits;
+      std::memcpy(&bits, &x, sizeof(bits));
+      ADD_FAILURE() << "bits " << std::hex << bits << ": Dump " << dumped
+                    << " vs printf " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonSerializedTest, DumpsVerbatimAndPassesIsFinite) {
+  const std::string text = R"({"a":[1,2.5,null],"b":"x"})";
+  const JsonValue raw = JsonValue::Serialized(text);
+  EXPECT_EQ(raw.type(), JsonValue::Type::kSerialized);
+  EXPECT_EQ(raw.Dump(), text);
+  EXPECT_TRUE(raw.IsFinite());
+
+  // Members held as their Dump text dump like the parsed tree: the object
+  // still orders every key, old and new.
+  const std::string body = R"({"explanation":{"k":[0.29999999999999999,-1]},)"
+                           R"("text":"line\none"})";
+  StatusOr<JsonValue> parsed = JsonValue::Parse(body);
+  ASSERT_TRUE(parsed.ok());
+  JsonValue stored = JsonValue::Object();
+  for (const std::string& key : parsed->ObjectKeys()) {
+    stored.Set(key, JsonValue::Serialized(parsed->at(key).Dump()));
+  }
+  for (JsonValue* tree : {&*parsed, &stored}) {
+    tree->Set("cache_hit", JsonValue::Bool(true));
+    tree->Set("ok", JsonValue::Bool(true));
+    tree->Set("id", JsonValue::String("7"));
+  }
+  EXPECT_EQ(stored.Dump(), parsed->Dump());
 }
 
 TEST(JsonParseTest, RoundTripsComplexDocument) {

@@ -424,6 +424,37 @@ TEST(ServiceRobustnessTest, OpMetricsTrackLatencyAndErrors) {
             0.0);
 }
 
+// A release that comes out of the compute non-finite is refused before it
+// reaches the cache: the repeat computes (and is refused) again, instead of
+// serving Dump's `null` holes as a free hit.
+TEST(ServiceRobustnessTest, NonFiniteReleaseIsNeverCached) {
+  ServiceEngineOptions options;
+  options.insecure_deterministic_noise = true;
+  options.fault_injector = [](const FaultPoint& fault) {
+    if (fault.point == "explain:release" || fault.point == "hist:release") {
+      fault.body->Set("poison", JsonValue::Number(std::nan("")));
+    }
+    return Status::OK();
+  };
+  ServiceEngine engine(options);
+  SetUpSession(engine, "victim", /*epsilon=*/5.0);
+  for (const std::string op : {"explain", "hist"}) {
+    const std::string request =
+        R"({"op":")" + op +
+        R"(","session":"victim","attribute":"diab_0","epsilon":0.3,)"
+        R"("seed":1})";
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const JsonValue reply = Call(engine, request);
+      ExpectError(reply, "Internal");
+      EXPECT_EQ(reply.at("error").at("message").AsString(),
+                "op '" + op +
+                    "' produced a non-finite number; response suppressed");
+    }
+  }
+  EXPECT_EQ(engine.cache().size(), 0u);
+  EXPECT_EQ(engine.cache().hits(), 0u);
+}
+
 // The acceptance scenario: while one tenant's requests are being forced to
 // fail (injected NaNs), concurrent well-formed requests from other tenants
 // all complete successfully.

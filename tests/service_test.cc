@@ -140,6 +140,94 @@ TEST(ServiceTest, CacheHitIsByteIdenticalAndFree) {
   EXPECT_NEAR(third.at("epsilon_remaining").AsNumber(), 0.4, 1e-12);
 }
 
+/// `line` parsed, without the members a repeat may change: the cache
+/// envelope and the trace members.
+std::string WithoutRepeatEnvelope(const std::string& line) {
+  JsonValue reply = Parse(line);
+  for (const char* key : {"cache_hit", "epsilon_charged", "epsilon_remaining",
+                          "trace", "trace_id"}) {
+    reply.Remove(key);
+  }
+  return reply.Dump();
+}
+
+// A hit is answered from the stored release bytes, not from a parsed tree.
+// Its reply must still be canonical Dump text, and equal the first reply
+// but for the cache envelope and the trace — traced or not.
+TEST(ServiceTest, RepeatRepliesAreCanonicalAndDifferOnlyInTheEnvelope) {
+  ServiceEngine engine(DebugNoise());
+  SetUpDataset(engine);
+  ExpectOk(Call(engine, R"({"op":"create_session","session":"alice",)"
+                        R"("dataset":"d","epsilon":10.0})"));
+  const std::vector<std::string> modes = {
+      "", R"(,"trace":true)", R"(,"_tc":{"pid":"r1","tid":"t1"})"};
+  for (size_t m = 0; m < modes.size(); ++m) {
+    // A fresh ε per mode, so each mode's first reply is a miss.
+    const std::string eps = std::to_string(0.3 + 0.01 * m);
+    for (const std::string& request :
+         {R"({"op":"explain","session":"alice","seed":11,"id":"e","epsilon":)" +
+              eps + modes[m] + "}",
+          R"({"op":"hist","session":"alice","attribute":"diab_0","seed":5,)"
+          R"("id":7,"epsilon":)" + eps + modes[m] + "}"}) {
+      const std::string first = engine.Handle(request);
+      const std::string repeat = engine.Handle(request);
+      for (const std::string* line : {&first, &repeat}) {
+        EXPECT_EQ(*line, Parse(*line).Dump()) << request;
+      }
+      const JsonValue first_reply = Parse(first);
+      const JsonValue repeat_reply = Parse(repeat);
+      ExpectOk(first_reply);
+      ExpectOk(repeat_reply);
+      EXPECT_FALSE(first_reply.at("cache_hit").AsBool()) << request;
+      EXPECT_TRUE(repeat_reply.at("cache_hit").AsBool()) << request;
+      EXPECT_EQ(repeat_reply.at("epsilon_charged").AsNumber(), 0.0);
+      EXPECT_EQ(repeat_reply.Has("trace"), !modes[m].empty()) << request;
+      EXPECT_EQ(WithoutRepeatEnvelope(repeat), WithoutRepeatEnvelope(first))
+          << request;
+    }
+  }
+}
+
+// Releases saved in a snapshot come back as the same bytes: a restored
+// engine, and a read-only replica, answer repeats exactly as the engine
+// that paid for them did.
+TEST(ServiceTest, RestoredReleasesServeTheSameHitBytes) {
+  const std::vector<std::string> requests = {
+      R"({"op":"explain","session":"s","epsilon":0.3,"seed":11,"id":"e"})",
+      R"({"op":"hist","session":"s","attribute":"diab_0","epsilon":0.1,)"
+      R"("seed":5,"id":"h"})",
+      R"({"op":"hist","session":"s","attribute":"diab_1","epsilon":0.1,)"
+      R"("seed":5})"};
+  const std::string path = ::testing::TempDir() + "/restored_hits.snap";
+  std::vector<std::string> hits;
+  {
+    ServiceEngine primary(DebugNoise());
+    SetUpDataset(primary);
+    ExpectOk(Call(primary, R"({"op":"create_session","session":"s",)"
+                           R"("dataset":"d","epsilon":5.0})"));
+    for (const std::string& request : requests) {
+      ExpectOk(Call(primary, request));
+    }
+    // Every charge is in, so each hit reads the final epsilon_remaining.
+    for (const std::string& request : requests) {
+      hits.push_back(primary.Handle(request));
+      EXPECT_TRUE(Parse(hits.back()).at("cache_hit").AsBool());
+    }
+    ASSERT_TRUE(primary.SaveSnapshotToFile(path).ok());
+  }
+  for (const bool read_only : {false, true}) {
+    ServiceEngineOptions options = DebugNoise();
+    options.read_only = read_only;
+    ServiceEngine restored(options);
+    ASSERT_TRUE(restored.RestoreFromFiles(path, "").ok());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(restored.Handle(requests[i]), hits[i])
+          << "read_only=" << read_only;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ServiceTest, ExplainResponseEmbedsTheSerializedExplanationVerbatim) {
   // The explain op embeds ExplanationToJsonValue's tree. Its response bytes
   // must equal the Parse→Dump of ExplanationToJson over the same release,

@@ -506,6 +506,44 @@ TEST(SnapshotTest, JournalMissingFirstPostCursorRecordLeavesEngineEmpty) {
   ExpectEmptyEngine(recovered);
 }
 
+// A cached payload is served on a hit without being parsed again, so a
+// restore checks each one the way a fresh release is checked before it is
+// cached. A payload that fails refuses the whole restore, before anything
+// is registered.
+TEST(SnapshotTest, CachePayloadThatIsNotAReleaseLeavesEngineEmpty) {
+  const std::string good = TempPath("payload-good.snap");
+  const std::string bad = TempPath("payload-bad.snap");
+  {
+    ServiceEngine worker;
+    SetUpServing(worker);
+    ExpectOk(Hist(worker, "diab_3", 0.1));
+    ExpectOk(Hist(worker, "diab_5", 0.1));
+    ASSERT_TRUE(worker.SaveSnapshotToFile(good).ok());
+  }
+  for (const std::string payload : {"not json", "[1,2]", R"({"a":1)"}) {
+    StatusOr<snapshot::ServiceSnapshot> state =
+        snapshot::LoadSnapshotFile(good);
+    ASSERT_TRUE(state.ok()) << state.status();
+    ASSERT_EQ(state->cache.size(), 2u);
+    state->cache[1].payload = payload;
+    // Written through the writer: the section CRCs are valid.
+    ASSERT_TRUE(snapshot::SaveSnapshotFile(bad, *state).ok());
+
+    ServiceEngine recovered;
+    StatusOr<ServiceEngine::RestoreReport> report =
+        recovered.RestoreFromFiles(bad, "");
+    ASSERT_FALSE(report.ok()) << payload;
+    EXPECT_EQ(report.status().code(), StatusCode::kIoError)
+        << report.status();
+    EXPECT_NE(report.status().message().find(state->cache[1].key),
+              std::string::npos)
+        << report.status();
+    ExpectEmptyEngine(recovered);
+  }
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
+}
+
 TEST(SnapshotTest, JournalChargeOverflowingASessionLeavesEngineEmpty) {
   const std::string snap = TempPath("overflow.snap");
   const std::string journal = TempPath("overflow.journal");
