@@ -141,8 +141,9 @@ EOF
 {"op":"budget","session":"s","id":"b"}
 {"op":"hist","session":"s","clustering":"default","attribute":"diab_0","epsilon":0.25,"id":"h"}
 EOF
-  python3 - "$SMOKE_DIR/first.out" "$SMOKE_DIR/second.out" <<'PYEOF'
-import json, sys
+  python3 - "$SMOKE_DIR/first.out" "$SMOKE_DIR/second.out" \
+      "$SMOKE_DIR/smoke.snap" <<'PYEOF'
+import json, os, re, sys
 def lines_by_id(path):
     return {json.loads(line)["id"]: line.rstrip("\n") for line in open(path)}
 def raw_member(line, key):
@@ -157,8 +158,20 @@ assert h["ok"] and h["cache_hit"] and h["epsilon_charged"] == 0.0, h
 # The restored repeat serves the paid-for release byte for byte.
 for key in ("attribute", "clusters"):
     assert raw_member(second["h"], key) == raw_member(first["4"], key), key
+# The rows are in a DPXCOL file beside the snapshot, which names it; the
+# image itself holds ledgers, caches, labels and that reference only.
+snap = sys.argv[3]
+image = open(snap, "rb").read()
+names = set(re.findall(rb"smoke\.snap\.[0-9a-f]{16}\.dpxcol", image))
+assert len(names) == 1, names
+row_file = os.path.join(os.path.dirname(snap), names.pop().decode())
+assert os.path.isfile(row_file), row_file
+# 200 rows: about 11.6 KB of schema, labels, cache and audit, where the
+# image with inline columns was 21.8 KB.
+assert len(image) < 16384, len(image)
 print("    snapshot round-trip OK: ledger restored, repeat hist free and"
-      " byte-identical")
+      " byte-identical, rows in %s, image %d bytes"
+      % (os.path.basename(row_file), len(image)))
 PYEOF
 
   echo "==> ASan smoke: CSV -> DPXCOL -> CSV round trip"

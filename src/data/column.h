@@ -198,26 +198,10 @@ class NarrowColumn {
     return ColumnView(v32_.data(), v32_.size(), width_);
   }
 
-  /// The raw backing bytes (size() * ColumnWidthBytes(width()), host byte
-  /// order). Snapshot harvest copies this verbatim so save/load moves the
-  /// column as one memcpy-shaped blob instead of n element appends.
-  const void* raw_data() const {
-    switch (width_) {
-      case ColumnWidth::k8:
-        return v8_.data();
-      case ColumnWidth::k16:
-        return v16_.data();
-      case ColumnWidth::k32:
-        break;
-    }
-    return v32_.data();
-  }
-  size_t raw_size_bytes() const { return size() * ColumnWidthBytes(width_); }
-
-  /// Replaces this column's contents from raw bytes previously produced by
-  /// raw_data() at the same width. `size_bytes` must be a multiple of the
-  /// element width; codes are NOT domain-validated here (Dataset::FromColumns
-  /// does that once per column against the schema).
+  /// Replaces this column's contents from raw host-order bytes at `width`
+  /// (an inline column of an older snapshot image). `size_bytes` must be a
+  /// multiple of the element width; codes are NOT domain-validated here
+  /// (Dataset::FromColumns does that once per column against the schema).
   void AssignRaw(ColumnWidth width, const void* data, size_t size_bytes) {
     const size_t elem = ColumnWidthBytes(width);
     DPX_CHECK(size_bytes % elem == 0) << "raw column bytes not a multiple of "

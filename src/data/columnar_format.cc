@@ -50,15 +50,6 @@ size_t AlignUp(size_t offset) {
   return (offset + kColumnAlignment - 1) / kColumnAlignment * kColumnAlignment;
 }
 
-uint64_t MintFileUid() {
-  // Identity only (snapshots cross-check it against the path they saved);
-  // not security-sensitive, but collisions across files should be unlikely.
-  std::random_device rd;
-  uint64_t uid = (uint64_t{rd()} << 32) ^ uint64_t{rd()};
-  if (uid == 0) uid = 1;
-  return uid;
-}
-
 struct ColumnMeta {
   ColumnWidth width = ColumnWidth::k32;
   uint64_t offset = 0;
@@ -178,6 +169,15 @@ const void* ViewData(const ColumnView& view) {
 
 // ---- write ----------------------------------------------------------------
 
+uint64_t MintColumnarFileUid() {
+  // Identity only (snapshots cross-check it against the path they saved);
+  // not security-sensitive, but collisions across files should be unlikely.
+  std::random_device rd;
+  uint64_t uid = (uint64_t{rd()} << 32) ^ uint64_t{rd()};
+  if (uid == 0) uid = 1;
+  return uid;
+}
+
 Status WriteColumnarFile(const Dataset& dataset, const std::string& path,
                          const ColumnarWriteOptions& options) {
   DPX_RETURN_IF_ERROR(dataset.schema().Validate());
@@ -192,7 +192,9 @@ Status WriteColumnarFile(const Dataset& dataset, const std::string& path,
     cols[a].max_code = MaxCode(view);
     cols[a].crc = Crc32(cols[a].head, cols[a].head_bytes);
   }
-  return WriteImage(path, MintFileUid(), dataset.width_policy(),
+  const uint64_t file_uid =
+      options.file_uid != 0 ? options.file_uid : MintColumnarFileUid();
+  return WriteImage(path, file_uid, dataset.width_policy(),
                     dataset.schema(), rows, capacity, cols);
 }
 

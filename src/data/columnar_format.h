@@ -82,7 +82,13 @@ struct ColumnarWriteOptions {
   /// anything larger pre-allocates space so appends can commit in place
   /// without rewriting the file.
   size_t capacity_rows = 0;
+  /// The new file's identity; 0 mints one. A writer that names the file
+  /// after its uid (a snapshot's row files) mints it first.
+  uint64_t file_uid = 0;
 };
+
+/// A fresh random, nonzero file uid.
+uint64_t MintColumnarFileUid();
 
 struct ColumnarOpenOptions {
   /// Re-verify every column's data CRC and re-scan max codes (O(data)).
@@ -154,8 +160,9 @@ class MappedColumnar {
 };
 
 /// Writes `dataset` to `path` as a DPXCOL file (atomically: temp file +
-/// rename), minting a fresh file_uid. The dataset must be heap-backed or
-/// mapped — either works; bytes are copied out column by column.
+/// rename), under `options.file_uid` or a freshly minted one. The dataset
+/// must be heap-backed or mapped — either works; bytes are copied out
+/// column by column.
 Status WriteColumnarFile(const Dataset& dataset, const std::string& path,
                          const ColumnarWriteOptions& options = {});
 

@@ -32,7 +32,8 @@ class Dataset {
   /// 4-byte layout (equivalence tests, pre-narrowing benchmark baselines).
   explicit Dataset(Schema schema, WidthPolicy policy = WidthPolicy::kAdaptive);
 
-  /// Rebuilds a dataset from pre-built columns — the snapshot-restore path.
+  /// Rebuilds a dataset from pre-built columns — the restore path for
+  /// snapshot images that carry inline columns (formats 1–3).
   /// Validates that the column set matches `schema` (count, per-column row
   /// count, width per `policy`) and that every code is inside its
   /// attribute's domain (a snapshot is CRC-protected, but an out-of-domain
@@ -106,15 +107,6 @@ class Dataset {
   /// on mapped data unchanged.
   ColumnView column(AttrIndex attr) const {
     return mapped_ ? mapped_views_[attr] : columns_[attr].view();
-  }
-
-  /// The owning column object (raw-bytes access for snapshot harvest).
-  /// Heap datasets only — mapped datasets are snapshotted by file
-  /// reference, never by inlined bytes.
-  const NarrowColumn& narrow_column(AttrIndex attr) const {
-    DPX_CHECK(mapped_ == nullptr)
-        << "narrow_column on a mapped dataset; snapshot by file reference";
-    return columns_[attr];
   }
 
   /// One attribute's codes widened to ValueCode. O(n) copy — for cold paths

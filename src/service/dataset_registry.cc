@@ -160,6 +160,17 @@ StatusOr<std::shared_ptr<const ClusteringView>> DatasetEntry::GetClustering(
   return it->second;
 }
 
+bool DatasetEntry::AdoptMapped(const std::shared_ptr<const Dataset>& expected,
+                               Dataset mapped) {
+  // Both locks, in AppendRows' order: no append or view publication is
+  // between its read of dataset_ and its swap.
+  std::lock_guard<std::mutex> append_lock(append_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (dataset_ != expected) return false;
+  dataset_ = std::make_shared<const Dataset>(std::move(mapped));
+  return true;
+}
+
 void DatasetEntry::SnapshotState(
     std::shared_ptr<const Dataset>* dataset,
     std::vector<std::shared_ptr<const ClusteringView>>* views,

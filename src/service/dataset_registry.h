@@ -12,9 +12,10 @@
 // Thread-safety: the registry and each entry are internally locked; Dataset,
 // ClusteringView, and StatsCache are immutable once published and shared via
 // shared_ptr, so request threads read them without synchronization. Streaming
-// ingest keeps that discipline by copy-on-append: AppendRows builds a new
-// dataset generation plus new views and swaps them in atomically with an
-// epoch bump — readers holding the old generation are undisturbed.
+// ingest keeps that discipline: AppendRows builds a new dataset generation
+// (an in-place DPXCOL append, or a copy of a heap dataset) plus new views and
+// swaps them in atomically with an epoch bump — readers holding the old
+// generation are undisturbed.
 
 #ifndef DPCLUSTX_SERVICE_DATASET_REGISTRY_H_
 #define DPCLUSTX_SERVICE_DATASET_REGISTRY_H_
@@ -119,7 +120,9 @@ class DatasetEntry {
   /// labeled by the view's fitted model, StatsCache delta-updated exactly —
   /// see StatsCache::BuildAppended), and the epoch all advance together.
   /// Mapped datasets extend their DPXCOL file in place; heap datasets copy
-  /// (O(base + tail) — fine for the modest sizes heap datasets are for).
+  /// (O(base + tail)). A durable worker's heap datasets become mapped at
+  /// their first snapshot save (AdoptMapped), so only a dataset no save
+  /// has reached yet pays the copy.
   /// FailedPrecondition if any view lacks a fitted model (snapshot-restored
   /// views; re-cluster first). Appends to one entry are serialized.
   StatusOr<AppendResult> AppendRows(
@@ -138,6 +141,13 @@ class DatasetEntry {
 
   StatusOr<std::shared_ptr<const ClusteringView>> GetClustering(
       const std::string& id) const;
+
+  /// Serves `mapped` in place of the heap generation `expected`: the same
+  /// rows, now in a DPXCOL file a snapshot save wrote. The uid, the epoch
+  /// and the views are kept. False, changing nothing, when an append
+  /// replaced `expected` since.
+  bool AdoptMapped(const std::shared_ptr<const Dataset>& expected,
+                   Dataset mapped);
 
   /// Dataset generation, views, and epoch from one locked instant — the
   /// snapshot harvester must not pair a post-append dataset with pre-append

@@ -98,6 +98,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -170,11 +171,13 @@ struct OpSpec {
 /// One interception site on the request path, handed to the test-only fault
 /// injector. `point` is "<op>:start" (before the handler runs), "<op>:finish"
 /// (after a successful handler; `body` is the mutable response body, so a
-/// test can force a NaN into it), or "explain:compute" (inside OpExplain,
+/// test can force a NaN into it), "explain:compute" (inside OpExplain,
 /// after the ε charge and before the pipeline runs; a hook that sleeps past
-/// the deadline here exercises post-spend cancellation). `request` is the
-/// parsed request, letting a hook target one tenant and wave the rest
-/// through. `body` is null except at ":finish".
+/// the deadline here exercises post-spend cancellation), or
+/// "snapshot:image" (inside SaveSnapshotToFile, after the row files are
+/// written and adopted and before the image is; `request` is an empty
+/// value). `request` is the parsed request, letting a hook target one
+/// tenant and wave the rest through. `body` is null except at ":finish".
 struct FaultPoint {
   std::string point;
   const JsonValue* request = nullptr;
@@ -296,6 +299,13 @@ class ServiceEngine {
   /// charge is either entirely inside the snapshot or entirely after its
   /// cursor; charges resume while the image is encoded and written. Saves
   /// run one at a time, so they write and rename in harvest order.
+  ///
+  /// Rows are never in the image: every dataset is named by its DPXCOL
+  /// file. A dataset still on the heap is written once, after the gate,
+  /// to `<path>.<file uid as 16 hex digits>.dpxcol` and then served from
+  /// that file (DatasetEntry::AdoptMapped). Once the image is durable, the
+  /// files of that form beside it are deleted unless it, or the latest
+  /// image this engine saved to or restored from another path, names them.
   /// FailedPrecondition when a session is bound to a replaced (detached)
   /// dataset entry: its cap accounting lives on an entry the snapshot
   /// cannot name, and a wrong restore is worse than a refused save.
@@ -389,9 +399,19 @@ class ServiceEngine {
   /// The Internal error that replaces a body holding a NaN/Inf: Dispatch's
   /// gate and ReleaseOnce's cache check answer with the same one.
   static Status NonFiniteRefusal(const std::string& op);
-  /// Harvests the full hot state. Caller must hold the spend gate
-  /// exclusively (SaveSnapshotToFile does).
-  StatusOr<snapshot::ServiceSnapshot> HarvestSnapshot();
+  /// A dataset generation a harvest found on the heap: the entry, its
+  /// index in the harvested datasets, and the generation itself (shared,
+  /// not copied).
+  struct HeapGeneration {
+    std::shared_ptr<DatasetEntry> entry;
+    size_t index = 0;
+    std::shared_ptr<const Dataset> dataset;
+  };
+  /// Harvests the full hot state; each heap dataset's by-reference fields
+  /// are left empty and its generation listed in `heap`. Caller must hold
+  /// the spend gate exclusively (SaveSnapshotToFile does).
+  StatusOr<snapshot::ServiceSnapshot> HarvestSnapshot(
+      std::vector<HeapGeneration>* heap);
   /// Applies a decoded snapshot plus the journal records after its cursor
   /// to this (empty) engine: every dataset and session is rebuilt, every
   /// record charged and the ledgers checked first, and nothing is
@@ -464,6 +484,10 @@ class ServiceEngine {
   std::atomic<uint64_t> noise_sequence_{0};
   obs::TraceRing traces_;  // finished request traces (`trace` op)
   std::mutex snapshot_save_mutex_;  // one SaveSnapshotToFile at a time
+  // Per snapshot path, the file uids its latest image (saved or restored)
+  // names; a save deletes a row file only when none of them names it.
+  // Guarded by snapshot_save_mutex_.
+  std::map<std::string, std::set<uint64_t>> image_file_uids_;
   std::mutex inflight_mutex_;
   std::map<std::string, std::shared_ptr<InflightSlot>>
       inflight_;         // guarded by inflight_mutex_

@@ -1,9 +1,18 @@
 // ServiceEngine durability (src/snapshot; DESIGN.md §11): snapshot harvest
-// and apply, audit-journal replay, and the save_snapshot op.
+// and apply, the row files beside a snapshot, audit-journal replay, and the
+// save_snapshot op.
 #include "service/service_engine.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <charconv>
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <map>
+#include <set>
 #include <shared_mutex>
 
 #include "core/serialization.h"
@@ -45,6 +54,78 @@ StatusOr<std::vector<obs::AuditRecord>> JournalAfterCursor(
   return after;
 }
 
+// A save's row file: `<snapshot path>.<file uid as 16 hex digits>.dpxcol`.
+constexpr char kRowFileSuffix[] = ".dpxcol";
+constexpr size_t kRowFileUidDigits = 16;
+
+// Writes `dataset` to a new row file beside `snapshot_path`, points `ds` at
+// it, and returns the mapped dataset over the file.
+StatusOr<Dataset> WriteRowFile(const Dataset& dataset,
+                               const std::string& snapshot_path,
+                               snapshot::DatasetState* ds) {
+  ColumnarWriteOptions options;
+  options.file_uid = MintColumnarFileUid();
+  char uid[kRowFileUidDigits + 1];
+  std::snprintf(uid, sizeof(uid), "%016" PRIx64, options.file_uid);
+  const std::string path = snapshot_path + "." + uid + kRowFileSuffix;
+  DPX_RETURN_IF_ERROR(WriteColumnarFile(dataset, path, options));
+  DPX_ASSIGN_OR_RETURN(std::shared_ptr<const MappedColumnar> mapped,
+                       MappedColumnar::Open(path));
+  ds->columnar_path = path;
+  ds->columnar_file_uid = options.file_uid;
+  ds->columnar_rows = dataset.num_rows();
+  return Dataset::FromMapped(std::move(mapped));
+}
+
+// The file uid in `name` when it is a row file name of the snapshot named
+// `base`, else 0 (no file has uid 0).
+uint64_t RowFileUid(const std::string& name, const std::string& base) {
+  const size_t digits = base.size() + 1;
+  const size_t suffix = digits + kRowFileUidDigits;
+  if (name.size() != suffix + std::strlen(kRowFileSuffix) ||
+      name.compare(0, base.size(), base) != 0 || name[base.size()] != '.' ||
+      name.compare(suffix, std::string::npos, kRowFileSuffix) != 0) {
+    return 0;
+  }
+  uint64_t uid = 0;
+  const std::from_chars_result parsed = std::from_chars(
+      name.data() + digits, name.data() + suffix, uid, 16);
+  return parsed.ec == std::errc() && parsed.ptr == name.data() + suffix ? uid
+                                                                        : 0;
+}
+
+// The file uids `state`'s datasets reference.
+std::set<uint64_t> FileUids(const snapshot::ServiceSnapshot& state) {
+  std::set<uint64_t> uids;
+  for (const snapshot::DatasetState& ds : state.datasets) {
+    uids.insert(ds.columnar_file_uid);
+  }
+  return uids;
+}
+
+// Deletes the row files beside `snapshot_path` whose uid is not in `named`:
+// files of replaced or dropped datasets, and those of a save that failed
+// or died before its image was renamed. The uid is in the name, and an
+// append that grows a file keeps it (it renames a new inode over the
+// path), so no file is examined and a concurrent append cannot make a
+// live file look unnamed. Best effort: a file left behind is deleted by a
+// later save.
+void RemoveUnnamedRowFiles(const std::string& snapshot_path,
+                           const std::set<uint64_t>& named) {
+  const std::filesystem::path snapshot(snapshot_path);
+  const std::string base = snapshot.filename().string();
+  std::error_code error;
+  std::filesystem::directory_iterator it(
+      snapshot.has_parent_path() ? snapshot.parent_path()
+                                 : std::filesystem::path("."),
+      error);
+  for (; !error && it != std::filesystem::directory_iterator();
+       it.increment(error)) {
+    const uint64_t uid = RowFileUid(it->path().filename().string(), base);
+    if (uid != 0 && named.count(uid) == 0) ::unlink(it->path().c_str());
+  }
+}
+
 }  // namespace
 
 Status ServiceEngine::EnableAuditJournal(const std::string& path) {
@@ -69,20 +150,42 @@ Status ServiceEngine::SaveSnapshotToFile(const std::string& path) {
   // charge up.
   std::lock_guard<std::mutex> saving(snapshot_save_mutex_);
   snapshot::ServiceSnapshot state;
+  std::vector<HeapGeneration> heap;
   {
     // Exclusive gate: every in-flight Spend holds it shared across its
     // whole ledger+cap+audit transaction, so once acquired, every charge is
     // either fully in the harvested state or fully after its audit cursor.
-    // Encoding and writing the image need no gate.
+    // Writing row files and the image needs no gate.
     std::unique_lock<std::shared_mutex> gate(sessions_.spend_gate());
-    DPX_ASSIGN_OR_RETURN(state, HarvestSnapshot());
+    DPX_ASSIGN_OR_RETURN(state, HarvestSnapshot(&heap));
   }
+  // Each heap generation goes to its own file once; the image names it
+  // like any DPXCOL dataset, and the entry serves the file from now on
+  // unless an append replaced that generation meanwhile (the image still
+  // names the file, which holds exactly the harvested rows).
+  for (const HeapGeneration& generation : heap) {
+    snapshot::DatasetState& ds = state.datasets[generation.index];
+    DPX_ASSIGN_OR_RETURN(Dataset mapped,
+                         WriteRowFile(*generation.dataset, path, &ds));
+    generation.entry->AdoptMapped(generation.dataset, std::move(mapped));
+  }
+  DPX_RETURN_IF_ERROR(InjectFault("snapshot:image", JsonValue(), nullptr));
   DPX_RETURN_IF_ERROR(snapshot::SaveSnapshotFile(path, state));
   snapshot_saves_->Increment();
+  // A file this image no longer names may still be named by the image at
+  // another path (a save_snapshot elsewhere made the entry adopt it), and
+  // that image must stay restorable.
+  image_file_uids_[path] = FileUids(state);
+  std::set<uint64_t> named;
+  for (const auto& [image, uids] : image_file_uids_) {
+    named.insert(uids.begin(), uids.end());
+  }
+  RemoveUnnamedRowFiles(path, named);
   return Status::OK();
 }
 
-StatusOr<snapshot::ServiceSnapshot> ServiceEngine::HarvestSnapshot() {
+StatusOr<snapshot::ServiceSnapshot> ServiceEngine::HarvestSnapshot(
+    std::vector<HeapGeneration>* heap) {
   snapshot::ServiceSnapshot state;
 
   const std::vector<std::shared_ptr<ServiceSession>> sessions =
@@ -122,16 +225,7 @@ StatusOr<snapshot::ServiceSnapshot> ServiceEngine::HarvestSnapshot() {
       ds.columnar_file_uid = dataset->mapped()->file_uid();
       ds.columnar_rows = dataset->num_rows();
     } else {
-      for (size_t a = 0; a < dataset->num_attributes(); ++a) {
-        const NarrowColumn& column =
-            dataset->narrow_column(static_cast<AttrIndex>(a));
-        snapshot::ColumnState cs;
-        cs.width_tag = static_cast<uint8_t>(column.width());
-        cs.rows = column.size();
-        cs.bytes.assign(static_cast<const char*>(column.raw_data()),
-                        column.raw_size_bytes());
-        ds.columns.push_back(std::move(cs));
-      }
+      heap->push_back({entry, state.datasets.size(), std::move(dataset)});
     }
     for (const std::shared_ptr<const ClusteringView>& view : views) {
       snapshot::ClusteringState cl;
@@ -228,6 +322,8 @@ Status ServiceEngine::ApplySnapshot(
                                "' schema does not match the columnar file's");
       }
     } else {
+      // An older image's inline columns: the dataset comes back on the
+      // heap, and the next save moves it into a row file.
       std::vector<NarrowColumn> columns;
       columns.reserve(ds.columns.size());
       for (const snapshot::ColumnState& cs : ds.columns) {
@@ -441,6 +537,8 @@ StatusOr<ServiceEngine::RestoreReport> ServiceEngine::RestoreFromFiles(
   report.format_version = state->format_version;
   DPX_RETURN_IF_ERROR(ApplySnapshot(*state, journal, &report));
   snapshot_restores_->Increment();
+  std::lock_guard<std::mutex> saving(snapshot_save_mutex_);
+  image_file_uids_[snapshot_path] = FileUids(*state);
   return report;
 }
 

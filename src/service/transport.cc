@@ -13,6 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <deque>
 
@@ -138,8 +139,13 @@ StatusOr<ListenAddress> ParseListenAddress(const std::string& spec) {
         port_text.find_first_not_of("0123456789") != std::string::npos) {
       return Status::InvalidArgument("tcp: port must be numeric: " + spec);
     }
-    const unsigned long port = std::stoul(port_text);
-    if (port > 65535) {
+    // from_chars reports a value past uint32 as out of range instead of
+    // throwing, so any digit string ends here or under the bound below.
+    uint32_t port = 0;
+    const char* end = port_text.data() + port_text.size();
+    const std::from_chars_result parsed =
+        std::from_chars(port_text.data(), end, port);
+    if (parsed.ec != std::errc() || parsed.ptr != end || port > 65535) {
       return Status::InvalidArgument("tcp: port out of range: " + spec);
     }
     out.port = static_cast<uint16_t>(port);

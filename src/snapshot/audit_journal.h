@@ -15,12 +15,13 @@
 //   {"dataset":"d","epsilon":0.5,"granted":true,"label":"explain",
 //    "reason":"","seq":7,"tenant":"t"}
 //
-// Doubles go through the %.17g JSON writer, which round-trips exactly, so a
-// replayed charge is bit-for-bit the charge that was made. A failed append
-// cuts its own half line; a crash can tear at most the final line, which
-// the next open cuts. The reader tolerates exactly that (a trailing partial
-// line is ignored — its response was never sent, so dropping it is the
-// correct accounting) and refuses anything else.
+// Doubles are written by JsonValue::Dump (std::to_chars at precision 17),
+// which round-trips exactly, so a replayed charge is bit-for-bit the charge
+// that was made. A failed append cuts its own half line; a crash can tear
+// at most the final line, which the next open cuts. The reader tolerates
+// exactly that (a trailing partial line is ignored — its response was never
+// sent, so dropping it is the correct accounting) and refuses anything
+// else.
 
 #ifndef DPCLUSTX_SNAPSHOT_AUDIT_JOURNAL_H_
 #define DPCLUSTX_SNAPSHOT_AUDIT_JOURNAL_H_

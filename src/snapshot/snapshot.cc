@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/file_util.h"
+#include "common/logging.h"
 
 namespace dpclustx::snapshot {
 
@@ -108,16 +109,14 @@ std::string EncodeDatasets(const ServiceSnapshot& state) {
     w.PutDouble(ds.cap_epsilon);
     PutBudget(w, ds.cap);  // v3; v1/v2 listed every charge
     w.PutString(ds.schema_json);
-    // v2: by-reference DPXCOL source (empty path = inline columns below).
+    // v2: by-reference DPXCOL source. Rows are never written inline: the
+    // column list that older images used for them is always empty.
+    DPX_CHECK(ds.columns.empty())
+        << "snapshot dataset '" << ds.name << "' carries inline columns";
     w.PutString(ds.columnar_path);
     w.PutU64(ds.columnar_file_uid);
     w.PutU64(ds.columnar_rows);
-    w.PutU64(ds.columns.size());
-    for (const ColumnState& col : ds.columns) {
-      w.PutU8(col.width_tag);
-      w.PutU64(col.rows);
-      w.PutString(col.bytes);
-    }
+    w.PutU64(0);
     w.PutU64(ds.clusterings.size());
     for (const ClusteringState& cl : ds.clusterings) {
       w.PutString(cl.id);

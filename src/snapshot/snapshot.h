@@ -2,9 +2,9 @@
 //
 // ServiceSnapshot is a plain-data image of everything a dpclustx_serve
 // worker must not lose across a crash or restart: every registered dataset
-// (schema, column bytes or a DPXCOL file reference, pinned uid and epoch,
-// ε cap and its accountant, clustering labels — the StatsCache is rebuilt
-// on load, bitwise-identical), every open session's accountant (the spent
+// (schema, a DPXCOL file reference, pinned uid and epoch, ε cap and its
+// accountant, clustering labels — the StatsCache is rebuilt on load,
+// bitwise-identical), every open session's accountant (the spent
 // total's exact bits plus one row per charge label, PrivacyBudget::State),
 // the release cache in LRU order, and the audit log's own state
 // (obs::AuditLog::State), which is the per-charge record. The audit cursor
@@ -44,20 +44,25 @@ struct ClusteringState {
   std::vector<uint32_t> labels;
 };
 
-/// One column's physical bytes, exactly as NarrowColumn stores them.
+/// One inline column of a format 1–3 image, exactly as NarrowColumn stores
+/// it. Decoded only: the writer never emits one.
 struct ColumnState {
   uint8_t width_tag = 0;  // ColumnWidth as u8: 0 = k8, 1 = k16, 2 = k32
   uint64_t rows = 0;
   std::string bytes;  // rows * width bytes, host-order codes
 };
 
-/// One registered dataset. Heap datasets inline their column bytes in
-/// `columns`; memory-mapped (DPXCOL) datasets are saved *by reference*
-/// instead — `columnar_path` names the file, `columnar_file_uid` pins its
-/// identity (the restore refuses a swapped file), and `columnar_rows` is the
-/// row count at save time (the file may have grown since: appends are
-/// durable in the file itself, and the restore maps exactly the saved
-/// prefix so the rebuilt state matches the snapshot's ledgers and caches).
+/// One registered dataset, saved *by reference* to the DPXCOL file that
+/// holds its rows: `columnar_path` names the file (a client's, or the row
+/// file a save wrote beside the snapshot for a heap dataset),
+/// `columnar_file_uid` pins its identity (the restore refuses a swapped
+/// file), and `columnar_rows` is the row count at save time (the file may
+/// have grown since: appends are durable in the file itself, and the
+/// restore maps exactly the saved prefix so the rebuilt state matches the
+/// snapshot's ledgers and caches). Images of formats 1–3 may instead carry
+/// the rows inline in `columns` (format 1 always does, with no reference);
+/// those still restore, onto the heap. EncodeServiceSnapshot refuses a
+/// state with `columns` (it aborts: no engine harvest makes one).
 struct DatasetState {
   std::string name;
   std::string source;
@@ -69,12 +74,12 @@ struct DatasetState {
   double cap_epsilon = 0.0;  // <= 0 = uncapped
   PrivacyBudget::State cap;  // empty when uncapped
   std::string schema_json;  // serialization::SchemaToJson payload
-  /// Non-empty = by-reference DPXCOL dataset (format v2+): `columns` is
-  /// empty and the data lives in this file.
+  /// The DPXCOL file (format v2+). Empty only in an older image whose
+  /// rows are inline in `columns`.
   std::string columnar_path;
   uint64_t columnar_file_uid = 0;
   uint64_t columnar_rows = 0;
-  std::vector<ColumnState> columns;
+  std::vector<ColumnState> columns;  // decoded from formats 1–3 only
   std::vector<ClusteringState> clusterings;
 };
 

@@ -58,7 +58,9 @@ inline constexpr uint32_t kSnapshotFormatVersion = 3;
 /// ones, never renumber.
 enum class SectionId : uint32_t {
   kMeta = 1,      // counts + provenance
-  kDatasets = 2,  // registry entries: schema, columns, caps, clusterings
+  kDatasets = 2,  // registry entries: schema, DPXCOL file reference, caps,
+                  // clusterings (inline columns: read from v1–v3, never
+                  // written)
   kSessions = 3,  // per-tenant budget ledgers
   kCache = 4,     // explanation/hist release cache, LRU order
   kAudit = 5,     // audit cursor + exact totals + retained tail

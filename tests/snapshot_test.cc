@@ -15,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -857,6 +858,487 @@ TEST(SnapshotTest, ColumnarRestoreMapsExactlyTheSavedRowPrefix) {
 }
 
 // ---------------------------------------------------------------------------
+// Rows live only in DPXCOL files: a save writes each heap dataset once to a
+// row file beside the snapshot, and the image names it by reference.
+// ---------------------------------------------------------------------------
+
+/// A fresh, empty directory under the test temp dir.
+std::string FreshDir(const std::string& name) {
+  const std::string dir = TempPath(name);
+  ::mkdir(dir.c_str(), 0755);
+  for (const std::string& entry : DirEntries(dir)) {
+    std::remove((dir + "/" + entry).c_str());
+  }
+  return dir;
+}
+
+/// Removes `dir` and everything in it (one level).
+void RemoveDir(const std::string& dir) {
+  for (const std::string& entry : DirEntries(dir)) {
+    std::remove((dir + "/" + entry).c_str());
+  }
+  ::rmdir(dir.c_str());
+}
+
+std::vector<std::string> Sorted(std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// The snapshot's own name plus the name of every file beside it that its
+/// datasets reference, sorted: what a save leaves in its directory.
+std::vector<std::string> SnapshotAndNamedFiles(const std::string& snap) {
+  StatusOr<snapshot::ServiceSnapshot> state = snapshot::LoadSnapshotFile(snap);
+  EXPECT_TRUE(state.ok()) << state.status();
+  const std::string dir = snap.substr(0, snap.rfind('/') + 1);
+  std::vector<std::string> names = {snap.substr(dir.size())};
+  if (!state.ok()) return names;
+  for (const snapshot::DatasetState& ds : state->datasets) {
+    EXPECT_TRUE(ds.columns.empty()) << ds.name;
+    EXPECT_FALSE(ds.columnar_path.empty()) << ds.name;
+    if (ds.columnar_path.rfind(dir, 0) == 0) {
+      names.push_back(ds.columnar_path.substr(dir.size()));
+    }
+  }
+  return Sorted(names);
+}
+
+ServiceEngineOptions SeededNoise() {
+  ServiceEngineOptions options;
+  options.insecure_deterministic_noise = true;
+  return options;
+}
+
+/// Seeded releases on session "alice" of SetUpServing's dataset "d":
+/// explain and hist, each its own cache key.
+std::vector<std::string> SeededReleases(double epsilon) {
+  std::ostringstream eps;
+  eps << epsilon;
+  return {R"({"op":"explain","session":"alice","epsilon":)" + eps.str() +
+              R"(,"seed":11})",
+          R"({"op":"hist","session":"alice","attribute":"diab_2",)"
+          R"("epsilon":)" + eps.str() + R"(,"seed":5})",
+          R"({"op":"budget","session":"alice"})"};
+}
+
+std::vector<std::string> Replies(ServiceEngine& engine,
+                                 const std::vector<std::string>& requests) {
+  std::vector<std::string> replies;
+  for (const std::string& request : requests) {
+    replies.push_back(engine.Handle(request));
+    ExpectOk(Parse(replies.back()));
+  }
+  return replies;
+}
+
+/// An append_rows request adding one row (each attribute's first label)
+/// to dataset "d".
+std::string AppendOneRow(const Schema& schema) {
+  std::string row = "[";
+  for (const Attribute& attr : schema.attributes()) {
+    row += (row.size() > 1 ? ",\"" : "\"") + attr.label(0) + "\"";
+  }
+  return R"({"op":"append_rows","dataset":"d","rows":[)" + row + "]]}";
+}
+
+TEST(SnapshotTest, HeapDatasetIsSavedAsARowFileAndServedFromIt) {
+  const std::string dir = FreshDir("row_file");
+  const std::string snap = dir + "/state.snap";
+  ServiceEngine engine(SeededNoise());
+  SetUpServing(engine);
+  Replies(engine, SeededReleases(0.1));
+  const std::vector<std::string> hits = Replies(engine, SeededReleases(0.1));
+  const std::shared_ptr<DatasetEntry> entry = *engine.registry().Get("d");
+  const uint64_t epoch = entry->epoch();
+  EXPECT_FALSE(entry->dataset()->is_mapped());
+  ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+
+  // The image names one row file beside it; the entry now maps that file
+  // under the same uid, epoch and views, so repeats are the same hits.
+  const std::vector<std::string> files = SnapshotAndNamedFiles(snap);
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_EQ(Sorted(DirEntries(dir)), files);
+  EXPECT_EQ(files[1].rfind("state.snap.", 0), 0u) << files[1];
+  EXPECT_TRUE(entry->dataset()->is_mapped());
+  EXPECT_EQ(entry->dataset()->mapped()->path(), dir + "/" + files[1]);
+  EXPECT_EQ(entry->epoch(), epoch);
+  EXPECT_EQ(Replies(engine, SeededReleases(0.1)), hits);
+
+  // A second save writes no row file: the image and the directory stay.
+  const std::string image = ReadBytes(snap);
+  ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+  EXPECT_EQ(ReadBytes(snap), image);
+  EXPECT_EQ(Sorted(DirEntries(dir)), files);
+
+  // An append extends that file (growing it) instead of copying the rows,
+  // and the next image names the same file at the new row count.
+  ExpectOk(Call(engine, AppendOneRow(entry->dataset()->schema())));
+  EXPECT_TRUE(entry->dataset()->is_mapped());
+  EXPECT_EQ(entry->dataset()->num_rows(), 401u);
+  ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+  EXPECT_EQ(Sorted(DirEntries(dir)), files);
+  StatusOr<snapshot::ServiceSnapshot> state = snapshot::LoadSnapshotFile(snap);
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(state->datasets[0].columnar_rows, 401u);
+  RemoveDir(dir);
+}
+
+TEST(SnapshotTest, SavesRacingAppendsKeepEveryNamedRowFile) {
+  // Saves adopt the heap rows and clean up while appends copy them, then
+  // grow the adopted file (renaming a new inode over its path): every
+  // image a save leaves restores, and the directory holds exactly the
+  // files the last one names.
+  const std::string dir = FreshDir("racing_appends");
+  const std::string snap = dir + "/state.snap";
+  ServiceEngine engine;
+  SetUpServing(engine);
+  const std::shared_ptr<DatasetEntry> entry = *engine.registry().Get("d");
+  const std::string append = AppendOneRow(entry->dataset()->schema());
+  constexpr int kAppends = 60;
+  std::thread appender([&] {
+    for (int i = 0; i < kAppends; ++i) ExpectOk(Call(engine, append));
+  });
+  for (int save = 0; save < 12; ++save) {
+    ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+    ServiceEngine restored;
+    ASSERT_TRUE(restored.RestoreFromFiles(snap, "").ok()) << "save " << save;
+  }
+  appender.join();
+  ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+  EXPECT_TRUE(entry->dataset()->is_mapped());
+  EXPECT_EQ(Sorted(DirEntries(dir)), SnapshotAndNamedFiles(snap));
+  ServiceEngine restored;
+  ASSERT_TRUE(restored.RestoreFromFiles(snap, "").ok());
+  EXPECT_EQ((*restored.registry().Get("d"))->dataset()->num_rows(),
+            400u + kAppends);
+  RemoveDir(dir);
+}
+
+TEST(SnapshotTest, SnapshotSizeDoesNotGrowWithRowCount) {
+  // Without a clustering (whose labels are one u32 per row) the image is
+  // ledgers, caches and file references: 1k and 50k rows save the same
+  // image but for the digits of the source string and the file names.
+  const std::string dir = FreshDir("size_by_rows");
+  std::vector<size_t> sizes;
+  for (const size_t rows : {1000, 50000}) {
+    const std::string snap = dir + "/rows" + std::to_string(rows) + ".snap";
+    ServiceEngine engine;
+    ExpectOk(Call(engine, R"({"op":"load_dataset","name":"d",)"
+                          R"("source":"synthetic","generator":"census",)"
+                          R"("rows":)" + std::to_string(rows) +
+                              R"(,"seed":7,"cap_epsilon":5.0})"));
+    ExpectOk(Call(engine,
+                  R"({"op":"create_session","dataset":"d","session":"alice",)"
+                  R"("epsilon":2.0})"));
+    ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+    sizes.push_back(ReadBytes(snap).size());
+    EXPECT_LT(sizes.back(), 16u * 1024) << rows << " rows";
+  }
+  EXPECT_LE(sizes[1], sizes[0] + 16);
+  EXPECT_GE(sizes[1], sizes[0]);
+  RemoveDir(dir);
+}
+
+TEST(SnapshotTest, ReplacedDatasetsRowFileIsDeletedOnceTheImageIsDurable) {
+  const std::string dir = FreshDir("replace_rows");
+  const std::string snap = dir + "/state.snap";
+  ServiceEngine engine;
+  SetUpServing(engine);
+  ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+  const std::vector<std::string> first = SnapshotAndNamedFiles(snap);
+  ASSERT_EQ(first.size(), 2u);
+  for (const uint64_t seed : {8, 9}) {
+    // The session is bound to the replaced entry: end it so saves go on.
+    ExpectOk(Call(engine, R"({"op":"close_session","session":"alice"})"));
+    ExpectOk(Call(engine, R"({"op":"load_dataset","name":"d",)"
+                          R"("source":"synthetic","generator":"diabetes",)"
+                          R"("rows":300,"seed":)" + std::to_string(seed) +
+                              R"(,"replace":true})"));
+    ExpectOk(Call(engine,
+                  R"({"op":"load_dataset","name":"e","source":"synthetic",)"
+                  R"("generator":"diabetes","rows":200,"seed":)" +
+                      std::to_string(seed) + R"(,"replace":true})"));
+    ExpectOk(Call(engine,
+                  R"({"op":"create_session","dataset":"d","session":"alice",)"
+                  R"("epsilon":2.0})"));
+    ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+    const std::vector<std::string> files = SnapshotAndNamedFiles(snap);
+    EXPECT_EQ(files.size(), 3u);
+    EXPECT_EQ(Sorted(DirEntries(dir)), files) << "seed " << seed;
+    for (const std::string& name : first) {
+      if (name != "state.snap") {
+        EXPECT_EQ(std::count(files.begin(), files.end(), name), 0) << name;
+      }
+    }
+  }
+  ServiceEngine restored;
+  StatusOr<ServiceEngine::RestoreReport> report =
+      restored.RestoreFromFiles(snap, "");
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->datasets, 2u);
+  RemoveDir(dir);
+}
+
+TEST(SnapshotTest, ClientLoadedColumnarFileSurvivesEverySave) {
+  // A client's DPXCOL file, even one beside the snapshot and named after
+  // it, is never deleted: only `<snapshot>.<16 hex digits>.dpxcol` files
+  // are the save's own.
+  const std::string dir = FreshDir("client_rows");
+  const std::string snap = dir + "/state.snap";
+  const std::string fixture = WriteColumnarFixture("client_rows", 24);
+  std::vector<std::string> clients = {dir + "/client.dpxcol",
+                                      dir + "/state.snap.client.dpxcol"};
+  for (const std::string& client : clients) {
+    ASSERT_EQ(::link(fixture.c_str(), client.c_str()), 0) << client;
+  }
+  ServiceEngine engine;
+  for (size_t i = 0; i < clients.size(); ++i) {
+    ExpectOk(Call(engine, R"({"op":"load_dataset","name":"m)" +
+                              std::to_string(i) +
+                              R"(","source":"dpxcol","path":")" + clients[i] +
+                              R"("})"));
+  }
+  ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+  EXPECT_EQ(SnapshotAndNamedFiles(snap), Sorted(DirEntries(dir)));
+  // Replaced by heap data: the image stops naming the client files, and
+  // every later save still leaves them.
+  for (size_t i = 0; i < clients.size(); ++i) {
+    ExpectOk(Call(engine, R"({"op":"load_dataset","name":"m)" +
+                              std::to_string(i) +
+                              R"(","source":"synthetic","generator":)"
+                              R"("diabetes","rows":100,"replace":true})"));
+  }
+  for (int save = 0; save < 2; ++save) {
+    ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+    for (const std::string& client : clients) {
+      struct stat st;
+      EXPECT_EQ(::stat(client.c_str(), &st), 0) << client;
+    }
+    EXPECT_EQ(DirEntries(dir).size(), 5u);
+  }
+  std::remove(fixture.c_str());
+  RemoveDir(dir);
+}
+
+TEST(SnapshotTest, RowFileNamedByAnotherPathsImageOutlivesAReplace) {
+  // save_snapshot to a second path makes the entry adopt a row file there,
+  // which the worker's own image then names. A replace and a save to the
+  // second path must not delete that file while the own image (saved, or
+  // restored after a crash) still names it.
+  const std::string own_dir = FreshDir("own_image");
+  const std::string other_dir = FreshDir("other_image");
+  const std::string own = own_dir + "/w.snap";
+  const std::string other = other_dir + "/o.snap";
+  const std::string replace =
+      R"({"op":"load_dataset","name":"d","source":"synthetic",)"
+      R"("generator":"diabetes","rows":200,"seed":2,"replace":true})";
+  std::string adopted;  // the row file beside `other` that `own` names
+  {
+    ServiceEngine engine;
+    ExpectOk(Call(engine, R"({"op":"load_dataset","name":"d",)"
+                          R"("source":"synthetic","generator":"diabetes",)"
+                          R"("rows":200,"seed":1})"));
+    ASSERT_TRUE(engine.SaveSnapshotToFile(other).ok());
+    ASSERT_TRUE(engine.SaveSnapshotToFile(own).ok());
+    adopted = (*engine.registry().Get("d"))->dataset()->mapped()->path();
+    ExpectOk(Call(engine, replace));
+    ASSERT_TRUE(engine.SaveSnapshotToFile(other).ok());
+    ServiceEngine restored;
+    ASSERT_TRUE(restored.RestoreFromFiles(own, "").ok());
+  }
+  EXPECT_EQ(DirEntries(other_dir).size(), 3u);
+  {
+    // After a restart from the own image, the same sequence.
+    ServiceEngine engine;
+    ASSERT_TRUE(engine.RestoreFromFiles(own, "").ok());
+    ExpectOk(Call(engine, replace));
+    ASSERT_TRUE(engine.SaveSnapshotToFile(other).ok());
+    struct stat st;
+    EXPECT_EQ(::stat(adopted.c_str(), &st), 0) << adopted;
+    ServiceEngine restored;
+    ASSERT_TRUE(restored.RestoreFromFiles(own, "").ok());
+    // Once the own image stops naming it, the next save deletes it.
+    ASSERT_TRUE(engine.SaveSnapshotToFile(own).ok());
+    ASSERT_TRUE(engine.SaveSnapshotToFile(other).ok());
+    EXPECT_EQ(Sorted(DirEntries(other_dir)), SnapshotAndNamedFiles(other));
+    EXPECT_NE(::stat(adopted.c_str(), &st), 0) << adopted;
+  }
+  RemoveDir(own_dir);
+  RemoveDir(other_dir);
+}
+
+/// `image` (format 3) with each dataset's by-reference fields replaced by
+/// the inline columns of `datasets[i]`, as formats 1–3 could hold them.
+std::string InlineColumnImage(const std::string& image,
+                              const std::vector<const Dataset*>& datasets) {
+  StatusOr<snapshot::ServiceSnapshot> state =
+      snapshot::DecodeServiceSnapshot(image);
+  EXPECT_TRUE(state.ok()) << state.status();
+  StatusOr<std::vector<snapshot::Section>> sections =
+      snapshot::ParseSnapshotFile(image, nullptr);
+  EXPECT_TRUE(sections.ok()) << sections.status();
+  if (!state.ok() || !sections.ok()) return "";
+  EXPECT_EQ(state->datasets.size(), datasets.size());
+  snapshot::SectionWriter file(3);
+  for (const snapshot::Section& section : *sections) {
+    if (section.id != snapshot::SectionId::kDatasets) {
+      file.AddSection(section.id, section.payload);
+      continue;
+    }
+    ByteWriter w;
+    w.PutU64(state->datasets.size());
+    for (size_t d = 0; d < state->datasets.size(); ++d) {
+      const snapshot::DatasetState& ds = state->datasets[d];
+      w.PutString(ds.name);
+      w.PutString(ds.source);
+      w.PutU64(ds.uid);
+      w.PutU64(ds.epoch);
+      w.PutU8(ds.width_policy);
+      w.PutDouble(ds.cap_epsilon);
+      w.PutDouble(ds.cap.spent);
+      w.PutU64(ds.cap.totals.size());
+      for (const PrivacyBudget::LabelTotal& total : ds.cap.totals) {
+        w.PutString(total.label);
+        w.PutU64(total.count);
+        w.PutDouble(total.epsilon);
+      }
+      w.PutString(ds.schema_json);
+      w.PutString("");  // no columnar file
+      w.PutU64(0);
+      w.PutU64(0);
+      const Dataset& dataset = *datasets[d];
+      w.PutU64(dataset.num_attributes());
+      for (size_t a = 0; a < dataset.num_attributes(); ++a) {
+        const ColumnView column = dataset.column(static_cast<AttrIndex>(a));
+        w.PutU8(static_cast<uint8_t>(column.width()));
+        w.PutU64(column.size());
+        VisitColumn(column, [&](const auto* codes) {
+          w.PutString(std::string(reinterpret_cast<const char*>(codes),
+                                  column.size() * sizeof(*codes)));
+        });
+      }
+      w.PutU64(ds.clusterings.size());
+      for (const snapshot::ClusteringState& cl : ds.clusterings) {
+        w.PutString(cl.id);
+        w.PutString(cl.description);
+        w.PutString(cl.fingerprint);
+        w.PutU64(cl.num_clusters);
+        w.PutU64(cl.labels.size());
+        for (const uint32_t label : cl.labels) w.PutU32(label);
+      }
+    }
+    file.AddSection(section.id, w.Take());
+  }
+  return file.Take();
+}
+
+TEST(SnapshotTest, InlineColumnImageRestoresAndItsNextSaveNamesARowFile) {
+  const std::string dir = FreshDir("inline_rows");
+  const std::string snap = dir + "/state.snap";
+  ServiceEngine saved(SeededNoise());
+  SetUpServing(saved);
+  Replies(saved, SeededReleases(0.1));
+  const std::vector<std::string> hits = Replies(saved, SeededReleases(0.1));
+  const std::shared_ptr<const Dataset> rows =
+      (*saved.registry().Get("d"))->dataset();
+  ASSERT_TRUE(saved.SaveSnapshotToFile(snap).ok());
+  const std::string inline_image = InlineColumnImage(ReadBytes(snap), {&*rows});
+  ASSERT_FALSE(inline_image.empty());
+  // The restore must read the inline columns: no row file is left.
+  RemoveDir(dir);
+  ::mkdir(dir.c_str(), 0755);
+  ASSERT_TRUE(WriteFileAtomic(snap, inline_image).ok());
+  // What the saved engine answers next: fresh releases on the same rows.
+  const std::vector<std::string> fresh = Replies(saved, SeededReleases(0.2));
+
+  ServiceEngine restored(SeededNoise());
+  StatusOr<ServiceEngine::RestoreReport> report =
+      restored.RestoreFromFiles(snap, "");
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->format_version, 3u);
+  const std::shared_ptr<DatasetEntry> entry = *restored.registry().Get("d");
+  EXPECT_FALSE(entry->dataset()->is_mapped());
+  EXPECT_EQ(Replies(restored, SeededReleases(0.1)), hits);
+
+  // Its next save moves the rows into a file and serves from it.
+  ASSERT_TRUE(restored.SaveSnapshotToFile(snap).ok());
+  EXPECT_TRUE(entry->dataset()->is_mapped());
+  const std::vector<std::string> files = SnapshotAndNamedFiles(snap);
+  EXPECT_EQ(files.size(), 2u);
+  EXPECT_EQ(Sorted(DirEntries(dir)), files);
+  EXPECT_EQ(Replies(restored, SeededReleases(0.2)), fresh);
+
+  // And that image restores to the same answers again.
+  ServiceEngine again(SeededNoise());
+  ASSERT_TRUE(again.RestoreFromFiles(snap, "").ok());
+  EXPECT_TRUE((*again.registry().Get("d"))->dataset()->is_mapped());
+  EXPECT_EQ(Replies(again, SeededReleases(0.1)), hits);
+  EXPECT_EQ(Replies(again, SeededReleases(0.2)).back(), fresh.back());
+  RemoveDir(dir);
+}
+
+TEST(SnapshotTest, KilledSaveLeavesTheOldImageAndItsOrphanIsDeletedNext) {
+  // A child restores the image, registers heap rows, and is SIGKILLed
+  // inside its save after the row file is written and adopted, before the
+  // image is: the old image stays and restores exactly, and the next
+  // save deletes the row file no image names.
+  const std::vector<std::string> changes = {
+      R"({"op":"load_dataset","name":"e","source":"synthetic",)"
+      R"("generator":"diabetes","rows":200,"seed":9})",
+      R"({"op":"load_dataset","name":"d","source":"synthetic",)"
+      R"("generator":"diabetes","rows":300,"seed":9,"replace":true})"};
+  for (const std::string& change : changes) {
+    const std::string dir = FreshDir("killed_save");
+    const std::string snap = dir + "/state.snap";
+    std::vector<std::string> hits;
+    PrivacyBudget::State ledger;
+    {
+      ServiceEngine engine(SeededNoise());
+      SetUpServing(engine);
+      Replies(engine, SeededReleases(0.1));
+      hits = Replies(engine, SeededReleases(0.1));
+      ledger = SessionLedger(engine, "alice");
+      ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+    }
+    const std::string image = ReadBytes(snap);
+    const std::vector<std::string> files = SnapshotAndNamedFiles(snap);
+
+    std::fflush(stdout);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      ServiceEngineOptions options = SeededNoise();
+      options.fault_injector = [](const FaultPoint& point) {
+        if (point.point == "snapshot:image") ::raise(SIGKILL);
+        return Status::OK();
+      };
+      ServiceEngine engine(options);
+      if (!engine.RestoreFromFiles(snap, "").ok()) ::_exit(2);
+      // A replaced entry must not hold a session for the save to go on.
+      engine.Handle(R"({"op":"close_session","session":"alice"})");
+      engine.Handle(change);
+      (void)engine.SaveSnapshotToFile(snap);
+      ::_exit(3);
+    }
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "wait status " << status;
+
+    EXPECT_EQ(ReadBytes(snap), image);
+    const std::vector<std::string> left = Sorted(DirEntries(dir));
+    EXPECT_EQ(left.size(), files.size() + 1) << change;
+    ServiceEngine restored(SeededNoise());
+    ASSERT_TRUE(restored.RestoreFromFiles(snap, "").ok());
+    EXPECT_TRUE(SameLedger(SessionLedger(restored, "alice"), ledger));
+    EXPECT_EQ(Replies(restored, SeededReleases(0.1)), hits);
+    ASSERT_TRUE(restored.SaveSnapshotToFile(snap).ok());
+    EXPECT_EQ(ReadBytes(snap), image);
+    EXPECT_EQ(Sorted(DirEntries(dir)), files) << change;
+    RemoveDir(dir);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Snapshot v3: each accountant is its spent bits plus one row per label.
 // ---------------------------------------------------------------------------
 
@@ -1291,7 +1773,8 @@ TEST(SnapshotTest, KilledWritersLeaveACompleteOldOrNewImage) {
 TEST(SnapshotTest, FailedSaveLeavesTheOldFileAndNoTmp) {
   // The save fails before its tmp file exists (an unwritable directory;
   // root is dropped to nobody for it) or after (a file size cap): either
-  // way the old snapshot is byte-identical and nothing else is left.
+  // way the old snapshot is byte-identical and nothing but it and the row
+  // file it names is left.
   const std::string dir = TempPath("failed_save");
   ::mkdir(dir.c_str(), 0755);
   const std::string snap = dir + "/state.snap";
@@ -1310,6 +1793,8 @@ TEST(SnapshotTest, FailedSaveLeavesTheOldFileAndNoTmp) {
     newer = std::move(*loaded);
     std::remove((dir + "/newer.snap").c_str());
   }
+  const std::vector<std::string> left = SnapshotAndNamedFiles(snap);
+  EXPECT_EQ(left.size(), 2u);
   const std::vector<std::function<void()>> failures = {
       [&] {
         ASSERT_EQ(::chmod(dir.c_str(), 0555), 0);
@@ -1325,10 +1810,9 @@ TEST(SnapshotTest, FailedSaveLeavesTheOldFileAndNoTmp) {
     });
     ::chmod(dir.c_str(), 0755);
     EXPECT_EQ(ReadBytes(snap), old_bytes);
-    EXPECT_EQ(DirEntries(dir), std::vector<std::string>{"state.snap"});
+    EXPECT_EQ(Sorted(DirEntries(dir)), left);
   }
-  std::remove(snap.c_str());
-  ::rmdir(dir.c_str());
+  RemoveDir(dir);
 }
 
 // ---- the worker lifecycle (service/worker.h) -------------------------

@@ -72,6 +72,11 @@ TEST(ParseListenAddressTest, Rejections) {
   EXPECT_FALSE(ParseListenAddress("tcp:").ok());
   EXPECT_FALSE(ParseListenAddress("tcp:notaport").ok());
   EXPECT_FALSE(ParseListenAddress("tcp:70000").ok());
+  // Past every integer type: refused, not thrown.
+  EXPECT_FALSE(ParseListenAddress("tcp:99999999999999999999999").ok());
+  EXPECT_FALSE(ParseListenAddress("tcp:127.0.0.1:18446744073709551616").ok());
+  EXPECT_FALSE(ParseListenAddress("tcp:4294967296").ok());
+  EXPECT_TRUE(ParseListenAddress("tcp:0065535").ok());
 }
 
 /// Transport bound to a fresh unix socket whose handler echoes each frame
