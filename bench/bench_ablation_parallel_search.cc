@@ -1,9 +1,10 @@
 // Ablation: multithreaded Stage-2 search. The k^|C| enumeration dominates
-// runtime past ~11 clusters (Fig. 9a). SearchCombination draws each batch's
-// uniforms serially and scores + Gumbel-transforms fixed blocks in
-// parallel, so the selection is identical at every thread count. This bench
-// times the private-mode search at 1/2/4/8 threads on large combination
-// spaces and checks every run against the 1-thread selection.
+// runtime past ~11 clusters (Fig. 9a). SearchCombination keys each
+// combination's Gumbel noise by its index (one key word from the Rng) and
+// scores, noises and merges fixed blocks in parallel, so the selection is
+// identical at every thread count. This bench times the private-mode
+// search at 1/2/4/8 threads on large combination spaces and checks every
+// run against the 1-thread selection, which draws the same keyed noise.
 
 #include <cstdio>
 #include <thread>

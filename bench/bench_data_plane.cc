@@ -395,19 +395,16 @@ void IsaGmmScore(benchmark::State& state, kernels::IsaLevel level) {
   SetRowsProcessed(state);
 }
 
-// The Stage-2 search's noise: one 8×4 search batch of uniforms (65,536,
-// the draws of 4^8 combinations) through the gumbel kernel, refreshed from
-// a pristine copy each iteration because the kernel works in place.
+// The Stage-2 search's noise for 65,536 combinations (the 4^8 of an 8×4
+// search): the keyed words, their uniforms and the Gumbel transform, in
+// one keyed_gumbel call from a nonzero first index.
 void IsaGumbel(benchmark::State& state, kernels::IsaLevel level) {
   kernels::ScopedForceIsa force(level);
   constexpr size_t kDraws = 65536;
-  Rng rng(11);
-  std::vector<double> uniforms(kDraws);
-  for (double& u : uniforms) u = rng.UniformOpenDouble();
   std::vector<double> noise(kDraws);
+  uint64_t key = 11;
   for (auto _ : state) {
-    noise = uniforms;
-    kernels::Active().gumbel(noise.data(), kDraws, 1.0);
+    kernels::Active().keyed_gumbel(key++, 4096, kDraws, noise.data());
     benchmark::DoNotOptimize(noise.data());
     benchmark::ClobberMemory();
   }

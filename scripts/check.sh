@@ -33,7 +33,10 @@
 # (explainer_test, multi_explainer_test, baselines_test), and so do the
 # search's equivalence, sensitivity and distribution tests
 # (parallel_equivalence_test, quality_sensitivity_test, dp_property_test):
-# UBSan traps a signed overflow in its int64 fixed-point sums.
+# UBSan traps a signed overflow in its int64 fixed-point sums. Its keyed
+# noise runs there too: the per-ISA kernel tests in
+# parallel_equivalence_test (also in the forced-ISA rerun below) and the
+# generator's known-answer and uniformity tests in rng_test.
 #
 # Kernel dispatch pass: every per-ISA kernel TU (generic/sse2/avx2/avx512,
 # src/data/kernels) compiles unconditionally in the default build — a host
@@ -96,12 +99,12 @@ else
     csv_test columnar_format_test json_relay_test router_test \
     explainer_test multi_explainer_test baselines_test \
     parallel_equivalence_test quality_sensitivity_test dp_property_test \
-    pipeline_test dpclustx_serve dpclustx_router dpclustx_convert \
+    rng_test pipeline_test dpclustx_serve dpclustx_router dpclustx_convert \
     dpclustx_repl dpclustx_cli \
     >/dev/null
   (cd build-asan &&
    ctest --output-on-failure \
-     -R '^(service_test|service_robustness_test|json_test|mechanisms_test|thread_pool_test|dataset_layout_test|obs_test|snapshot_test|csv_test|columnar_format_test|json_relay_test|router_test|explainer_test|multi_explainer_test|baselines_test|parallel_equivalence_test|quality_sensitivity_test|dp_property_test)$')
+     -R '^(service_test|service_robustness_test|json_test|mechanisms_test|thread_pool_test|dataset_layout_test|obs_test|snapshot_test|csv_test|columnar_format_test|json_relay_test|router_test|explainer_test|multi_explainer_test|baselines_test|parallel_equivalence_test|quality_sensitivity_test|dp_property_test|rng_test)$')
 
   echo "==> ASan smoke: scripted dpclustx_repl session (embedded engine)"
   # The console's command parsing and transcript rendering over its

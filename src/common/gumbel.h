@@ -1,14 +1,18 @@
 // The Gumbel transform every noisy selection shares: Stage-1 top-k, the
-// exponential mechanism and the Stage-2 combination search (DESIGN.md §8).
+// exponential mechanism and the Stage-2 combination search (DESIGN.md §8),
+// and the keyed words the Stage-2 search draws its uniforms from.
 //
 // GumbelFromUniform(u, σ) = -σ·ln(-ln u) is the inverse CDF of Gumbel(0, σ).
 // Its log is BranchFreeLog below rather than libm's, for two reasons:
 //   - it is made only of IEEE basic operations (+, -, ·, /) and 64-bit
 //     integer bit manipulation, so its result is fixed by IEEE 754 alone —
 //     the same bits on every libm, compiler and vector width;
-//   - it has no branch and no call, so the per-ISA kernel that applies it
-//     to a whole block of uniforms (KernelTable::gumbel) vectorizes, and
-//     its lanes give exactly the bits of the scalar form here.
+//   - it has no branch and no call, so the per-ISA kernels that apply it
+//     to a whole block (KernelTable::keyed_gumbel, noisy_argmax) vectorize,
+//     and their lanes give exactly the bits of the scalar form here.
+// KeyedWord and OpenUnitFromWord follow the same rules (integer operations,
+// and IEEE operations that are exact or correctly rounded), so a block's
+// words, uniforms and noise are the same bits at every vector width.
 // Callers must not let the compiler fuse multiply-add: the kernel TUs build
 // with -ffp-contract=off, and so does the rest of the project (CMakeLists).
 
@@ -63,9 +67,49 @@ inline double BranchFreeLog(double x) {
   return s * (hfsq + (t2 + t1)) + k * kLn2Lo - hfsq + f + k * kLn2Hi;
 }
 
+/// SplitMix64's output function (Steele, Lea & Flood, "Fast splittable
+/// pseudorandom number generators", OOPSLA 2014): a bijection on 64-bit
+/// words built from xor-shifts and two odd multipliers.
+inline uint64_t SplitMix64Mix(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// SplitMix64's state increment, the odd 64-bit golden-ratio constant.
+inline constexpr uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+/// The word the Stage-2 search draws for combination `index` under `key`:
+/// word index + 1 of the SplitMix64 stream seeded at `key`, computed
+/// directly from the index (a counter-based generator), so any block of
+/// combinations gets its words without the ones before it (docs/PRIVACY.md).
+inline uint64_t KeyedWord(uint64_t key, uint64_t index) {
+  return SplitMix64Mix(key + (index + 1) * kSplitMix64Gamma);
+}
+
+/// The uniform in (0, 1) a 64-bit word maps to: its top 53 bits m give
+/// (m + 0.5)·2^-53, which lies in [2^-54, 1) — except the all-ones m, where
+/// m + 0.5 rounds to 2^53 (it is exact below 2^52 and rounds to even above,
+/// where doubles are integers); that one word gives the largest double
+/// below 1 instead. Branch-free and without an int→double conversion (AVX2
+/// has none for 64-bit lanes): the low 52 bits of m become 2^52 + m mod
+/// 2^52 through the exponent field, and 2^52 is taken off again unless m's
+/// top bit is set, both exactly.
+inline double OpenUnitFromWord(uint64_t word) {
+  constexpr uint64_t kTwoTo52Bits = 0x4330000000000000ULL;  // 2^52
+  constexpr uint64_t kMantissa = 0x000fffffffffffffULL;
+  constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+  const uint64_t m = word >> 11;
+  const double low = std::bit_cast<double>(kTwoTo52Bits | (m & kMantissa));
+  const double offset =
+      std::bit_cast<double>(((m >> 52) - 1) & kTwoTo52Bits);
+  const double u = (low - offset + 0.5) * 0x1p-53;
+  return u < kBelowOne ? u : kBelowOne;
+}
+
 /// Gumbel(0, scale) from a uniform u in (0, 1): -scale·ln(-ln u). The inner
 /// log is negative and nonzero for every u < 1, so the outer one sees a
-/// positive normal double. Requires 0 < u < 1 (Rng::UniformOpenDouble).
+/// positive normal double. Requires 0 < u < 1 (OpenUnitFromWord).
 inline double GumbelFromUniform(double u, double scale) {
   return -scale * BranchFreeLog(-BranchFreeLog(u));
 }

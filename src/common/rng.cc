@@ -10,11 +10,8 @@ namespace {
 
 // splitmix64: expands a single seed into well-mixed 64-bit words.
 uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  x += kSplitMix64Gamma;
+  return SplitMix64Mix(x);
 }
 
 }  // namespace

@@ -34,8 +34,7 @@ class Xoshiro256 {
     return std::numeric_limits<uint64_t>::max();
   }
 
-  /// Next 64 random bits. Inline: the Stage-2 search draws one uniform per
-  /// combination, serially.
+  /// Next 64 random bits.
   result_type operator()() {
     const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
     const uint64_t t = state_[1] << 17;
@@ -65,18 +64,8 @@ class Rng {
   double UniformDouble();
 
   /// Uniform double in (0, 1) — never returns an endpoint; safe for log().
+  /// OpenUnitFromWord (common/gumbel.h) of one engine word.
   double UniformOpenDouble() { return OpenUnitFromWord(engine_()); }
-
-  /// The map UniformOpenDouble() applies to an engine word: its top 53 bits
-  /// m give (m + 0.5)·2^-53, which lies in [2^-54, 1) — except the all-ones
-  /// m, where m + 0.5 rounds to 2^53 (it is exact below 2^52 and rounds to
-  /// even above, where doubles are integers); that one word gives the
-  /// largest double below 1 instead.
-  static double OpenUnitFromWord(uint64_t word) {
-    const uint64_t m = word >> 11;
-    if (m == (uint64_t{1} << 53) - 1) return 0x1.fffffffffffffp-1;
-    return (static_cast<double>(m) + 0.5) * 0x1.0p-53;
-  }
 
   /// Uniform integer in [0, n). Requires n > 0. Uses rejection sampling so
   /// the distribution is exactly uniform.
@@ -90,10 +79,7 @@ class Rng {
 
   /// Gumbel(0, scale): CDF exp(-exp(-x/σ)). Requires scale > 0. This is the
   /// noise of the one-shot top-k mechanism (Durfee & Rogers 2019). It is
-  /// GumbelFromUniform (common/gumbel.h) of one UniformOpenDouble() draw, so
-  /// a caller may draw the uniforms serially and transform them elsewhere —
-  /// the Stage-2 search does, through KernelTable::gumbel — without
-  /// changing a single output bit.
+  /// GumbelFromUniform (common/gumbel.h) of one UniformOpenDouble() draw.
   double Gumbel(double scale);
 
   /// Two-sided (discrete) geometric noise with parameter alpha = exp(-eps):

@@ -181,17 +181,26 @@ inline int64_t QuantizeScore(double value) {
 /// and the baselines all call it.
 ///
 /// The score is the tables rounded to fixed point (QuantizeScore), summed
-/// in int64 with O(|C|) adds per combination; the mechanism runs at the
-/// rounded score's sensitivity RoundedScoreSensitivity(sensitivity, |C|).
-/// Tables with a non-finite entry, or whose largest entries could overflow
-/// the int64 sum, are refused with InvalidArgument. `num_threads`
-/// (0 = compute-pool width) sets speed only — the result and the state
-/// left in `rng` are identical at every value.
+/// in int64 tile by tile (about two adds per combination); the mechanism
+/// runs at the rounded score's sensitivity RoundedScoreSensitivity(
+/// sensitivity, |C|). Combination i's Gumbel noise is keyed by i and by one
+/// word the search takes from `rng` (none in exact mode), so the result and
+/// the state left in `rng` are identical at every `num_threads` (0 =
+/// compute-pool width) and ISA level. Tables with a non-finite entry, or
+/// whose largest entries could overflow the int64 sum, are refused with
+/// InvalidArgument.
 StatusOr<AttributeCombination> SearchCombination(
     const std::vector<std::vector<AttrIndex>>& candidate_sets,
     const CombinationScoreTables& tables, double epsilon, double sensitivity,
     size_t max_combinations, Rng& rng, const Deadline& deadline = {},
     size_t num_threads = 1);
+
+/// The fixed-point scores SearchCombination ranks for combinations
+/// [begin, end) (cluster 0 least significant), walked block by block as
+/// the search walks them. For tests and benchmarks of the walk.
+StatusOr<std::vector<int64_t>> SearchScores(
+    const std::vector<std::vector<AttrIndex>>& candidate_sets,
+    const CombinationScoreTables& tables, size_t begin, size_t end);
 
 /// Algorithm 2, lines 6–15: noisy histograms for the selected attributes,
 /// where selected[c] lists cluster c's ℓ attributes (ℓ = 1 for DPClustX and

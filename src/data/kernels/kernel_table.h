@@ -96,17 +96,29 @@ struct KernelTable {
   void (*weighted_sq_acc)(double w, const double* x, const double* mean,
                           double* acc, size_t n);
 
-  /// values[i] = GumbelFromUniform(values[i], scale) for i in [0, n), in
-  /// place — the Stage-2 search's noise (common/gumbel.h). Elementwise, so
-  /// every level gives the scalar transform's bits.
-  void (*gumbel)(double* values, size_t n, double scale);
+  /// noise[i] = GumbelFromUniform(OpenUnitFromWord(KeyedWord(key,
+  /// first + i)), 1) for i in [0, n) — the Stage-2 search's noise for
+  /// combinations first.. (common/gumbel.h). Elementwise, so every level
+  /// gives the scalar transform's bits.
+  void (*keyed_gumbel)(uint64_t key, uint64_t first, size_t n, double* noise);
 
-  /// values[i] = scale·scores[i] + values[i] for i in [0, n), then the
-  /// first index of their maximum (n >= 1, values finite) — the search's
-  /// noisy scores from its int64 fixed-point scores and its noise, and
-  /// their Gumbel-max winner.
-  size_t (*noisy_argmax)(const int64_t* scores, double scale, double* values,
-                         size_t n);
+  /// The first index of the maximum of scale·scores[i] + noise_i over
+  /// [0, n), n >= 1, where noise_i is keyed_gumbel's value for combination
+  /// first + i; the maximum goes to *best. The search's Gumbel-max winner
+  /// of a block from its int64 fixed-point scores, in one pass that makes
+  /// the words, the uniforms, the noise and the combine in L1-sized chunks.
+  size_t (*noisy_argmax)(const int64_t* scores, double scale, uint64_t key,
+                         uint64_t first, size_t n, double* best);
+
+  /// out[p·m + t] = inner[t] + adds[p] (+ tile[p·m + t] when tile is not
+  /// null) for p < rows, t < m — the Stage-2 search's outer sums: a tile's
+  /// int64 scores from its summed table and its per-cluster vectors.
+  void (*outer_sum)(const int64_t* inner, size_t m, const int64_t* adds,
+                    size_t rows, const int64_t* tile, int64_t* out);
+
+  /// The first index of the maximum of scores[0, n), n >= 1 — the exact
+  /// (non-private) search's block winner.
+  size_t (*score_argmax)(const int64_t* scores, size_t n);
 };
 
 /// Per-ISA table accessors, defined one per translation unit. Only levels

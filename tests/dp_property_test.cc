@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/gumbel.h"
+#include "common/rng.h"
 #include "core/explainer.h"
 #include "dp/dp_histogram.h"
 #include "dp/exponential.h"
@@ -185,15 +187,17 @@ double SearchScore(const core_internal::CombinationScoreTables& tables,
 
 // The double-valued one-at-a-time Gumbel-max scan that preceded the
 // fixed-point search, kept as the reference: the first maximum of
-// score·ε/(2Δ) + Gumbel(1).
+// score·ε/(2Δ) + Gumbel(1), combination i's noise from its keyed word under
+// one key word drawn from `rng` (common/gumbel.h).
 size_t DoubleReferenceScan(const core_internal::CombinationScoreTables& tables,
                            double epsilon, double sensitivity, Rng& rng) {
+  const uint64_t key = rng.engine()();
   size_t best = 0;
   double best_value = -std::numeric_limits<double>::infinity();
   for (size_t combo = 0; combo < kSearchCombinations; ++combo) {
-    const double value = epsilon / (2.0 * sensitivity) *
-                             SearchScore(tables, combo) +
-                         rng.Gumbel(1.0);
+    const double value =
+        epsilon / (2.0 * sensitivity) * SearchScore(tables, combo) +
+        GumbelFromUniform(OpenUnitFromWord(KeyedWord(key, combo)), 1.0);
     if (value > best_value) {
       best_value = value;
       best = combo;

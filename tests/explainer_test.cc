@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/kmeans.h"
+#include "data/kernels/isa.h"
 #include "data/synthetic.h"
 
 namespace dpclustx {
@@ -458,6 +462,203 @@ TEST(SearchCombinationTest, ValidatesShapes) {
                    .ok());
   EXPECT_FALSE(
       core_internal::SearchCombination({}, {}, 0.0, 1.0, 1000, rng).ok());
+}
+
+// ---- The tiled walk and the keyed noise ----
+
+// Random tables over clusters with the given candidate counts. With
+// `integers` every entry is 0, 1 or 2, so many combinations tie.
+core_internal::CombinationScoreTables SearchTestTables(
+    const std::vector<size_t>& sizes, bool pairs, bool integers, Rng& rng) {
+  const auto entry = [&] {
+    return integers ? static_cast<double>(rng.UniformInt(3))
+                    : rng.UniformRange(-50.0, 50.0);
+  };
+  core_internal::CombinationScoreTables tables;
+  for (const size_t k : sizes) {
+    tables.unary.emplace_back(k);
+    for (double& value : tables.unary.back()) value = entry();
+  }
+  if (!pairs) return tables;
+  tables.pair.resize(sizes.size());
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    tables.pair[c].resize(sizes.size());
+    for (size_t cp = c + 1; cp < sizes.size(); ++cp) {
+      tables.pair[c][cp].resize(sizes[c] * sizes[cp]);
+      for (double& value : tables.pair[c][cp]) value = entry();
+    }
+  }
+  return tables;
+}
+
+// Candidate set c is {0, ..., k_c - 1}, so a combination is its choices.
+std::vector<std::vector<AttrIndex>> IdentitySets(
+    const std::vector<size_t>& sizes) {
+  std::vector<std::vector<AttrIndex>> sets;
+  for (const size_t k : sizes) {
+    sets.emplace_back();
+    for (size_t j = 0; j < k; ++j) {
+      sets.back().push_back(static_cast<AttrIndex>(j));
+    }
+  }
+  return sets;
+}
+
+// The index of a combination of IdentitySets (cluster 0 least significant).
+size_t CombinationIndex(const std::vector<size_t>& sizes,
+                        const AttributeCombination& combination) {
+  size_t index = 0;
+  for (size_t c = sizes.size(); c-- > 0;) {
+    index = index * sizes[c] + combination[c];
+  }
+  return index;
+}
+
+// One combination's fixed-point score summed from scratch.
+int64_t BruteForceScore(const std::vector<size_t>& sizes,
+                        const core_internal::CombinationScoreTables& tables,
+                        size_t combo) {
+  std::vector<size_t> choice(sizes.size());
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    choice[c] = combo % sizes[c];
+    combo /= sizes[c];
+  }
+  int64_t score = 0;
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    score += core_internal::QuantizeScore(tables.unary[c][choice[c]]);
+    if (tables.pair.empty()) continue;
+    for (size_t cp = c + 1; cp < sizes.size(); ++cp) {
+      score += core_internal::QuantizeScore(
+          tables.pair[c][cp][choice[c] * sizes[cp] + choice[cp]]);
+    }
+  }
+  return score;
+}
+
+TEST(SearchScoresTest, TiledScoresEqualBruteForce) {
+  // One cluster; single-choice clusters among others; spaces smaller than
+  // one tile; tiles of 81·9 = 729, 300, 343 and 1,260 combinations, which
+  // do not divide a 4,096-combination block; one tile of 256 that does.
+  const std::vector<std::vector<size_t>> shapes = {
+      {1},
+      {5},
+      {1, 1, 1},
+      {3, 1, 4},
+      {1, 4, 1, 4, 1, 4, 1, 4, 2},
+      {4, 4, 4, 4, 4, 4, 4, 4},
+      std::vector<size_t>(11, 3),
+      {300, 2, 3},
+      {7, 7, 7, 7, 7},
+      {5, 3, 7, 2, 6, 3},
+      {2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}};
+  Rng rng(99);
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    const std::vector<size_t>& sizes = shapes[s];
+    size_t total = 1;
+    for (const size_t k : sizes) total *= k;
+    for (const bool pairs : {true, false}) {
+      const auto tables = SearchTestTables(sizes, pairs, false, rng);
+      const auto sets = IdentitySets(sizes);
+      std::vector<int64_t> expected(total);
+      for (size_t i = 0; i < total; ++i) {
+        expected[i] = BruteForceScore(sizes, tables, i);
+      }
+      // The whole space, and a range that starts and ends inside tiles,
+      // through every supported level's outer_sum kernel.
+      for (const kernels::IsaLevel level : kernels::SupportedIsaLevels()) {
+        kernels::ScopedForceIsa force(level);
+        for (const auto& [begin, end] :
+             {std::pair<size_t, size_t>{0, total},
+              std::pair<size_t, size_t>{total / 3, total - total / 5}}) {
+          const auto scores =
+              core_internal::SearchScores(sets, tables, begin, end);
+          ASSERT_TRUE(scores.ok()) << scores.status();
+          ASSERT_EQ(scores->size(), end - begin);
+          for (size_t i = begin; i < end; ++i) {
+            ASSERT_EQ((*scores)[i - begin], expected[i])
+                << "shape " << s << " pairs " << pairs << " combination "
+                << i << " isa " << kernels::IsaLevelName(level);
+          }
+        }
+      }
+    }
+  }
+  const auto sets = IdentitySets({2, 2});
+  const auto tables = SearchTestTables({2, 2}, true, false, rng);
+  EXPECT_FALSE(core_internal::SearchScores(sets, tables, 3, 5).ok());
+  EXPECT_FALSE(core_internal::SearchScores(sets, tables, 3, 2).ok());
+}
+
+// The shapes and tables of the pinned exact-mode selections below.
+std::vector<std::pair<std::vector<size_t>,
+                      core_internal::CombinationScoreTables>>
+PinnedSearchCases() {
+  Rng rng(2030);
+  std::vector<std::pair<std::vector<size_t>,
+                        core_internal::CombinationScoreTables>>
+      cases;
+  for (size_t i = 0; i < 24; ++i) {
+    std::vector<size_t> sizes(1 + rng.UniformInt(9));
+    for (size_t& k : sizes) k = 1 + rng.UniformInt(sizes.size() > 7 ? 3 : 5);
+    const bool pairs = i % 3 != 2;
+    const bool integers = i % 2 == 0;
+    auto tables = SearchTestTables(sizes, pairs, integers, rng);
+    cases.emplace_back(std::move(sizes), std::move(tables));
+  }
+  for (const std::vector<size_t>& sizes :
+       {std::vector<size_t>(8, 4), std::vector<size_t>(11, 3),
+        std::vector<size_t>{300, 2, 3}}) {
+    for (const bool integers : {false, true}) {
+      auto tables = SearchTestTables(sizes, true, integers, rng);
+      cases.emplace_back(sizes, std::move(tables));
+    }
+  }
+  return cases;
+}
+
+TEST(SearchCombinationTest, ExactSelectionsMatchTheUntiledSearch) {
+  // Selections of the search before tiling (odometer rows of cluster 0,
+  // std::max_element), pinned: exact mode is a pure function of the
+  // tables, so the tiled walk and the eight-accumulator maximum must pick
+  // the same combination, ties included, at every thread count.
+  const size_t pinned[] = {0,   4,     6,     222,    91,     22,
+                           89,  114,   12,    0,      4,      6747,
+                           0,   47,    124,   1,      34,     0,
+                           133, 65,    0,     1936,   2,      3,
+                           65396, 41824, 105974, 110444, 1673, 320};
+  const auto cases = PinnedSearchCases();
+  ASSERT_EQ(cases.size(), std::size(pinned));
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const auto& [sizes, tables] = cases[i];
+    for (const size_t threads : {size_t{1}, size_t{3}}) {
+      Rng rng(1);
+      const auto combination = core_internal::SearchCombination(
+          IdentitySets(sizes), tables, 0.0, 1.0, size_t{1} << 30, rng,
+          Deadline(), threads);
+      ASSERT_TRUE(combination.ok()) << combination.status();
+      EXPECT_EQ(CombinationIndex(sizes, *combination), pinned[i])
+          << "case " << i << " threads " << threads;
+    }
+  }
+}
+
+TEST(SearchCombinationTest, TakesOneRngWordWhenPrivateAndNoneWhenExact) {
+  for (const std::vector<size_t>& sizes :
+       {std::vector<size_t>{1}, std::vector<size_t>{2, 3},
+        std::vector<size_t>(8, 4), std::vector<size_t>(11, 3)}) {
+    Rng table_rng(4);
+    const auto tables = SearchTestTables(sizes, true, false, table_rng);
+    for (const double epsilon : {0.0, 0.5}) {
+      Rng rng(8), reference(8);
+      if (epsilon > 0.0) reference.engine()();
+      ASSERT_TRUE(core_internal::SearchCombination(IdentitySets(sizes),
+                                                   tables, epsilon, 1.0,
+                                                   size_t{1} << 30, rng)
+                      .ok());
+      EXPECT_EQ(rng.engine()(), reference.engine()())
+          << sizes.size() << " clusters, epsilon " << epsilon;
+    }
+  }
 }
 
 }  // namespace

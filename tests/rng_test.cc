@@ -2,9 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/gumbel.h"
 
 namespace dpclustx {
 namespace {
@@ -50,26 +53,26 @@ TEST(RngTest, UniformOpenDoubleNeverZeroOrOne) {
 
 TEST(RngTest, OpenUnitFromWordMapsExtremeWordsInsideTheOpenInterval) {
   // Sampling never reaches these words; the map is checked on them directly.
-  EXPECT_EQ(Rng::OpenUnitFromWord(0), 0x1p-54);
-  EXPECT_EQ(Rng::OpenUnitFromWord(0x7ff), 0x1p-54);  // low 11 bits unused
+  EXPECT_EQ(OpenUnitFromWord(0), 0x1p-54);
+  EXPECT_EQ(OpenUnitFromWord(0x7ff), 0x1p-54);  // low 11 bits unused
   // The all-ones top 53 bits: (2^53 - 1) + 0.5 rounds to 2^53, i.e. u = 1.
   // That one word maps to the largest double below 1 instead.
-  EXPECT_EQ(Rng::OpenUnitFromWord(~uint64_t{0}), std::nextafter(1.0, 0.0));
-  EXPECT_EQ(Rng::OpenUnitFromWord(~uint64_t{0} << 11),
+  EXPECT_EQ(OpenUnitFromWord(~uint64_t{0}), std::nextafter(1.0, 0.0));
+  EXPECT_EQ(OpenUnitFromWord(~uint64_t{0} << 11),
             std::nextafter(1.0, 0.0));
   // Every other word keeps (m + 0.5)·2^-53, including its neighbour.
   const auto midpoint = [](uint64_t word) {
     return (static_cast<double>(word >> 11) + 0.5) * 0x1.0p-53;
   };
   const uint64_t neighbour = (~uint64_t{0} >> 11) - 1;
-  EXPECT_EQ(Rng::OpenUnitFromWord(neighbour << 11),
+  EXPECT_EQ(OpenUnitFromWord(neighbour << 11),
             midpoint(neighbour << 11));
-  EXPECT_LT(Rng::OpenUnitFromWord(neighbour << 11), 1.0);
+  EXPECT_LT(OpenUnitFromWord(neighbour << 11), 1.0);
   Xoshiro256 engine(3);
   for (int i = 0; i < 100000; ++i) {
     const uint64_t word = engine();
     if ((word >> 11) == (~uint64_t{0} >> 11)) continue;
-    ASSERT_EQ(Rng::OpenUnitFromWord(word), midpoint(word)) << word;
+    ASSERT_EQ(OpenUnitFromWord(word), midpoint(word)) << word;
   }
 }
 
@@ -112,12 +115,95 @@ TEST(GumbelTransformTest, BranchFreeLogIsWithinOneUlp) {
 TEST(GumbelTransformTest, EndpointsOfTheOpenIntervalGiveFiniteNoise) {
   // The largest uniform: -ln u = 2^-53 (to within an ulp), so the noise is
   // 53·ln 2 ≈ 36.74 — finite (u = 1 would give +inf).
-  const double top = GumbelFromUniform(Rng::OpenUnitFromWord(~uint64_t{0}),
+  const double top = GumbelFromUniform(OpenUnitFromWord(~uint64_t{0}),
                                        1.0);
   EXPECT_NEAR(top, 53.0 * std::log(2.0), 1e-12);
   // The smallest: -ln u = 54·ln 2, noise -ln(54·ln 2) ≈ -3.62.
   const double bottom = GumbelFromUniform(0x1p-54, 1.0);
   EXPECT_NEAR(bottom, -std::log(54.0 * std::log(2.0)), 1e-12);
+}
+
+// ---- The Stage-2 search's keyed words (KeyedWord, common/gumbel.h) ----
+
+TEST(KeyedWordTest, MatchesSplitMix64KnownAnswers) {
+  // SplitMix64 seeded with 1234567: its first five outputs, computed from
+  // the reference algorithm (Steele, Lea & Flood; Vigna's splitmix64.c)
+  // independently of this code.
+  const uint64_t expected[] = {6457827717110365317ULL, 3203168211198807973ULL,
+                               9817491932198370423ULL, 4593380528125082431ULL,
+                               16408922859458223821ULL};
+  for (uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(KeyedWord(1234567, i), expected[i]) << "index " << i;
+  }
+  // Key 0 (the mix of the increment alone).
+  EXPECT_EQ(KeyedWord(0, 0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(KeyedWord(0, 1), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(KeyedWord(0, 2), 0x06c45d188009454fULL);
+}
+
+TEST(KeyedWordTest, IndexesTheSerialStreamAtAnyOffset) {
+  // Word i is the serial generator's (i+1)-th output: a block that starts
+  // at index 10^6 gets the same words the serial stream reaches there.
+  for (const uint64_t key : {uint64_t{0}, ~uint64_t{0}, uint64_t{77}}) {
+    uint64_t state = key;
+    for (uint64_t i = 0; i < 1000100; ++i) {
+      state += kSplitMix64Gamma;
+      if (i < 100 || i >= 1000000) {
+        ASSERT_EQ(KeyedWord(key, i), SplitMix64Mix(state))
+            << "key " << key << " index " << i;
+      }
+    }
+  }
+}
+
+// Pearson's statistic of `uniforms` over 256 equal bins, and their lag-1
+// autocorrelation.
+std::pair<double, double> UniformityStatistics(
+    const std::vector<double>& uniforms) {
+  std::vector<double> counts(256, 0.0);
+  double lag = 0.0, var = 0.0;
+  for (size_t i = 0; i < uniforms.size(); ++i) {
+    ++counts[static_cast<size_t>(uniforms[i] * 256.0)];
+    const double centered = uniforms[i] - 0.5;
+    var += centered * centered;
+    if (i + 1 < uniforms.size()) lag += centered * (uniforms[i + 1] - 0.5);
+  }
+  const double expected = static_cast<double>(uniforms.size()) / 256.0;
+  double chi_square = 0.0;
+  for (const double count : counts) {
+    chi_square += (count - expected) * (count - expected) / expected;
+  }
+  return {chi_square, lag / var};
+}
+
+TEST(KeyedWordTest, DerivedUniformsAreUniformAndUncorrelated) {
+  // The 1 - 10^-6 quantile of χ² with 255 degrees of freedom (Wilson–
+  // Hilferty), and five standard deviations of the lag-1 correlation of
+  // n independent uniforms (1/√n).
+  constexpr double kChiSquareBound = 377.2;
+  constexpr size_t kCount = size_t{1} << 20;
+  const double correlation_bound = 5.0 / std::sqrt(double{kCount});
+  // One search's uniforms: consecutive indices under one key word.
+  std::vector<double> along(kCount);
+  const uint64_t key = Rng(42).engine()();
+  for (size_t i = 0; i < kCount; ++i) {
+    along[i] = OpenUnitFromWord(KeyedWord(key, i));
+  }
+  // Across searches: the first 1,024 uniforms of 1,024 successive keys
+  // from one Rng, interleaved so neighbours come from different keys.
+  std::vector<double> across(kCount);
+  Rng rng(43);
+  for (size_t k = 0; k < 1024; ++k) {
+    const uint64_t next = rng.engine()();
+    for (size_t i = 0; i < 1024; ++i) {
+      across[i * 1024 + k] = OpenUnitFromWord(KeyedWord(next, i));
+    }
+  }
+  for (const auto* uniforms : {&along, &across}) {
+    const auto [chi_square, correlation] = UniformityStatistics(*uniforms);
+    EXPECT_LT(chi_square, kChiSquareBound);
+    EXPECT_LT(std::fabs(correlation), correlation_bound);
+  }
 }
 
 TEST(RngTest, UniformIntCoversRangeUniformly) {

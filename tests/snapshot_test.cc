@@ -970,8 +970,8 @@ TEST(SnapshotTest, HeapDatasetIsSavedAsARowFileAndServedFromIt) {
   EXPECT_EQ(ReadBytes(snap), image);
   EXPECT_EQ(Sorted(DirEntries(dir)), files);
 
-  // An append extends that file (growing it) instead of copying the rows,
-  // and the next image names the same file at the new row count.
+  // An append extends that file instead of copying the rows, and the next
+  // image names the same file at the new row count.
   ExpectOk(Call(engine, AppendOneRow(entry->dataset()->schema())));
   EXPECT_TRUE(entry->dataset()->is_mapped());
   EXPECT_EQ(entry->dataset()->num_rows(), 401u);
@@ -980,6 +980,38 @@ TEST(SnapshotTest, HeapDatasetIsSavedAsARowFileAndServedFromIt) {
   StatusOr<snapshot::ServiceSnapshot> state = snapshot::LoadSnapshotFile(snap);
   ASSERT_TRUE(state.ok()) << state.status();
   EXPECT_EQ(state->datasets[0].columnar_rows, 401u);
+  RemoveDir(dir);
+}
+
+TEST(SnapshotTest, AppendAfterASaveCommitsInPlace) {
+  // A save's row file reserves headroom, so the first append after it
+  // writes into the reserved space: same path, same file uid and the same
+  // inode (a grow would rename a new one over the path).
+  const std::string dir = FreshDir("row_file_headroom");
+  const std::string snap = dir + "/state.snap";
+  ServiceEngine engine;
+  SetUpServing(engine);
+  const std::shared_ptr<DatasetEntry> entry = *engine.registry().Get("d");
+  ASSERT_TRUE(engine.SaveSnapshotToFile(snap).ok());
+  ASSERT_TRUE(entry->dataset()->is_mapped());
+  const std::shared_ptr<const MappedColumnar> saved =
+      entry->dataset()->mapped();
+  EXPECT_GT(saved->capacity_rows(), saved->num_rows());
+  struct stat before {};
+  ASSERT_EQ(::stat(saved->path().c_str(), &before), 0);
+
+  ExpectOk(Call(engine, AppendOneRow(entry->dataset()->schema())));
+  const std::shared_ptr<const MappedColumnar> appended =
+      entry->dataset()->mapped();
+  ASSERT_NE(appended, nullptr);
+  EXPECT_EQ(appended->num_rows(), saved->num_rows() + 1);
+  EXPECT_EQ(appended->path(), saved->path());
+  EXPECT_EQ(appended->file_uid(), saved->file_uid());
+  EXPECT_EQ(appended->capacity_rows(), saved->capacity_rows());
+  struct stat after {};
+  ASSERT_EQ(::stat(appended->path().c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(after.st_dev, before.st_dev);
   RemoveDir(dir);
 }
 
