@@ -178,6 +178,10 @@ uint64_t MintColumnarFileUid() {
   return uid;
 }
 
+size_t ColumnarCapacityWithHeadroom(size_t rows) {
+  return std::max<size_t>(2 * rows, 1024);
+}
+
 Status WriteColumnarFile(const Dataset& dataset, const std::string& path,
                          const ColumnarWriteOptions& options) {
   DPX_RETURN_IF_ERROR(dataset.schema().Validate());
@@ -503,10 +507,10 @@ StatusOr<std::shared_ptr<const MappedColumnar>> AppendRowsToColumnar(
     return std::shared_ptr<const MappedColumnar>(std::move(out));
   }
 
-  // Grow: rewrite to a new inode with doubled capacity and rename over the
-  // path, preserving the file_uid. `base` (and every Dataset viewing it)
-  // stays valid on the old inode until the last reference drops.
-  const size_t new_capacity = std::max(base->capacity_rows() * 2, new_rows);
+  // Grow: rewrite to a new inode with headroom and rename over the path,
+  // preserving the file_uid. `base` (and every Dataset viewing it) stays
+  // valid on the old inode until the last reference drops.
+  const size_t new_capacity = ColumnarCapacityWithHeadroom(new_rows);
   std::vector<ColumnSource> cols(attrs);
   for (size_t a = 0; a < attrs; ++a) {
     cols[a].width = base->column_widths_[a];

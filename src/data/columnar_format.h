@@ -90,6 +90,13 @@ struct ColumnarWriteOptions {
 /// A fresh random, nonzero file uid.
 uint64_t MintColumnarFileUid();
 
+/// The capacity a DPXCOL file holding `rows` rows is given when it needs
+/// room for appends: twice the rows, and at least 1,024. An append that
+/// outgrows a file rewrites it at this capacity, and a snapshot's row file
+/// is written at it, so the appends after either commit in place. The
+/// room is a sparse ftruncate: no bytes are written for it.
+size_t ColumnarCapacityWithHeadroom(size_t rows);
+
 struct ColumnarOpenOptions {
   /// Re-verify every column's data CRC and re-scan max codes (O(data)).
   /// Off by default — see the trust model in the file comment.
@@ -170,7 +177,8 @@ Status WriteColumnarFile(const Dataset& dataset, const std::string& path,
 /// and returns a new handle at the extended row count. If the reserved
 /// capacity suffices, the tail is pwritten into place and the header
 /// re-committed — the returned handle shares `base`'s mapping. Otherwise
-/// the file is rewritten to a new inode with doubled capacity and renamed
+/// the file is rewritten to a new inode at ColumnarCapacityWithHeadroom of
+/// the new row count and renamed
 /// over `path`; `base` stays valid on the old inode. The caller must
 /// serialize appends to one file.
 StatusOr<std::shared_ptr<const MappedColumnar>> AppendRowsToColumnar(
